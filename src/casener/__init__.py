@@ -27,7 +27,6 @@ from .corpus import (
 from .crf import (
     CrfModel,
     ModelFormatError,
-    Optimizer,
     TrainConfig,
     TrainingError,
     decode,

@@ -3,7 +3,7 @@
 Subcommands: train, tag, eval, augment, truecase, synth, experiment, grid.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Experiment settings come from an optional key=value config file; flags
-override file values.
+override file values, and a key the command does not read is a data error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .corpus import (
 )
 from .crf import (
     ModelFormatError,
-    Optimizer,
     TrainConfig,
     TrainingError,
     decode,
@@ -63,10 +62,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_train_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--optimizer", choices=[o.value for o in Optimizer])
         p.add_argument("--l2-sigma", type=float)
         p.add_argument("--max-epochs", type=int)
-        p.add_argument("--learning-rate", type=float)
         p.add_argument("--tolerance", type=float)
         p.add_argument("--seed", type=int)
 
@@ -163,6 +160,27 @@ def _read_tokens_file(path: str) -> Corpus:
     return parse_conll("\n".join(padded))
 
 
+#: Config-file keys read by both `experiment` and `grid`.
+_SHARED_KEYS = frozenset({
+    "data", "train", "test", "synth-seed", "synth-train-sentences",
+    "synth-test-sentences", "synth-noise-rate", "report", "type-map",
+    "l2-sigma", "max-epochs", "tolerance", "seed",
+})
+_EXPERIMENT_KEYS = _SHARED_KEYS | {"strategy", "model"}
+_GRID_KEYS = _SHARED_KEYS | {"strategies"}
+
+
+def _read_settings(path: str | None, known: frozenset[str]) -> dict[str, str]:
+    """Config file as a dict (empty without a path); unknown keys raise."""
+    if path is None:
+        return {}
+    file_cfg = read_config_file(path)
+    unknown = sorted(set(file_cfg) - known)
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    return file_cfg
+
+
 def _merged(args: argparse.Namespace, key: str, file_cfg: dict[str, str],
             default: str | None = None) -> str | None:
     """Flag value if set, else config-file value, else default."""
@@ -177,13 +195,9 @@ def _merged(args: argparse.Namespace, key: str, file_cfg: dict[str, str],
 def _train_config_from(args: argparse.Namespace,
                        file_cfg: dict[str, str]) -> TrainConfig:
     cfg = TrainConfig()
-    optimizer = _merged(args, "optimizer", file_cfg)
-    if optimizer is not None:
-        cfg = replace(cfg, optimizer=Optimizer(optimizer))
     for key, attr, cast in (
         ("l2-sigma", "l2_sigma", float),
         ("max-epochs", "max_epochs", int),
-        ("learning-rate", "learning_rate", float),
         ("tolerance", "tolerance", float),
         ("seed", "seed", int),
     ):
@@ -350,7 +364,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
+    file_cfg = _read_settings(args.config, _EXPERIMENT_KEYS)
     strategy_name = _merged(args, "strategy", file_cfg)
     if strategy_name is None:
         raise UsageError("a strategy is required (flag or config file)")
@@ -361,7 +375,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
+    file_cfg = _read_settings(args.config, _GRID_KEYS)
     names = _merged(args, "strategies", file_cfg,
                     ",".join(s.value for s in Strategy))
     strategies = [Strategy(name.strip()) for name in names.split(",") if name.strip()]

@@ -1,9 +1,10 @@
 """First-order linear-chain CRF over sparse binary features.
 
-Scoring, exact log-partition via the forward recursion, gradients via
-forward-backward, L2-regularized maximum-likelihood training (L-BFGS or
-AdaGrad), and Viterbi decoding constrained to legal IOBES transitions.
-All computation is in log-space double precision.
+Scoring, exact log-partition and marginals, L2-regularized
+maximum-likelihood training with L-BFGS, and Viterbi decoding constrained to
+legal IOBES transitions.  One batched forward-backward recursion
+(`_forward_backward`) serves the training objective, `posteriors` and
+`log_partition`.  All computation is in log-space double precision.
 
 Training normalizes over the full tag alphabet (no transition masking);
 the IOBES constraints are applied only at decode time, which guarantees
@@ -13,10 +14,8 @@ scheme-valid output.
 from __future__ import annotations
 
 import base64
-import enum
 import gzip
 import json
-import random
 import zlib
 from dataclasses import dataclass
 from typing import Mapping
@@ -49,25 +48,19 @@ class ModelFormatError(ValueError):
     """Serialized model data cannot be decoded."""
 
 
-class Optimizer(enum.Enum):
-    LBFGS = "lbfgs"
-    ADAGRAD = "adagrad"
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.
+    """L-BFGS training hyperparameters.
 
     `l2_sigma` is the sigma of the Gaussian prior: the penalty is
-    ||w||^2 / (2 sigma^2).  `max_epochs` caps L-BFGS iterations or AdaGrad
-    passes over the data.  `tolerance` is the relative-objective-change
-    stopping criterion (L-BFGS).
+    ||w||^2 / (2 sigma^2).  `max_epochs` caps L-BFGS iterations.
+    `tolerance` is the relative-objective-change stopping criterion.
+    Training is deterministic; `seed` is only recorded in the model
+    metadata.
     """
 
     l2_sigma: float = 1.0
     max_epochs: int = 200
-    optimizer: Optimizer = Optimizer.LBFGS
-    learning_rate: float = 0.1
     tolerance: float = 1e-5
     seed: int = 0
 
@@ -76,8 +69,6 @@ class TrainConfig:
             raise ValueError("l2_sigma must be positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -186,11 +177,7 @@ def score_sequence(model: CrfModel, sentence: Sentence, tags: TagSequence) -> fl
 
 def log_partition(model: CrfModel, sentence: Sentence) -> float:
     """log Z: log of the summed exponentiated scores of all K^n taggings."""
-    emit = _emissions(model, sentence)
-    alpha = model.begin + emit[0]
-    for t in range(1, len(sentence)):
-        alpha = _logsumexp(alpha[:, None] + model.transition, axis=0) + emit[t]
-    return float(_logsumexp(alpha + model.end, axis=0))
+    return posteriors(model, sentence)[0]
 
 
 def posteriors(
@@ -203,31 +190,48 @@ def posteriors(
     node marginals on both sides.
     """
     emit = _emissions(model, sentence)
-    logz, node, edge = _sentence_posteriors(
-        emit, model.begin, model.end, model.transition
+    logz, node, edge = _forward_backward(
+        emit[None], model.begin, model.end, model.transition
     )
-    return logz, node, edge
+    return float(logz[0]), node[0], edge
 
 
-def _sentence_posteriors(
+def _forward_backward(
     emit: np.ndarray, begin: np.ndarray, end: np.ndarray, trans: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    n, k = emit.shape
-    alpha = np.empty((n, k))
-    alpha[0] = begin + emit[0]
-    for t in range(1, n):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emit[t]
-    beta = np.empty((n, k))
-    beta[n - 1] = end
-    for t in range(n - 2, -1, -1):
-        beta[t] = _logsumexp(trans + (emit[t + 1] + beta[t + 1])[None, :], axis=1)
-    logz = float(_logsumexp(alpha[n - 1] + end, axis=0))
-    node = np.exp(alpha + beta - logz)
-    edge = np.empty((max(n - 1, 0), k, k))
-    for t in range(1, n):
-        edge[t - 1] = np.exp(
-            alpha[t - 1][:, None] + trans + (emit[t] + beta[t])[None, :] - logz
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-space forward-backward over S sentences of equal length L.
+
+    `emit` has shape (S, L, K).  Returns logZ per sentence (S,), node
+    marginals (S, L, K), and edge marginals summed over the batch
+    (L-1, K, K).
+    """
+    s, length, k = emit.shape
+    alpha = np.empty((s, length, k))
+    alpha[:, 0] = begin[None, :] + emit[:, 0]
+    for t in range(1, length):
+        alpha[:, t] = (
+            _logsumexp(alpha[:, t - 1][:, :, None] + trans[None], axis=1)
+            + emit[:, t]
         )
+    logz = _logsumexp(alpha[:, length - 1] + end[None, :], axis=1)
+
+    beta = np.empty((s, length, k))
+    beta[:, length - 1] = end[None, :]
+    for t in range(length - 2, -1, -1):
+        beta[:, t] = _logsumexp(
+            trans[None] + (emit[:, t + 1] + beta[:, t + 1])[:, None, :],
+            axis=2,
+        )
+
+    node = np.exp(alpha + beta - logz[:, None, None])
+    edge = np.empty((length - 1, k, k))
+    for t in range(1, length):
+        edge[t - 1] = np.exp(
+            alpha[:, t - 1][:, :, None]
+            + trans[None]
+            + (emit[:, t] + beta[:, t])[:, None, :]
+            - logz[:, None, None]
+        ).sum(axis=0)
     return logz, node, edge
 
 
@@ -246,7 +250,6 @@ class _EncodedCorpus:
 
     feature_rows: scipy.sparse.csr_matrix
     lengths: np.ndarray
-    offsets: np.ndarray
     gold: np.ndarray
     first_tags: np.ndarray
     last_tags: np.ndarray
@@ -262,10 +265,6 @@ class _EncodedCorpus:
     @property
     def num_positions(self) -> int:
         return int(self.lengths.sum())
-
-    @property
-    def num_sentences(self) -> int:
-        return len(self.lengths)
 
 
 def _encode(
@@ -336,7 +335,6 @@ def _encode(
     return _EncodedCorpus(
         feature_rows=matrix,
         lengths=lengths_arr,
-        offsets=offsets,
         gold=gold_arr,
         first_tags=first_tags,
         last_tags=last_tags,
@@ -390,39 +388,16 @@ def _neg_ll_and_grad(
     exp_end = np.zeros(k)
     exp_trans = np.zeros((k, k))
 
-    for length, rows in enc.buckets:
-        emit = emit_all[rows]  # (S, L, K)
-        s = emit.shape[0]
-        alpha = np.empty((s, length, k))
-        alpha[:, 0] = begin[None, :] + emit[:, 0]
-        for t in range(1, length):
-            alpha[:, t] = (
-                _logsumexp(alpha[:, t - 1][:, :, None] + trans[None], axis=1)
-                + emit[:, t]
-            )
-        logz = _logsumexp(alpha[:, length - 1] + end[None, :], axis=1)  # (S,)
+    for _, rows in enc.buckets:
+        logz, node, edge = _forward_backward(emit_all[rows], begin, end, trans)
         logz_total += logz.sum()
-
-        beta = np.empty((s, length, k))
-        beta[:, length - 1] = end[None, :]
-        for t in range(length - 2, -1, -1):
-            beta[:, t] = _logsumexp(
-                trans[None] + (emit[:, t + 1] + beta[:, t + 1])[:, None, :],
-                axis=2,
-            )
-
-        post = np.exp(alpha + beta - logz[:, None, None])
-        node_post[rows.reshape(-1)] = post.reshape(-1, k)
-        exp_begin += post[:, 0].sum(axis=0)
-        exp_end += post[:, length - 1].sum(axis=0)
-        for t in range(1, length):
-            edge = np.exp(
-                alpha[:, t - 1][:, :, None]
-                + trans[None]
-                + (emit[:, t] + beta[:, t])[:, None, :]
-                - logz[:, None, None]
-            )
-            exp_trans += edge.sum(axis=0)
+        node_post[rows.reshape(-1)] = node.reshape(-1, k)
+        exp_begin += node[:, 0].sum(axis=0)
+        exp_end += node[:, -1].sum(axis=0)
+        # Summed one position at a time, not as edge.sum(axis=0), so trained
+        # weights stay bitwise equal to those of earlier versions.
+        for edge_t in edge:
+            exp_trans += edge_t
 
     exp_emission = np.asarray(enc.feature_rows.T @ node_post)
 
@@ -478,102 +453,29 @@ def train(
     size = fmap.num_features * k + 2 * k + k * k
     w0 = np.zeros(size)
 
-    if cfg.optimizer is Optimizer.LBFGS:
-        result = scipy.optimize.minimize(
-            _neg_ll_and_grad,
-            w0,
-            args=(enc, cfg.l2_sigma),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.max_epochs, "ftol": cfg.tolerance},
-        )
-        w = result.x
-        iterations = int(result.nit)
-    else:
-        w = _train_adagrad(w0, enc, cfg)
-        iterations = cfg.max_epochs
+    result = scipy.optimize.minimize(
+        _neg_ll_and_grad,
+        w0,
+        args=(enc, cfg.l2_sigma),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": cfg.max_epochs, "ftol": cfg.tolerance},
+    )
 
-    emission, begin, end, trans = _unpack(w, fmap.num_features, k)
+    emission, begin, end, trans = _unpack(result.x, fmap.num_features, k)
     metadata = {
-        "optimizer": cfg.optimizer.value,
         "l2_sigma": cfg.l2_sigma,
         "max_epochs": cfg.max_epochs,
-        "learning_rate": cfg.learning_rate,
         "tolerance": cfg.tolerance,
         "seed": cfg.seed,
         "min_count": min_count,
         "training_sentences": len(corpus),
-        "iterations": iterations,
+        "iterations": int(result.nit),
     }
     return CrfModel(
         fmap, template_set, emission.copy(), begin.copy(), end.copy(),
         trans.copy(), metadata,
     )
-
-
-def _train_adagrad(
-    w0: np.ndarray, enc: _EncodedCorpus, cfg: TrainConfig
-) -> np.ndarray:
-    """Per-sentence AdaGrad ascent with seeded shuffling.
-
-    The L2 term is applied stochastically: each sentence update penalizes
-    only the weights it touches, scaled by 1/num_sentences.
-    """
-    k = enc.num_tags
-    num_features = enc.feature_rows.shape[1]
-    emission, begin, end, trans = (a.copy() for a in _unpack(w0, num_features, k))
-    acc_emission = np.zeros_like(emission)
-    acc_begin = np.zeros_like(begin)
-    acc_end = np.zeros_like(end)
-    acc_trans = np.zeros_like(trans)
-    eps = 1e-8
-    lr = cfg.learning_rate
-    inv_var = 1.0 / (cfg.l2_sigma * cfg.l2_sigma)
-    scale = 1.0 / enc.num_sentences
-    rng = random.Random(cfg.seed)
-
-    for _ in range(cfg.max_epochs):
-        order = list(range(enc.num_sentences))
-        rng.shuffle(order)
-        for sid in order:
-            off = int(enc.offsets[sid])
-            length = int(enc.lengths[sid])
-            rows_mat = enc.feature_rows[off : off + length]
-            emit = np.asarray(rows_mat @ emission)
-            _, node, edge = _sentence_posteriors(emit, begin, end, trans)
-
-            gold = enc.gold[off : off + length]
-            onehot = np.zeros((length, k))
-            onehot[np.arange(length), gold] = 1.0
-            delta = onehot - node  # (L, K)
-
-            g_emit_rows = np.asarray(rows_mat.T @ delta)  # (F, K) sparse rows
-            active = np.unique(rows_mat.indices)
-            g_active = g_emit_rows[active] - inv_var * scale * emission[active]
-
-            g_begin = onehot[0] - node[0] - inv_var * scale * begin
-            g_end = onehot[-1] - node[-1] - inv_var * scale * end
-            g_trans = -inv_var * scale * trans
-            if length > 1:
-                obs_t = np.zeros((k, k))
-                np.add.at(obs_t, (gold[:-1], gold[1:]), 1.0)
-                g_trans = g_trans + obs_t - edge.sum(axis=0)
-
-            acc_emission[active] += g_active**2
-            emission[active] += lr * g_active / (
-                np.sqrt(acc_emission[active]) + eps
-            )
-            acc_begin += g_begin**2
-            begin += lr * g_begin / (np.sqrt(acc_begin) + eps)
-            acc_end += g_end**2
-            end += lr * g_end / (np.sqrt(acc_end) + eps)
-            acc_trans += g_trans**2
-            trans += lr * g_trans / (np.sqrt(acc_trans) + eps)
-
-    w = _pack(emission, begin, end, trans)
-    if not np.isfinite(w).all():
-        raise TrainingError("weights became non-finite during AdaGrad training")
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -95,16 +95,22 @@ class ExperimentResult:
     report_kv: str
 
 
+def _synth_data_line(synth: SynthConfig) -> str:
+    return (
+        f"data: synthetic (seed={synth.seed}, "
+        f"train={synth.train_sentences}, "
+        f"test={synth.test_sentences}, "
+        f"noise_rate={synth.noise_rate})"
+    )
+
+
 def _load_corpora(cfg: ExperimentConfig) -> tuple[Corpus, Corpus, list[str]]:
     """Returns (train, test, provenance lines for the report header)."""
     if cfg.synth is not None:
         train_corpus, test_corpus = generate(cfg.synth)
         overlap = vocabulary_overlap(train_corpus, test_corpus)
         lines = [
-            f"data: synthetic (seed={cfg.synth.seed}, "
-            f"train={cfg.synth.train_sentences}, "
-            f"test={cfg.synth.test_sentences}, "
-            f"noise_rate={cfg.synth.noise_rate})",
+            _synth_data_line(cfg.synth),
             f"test token types seen in training: "
             f"{overlap['test_token_types_seen']:.3f}",
             f"test entity types seen in training: "
@@ -229,9 +235,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         f"strategy: {cfg.strategy.value}",
         *data_lines,
         f"seed: {cfg.seed}",
-        f"optimizer: {train_cfg.optimizer.value}  l2_sigma: {train_cfg.l2_sigma}"
-        f"  max_epochs: {train_cfg.max_epochs}  tolerance: {train_cfg.tolerance}"
-        f"  learning_rate: {train_cfg.learning_rate}",
+        f"l2_sigma: {train_cfg.l2_sigma}  max_epochs: {train_cfg.max_epochs}"
+        f"  tolerance: {train_cfg.tolerance}",
         f"feature templates: {template_set.value}",
         f"training sentences: {len(train_corpus)}"
         f" (effective {len(train_view)})",
@@ -270,11 +275,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     kv_lines = [
         f"strategy={cfg.strategy.value}",
         f"seed={cfg.seed}",
-        f"optimizer={train_cfg.optimizer.value}",
         f"l2_sigma={train_cfg.l2_sigma!r}",
         f"max_epochs={train_cfg.max_epochs}",
         f"tolerance={train_cfg.tolerance!r}",
-        f"learning_rate={train_cfg.learning_rate!r}",
         f"template_set={template_set.value}",
         f"train.sentences={len(train_corpus)}",
         f"train.effective_sentences={len(train_view)}",
@@ -331,12 +334,7 @@ def run_grid(
     )
     first = configs[0]
     if first.synth is not None:
-        data_line = (
-            f"data: synthetic (seed={first.synth.seed}, "
-            f"train={first.synth.train_sentences}, "
-            f"test={first.synth.test_sentences}, "
-            f"noise_rate={first.synth.noise_rate})"
-        )
+        data_line = _synth_data_line(first.synth)
     else:
         data_line = f"data: test={first.test_path}"
     combined = (

@@ -54,6 +54,23 @@ def enumerate_log_partition(model: CrfModel, sentence) -> float:
     return m + math.log(sum(math.exp(s - m) for s in scores))
 
 
+def enumerate_marginals(model: CrfModel, sentence) -> tuple[np.ndarray, np.ndarray]:
+    """Node (n, K) and edge (n-1, K, K) marginals summed over all K^n taggings."""
+    emissions = emission_table(model, sentence)
+    log_z = enumerate_log_partition(model, sentence)
+    k = model.num_tags
+    n = len(sentence)
+    node = np.zeros((n, k))
+    edge = np.zeros((n - 1, k, k))
+    for path in itertools.product(range(k), repeat=n):
+        prob = math.exp(path_score(model, emissions, path) - log_z)
+        for pos, tag in enumerate(path):
+            node[pos, tag] += prob
+        for pos, (prev, cur) in enumerate(zip(path, path[1:])):
+            edge[pos, prev, cur] += prob
+    return node, edge
+
+
 def enumerate_best_legal_path(
     model: CrfModel, sentence
 ) -> tuple[tuple[str, ...], float]:

@@ -153,6 +153,34 @@ def test_experiment_flag_overrides_config(tmp_path):
     assert "strategy: baseline" in (tmp_path / "rep.txt").read_text()
 
 
+@pytest.mark.parametrize("command", ["experiment", "grid"])
+@pytest.mark.parametrize("line", ["max-epoch = 5", "optimizer = adagrad",
+                                  "learning-rate = 0.5"])
+def test_config_file_rejects_unknown_key(tmp_path, capsys, command, line):
+    selector = "strategies" if command == "grid" else "strategy"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"{selector} = baseline\ndata = synth\nsynth-train-sentences = 40\n"
+        f"synth-test-sentences = 10\nmax-epochs = 3\n{line}\n"
+    )
+    assert main([command, "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and line.split(" =")[0] in err
+
+
+def test_type_map_file_keys_are_free_form(tmp_path):
+    type_map = tmp_path / "types.cfg"
+    type_map.write_text("PER = PERSON\nLOC = PLACE\nNOT-A-SETTING = X\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "strategy = baseline\ndata = synth\nsynth-train-sentences = 40\n"
+        f"synth-test-sentences = 10\nmax-epochs = 3\ntype-map = {type_map}\n"
+        f"report = {tmp_path / 'rep'}\n"
+    )
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
+    assert "type map applied" in (tmp_path / "rep.txt").read_text()
+
+
 def test_experiment_requires_strategy(tmp_path):
     assert main(["experiment", "--data", "synth"]) == EXIT_USAGE
 

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casener.corpus import (
     AnnotatedSentence,
@@ -16,7 +17,6 @@ from casener.corpus import (
 from casener.crf import (
     CrfModel,
     ModelFormatError,
-    Optimizer,
     TrainConfig,
     decode,
     load,
@@ -34,6 +34,7 @@ from oracles import (
     emission_table,
     enumerate_best_legal_path,
     enumerate_log_partition,
+    enumerate_marginals,
     finite_difference_gradient,
     path_score,
 )
@@ -163,6 +164,29 @@ class TestPosteriors:
         for path in itertools.product(range(model.num_tags), repeat=len(sentence)):
             total += math.exp(path_score(model, emissions, path) - logz)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(1, 6),
+        tags=st.sampled_from(
+            [("O", "S-A"), ("O", "S-A", "S-B"), ("O", "B-A", "I-A", "E-A")]
+        ),
+        scale=st.sampled_from([0.01, 1.0, 10.0, 100.0]),
+    )
+    def test_marginals_match_enumeration(self, seed, length, tags, scale):
+        rng = random.Random(seed)
+        model = random_model(rng, tags=tags, scale=scale)
+        vocab = ("the", "Baker", "baker", "OSLO", "met", "Monday", "x9")
+        sentence = Sentence(tuple(rng.choice(vocab) for _ in range(length)))
+        logz, node, edge = posteriors(model, sentence)
+        expected_node, expected_edge = enumerate_marginals(model, sentence)
+        assert logz == pytest.approx(
+            enumerate_log_partition(model, sentence), rel=1e-12
+        )
+        assert edge.shape == (length - 1, len(tags), len(tags))
+        np.testing.assert_allclose(node, expected_node, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(edge, expected_edge, rtol=0, atol=1e-9)
 
 
 class TestGradient:
@@ -319,18 +343,6 @@ class TestTrain:
         assert np.array_equal(a.emission, b.emission)
         assert np.array_equal(a.transition, b.transition)
         assert save(a) == save(b)
-
-    def test_adagrad_learns_and_is_deterministic(self):
-        corpus = separable_corpus()
-        cfg = TrainConfig(
-            optimizer=Optimizer.ADAGRAD, max_epochs=12, learning_rate=0.5,
-            seed=5,
-        )
-        a = train(corpus, TemplateSet.CASE_AWARE, cfg)
-        b = train(corpus, TemplateSet.CASE_AWARE, cfg)
-        assert np.array_equal(a.emission, b.emission)
-        pred = [decode(a, ann.sentence) for ann in corpus]
-        assert evaluate(pred, [ann.gold for ann in corpus]).f1 == 1.0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
