@@ -52,6 +52,9 @@ class UsageError(Exception):
     pass
 
 
+_SEED_HELP = "run label printed in the reports; training does not read it"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -65,7 +68,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--l2-sigma", type=float)
         p.add_argument("--max-epochs", type=int)
         p.add_argument("--tolerance", type=float)
-        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("train", help="train a model under a strategy")
     p.add_argument("--train", required=True, help="training CoNLL file")
@@ -124,6 +126,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--type-map", help="key=value file mapping predicted "
                                       "entity types onto the gold inventory")
     add_train_flags(p)
+    p.add_argument("--seed", type=int, help=_SEED_HELP)
 
     p = sub.add_parser("grid", help="run several strategies on shared data")
     p.add_argument("--config", help="key=value config file")
@@ -138,6 +141,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--synth-noise-rate", type=float)
     p.add_argument("--report", help="combined report base path")
     add_train_flags(p)
+    p.add_argument("--seed", type=int, help=_SEED_HELP)
 
     return parser
 
@@ -199,7 +203,6 @@ def _train_config_from(args: argparse.Namespace,
         ("l2-sigma", "l2_sigma", float),
         ("max-epochs", "max_epochs", int),
         ("tolerance", "tolerance", float),
-        ("seed", "seed", int),
     ):
         value = _merged(args, key, file_cfg)
         if value is not None:
@@ -238,14 +241,13 @@ def _experiment_config(args: argparse.Namespace, strategy: Strategy,
     if type_map_path:
         type_map = read_config_file(type_map_path)
 
-    train_cfg = _train_config_from(args, file_cfg)
     return ExperimentConfig(
         strategy=strategy,
         train_path=train_path,
         test_path=test_path,
         synth=synth_cfg,
-        train_config=train_cfg,
-        seed=train_cfg.seed,
+        train_config=_train_config_from(args, file_cfg),
+        seed=int(_merged(args, "seed", file_cfg, "0")),
         report_path=_merged(args, "report", file_cfg),
         model_path=_merged(args, "model", file_cfg),
         type_map=type_map,

@@ -4,7 +4,9 @@ Scoring, exact log-partition and marginals, L2-regularized
 maximum-likelihood training with L-BFGS, and Viterbi decoding constrained to
 legal IOBES transitions.  One batched forward-backward recursion
 (`_forward_backward`) serves the training objective, `posteriors` and
-`log_partition`.  All computation is in log-space double precision.
+`log_partition`.  It runs in scaled probability space and falls back to a
+log-space recursion when the weights spread too widely for that; scores and
+Viterbi decoding are in log space.  All computation is double precision.
 
 Training normalizes over the full tag alphabet (no transition masking);
 the IOBES constraints are applied only at decode time, which guarantees
@@ -55,14 +57,12 @@ class TrainConfig:
     `l2_sigma` is the sigma of the Gaussian prior: the penalty is
     ||w||^2 / (2 sigma^2).  `max_epochs` caps L-BFGS iterations.
     `tolerance` is the relative-objective-change stopping criterion.
-    Training is deterministic; `seed` is only recorded in the model
-    metadata.
+    Training is deterministic.
     """
 
     l2_sigma: float = 1.0
     max_epochs: int = 200
     tolerance: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.l2_sigma <= 0:
@@ -136,14 +136,6 @@ class CrfModel:
         return self.feature_map.num_tags
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """Stable log-sum-exp along `axis` (inputs assumed finite)."""
-    m = a.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(
-        np.exp(a - m).sum(axis=axis)
-    )
-
-
 def _emissions(model: CrfModel, sentence: Sentence) -> np.ndarray:
     """Per-position emission scores, shape (len(sentence), num_tags)."""
     fmap = model.feature_map
@@ -196,15 +188,89 @@ def posteriors(
     return float(logz[0]), node[0], edge
 
 
+#: Largest summed weight spread (nats) the scaled kernel accepts: see
+#: `_forward_backward`.
+_MAX_SCALED_SPREAD = 200.0
+
+
 def _forward_backward(
     emit: np.ndarray, begin: np.ndarray, end: np.ndarray, trans: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-space forward-backward over S sentences of equal length L.
+    """Forward-backward over S sentences of equal length L.
 
     `emit` has shape (S, L, K).  Returns logZ per sentence (S,), node
     marginals (S, L, K), and edge marginals summed over the batch
     (L-1, K, K).
+
+    The recursion runs in probability space (Rabiner, 1989): every factor is
+    exponentiated relative to its maximum, the forward row is normalized at
+    each step, and the logs of those scales sum to logZ; the backward pass
+    reuses the forward scales.  Each step is one (S, K) @ (K, K) matmul.
+
+    Every exponentiated factor lies in [exp(-d), 1], where d is the spread
+    (max - min) of the transition weights plus that of the begin weights,
+    the end weights and the widest per-position emission row.  Every
+    intermediate product is then at least about exp(-3d) / K^2, so the
+    scaled path runs only when d <= `_MAX_SCALED_SPREAD` (200 nats), which
+    keeps it above the smallest normal double (exp(-708)).  A wider or
+    non-finite spread falls back to the log-space recursion
+    (`_forward_backward_log`) for that batch.
     """
+    s, length, k = emit.shape
+    emax = emit.max(axis=2)
+    ex = emit - emax[:, :, None]
+    spread = np.ptp(trans) + np.ptp(begin) + np.ptp(end) - ex.min()
+    if not spread <= _MAX_SCALED_SPREAD:
+        return _forward_backward_log(emit, begin, end, trans)
+
+    tmax, bmax, fmax = trans.max(), begin.max(), end.max()
+    tm = np.exp(trans - tmax)
+    np.exp(ex, out=ex)
+    e_end = np.exp(end - fmax)
+
+    a = np.empty((s, length, k))
+    c = np.empty((s, length))
+    a_t = ex[:, 0] * np.exp(begin - bmax)
+    for t in range(length):
+        if t:
+            a_t = (a[:, t - 1] @ tm) * ex[:, t]
+        c[:, t] = a_t.sum(axis=1)
+        a[:, t] = a_t / c[:, t, None]
+    z = a[:, length - 1] @ e_end
+    logz = (
+        emax.sum(axis=1) + (length - 1) * tmax + bmax + fmax
+        + np.log(c).sum(axis=1) + np.log(z)
+    )
+
+    # b is the scaled backward vector; ex[:, t] is overwritten with
+    # ex * b / c, the right-hand factor of the edge marginals into t.
+    node = np.empty((s, length, k))
+    edge = np.empty((length - 1, k, k))
+    b = e_end[None, :] / z[:, None]
+    for t in range(length - 1, 0, -1):
+        node[:, t] = a[:, t] * b
+        v = ex[:, t]
+        v *= b / c[:, t, None]
+        edge[t - 1] = tm * (a[:, t - 1].T @ v)
+        b = v @ tm.T
+    node[:, 0] = a[:, 0] * b
+    return logz, node, edge
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """Stable log-sum-exp along `axis` (inputs assumed finite)."""
+    m = a.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(
+        np.exp(a - m).sum(axis=axis)
+    )
+
+
+def _forward_backward_log(
+    emit: np.ndarray, begin: np.ndarray, end: np.ndarray, trans: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-space forward-backward: `_forward_backward`'s fallback for
+    weight spreads that would underflow in probability space.  Same
+    arguments and results."""
     s, length, k = emit.shape
     alpha = np.empty((s, length, k))
     alpha[:, 0] = begin[None, :] + emit[:, 0]
@@ -394,10 +460,7 @@ def _neg_ll_and_grad(
         node_post[rows.reshape(-1)] = node.reshape(-1, k)
         exp_begin += node[:, 0].sum(axis=0)
         exp_end += node[:, -1].sum(axis=0)
-        # Summed one position at a time, not as edge.sum(axis=0), so trained
-        # weights stay bitwise equal to those of earlier versions.
-        for edge_t in edge:
-            exp_trans += edge_t
+        exp_trans += edge.sum(axis=0)
 
     exp_emission = np.asarray(enc.feature_rows.T @ node_post)
 
@@ -443,7 +506,12 @@ def train(
     cfg: TrainConfig | None = None,
     min_count: int = 1,
 ) -> CrfModel:
-    """Fit a CRF on `corpus`; deterministic given config and seed."""
+    """Fit a CRF on `corpus`; deterministic given the config.
+
+    The model metadata records the config, the iteration count, the number
+    of objective evaluations, and whether L-BFGS met its stopping criterion
+    (`converged`) rather than hitting `max_epochs` or a failed line search.
+    """
     cfg = cfg or TrainConfig()
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
@@ -467,10 +535,11 @@ def train(
         "l2_sigma": cfg.l2_sigma,
         "max_epochs": cfg.max_epochs,
         "tolerance": cfg.tolerance,
-        "seed": cfg.seed,
         "min_count": min_count,
         "training_sentences": len(corpus),
         "iterations": int(result.nit),
+        "function_evaluations": int(result.nfev),
+        "converged": bool(result.success),
     }
     return CrfModel(
         fmap, template_set, emission.copy(), begin.copy(), end.copy(),

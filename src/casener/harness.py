@@ -12,7 +12,7 @@ prepared:
                 copies (3x size), case-aware templates.
 
 Reports are a fixed-layout text table plus a machine-readable key-value
-file; both are deterministic for a fixed config and seed (no timestamps).
+file; both are deterministic for a fixed config (no timestamps).
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class ExperimentConfig:
     """One experiment: a strategy, one data source, training settings, outputs.
 
     Exactly one of (`train_path` and `test_path`) or `synth` must be given.
-    `seed` overrides the training seed so a single knob controls the run.
+    `seed` is a run label printed in the reports; training is deterministic
+    and does not read it.
     """
 
     strategy: Strategy
@@ -210,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if len(train_corpus) == 0:
         raise ValueError("training corpus is empty")
 
-    train_cfg = replace(cfg.train_config, seed=cfg.seed)
+    train_cfg = cfg.train_config
     train_view, template_set = training_view(train_corpus, cfg.strategy)
     model = train(train_view, template_set, train_cfg)
 

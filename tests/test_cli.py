@@ -23,6 +23,9 @@ def data_files(tmp_path_factory):
 def test_usage_errors_exit_1():
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["train", "--train", "x"]) == EXIT_USAGE  # --model missing
+    # --seed labels experiment and grid runs; training has no seed
+    assert main(["train", "--train", "x", "--model", "m",
+                 "--seed", "1"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
 
 
@@ -127,11 +130,13 @@ def test_experiment_command_with_config_file(tmp_path, capsys):
         "synth-train-sentences = 120\n"
         "synth-test-sentences = 30\n"
         "max-epochs = 40\n"
+        "seed = 5\n"
         f"report = {tmp_path / 'rep'}\n"
     )
     assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
     report = (tmp_path / "rep.txt").read_text()
     assert "strategy: caseless" in report
+    assert "seed: 5" in report
     kv = (tmp_path / "rep.kv").read_text()
     f1s = {
         line.split("=")[0]: line.split("=")[1]
@@ -149,8 +154,10 @@ def test_experiment_flag_overrides_config(tmp_path):
     )
     report = str(tmp_path / "rep")
     assert main(["experiment", "--config", str(cfg), "--strategy", "baseline",
-                 "--report", report]) == EXIT_OK
-    assert "strategy: baseline" in (tmp_path / "rep.txt").read_text()
+                 "--seed", "9", "--report", report]) == EXIT_OK
+    text = (tmp_path / "rep.txt").read_text()
+    assert "strategy: baseline" in text
+    assert "seed: 9" in text
 
 
 @pytest.mark.parametrize("command", ["experiment", "grid"])

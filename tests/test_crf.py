@@ -14,6 +14,7 @@ from casener.corpus import (
     parse_conll,
     validate_tags,
 )
+from casener import crf
 from casener.crf import (
     CrfModel,
     ModelFormatError,
@@ -172,7 +173,7 @@ class TestPosteriors:
         tags=st.sampled_from(
             [("O", "S-A"), ("O", "S-A", "S-B"), ("O", "B-A", "I-A", "E-A")]
         ),
-        scale=st.sampled_from([0.01, 1.0, 10.0, 100.0]),
+        scale=st.sampled_from([0.01, 1.0, 10.0, 100.0, 1000.0]),
     )
     def test_marginals_match_enumeration(self, seed, length, tags, scale):
         rng = random.Random(seed)
@@ -187,6 +188,54 @@ class TestPosteriors:
         assert edge.shape == (length - 1, len(tags), len(tags))
         np.testing.assert_allclose(node, expected_node, rtol=0, atol=1e-9)
         np.testing.assert_allclose(edge, expected_edge, rtol=0, atol=1e-9)
+
+
+class TestForwardBackward:
+    """The scaled kernel against its log-space fallback and enumeration."""
+
+    def test_scaled_kernel_matches_log_space(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        k = 13
+        for _ in range(40):
+            s, length = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+            scale = float(rng.choice([0.1, 1.0, 3.0]))
+            emit = rng.normal(0.0, 4 * scale, (s, length, k))
+            begin, end = rng.normal(0.0, scale, (2, k))
+            trans = rng.normal(0.0, scale, (k, k))
+            expected = crf._forward_backward_log(emit, begin, end, trans)
+            with monkeypatch.context() as patch:
+                patch.setattr(crf, "_forward_backward_log", _no_fallback)
+                got = crf._forward_backward(emit, begin, end, trans)
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+    def test_wide_transition_spread_falls_back(self, monkeypatch, rng):
+        calls = []
+        original = crf._forward_backward_log
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return original(*args)
+
+        monkeypatch.setattr(crf, "_forward_backward_log", spy)
+        for _ in range(10):
+            model = random_model(rng, tags=("O", "B-A", "I-A", "E-A"), scale=1.0)
+            model.transition[0, 1] = 500.0  # spread > 800 nats
+            model.transition[2, 3] = -400.0
+            sentence = random_sentence(rng, max_len=5)
+            logz, node, edge = posteriors(model, sentence)
+            expected_node, expected_edge = enumerate_marginals(model, sentence)
+            assert logz == pytest.approx(
+                enumerate_log_partition(model, sentence), rel=1e-12
+            )
+            np.testing.assert_allclose(node, expected_node, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(edge, expected_edge, rtol=0, atol=1e-9)
+        assert len(calls) == 10
+
+
+def _no_fallback(*args):
+    raise AssertionError("the scaled kernel fell back to log space")
 
 
 class TestGradient:
@@ -307,6 +356,20 @@ class TestTrain:
         metrics = evaluate(pred, [ann.gold for ann in corpus])
         assert metrics.f1 == 1.0
 
+    def test_metadata_records_convergence(self):
+        corpus = separable_corpus()
+        converged = train(corpus, TemplateSet.CASE_AWARE)
+        capped = train(corpus, TemplateSet.CASE_AWARE, TrainConfig(max_epochs=1))
+        assert converged.metadata["converged"] is True
+        assert capped.metadata["converged"] is False
+        assert capped.metadata["iterations"] == 1
+        assert (
+            converged.metadata["function_evaluations"]
+            >= converged.metadata["iterations"]
+            > capped.metadata["iterations"]
+        )
+        assert "seed" not in converged.metadata
+
     def test_trained_model_tags_table_sentence(self):
         corpus = separable_corpus()
         extra = parse_conll("anna S-PER\nsees O\nrome S-LOC\n\n")
@@ -335,9 +398,9 @@ class TestTrain:
         shrunk = evaluate([decode(strong, a.sentence) for a in corpus], gold)
         assert shrunk.f1 == 0.0  # everything decodes to the majority class "O"
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         corpus = separable_corpus()
-        cfg = TrainConfig(max_epochs=30, seed=11)
+        cfg = TrainConfig(max_epochs=30)
         a = train(corpus, TemplateSet.CASE_AWARE, cfg)
         b = train(corpus, TemplateSet.CASE_AWARE, cfg)
         assert np.array_equal(a.emission, b.emission)
