@@ -17,6 +17,8 @@ from .corpus import (
     AnnotatedSentence,
     Corpus,
     CorpusError,
+    Sentence,
+    TagSequence,
     parse_conll,
     read_conll_file,
     write_conll,
@@ -26,15 +28,14 @@ from .crf import (
     ModelFormatError,
     TrainConfig,
     TrainingError,
-    decode,
     load_file,
     save_file,
     train,
 )
-from .evaluation import evaluate, metrics_lines
+from .evaluation import evaluate, metrics_lines, tag_corpus
 from .harness import ExperimentConfig, Strategy, read_config_file
 from .synth import default_config, generate, vocabulary_overlap
-from .transforms import augment, to_lower
+from .transforms import augment
 from .truecase import (
     Truecaser,
     TruecaserFormatError,
@@ -85,9 +86,10 @@ def _build_parser() -> _Parser:
                    help="CoNLL file (existing tags are ignored) or one token "
                         "per line with blank-line sentence breaks")
     p.add_argument("--output", help="output CoNLL file (default: stdout)")
-    p.add_argument("--truecaser", help="apply this truecaser before decoding")
-    p.add_argument("--lowercase", action="store_true",
-                   help="lowercase input before decoding (caseless tagging)")
+    prep = p.add_mutually_exclusive_group()
+    prep.add_argument("--truecaser", help="apply this truecaser before decoding")
+    prep.add_argument("--lowercase", action="store_true",
+                      help="lowercase input before decoding (caseless tagging)")
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--gold", required=True)
@@ -267,30 +269,30 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_tag(args: argparse.Namespace) -> int:
-    model = load_file(args.model)
-    corpus = _read_tokens_file(args.input)
-    truecaser = None
-    if args.truecaser and args.lowercase:
-        raise UsageError("--truecaser and --lowercase are mutually exclusive")
-    if args.truecaser:
-        with open(args.truecaser, "rb") as handle:
-            truecaser = Truecaser.from_bytes(handle.read())
-    tagged = []
-    for ann in corpus:
-        sentence = ann.sentence
-        decode_input = sentence
-        if args.lowercase:
-            decode_input = to_lower(sentence)
-        elif truecaser is not None:
-            decode_input = truecase(truecaser, sentence)
-        tagged.append(AnnotatedSentence(sentence, decode(model, decode_input)))
-    output = write_conll(Corpus(tuple(tagged)))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+def _load_truecaser(path: str) -> Truecaser:
+    with open(path, "rb") as handle:
+        return Truecaser.from_bytes(handle.read())
+
+
+def _write_tagged(sentences: list[Sentence], tags: list[TagSequence],
+                  path: str | None) -> None:
+    """Write sentences with their tags as CoNLL to `path`, else to stdout."""
+    output = write_conll(Corpus(tuple(map(AnnotatedSentence, sentences, tags))))
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(output)
     else:
         sys.stdout.write(output)
+
+
+def _cmd_tag(args: argparse.Namespace) -> int:
+    model = load_file(args.model)
+    corpus = _read_tokens_file(args.input)
+    truecaser = _load_truecaser(args.truecaser) if args.truecaser else None
+    predictions = tag_corpus(
+        model, corpus, truecaser=truecaser, caseless=args.lowercase
+    )
+    _write_tagged([ann.sentence for ann in corpus], predictions, args.output)
     return EXIT_OK
 
 
@@ -323,21 +325,13 @@ def _cmd_truecase(args: argparse.Namespace) -> int:
             handle.write(truecaser.to_bytes())
         print(f"fitted truecaser on {len(corpus)} sentence(s) -> {args.model}")
     if args.input is not None:
-        with open(args.model, "rb") as handle:
-            truecaser = Truecaser.from_bytes(handle.read())
+        truecaser = _load_truecaser(args.model)
         corpus = read_conll_file(args.input)
-        recased = Corpus(
-            tuple(
-                AnnotatedSentence(truecase(truecaser, ann.sentence), ann.gold)
-                for ann in corpus
-            )
+        _write_tagged(
+            [truecase(truecaser, ann.sentence) for ann in corpus],
+            [ann.gold for ann in corpus],
+            args.output,
         )
-        output = write_conll(recased)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-                f.write(output)
-        else:
-            sys.stdout.write(output)
     return EXIT_OK
 
 

@@ -136,16 +136,25 @@ class CrfModel:
         return self.feature_map.num_tags
 
 
+def _active_features(
+    sentence: Sentence, i: int, fmap: FeatureMap, template_set: TemplateSet
+) -> list[int]:
+    """Sorted indices of the mapped features at position `i`; sorting makes
+    the emission sums independent of the string hash seed."""
+    return sorted(
+        idx
+        for feat in extract(sentence, i, template_set)
+        if (idx := fmap.feature_index(feat)) is not None
+    )
+
+
 def _emissions(model: CrfModel, sentence: Sentence) -> np.ndarray:
     """Per-position emission scores, shape (len(sentence), num_tags)."""
-    fmap = model.feature_map
     out = np.zeros((len(sentence), model.num_tags))
     for i in range(len(sentence)):
-        rows = [
-            idx
-            for f in extract(sentence, i, model.template_set)
-            if (idx := fmap.feature_index(f)) is not None
-        ]
+        rows = _active_features(
+            sentence, i, model.feature_map, model.template_set
+        )
         if rows:
             out[i] = model.emission[rows].sum(axis=0)
     return out
@@ -344,12 +353,9 @@ def _encode(
     for ann in corpus:
         lengths.append(len(ann.sentence))
         for i in range(len(ann.sentence)):
-            active = sorted(
-                idx
-                for feat in extract(ann.sentence, i, template_set)
-                if (idx := fmap.feature_index(feat)) is not None
+            indices.extend(
+                _active_features(ann.sentence, i, fmap, template_set)
             )
-            indices.extend(active)
             indptr.append(len(indices))
         gold.extend(fmap.tag_index(t) for t in ann.gold.tags)
 

@@ -4,14 +4,17 @@ A predicted span counts as a true positive only when a gold span matches it
 exactly in (start, end, type).  Counts are pooled over all sentences before
 ratios are taken (micro-averaging); zero denominators yield 0, matching
 conlleval.
+
+Test-time tagging lives here too: `tag_corpus` is the one place a test
+sentence is preprocessed (lowercased or truecased) and decoded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, TagSequence, extract_spans
+from .corpus import Corpus, TagSequence, extract_spans, spans_to_tags
 from .crf import CrfModel, decode
 from .transforms import CaseVariant, make_variant, to_lower
 from .truecase import Truecaser, truecase
@@ -91,6 +94,77 @@ def evaluate(
     return Metrics.from_counts(tp, pred_n, gold_n, per_type)
 
 
+def tag_corpus(
+    model: CrfModel,
+    corpus: Corpus,
+    *,
+    truecaser: Truecaser | None = None,
+    caseless: bool = False,
+) -> list[TagSequence]:
+    """Decode each sentence, lowercased first if `caseless` or truecased
+    first with `truecaser` (at most one may be given)."""
+    if truecaser is not None and caseless:
+        raise ValueError("choose either truecasing or caseless preprocessing")
+    predictions = []
+    for ann in corpus:
+        sentence = ann.sentence
+        if caseless:
+            sentence = to_lower(sentence)
+        elif truecaser is not None:
+            sentence = truecase(truecaser, sentence)
+        predictions.append(decode(model, sentence))
+    return predictions
+
+
+def map_prediction_types(
+    tags: TagSequence, type_map: Mapping[str, str]
+) -> tuple[TagSequence, int]:
+    """Map predicted span types onto a target inventory.
+
+    Spans whose type is absent from the mapping are dropped to O; the count
+    of dropped spans is returned for reporting.
+    """
+    spans = extract_spans(tags)
+    kept = []
+    dropped = 0
+    for span in spans:
+        target = type_map.get(span.entity_type)
+        if target is None:
+            dropped += 1
+        else:
+            kept.append(replace(span, entity_type=target))
+    return spans_to_tags(kept, len(tags), tags.scheme), dropped
+
+
+def variant_grid(
+    model: CrfModel,
+    test: Corpus,
+    *,
+    truecaser: Truecaser | None = None,
+    caseless: bool = False,
+    type_map: Mapping[str, str] | None = None,
+) -> tuple[dict[CaseVariant, Metrics], int]:
+    """Tag (see `tag_corpus`) and score the test corpus under all three
+    case variants; every cell scores against the same gold spans.
+
+    With a `type_map` predicted types are mapped first; the second value
+    counts the spans dropped for an unmapped type over all variants.
+    """
+    grid: dict[CaseVariant, Metrics] = {}
+    dropped_total = 0
+    for variant in CaseVariant:
+        corpus = make_variant(test, variant)
+        predictions = tag_corpus(
+            model, corpus, truecaser=truecaser, caseless=caseless
+        )
+        if type_map is not None:
+            mapped = [map_prediction_types(p, type_map) for p in predictions]
+            predictions = [tags for tags, _ in mapped]
+            dropped_total += sum(dropped for _, dropped in mapped)
+        grid[variant] = evaluate(predictions, [ann.gold for ann in corpus])
+    return grid, dropped_total
+
+
 def robustness_grid(
     model: CrfModel,
     test: Corpus,
@@ -98,27 +172,8 @@ def robustness_grid(
     truecaser: Truecaser | None = None,
     caseless: bool = False,
 ) -> dict[CaseVariant, Metrics]:
-    """Decode and score the test corpus under all three case variants.
-
-    `truecaser` applies truecasing before decoding; `caseless` lowercases
-    instead (at most one may be given).  Gold annotations are unaffected by
-    the variants, so every cell scores against the same spans.
-    """
-    if truecaser is not None and caseless:
-        raise ValueError("choose either truecasing or caseless preprocessing")
-    grid: dict[CaseVariant, Metrics] = {}
-    for variant in CaseVariant:
-        corpus = make_variant(test, variant)
-        predictions = []
-        for ann in corpus:
-            sentence = ann.sentence
-            if caseless:
-                sentence = to_lower(sentence)
-            elif truecaser is not None:
-                sentence = truecase(truecaser, sentence)
-            predictions.append(decode(model, sentence))
-        grid[variant] = evaluate(predictions, [ann.gold for ann in corpus])
-    return grid
+    """The F1 grid of `variant_grid` with no type map."""
+    return variant_grid(model, test, truecaser=truecaser, caseless=caseless)[0]
 
 
 def metrics_lines(metrics: Metrics, prefix: str = "") -> list[str]:

@@ -20,22 +20,16 @@ from __future__ import annotations
 import enum
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import (
-    Corpus,
-    TagSequence,
-    extract_spans,
-    read_conll_file,
-    spans_to_tags,
-)
-from .crf import CrfModel, TrainConfig, decode, save_file, train
-from .evaluation import Metrics, evaluate, metrics_lines, robustness_grid
+from .corpus import Corpus, read_conll_file
+from .crf import CrfModel, TrainConfig, save_file, train
+from .evaluation import Metrics, metrics_lines, variant_grid
 from .features import TemplateSet
 from .synth import SynthConfig, generate, vocabulary_overlap
-from .transforms import CaseVariant, augment, make_variant, to_lower
-from .truecase import Truecaser, train_truecaser, truecase
+from .transforms import CaseVariant, augment, make_variant
+from .truecase import train_truecaser
 
 
 class Strategy(enum.Enum):
@@ -132,53 +126,6 @@ def training_view(corpus: Corpus, strategy: Strategy) -> tuple[Corpus, TemplateS
     return corpus, TemplateSet.CASE_AWARE
 
 
-def map_prediction_types(
-    tags: TagSequence, type_map: Mapping[str, str]
-) -> tuple[TagSequence, int]:
-    """Map predicted span types onto a target inventory.
-
-    Spans whose type is absent from the mapping are dropped to O; the count
-    of dropped spans is returned for reporting.
-    """
-    spans = extract_spans(tags)
-    kept = []
-    dropped = 0
-    for span in spans:
-        target = type_map.get(span.entity_type)
-        if target is None:
-            dropped += 1
-        else:
-            kept.append(replace(span, entity_type=target))
-    return spans_to_tags(kept, len(tags), tags.scheme), dropped
-
-
-def _mapped_grid(
-    model: CrfModel,
-    test: Corpus,
-    type_map: Mapping[str, str],
-    truecaser: Truecaser | None,
-    caseless: bool,
-) -> tuple[dict[CaseVariant, Metrics], int]:
-    grid: dict[CaseVariant, Metrics] = {}
-    dropped_total = 0
-    for variant in CaseVariant:
-        corpus = make_variant(test, variant)
-        predictions = []
-        for ann in corpus:
-            sentence = ann.sentence
-            if caseless:
-                sentence = to_lower(sentence)
-            elif truecaser is not None:
-                sentence = truecase(truecaser, sentence)
-            mapped, dropped = map_prediction_types(
-                decode(model, sentence), type_map
-            )
-            predictions.append(mapped)
-            dropped_total += dropped
-        grid[variant] = evaluate(predictions, [ann.gold for ann in corpus])
-    return grid, dropped_total
-
-
 def _format_f1_table(rows: Sequence[tuple[str, dict[CaseVariant, Metrics]]]) -> str:
     header = f"{'Method':<12}" + "".join(
         f"{v.value.capitalize():>10}" for v in CaseVariant
@@ -218,17 +165,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     truecaser = None
     if cfg.strategy is Strategy.TRUECASING:
         truecaser = train_truecaser(train_corpus)
-    caseless = cfg.strategy is Strategy.CASELESS
-
-    if cfg.type_map is not None:
-        grid, dropped = _mapped_grid(
-            model, test_corpus, cfg.type_map, truecaser, caseless
-        )
-    else:
-        grid = robustness_grid(
-            model, test_corpus, truecaser=truecaser, caseless=caseless
-        )
-        dropped = 0
+    grid, dropped = variant_grid(
+        model, test_corpus, truecaser=truecaser,
+        caseless=cfg.strategy is Strategy.CASELESS, type_map=cfg.type_map,
+    )
 
     header = [
         "casener experiment report",

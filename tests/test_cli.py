@@ -4,7 +4,11 @@ import pytest
 
 from casener.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from casener.corpus import parse_conll, read_conll_file, write_conll_file
+from casener.crf import load_file
+from casener.evaluation import tag_corpus
 from casener.synth import default_config, generate
+from casener.transforms import CaseVariant, make_variant
+from casener.truecase import train_truecaser
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +85,46 @@ def test_tag_reads_bare_token_files(data_files, tmp_path, capsys):
     )
 
 
+def test_tag_truecaser_and_lowercase_exclusive(tmp_path, capsys):
+    # rejected while parsing, before the (missing) model and input are read
+    assert main(["tag", "--model", str(tmp_path / "none.crf"),
+                 "--input", str(tmp_path / "none.conll"),
+                 "--truecaser", str(tmp_path / "none.bin"),
+                 "--lowercase"]) == EXIT_USAGE
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--lowercase", "--truecaser"])
+def test_tag_preprocessing_is_case_invariant(data_files, tmp_path, flag):
+    root, train, test = data_files
+    model_path = str(tmp_path / "model.crf")
+    strategy = "caseless" if flag == "--lowercase" else "truecasing"
+    assert main(["train", "--train", train, "--strategy", strategy,
+                 "--model", model_path, "--max-epochs", "30"]) == EXIT_OK
+    extra = [flag]
+    truecaser = None
+    if flag == "--truecaser":
+        caser_path = str(tmp_path / "tc.bin")
+        assert main(["truecase", "--model", caser_path,
+                     "--fit", train]) == EXIT_OK
+        extra.append(caser_path)
+        truecaser = train_truecaser(read_conll_file(train))
+    gold = read_conll_file(test)
+    upper = str(tmp_path / "upper.conll")
+    write_conll_file(make_variant(gold, CaseVariant.UPPER), upper)
+
+    columns = []
+    for source in (test, upper):
+        out = str(tmp_path / "tagged.conll")
+        assert main(["tag", "--model", model_path, "--input", source,
+                     "--output", out, *extra]) == EXIT_OK
+        columns.append([ann.gold.tags for ann in read_conll_file(out)])
+    assert columns[0] == columns[1]
+    expected = tag_corpus(load_file(model_path), gold, truecaser=truecaser,
+                          caseless=flag == "--lowercase")
+    assert columns[0] == [tags.tags for tags in expected]
+
+
 def test_augment_command(data_files, tmp_path, capsys):
     root, train, test = data_files
     out = str(tmp_path / "aug.conll")
@@ -94,8 +138,6 @@ def test_truecase_fit_and_apply(data_files, tmp_path, capsys):
     assert main(["truecase", "--model", model, "--fit", train]) == EXIT_OK
     lowered = tmp_path / "lower.conll"
     gold = read_conll_file(test)
-    from casener.transforms import CaseVariant, make_variant
-
     write_conll_file(make_variant(gold, CaseVariant.LOWER), str(lowered))
     out = str(tmp_path / "recased.conll")
     assert main(["truecase", "--model", model, "--input", str(lowered),

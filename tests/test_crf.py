@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +136,37 @@ class TestLogPartition:
             assert log_partition(model, sentence) == pytest.approx(
                 expected, abs=1e-9
             )
+
+    def test_independent_of_string_hash_seed(self):
+        # Feature sets iterate in hash order; emission rows must not be
+        # summed in that order, or log Z differs in its last bits between
+        # processes.
+        script = (
+            "import numpy as np\n"
+            "from casener.crf import CrfModel, log_partition\n"
+            "from casener.features import TemplateSet, fit_feature_map\n"
+            "from casener.synth import default_config, generate\n"
+            "train, test = generate(default_config(seed=7, "
+            "train_sentences=60, test_sentences=10))\n"
+            "fmap = fit_feature_map(train, TemplateSet.CASE_AWARE)\n"
+            "f, k = fmap.num_features, fmap.num_tags\n"
+            "rng = np.random.default_rng(0)\n"
+            "model = CrfModel(fmap, TemplateSet.CASE_AWARE, "
+            "rng.normal(size=(f, k)), rng.normal(size=k), "
+            "rng.normal(size=k), rng.normal(size=(k, k)))\n"
+            "print(' '.join(float.hex(log_partition(model, ann.sentence)) "
+            "for ann in test))\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestPosteriors:

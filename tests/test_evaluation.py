@@ -1,11 +1,18 @@
 import pytest
 
 from casener.corpus import EntitySpan, Scheme, TagSequence, spans_to_tags
-from casener.crf import TrainConfig, train
-from casener.evaluation import Metrics, evaluate, metrics_lines, robustness_grid
+from casener.crf import TrainConfig, decode, train
+from casener.evaluation import (
+    Metrics,
+    evaluate,
+    metrics_lines,
+    robustness_grid,
+    tag_corpus,
+    variant_grid,
+)
 from casener.features import TemplateSet
-from casener.transforms import CaseVariant
-from casener.truecase import train_truecaser
+from casener.transforms import CaseVariant, to_lower
+from casener.truecase import train_truecaser, truecase
 from casener.synth import default_config, generate
 from conftest import random_tagging
 from oracles import conlleval_counts
@@ -150,3 +157,34 @@ class TestRobustnessGrid:
         caser = train_truecaser(train_corpus)
         with pytest.raises(ValueError):
             robustness_grid(model, test_corpus, truecaser=caser, caseless=True)
+
+
+class TestTagCorpus:
+    def test_preprocesses_then_decodes(self, setup):
+        model, train_corpus, test_corpus = setup
+        caser = train_truecaser(train_corpus)
+        sentences = [ann.sentence for ann in test_corpus]
+        assert tag_corpus(model, test_corpus) == [
+            decode(model, s) for s in sentences
+        ]
+        assert tag_corpus(model, test_corpus, caseless=True) == [
+            decode(model, to_lower(s)) for s in sentences
+        ]
+        assert tag_corpus(model, test_corpus, truecaser=caser) == [
+            decode(model, truecase(caser, s)) for s in sentences
+        ]
+
+    def test_truecaser_and_caseless_exclusive(self, setup):
+        model, train_corpus, test_corpus = setup
+        caser = train_truecaser(train_corpus)
+        with pytest.raises(ValueError):
+            tag_corpus(model, test_corpus, truecaser=caser, caseless=True)
+
+    def test_identity_type_map_keeps_the_grid(self, setup):
+        model, _, test_corpus = setup
+        types = {tag[2:] for tag in model.feature_map.tags if tag != "O"}
+        grid, dropped = variant_grid(
+            model, test_corpus, type_map={t: t for t in types}
+        )
+        assert grid == robustness_grid(model, test_corpus)
+        assert dropped == 0

@@ -7,13 +7,13 @@ from casener.crf import TrainConfig, load_file
 from casener.harness import (
     ExperimentConfig,
     Strategy,
-    map_prediction_types,
     read_config_file,
     run_experiment,
     run_grid,
     training_view,
 )
 from casener.corpus import Scheme, TagSequence
+from casener.evaluation import map_prediction_types
 from casener.features import TemplateSet
 from casener.synth import default_config
 from casener.transforms import CaseVariant
@@ -153,6 +153,14 @@ class TestTypeMapping:
         assert set(metrics.per_type) >= {"PER"}
         assert result.dropped_prediction_spans > 0
         assert "dropped to O" in result.report_text
+
+    def test_caseless_type_map_row_is_case_invariant(self):
+        result = run_experiment(small_config(
+            Strategy.CASELESS, type_map={"PER": "PER", "LOC": "LOC"}
+        ))
+        f1 = {result.grid[v].f1 for v in CaseVariant}
+        assert len(f1) == 1 and f1 != {0.0}
+        assert result.dropped_prediction_spans > 0
 
 
 class TestRunGrid:
