@@ -262,6 +262,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train_view, template_set = harness.training_view(corpus, strategy)
     model = train(train_view, template_set, _train_config_from(args, {}))
     save_file(model, args.model)
+    if not model.metadata["converged"]:
+        print(
+            f"warning: L-BFGS did not converge (stopped after "
+            f"{model.metadata['iterations']} iterations)",
+            file=sys.stderr,
+        )
     print(
         f"trained {strategy.value} model on {len(train_view)} sentence(s); "
         f"{model.feature_map.num_features} features -> {args.model}"

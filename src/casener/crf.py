@@ -36,7 +36,13 @@ from .corpus import (
     is_legal_transition,
     split_tag,
 )
-from .features import FeatureMap, TemplateSet, extract, fit_feature_map
+from .features import (
+    FeatureMap,
+    TemplateSet,
+    extract,
+    feature_table,
+    fit_feature_map,
+)
 
 _FORMAT = "casener-crf"
 _VERSION = 1
@@ -346,55 +352,55 @@ def _encode(
     corpus: Corpus, fmap: FeatureMap, template_set: TemplateSet
 ) -> _EncodedCorpus:
     k = fmap.num_tags
-    indptr = [0]
-    indices: list[int] = []
-    lengths = []
-    gold: list[int] = []
-    for ann in corpus:
-        lengths.append(len(ann.sentence))
-        for i in range(len(ann.sentence)):
-            indices.extend(
-                _active_features(ann.sentence, i, fmap, template_set)
-            )
-            indptr.append(len(indices))
-        gold.extend(fmap.tag_index(t) for t in ann.gold.tags)
+    names, table = feature_table(corpus, template_set)
+    # Table IDs -> feature indices, -1 where unmapped; the appended -1 maps
+    # the table's own -1.  A sorted row holds its -1s first and then the
+    # mapped indices in ascending order, as `_active_features` gives them.
+    lookup = np.array(
+        [-1 if (i := fmap.feature_index(name)) is None else i for name in names]
+        + [-1],
+        dtype=np.int32,
+    )
+    active = lookup[table]
+    active.sort(axis=1)
+    mapped = active >= 0
+    indptr = np.zeros(len(active) + 1, dtype=np.int64)
+    np.cumsum(mapped.sum(axis=1), out=indptr[1:])
+    indices = active[mapped]
 
-    lengths_arr = np.asarray(lengths, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lengths_arr)[:-1]))
-    total = int(lengths_arr.sum())
+    lengths_arr = np.fromiter(
+        (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
+    )
+    offsets = np.cumsum(lengths_arr) - lengths_arr
+    total = len(active)
     matrix = scipy.sparse.csr_matrix(
-        (
-            np.ones(len(indices), dtype=np.float64),
-            np.asarray(indices, dtype=np.int32),
-            np.asarray(indptr, dtype=np.int64),
-        ),
+        (np.ones(len(indices), dtype=np.float64), indices, indptr),
         shape=(total, fmap.num_features),
     )
-    gold_arr = np.asarray(gold, dtype=np.int64)
+    tags = [t for ann in corpus for t in ann.gold.tags]
+    tag_ids = {t: fmap.tag_index(t) for t in dict.fromkeys(tags)}
+    gold_arr = np.fromiter(
+        (tag_ids[t] for t in tags), dtype=np.int64, count=total
+    )
+    last = offsets + lengths_arr - 1
     first_tags = gold_arr[offsets]
-    last_tags = gold_arr[offsets + lengths_arr - 1]
+    last_tags = gold_arr[last]
 
-    pair_prev: list[np.ndarray] = []
-    pair_next: list[np.ndarray] = []
-    for off, length in zip(offsets, lengths_arr):
-        if length > 1:
-            pair_prev.append(gold_arr[off : off + length - 1])
-            pair_next.append(gold_arr[off + 1 : off + length])
-    prev_arr = (
-        np.concatenate(pair_prev) if pair_prev else np.empty(0, dtype=np.int64)
-    )
-    next_arr = (
-        np.concatenate(pair_next) if pair_next else np.empty(0, dtype=np.int64)
-    )
+    # A transition pair starts at every position but a sentence's last.
+    has_next = np.ones(total, dtype=bool)
+    has_next[last] = False
+    pair_at = np.flatnonzero(has_next)
+    prev_arr = gold_arr[pair_at]
+    next_arr = gold_arr[pair_at + 1]
 
-    buckets: list[tuple[int, np.ndarray]] = []
-    by_length: dict[int, list[int]] = {}
-    for sid, length in enumerate(lengths):
-        by_length.setdefault(length, []).append(sid)
-    for length in sorted(by_length):
-        sids = np.asarray(by_length[length], dtype=np.int64)
-        rows = offsets[sids][:, None] + np.arange(length)[None, :]
-        buckets.append((length, rows))
+    order = np.argsort(lengths_arr, kind="stable")
+    bucket_lengths, counts = np.unique(lengths_arr[order], return_counts=True)
+    buckets = [
+        (int(length), offsets[sids][:, None] + np.arange(length)[None, :])
+        for length, sids in zip(
+            bucket_lengths, np.split(order, np.cumsum(counts)[:-1])
+        )
+    ]
 
     onehot = np.zeros((total, k))
     onehot[np.arange(total), gold_arr] = 1.0
@@ -630,6 +636,13 @@ def save(model: CrfModel) -> bytes:
     return gzip.compress(payload, mtime=0)
 
 
+def _strings(doc: dict, key: str) -> tuple[str, ...]:
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ModelFormatError(f"model field {key!r} is not a list of strings")
+    return tuple(value)
+
+
 def load(data: bytes) -> CrfModel:
     """Inverse of :func:`save`; raises ModelFormatError on any defect."""
     if not data:
@@ -637,16 +650,20 @@ def load(data: bytes) -> CrfModel:
     try:
         payload = gzip.decompress(data)
         doc = json.loads(payload)
-    except (OSError, EOFError, zlib.error, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (OSError, EOFError, zlib.error, ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers;
+        # RecursionError, arrays nested too deep.
         raise ModelFormatError(f"corrupt model container: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ModelFormatError("not a CRF model file")
     if doc.get("version") != _VERSION:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
     try:
-        fmap = FeatureMap(tuple(doc["features"]), tuple(doc["tags"]))
+        fmap = FeatureMap(_strings(doc, "features"), _strings(doc, "tags"))
         template_set = TemplateSet(doc["template_set"])
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ModelFormatError("model metadata is not a JSON object")
         f, k = fmap.num_features, fmap.num_tags
         return CrfModel(
             fmap,
@@ -655,7 +672,7 @@ def load(data: bytes) -> CrfModel:
             _decode_array(doc["begin"], (k,)),
             _decode_array(doc["end"], (k,)),
             _decode_array(doc["transition"], (k, k)),
-            doc.get("metadata", {}),
+            metadata,
         )
     except ModelFormatError:
         raise

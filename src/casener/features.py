@@ -5,12 +5,21 @@ capitalization-pattern features on top of case-free ones; CASE_AGNOSTIC
 emits only features that cannot distinguish a sentence from its lowercased
 form.  Word identities are stored lowercased in both sets, so casing is
 carried exclusively by the shape/pattern features.
+
+`extract` gives the feature strings of one position; it is the reference
+for the templates and the featurizer used at decode time.  Training
+featurizes a whole corpus with `feature_table` instead, which computes each
+distinct token's attributes (lowercase form, shape, case class, affixes)
+once and builds every template as a numpy gather over the corpus' token-type
+IDs: an int32 (positions, slots) table of feature-name IDs, -1 where a
+template emits nothing.  Both give the same feature set at every position.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
+
+import numpy as np
 
 from .corpus import Corpus, Sentence, extract_spans
 from .truecase import CaseClass, classify_case
@@ -114,6 +123,80 @@ def extract(sentence: Sentence, i: int, template_set: TemplateSet) -> set[str]:
     return feats
 
 
+def _intern(values: list[str | None]) -> tuple[np.ndarray, list[str]]:
+    """Codes (-1 for None) and the distinct non-None values they index."""
+    index: dict[str, int] = {}
+    codes = [-1 if v is None else index.setdefault(v, len(index)) for v in values]
+    return np.asarray(codes, dtype=np.int32), list(index)
+
+
+def feature_table(
+    corpus: Corpus, template_set: TemplateSet
+) -> tuple[list[str], np.ndarray]:
+    """Feature-name IDs of every token position of `corpus`, in corpus order.
+
+    Returns (names, table).  `table` is int32 with shape (positions, slots),
+    one slot per template, holding an index into `names` or -1 where the
+    template emits nothing; row p holds exactly the features `extract`
+    gives for position p.  `names` are distinct and may include names that
+    occur at no position (such as "w0=<s>").
+    """
+    type_ids: dict[str, int] = {}
+    tids = np.fromiter(
+        (type_ids.setdefault(tok, len(type_ids))
+         for ann in corpus for tok in ann.sentence.tokens),
+        dtype=np.int32,
+    )
+    lengths = np.fromiter(
+        (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
+    )
+    words = list(type_ids)
+    lower = [w.lower() for w in words]
+
+    # Every sentence is padded with WINDOW sentinels on each side.  The
+    # sentinels get type IDs of their own, so a literal "<s>" token keeps
+    # its own shape and case class.
+    bos, eos = len(words), len(words) + 1
+    starts = np.cumsum(lengths) - lengths
+    pad_at = np.arange(len(tids)) + np.repeat(
+        2 * WINDOW * np.arange(len(lengths)) + WINDOW, lengths
+    )
+    padded = np.full(len(tids) + 2 * WINDOW * len(lengths), eos, dtype=np.int32)
+    for d in range(1, WINDOW + 1):
+        padded[pad_at[starts] - d] = bos
+    padded[pad_at] = tids
+
+    windows = [("w", lower, range(-WINDOW, WINDOW + 1))]
+    if template_set is TemplateSet.CASE_AWARE:
+        windows += [
+            ("sh", [word_shape(w) for w in words], range(-WINDOW, WINDOW + 1)),
+            ("cap", [_CAP_NAME[classify_case(w)] for w in words], (-1, 0, 1)),
+        ]
+    # (template, codes per type ID, distinct values, window offset or None
+    # for the position's own token)
+    slots = []
+    for template, values, offsets in windows:
+        codes, distinct = _intern(values + [_BOS, _EOS])
+        slots += [(f"{template}{d}", codes, distinct, d) for d in offsets]
+    for length in range(1, _MAX_AFFIX + 1):
+        for template, cut in (("pre", slice(length)), ("suf", slice(-length, None))):
+            codes, distinct = _intern(
+                [w[cut] if len(w) >= length else None for w in lower]
+            )
+            slots.append((f"{template}{length}", codes, distinct, None))
+
+    names: list[str] = []
+    table = np.empty((len(tids), len(slots) + 1), dtype=np.int32)
+    for col, (template, codes, distinct, d) in enumerate(slots):
+        ids = codes[tids if d is None else padded[pad_at + d]]
+        table[:, col] = np.where(ids >= 0, ids + len(names), -1)
+        names += [f"{template}={v}" for v in distinct]
+    table[:, -1] = -1
+    table[starts, -1] = len(names)
+    names.append("bos")
+    return names, table
+
+
 def _cutoff_exempt(feature: str) -> bool:
     # Shape and capitalization patterns are a small closed set; keep them all.
     key = feature.partition("=")[0]
@@ -195,16 +278,17 @@ def fit_feature_map(
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
 
-    counts: Counter[str] = Counter()
-    types: set[str] = set()
-    for ann in corpus:
-        for i in range(len(ann.sentence)):
-            counts.update(extract(ann.sentence, i, template_set))
-        types.update(span.entity_type for span in extract_spans(ann.gold))
-
+    names, table = feature_table(corpus, template_set)
+    counts = np.bincount(table.ravel() + 1, minlength=len(names) + 1)[1:]
+    # A cutoff-exempt name must still occur: the table names sentinel
+    # shapes at offsets where no position has them.
     kept = sorted(
-        f for f, n in counts.items() if n >= min_count or _cutoff_exempt(f)
+        names[i] for i in np.flatnonzero(counts)
+        if counts[i] >= min_count or _cutoff_exempt(names[i])
     )
+    types = {
+        span.entity_type for ann in corpus for span in extract_spans(ann.gold)
+    }
     tags = ("O",) + tuple(
         sorted(f"{p}-{t}" for t in types for p in ("B", "I", "E", "S"))
     )

@@ -146,8 +146,10 @@ class Truecaser:
         try:
             payload = gzip.decompress(data)
             doc = json.loads(payload)
-        except (OSError, EOFError, zlib.error, UnicodeDecodeError,
-                json.JSONDecodeError) as exc:
+        except (OSError, EOFError, zlib.error, ValueError,
+                RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and over-long integers;
+            # RecursionError, arrays nested too deep.
             raise TruecaserFormatError(f"corrupt truecaser data: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
             raise TruecaserFormatError("not a truecaser file")
@@ -164,9 +166,17 @@ class Truecaser:
                 CaseClass(c): float(n)
                 for c, n in doc["initial_class_counts"].items()
             }
+            mixed = doc["mixed_surface"]
+            # A surface spells its lowercased key, as `train_truecaser`
+            # builds it; so restoring one always gives a valid token.
+            if not all(isinstance(v, str) and v.lower() == w
+                       for w, v in mixed.items()):
+                raise TruecaserFormatError(
+                    "a mixed_surface value does not spell its key"
+                )
             return cls(
                 case_counts,
-                doc["mixed_surface"],
+                mixed,
                 initial,
                 CaseClass(doc["fallback"]),
             )

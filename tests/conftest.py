@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
+import gzip
+import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from casener.corpus import (
     AnnotatedSentence,
@@ -87,6 +90,49 @@ def random_model(
         uniform(k),
         uniform(k * k).reshape(k, k),
     )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_container(draw, doc: dict) -> bytes:
+    """A gzip+JSON container like `doc` with one field, top-level or one
+    level down, deleted, replaced by an arbitrary JSON value, shortened or
+    extended."""
+    doc = copy.deepcopy(doc)
+    parent, key = doc, draw(st.sampled_from(sorted(doc)))
+    inner = parent[key]
+    if isinstance(inner, dict) and inner and draw(st.booleans()):
+        parent, key = inner, draw(st.sampled_from(sorted(inner)))
+    elif isinstance(inner, list) and inner and draw(st.booleans()):
+        parent, key = inner, draw(st.integers(0, len(inner) - 1))
+    value = parent[key]
+    action = draw(st.sampled_from(["delete", "replace", "shorten", "extend"]))
+    if action == "delete":
+        del parent[key]
+    elif action == "shorten" and isinstance(value, (list, str)) and value:
+        parent[key] = value[: draw(st.integers(0, len(value) - 1))]
+    elif action == "extend" and isinstance(value, list):
+        parent[key] = value + [draw(json_values)]
+    elif action == "extend" and isinstance(value, str):
+        parent[key] = value + draw(st.text(min_size=1, max_size=4))
+    else:
+        parent[key] = draw(json_values)
+    return gzip.compress(json.dumps(doc).encode("utf-8"), mtime=0)
+
+
+#: Random bytes, gzip around random bytes, and gzip around random JSON.
+garbage_containers = (
+    st.binary(max_size=64)
+    | st.binary(max_size=64).map(lambda b: gzip.compress(b, mtime=0))
+    | json_values.map(lambda v: gzip.compress(json.dumps(v).encode(), mtime=0))
+)
 
 
 @pytest.fixture

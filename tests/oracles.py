@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the real code.
 
 Everything here is deliberately brute-force and kept separate from the
-package: sequence scores are re-summed term by term, partition functions
+package: feature maps and feature rows come from `extract` at every
+position, sequence scores are re-summed term by term, partition functions
 and argmax paths are found by enumerating all taggings, span counting
 re-implements conlleval's chunk-boundary logic, and gradients come from
 central finite differences.
@@ -11,12 +12,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
-from casener.corpus import Scheme, is_legal_end, is_legal_start, is_legal_transition
+from casener.corpus import (
+    Scheme,
+    extract_spans,
+    is_legal_end,
+    is_legal_start,
+    is_legal_transition,
+)
 from casener.crf import CrfModel, log_likelihood_and_gradient
-from casener.features import extract
+from casener.features import FeatureMap, extract
 
 
 def emission_table(model: CrfModel, sentence) -> np.ndarray:
@@ -30,6 +38,42 @@ def emission_table(model: CrfModel, sentence) -> np.ndarray:
                 for t in range(k):
                     out[i, t] += model.emission[idx, t]
     return out
+
+
+def fit_feature_map_reference(corpus, template_set, min_count: int) -> FeatureMap:
+    """`fit_feature_map` by counting `extract` at every position."""
+    counts: Counter[str] = Counter()
+    types: set[str] = set()
+    for ann in corpus:
+        for i in range(len(ann.sentence)):
+            counts.update(extract(ann.sentence, i, template_set))
+        types.update(span.entity_type for span in extract_spans(ann.gold))
+    kept = sorted(
+        f for f, n in counts.items()
+        if n >= min_count or f.partition("=")[0].startswith(("sh", "cap"))
+    )
+    tags = ("O",) + tuple(
+        sorted(f"{p}-{t}" for t in types for p in ("B", "I", "E", "S"))
+    )
+    return FeatureMap(tuple(kept), tags)
+
+
+def feature_rows_reference(
+    corpus, fmap: FeatureMap, template_set
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indices, indptr) of the mapped `extract` features, one row per
+    position in corpus order, each row sorted."""
+    indptr = [0]
+    indices: list[int] = []
+    for ann in corpus:
+        for i in range(len(ann.sentence)):
+            indices.extend(sorted(
+                idx
+                for feat in extract(ann.sentence, i, template_set)
+                if (idx := fmap.feature_index(feat)) is not None
+            ))
+            indptr.append(len(indices))
+    return np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int64)
 
 
 def path_score(model: CrfModel, emissions: np.ndarray, path: tuple[int, ...]) -> float:

@@ -69,6 +69,27 @@ def test_train_tag_eval_roundtrip(data_files, tmp_path, capsys):
     assert "f1=" in out and "tp=" in out
 
 
+def test_train_warns_on_stderr_when_lbfgs_does_not_converge(
+    data_files, tmp_path, capsys
+):
+    root, train, _ = data_files
+    capped = str(tmp_path / "capped.crf")
+    capsys.readouterr()
+    assert main(["train", "--train", train, "--model", capped,
+                 "--max-epochs", "1"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "warning: L-BFGS did not converge (stopped after 1 iterations)\n"
+    num_features = load_file(capped).feature_map.num_features
+    assert out == (f"trained baseline model on 150 sentence(s); "
+                   f"{num_features} features -> {capped}\n")
+
+    converged = str(tmp_path / "converged.crf")
+    assert main(["train", "--train", train, "--model", converged]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert load_file(converged).metadata["converged"] is True
+    assert err == "" and out.startswith("trained baseline model")
+
+
 def test_tag_reads_bare_token_files(data_files, tmp_path, capsys):
     root, train, test = data_files
     model = str(tmp_path / "model.crf")

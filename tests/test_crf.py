@@ -1,3 +1,5 @@
+import gzip
+import json
 import math
 import os
 import random
@@ -33,7 +35,13 @@ from casener.crf import (
 )
 from casener.evaluation import evaluate
 from casener.features import FeatureMap, TemplateSet, fit_feature_map
-from conftest import random_corpus, random_model, random_sentence
+from conftest import (
+    garbage_containers,
+    mutated_container,
+    random_corpus,
+    random_model,
+    random_sentence,
+)
 from oracles import (
     emission_table,
     enumerate_best_legal_path,
@@ -510,3 +518,49 @@ class TestPersistence:
         blob = gzip.compress(json.dumps({"format": "other"}).encode(), mtime=0)
         with pytest.raises(ModelFormatError):
             load(blob)
+
+
+_TINY_MODEL = CrfModel(
+    FeatureMap(("w0=a", "w0=b"), ("O", "B-LOC", "E-LOC", "I-LOC", "S-LOC")),
+    TemplateSet.CASE_AWARE,
+    np.arange(10.0).reshape(2, 5), np.zeros(5), np.ones(5), np.eye(5),
+    {"iterations": 3, "converged": True},
+)
+_TINY_DOC = json.loads(gzip.decompress(save(_TINY_MODEL)))
+
+
+class TestLoadFuzz:
+    """`load` raises only ModelFormatError, and what it loads saves again."""
+
+    @staticmethod
+    def _load_or_reject(blob: bytes) -> None:
+        try:
+            model = load(blob)
+        except ModelFormatError:
+            return
+        save(model)
+
+    @given(garbage_containers)
+    def test_garbage(self, blob):
+        self._load_or_reject(blob)
+
+    @settings(max_examples=500)
+    @given(mutated_container(_TINY_DOC))
+    def test_mutated_fields(self, blob):
+        self._load_or_reject(blob)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tags", ["O", 5, "E-LOC", "I-LOC", "S-LOC"]),
+        ("features", [1, 2]),
+        ("metadata", [["a", 1], [2, 3]]),
+    ])
+    def test_wrongly_typed_fields_rejected(self, field, value):
+        doc = dict(_TINY_DOC, **{field: value})
+        with pytest.raises(ModelFormatError):
+            load(gzip.compress(json.dumps(doc).encode(), mtime=0))
+
+    @pytest.mark.parametrize("payload", [b"1" * 5000, b"[" * 100_000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_undecodable_json_rejected(self, payload):
+        with pytest.raises(ModelFormatError):
+            load(gzip.compress(payload, mtime=0))

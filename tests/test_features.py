@@ -1,6 +1,15 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from casener.corpus import Corpus, Sentence
+from casener.corpus import (
+    AnnotatedSentence,
+    Corpus,
+    Scheme,
+    Sentence,
+    TagSequence,
+)
+from casener.crf import _encode
 from casener.features import (
     FeatureMap,
     TemplateSet,
@@ -10,6 +19,7 @@ from casener.features import (
 )
 from casener.transforms import to_lower, to_upper
 from conftest import random_corpus, random_sentence
+from oracles import feature_rows_reference, fit_feature_map_reference
 
 NYC = Sentence(("New", "York", "City"))
 
@@ -140,3 +150,51 @@ class TestFeatureMap:
             fmap.tag_index("B-LOC")
         with pytest.raises(ValueError):
             FeatureMap(("dup", "dup"), ("O",))
+
+
+# Tokens equal to the boundary sentinels, and tokens whose lowercase form
+# changes length ("İ" -> "i̇") or letter ("ẞ" -> "ß") or that have no
+# single-letter uppercase ("ﬁ"), next to plain ones and arbitrary text.
+_TABLE_TOKENS = st.one_of(
+    st.sampled_from(["<s>", "</s>", "<S>", "İ", "ẞ", "ﬁ", "ﬁnance", "Straße",
+                     "New", "YORK", "city", "A1-b2", "x"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Z", "Cc")),
+            min_size=1, max_size=6)
+    .filter(lambda t: not any(c.isspace() for c in t)),
+)
+
+
+@st.composite
+def _annotated(draw):
+    tokens = draw(st.lists(_TABLE_TOKENS, min_size=1, max_size=6))
+    tags = draw(st.lists(st.sampled_from(["O", "S-PER", "S-LOC"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return AnnotatedSentence(
+        Sentence(tuple(tokens)), TagSequence(tuple(tags), Scheme.IOBES)
+    )
+
+
+def _corpus(*sentences):
+    return Corpus(tuple(
+        AnnotatedSentence(
+            Sentence(tokens), TagSequence(("O",) * len(tokens), Scheme.IOBES)
+        )
+        for tokens in sentences
+    ))
+
+
+@pytest.mark.parametrize("min_count", [1, 2])
+@pytest.mark.parametrize("template_set", list(TemplateSet))
+@given(st.lists(_annotated(), min_size=1, max_size=6).map(
+    lambda a: Corpus(tuple(a))
+))
+@example(_corpus(("<s>",), ("İ", "ẞ", "ﬁ"), ("a", "</s>", "<s>")))
+def test_feature_table_matches_extract(template_set, min_count, corpus):
+    """fit_feature_map and _encode's feature rows equal counting and
+    looking up `extract` position by position."""
+    fmap = fit_feature_map(corpus, template_set, min_count=min_count)
+    assert fmap == fit_feature_map_reference(corpus, template_set, min_count)
+    rows = _encode(corpus, fmap, template_set).feature_rows
+    indices, indptr = feature_rows_reference(corpus, fmap, template_set)
+    assert np.array_equal(rows.indices, indices)
+    assert np.array_equal(rows.indptr, indptr)

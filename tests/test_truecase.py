@@ -1,6 +1,16 @@
-import pytest
+import gzip
+import json
 
-from casener.corpus import AnnotatedSentence, Corpus, Scheme, Sentence, TagSequence
+import pytest
+from hypothesis import given, settings
+
+from casener.corpus import (
+    AnnotatedSentence,
+    Corpus,
+    Scheme,
+    Sentence,
+    TagSequence,
+)
 from casener.transforms import to_lower, to_upper
 from casener.truecase import (
     CaseClass,
@@ -10,7 +20,7 @@ from casener.truecase import (
     train_truecaser,
     truecase,
 )
-from conftest import random_corpus
+from conftest import garbage_containers, mutated_container, random_corpus
 
 
 def ann(text: str) -> AnnotatedSentence:
@@ -144,3 +154,44 @@ class TestPersistence:
         blob = caser.to_bytes()
         with pytest.raises(TruecaserFormatError):
             Truecaser.from_bytes(blob[: len(blob) // 2])
+
+
+_TINY_CASER_DOC = json.loads(gzip.decompress(train_truecaser(Corpus((
+    ann("New York bought an iPhone"), ann("the USA and iPhone sales"),
+))).to_bytes()))
+
+
+class TestFromBytesFuzz:
+    """`from_bytes` raises only TruecaserFormatError, and what it loads
+    serializes again and truecases."""
+
+    @staticmethod
+    def _load_or_reject(blob: bytes) -> None:
+        try:
+            caser = Truecaser.from_bytes(blob)
+        except TruecaserFormatError:
+            return
+        caser.to_bytes()
+        truecase(caser, Sentence(("NEW", "york", "iphone", "usa", "x")))
+
+    @given(garbage_containers)
+    def test_garbage(self, blob):
+        self._load_or_reject(blob)
+
+    @settings(max_examples=500)
+    @given(mutated_container(_TINY_CASER_DOC))
+    def test_mutated_fields(self, blob):
+        self._load_or_reject(blob)
+
+    @pytest.mark.parametrize("surface", [5, "", "i Phone", "iPod"])
+    def test_mixed_surface_must_spell_its_key(self, surface):
+        assert _TINY_CASER_DOC["mixed_surface"] == {"iphone": "iPhone"}
+        doc = dict(_TINY_CASER_DOC, mixed_surface={"iphone": surface})
+        with pytest.raises(TruecaserFormatError):
+            Truecaser.from_bytes(gzip.compress(json.dumps(doc).encode(), mtime=0))
+
+    @pytest.mark.parametrize("payload", [b"1" * 5000, b"[" * 100_000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_undecodable_json_rejected(self, payload):
+        with pytest.raises(TruecaserFormatError):
+            Truecaser.from_bytes(gzip.compress(payload, mtime=0))
