@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness
 from .corpus import (
@@ -55,6 +55,38 @@ class UsageError(Exception):
 
 _SEED_HELP = "run label printed in the reports; training does not read it"
 
+#: Training settings: (flag, add_argument keywords).
+_TRAIN_FLAGS = (
+    ("--l2-sigma", {"type": float}),
+    ("--max-epochs", {"type": int}),
+    ("--tolerance", {"type": float}),
+)
+#: Settings `experiment` and `grid` share.  Every flag of those two commands
+#: but --config is also a config-file key: the flag without its dashes.
+_SHARED_FLAGS = (
+    ("--train", {"help": "training CoNLL file"}),
+    ("--test", {"help": "test CoNLL file"}),
+    ("--data", {"choices": ["files", "synth"]}),
+    ("--synth-seed", {"type": int}),
+    ("--synth-train-sentences", {"type": int}),
+    ("--synth-test-sentences", {"type": int}),
+    ("--synth-noise-rate", {"type": float}),
+    ("--report", {"help": "report base path (.txt/.kv appended)"}),
+    ("--type-map", {"help": "key=value file mapping predicted entity types "
+                            "onto the gold inventory"}),
+    *_TRAIN_FLAGS,
+    ("--seed", {"type": int, "help": _SEED_HELP}),
+)
+_EXPERIMENT_FLAGS = (
+    ("--strategy", {"choices": [s.value for s in Strategy]}),
+    ("--model", {"help": "save the trained model here"}),
+    *_SHARED_FLAGS,
+)
+_GRID_FLAGS = (
+    ("--strategies", {"help": "comma-separated list (default: all four)"}),
+    *_SHARED_FLAGS,
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -65,10 +97,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="casener", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_train_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--l2-sigma", type=float)
-        p.add_argument("--max-epochs", type=int)
-        p.add_argument("--tolerance", type=float)
+    def add_flags(p: argparse.ArgumentParser, flags) -> None:
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("train", help="train a model under a strategy")
     p.add_argument("--train", required=True, help="training CoNLL file")
@@ -78,7 +109,7 @@ def _build_parser() -> _Parser:
         default=Strategy.BASELINE.value,
     )
     p.add_argument("--model", required=True, help="output model file")
-    add_train_flags(p)
+    add_flags(p, _TRAIN_FLAGS)
 
     p = sub.add_parser("tag", help="decode a file with a trained model")
     p.add_argument("--model", required=True)
@@ -113,37 +144,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
 
-    p = sub.add_parser("experiment", help="run one strategy on one dataset")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy])
-    p.add_argument("--train", help="training CoNLL file")
-    p.add_argument("--test", help="test CoNLL file")
-    p.add_argument("--data", choices=["files", "synth"])
-    p.add_argument("--synth-seed", type=int)
-    p.add_argument("--synth-train-sentences", type=int)
-    p.add_argument("--synth-test-sentences", type=int)
-    p.add_argument("--synth-noise-rate", type=float)
-    p.add_argument("--report", help="report base path (.txt/.kv appended)")
-    p.add_argument("--model", help="save the trained model here")
-    p.add_argument("--type-map", help="key=value file mapping predicted "
-                                      "entity types onto the gold inventory")
-    add_train_flags(p)
-    p.add_argument("--seed", type=int, help=_SEED_HELP)
-
-    p = sub.add_parser("grid", help="run several strategies on shared data")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--strategies",
-                   help="comma-separated list (default: all four)")
-    p.add_argument("--train", help="training CoNLL file")
-    p.add_argument("--test", help="test CoNLL file")
-    p.add_argument("--data", choices=["files", "synth"])
-    p.add_argument("--synth-seed", type=int)
-    p.add_argument("--synth-train-sentences", type=int)
-    p.add_argument("--synth-test-sentences", type=int)
-    p.add_argument("--synth-noise-rate", type=float)
-    p.add_argument("--report", help="combined report base path")
-    add_train_flags(p)
-    p.add_argument("--seed", type=int, help=_SEED_HELP)
+    for name, help_text, flags in (
+        ("experiment", "run one strategy on one dataset", _EXPERIMENT_FLAGS),
+        ("grid", "run several strategies on shared data", _GRID_FLAGS),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key=value config file")
+        add_flags(p, flags)
 
     return parser
 
@@ -166,93 +173,61 @@ def _read_tokens_file(path: str) -> Corpus:
     return parse_conll("\n".join(padded))
 
 
-#: Config-file keys read by both `experiment` and `grid`.
-_SHARED_KEYS = frozenset({
-    "data", "train", "test", "synth-seed", "synth-train-sentences",
-    "synth-test-sentences", "synth-noise-rate", "report", "type-map",
-    "l2-sigma", "max-epochs", "tolerance", "seed",
-})
-_EXPERIMENT_KEYS = _SHARED_KEYS | {"strategy", "model"}
-_GRID_KEYS = _SHARED_KEYS | {"strategies"}
-
-
-def _read_settings(path: str | None, known: frozenset[str]) -> dict[str, str]:
-    """Config file as a dict (empty without a path); unknown keys raise."""
-    if path is None:
-        return {}
-    file_cfg = read_config_file(path)
-    unknown = sorted(set(file_cfg) - known)
+def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
+    """Each setting of `flags` by its dest: the flag value if given, else
+    the config-file value cast like the flag, else None.  A config-file key
+    that names none of the flags is a data error."""
+    file_cfg = read_config_file(args.config) if args.config else {}
+    keys = {flag.removeprefix("--"): kwargs for flag, kwargs in flags}
+    unknown = sorted(set(file_cfg) - set(keys))
     if unknown:
-        raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    return file_cfg
+        raise ValueError(
+            f"{args.config}: unknown config key(s): {', '.join(unknown)}"
+        )
+    settings = {}
+    for key, kwargs in keys.items():
+        dest = key.replace("-", "_")
+        settings[dest] = getattr(args, dest)
+        if settings[dest] is None and key in file_cfg:
+            settings[dest] = kwargs.get("type", str)(file_cfg[key])
+    return settings
 
 
-def _merged(args: argparse.Namespace, key: str, file_cfg: dict[str, str],
-            default: str | None = None) -> str | None:
-    """Flag value if set, else config-file value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None and flag is not False:
-        return str(flag)
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _train_config(settings: dict[str, object]) -> TrainConfig:
+    """TrainConfig from the settings named like its fields that are given."""
+    return TrainConfig(**{
+        f.name: settings[f.name] for f in fields(TrainConfig)
+        if settings[f.name] is not None
+    })
 
 
-def _train_config_from(args: argparse.Namespace,
-                       file_cfg: dict[str, str]) -> TrainConfig:
-    cfg = TrainConfig()
-    for key, attr, cast in (
-        ("l2-sigma", "l2_sigma", float),
-        ("max-epochs", "max_epochs", int),
-        ("tolerance", "tolerance", float),
-    ):
-        value = _merged(args, key, file_cfg)
-        if value is not None:
-            cfg = replace(cfg, **{attr: cast(value)})
-    return cfg
-
-
-def _experiment_config(args: argparse.Namespace, strategy: Strategy,
-                       file_cfg: dict[str, str]) -> ExperimentConfig:
-    data = _merged(args, "data", file_cfg)
-    train_path = _merged(args, "train", file_cfg)
-    test_path = _merged(args, "test", file_cfg)
+def _experiment_config(settings: dict[str, object],
+                       strategy: Strategy) -> ExperimentConfig:
+    data = settings["data"]
+    train_path, test_path = settings["train"], settings["test"]
     if data is None:
         data = "files" if train_path else "synth"
     if data == "synth":
-        synth_cfg = default_config(
-            seed=int(_merged(args, "synth-seed", file_cfg, "42")),
-            train_sentences=int(
-                _merged(args, "synth-train-sentences", file_cfg, "2000")
-            ),
-            test_sentences=int(
-                _merged(args, "synth-test-sentences", file_cfg, "500")
-            ),
-            noise_rate=float(
-                _merged(args, "synth-noise-rate", file_cfg, "0.05")
-            ),
-        )
+        synth_cfg = default_config(**{
+            key.removeprefix("synth_"): value for key, value in settings.items()
+            if key.startswith("synth_") and value is not None
+        })
         train_path = test_path = None
     else:
         synth_cfg = None
         if not train_path or not test_path:
             raise UsageError("file data source needs --train and --test")
-
-    type_map = None
-    type_map_path = _merged(args, "type-map", file_cfg)
-    if type_map_path:
-        type_map = read_config_file(type_map_path)
-
+    type_map_path = settings["type_map"]
     return ExperimentConfig(
         strategy=strategy,
         train_path=train_path,
         test_path=test_path,
         synth=synth_cfg,
-        train_config=_train_config_from(args, file_cfg),
-        seed=int(_merged(args, "seed", file_cfg, "0")),
-        report_path=_merged(args, "report", file_cfg),
-        model_path=_merged(args, "model", file_cfg),
-        type_map=type_map,
+        train_config=_train_config(settings),
+        seed=settings["seed"] or 0,
+        report_path=settings["report"],
+        model_path=settings.get("model"),
+        type_map=read_config_file(type_map_path) if type_map_path else None,
     )
 
 
@@ -260,7 +235,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     corpus = read_conll_file(args.train)
     strategy = Strategy(args.strategy)
     train_view, template_set = harness.training_view(corpus, strategy)
-    model = train(train_view, template_set, _train_config_from(args, {}))
+    model = train(train_view, template_set, _train_config(vars(args)))
     save_file(model, args.model)
     if not model.metadata["converged"]:
         print(
@@ -366,29 +341,26 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    file_cfg = _read_settings(args.config, _EXPERIMENT_KEYS)
-    strategy_name = _merged(args, "strategy", file_cfg)
-    if strategy_name is None:
+    settings = _settings(args, _EXPERIMENT_FLAGS)
+    if settings["strategy"] is None:
         raise UsageError("a strategy is required (flag or config file)")
-    cfg = _experiment_config(args, Strategy(strategy_name), file_cfg)
+    cfg = _experiment_config(settings, Strategy(settings["strategy"]))
     result = harness.run_experiment(cfg)
     sys.stdout.write(result.report_text)
     return EXIT_OK
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    file_cfg = _read_settings(args.config, _GRID_KEYS)
-    names = _merged(args, "strategies", file_cfg,
-                    ",".join(s.value for s in Strategy))
+    settings = _settings(args, _GRID_FLAGS)
+    names = settings["strategies"]
+    if names is None:
+        names = ",".join(s.value for s in Strategy)
     strategies = [Strategy(name.strip()) for name in names.split(",") if name.strip()]
     if not strategies:
         raise UsageError("no strategies selected")
-    report = _merged(args, "report", file_cfg)
-    configs = []
-    for strategy in strategies:
-        cfg = _experiment_config(args, strategy, file_cfg)
-        configs.append(replace(cfg, report_path=None, model_path=None))
-    _, combined = harness.run_grid(configs, report_path=report)
+    cfg = _experiment_config(settings, strategies[0])
+    configs = [replace(cfg, strategy=s, report_path=None) for s in strategies]
+    _, combined = harness.run_grid(configs, report_path=cfg.report_path)
     sys.stdout.write(combined)
     return EXIT_OK
 

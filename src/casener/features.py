@@ -21,7 +21,7 @@ import enum
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, extract_spans
+from .corpus import Corpus, Sentence, split_tag
 from .truecase import CaseClass, classify_case
 
 #: Offsets considered around the current position.
@@ -286,9 +286,10 @@ def fit_feature_map(
         names[i] for i in np.flatnonzero(counts)
         if counts[i] >= min_count or _cutoff_exempt(names[i])
     )
-    types = {
-        span.entity_type for ann in corpus for span in extract_spans(ann.gold)
-    }
+    # A validated tag sequence puts every non-O tag in a span of its own
+    # type, so the distinct tags name every entity type.
+    distinct = {tag for ann in corpus for tag in ann.gold.tags} - {"O"}
+    types = {split_tag(tag)[1] for tag in distinct}
     tags = ("O",) + tuple(
         sorted(f"{p}-{t}" for t in types for p in ("B", "I", "E", "S"))
     )

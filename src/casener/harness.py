@@ -11,6 +11,10 @@ prepared:
 * AUGMENT     - train on the corpus plus its all-lower and all-upper
                 copies (3x size), case-aware templates.
 
+`run_grid` is the one runner: it loads the data once and trains each
+distinct model once, so TRUECASING scores the model BASELINE trained.
+`run_experiment` is its one-strategy case.
+
 Reports are a fixed-layout text table plus a machine-readable key-value
 file; both are deterministic for a fixed config (no timestamps).
 """
@@ -72,10 +76,11 @@ class ExperimentConfig:
             object.__setattr__(self, "type_map", dict(self.type_map))
 
     def data_key(self) -> tuple:
-        """Identity of the test data; grids require all configs to share it."""
+        """Identity of the train and test data; grids require all configs
+        to share it."""
         if self.synth is not None:
             return ("synth", self.synth)
-        return ("files", self.test_path)
+        return ("files", self.train_path, self.test_path)
 
 
 @dataclass
@@ -152,15 +157,21 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Train per the strategy, score all variants, and write report files."""
-    train_corpus, test_corpus, data_lines = _load_corpora(cfg)
-    if len(train_corpus) == 0:
-        raise ValueError("training corpus is empty")
-
+def _run_strategy(cfg: ExperimentConfig, data: tuple[Corpus, Corpus, list[str]],
+                  models: dict[tuple, CrfModel]) -> ExperimentResult:
+    """Score one strategy on `data` (from `_load_corpora`) and write the
+    files its config names.  The model comes from `models`, keyed by what
+    determines its weights, and is trained and added there if missing."""
+    train_corpus, test_corpus, data_lines = data
     train_cfg = cfg.train_config
-    train_view, template_set = training_view(train_corpus, cfg.strategy)
-    model = train(train_view, template_set, train_cfg)
+    # TRUECASING trains as BASELINE: only its test input differs.
+    recipe = Strategy.BASELINE if cfg.strategy is Strategy.TRUECASING else cfg.strategy
+    key = (recipe, train_cfg)
+    if key not in models:
+        models[key] = train(*training_view(train_corpus, recipe), train_cfg)
+    model = models[key]
+    template_set = model.template_set
+    effective_sentences = model.metadata["training_sentences"]
 
     truecaser = None
     if cfg.strategy is Strategy.TRUECASING:
@@ -180,7 +191,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         f"  tolerance: {train_cfg.tolerance}",
         f"feature templates: {template_set.value}",
         f"training sentences: {len(train_corpus)}"
-        f" (effective {len(train_view)})",
+        f" (effective {effective_sentences})",
         f"features: {model.feature_map.num_features}"
         f"  tags: {model.feature_map.num_tags}",
     ]
@@ -221,7 +232,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         f"tolerance={train_cfg.tolerance!r}",
         f"template_set={template_set.value}",
         f"train.sentences={len(train_corpus)}",
-        f"train.effective_sentences={len(train_view)}",
+        f"train.effective_sentences={effective_sentences}",
         f"model.features={model.feature_map.num_features}",
         f"model.tags={model.feature_map.num_tags}",
         f"predictions.dropped_spans={dropped}",
@@ -249,7 +260,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         grid=grid,
         model=model,
         train_sentences=len(train_corpus),
-        effective_train_sentences=len(train_view),
+        effective_train_sentences=effective_sentences,
         dropped_prediction_spans=dropped,
         report_text=report_text,
         report_kv=report_kv,
@@ -259,21 +270,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def run_grid(
     configs: Sequence[ExperimentConfig], report_path: str | None = None
 ) -> tuple[list[ExperimentResult], str]:
-    """Run several strategies against one shared test set; combined table.
+    """Run several strategies on one shared data source; combined table.
 
-    Returns the individual results plus the combined report text.
+    The data is generated or read once, and each distinct model is trained
+    once.  Returns the individual results plus the combined report text.
     """
     if not configs:
         raise ValueError("at least one experiment config is required")
-    first_key = configs[0].data_key()
-    if any(cfg.data_key() != first_key for cfg in configs[1:]):
-        raise ValueError("all grid experiments must share the same test data")
+    first = configs[0]
+    if any(cfg.data_key() != first.data_key() for cfg in configs[1:]):
+        raise ValueError(
+            "all grid experiments must share the same train and test data"
+        )
+    data = _load_corpora(first)
+    if len(data[0]) == 0:
+        raise ValueError("training corpus is empty")
 
-    results = [run_experiment(cfg) for cfg in configs]
+    models: dict[tuple, CrfModel] = {}
+    results = [_run_strategy(cfg, data, models) for cfg in configs]
     table = _format_f1_table(
         [(r.config.strategy.value, r.grid) for r in results]
     )
-    first = configs[0]
     if first.synth is not None:
         data_line = _synth_data_line(first.synth)
     else:
@@ -298,6 +315,12 @@ def run_grid(
         _atomic_write(report_path + ".txt", combined)
         _atomic_write(report_path + ".kv", combined_kv)
     return results, combined
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Train per the strategy, score all variants, and write report files."""
+    [result], _ = run_grid([cfg])
+    return result
 
 
 def read_config_file(path: str) -> dict[str, str]:

@@ -1,7 +1,9 @@
+import argparse
 import os
 
 import pytest
 
+from casener import cli
 from casener.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from casener.corpus import parse_conll, read_conll_file, write_conll_file
 from casener.crf import load_file
@@ -249,6 +251,30 @@ def test_type_map_file_keys_are_free_form(tmp_path):
     )
     assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
     assert "type map applied" in (tmp_path / "rep.txt").read_text()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("experiment", cli._EXPERIMENT_FLAGS), ("grid", cli._GRID_FLAGS),
+])
+def test_run_flags_and_config_keys_match(tmp_path, command, flags):
+    """Every flag but --config is a config-file key, and every key a flag."""
+    parser = cli._build_parser()
+    [commands] = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        action.option_strings[0]: action.dest
+        for action in commands.choices[command]._actions
+        if action.option_strings[0] not in ("-h", "--config")
+    }
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = 1\n" for flag in options))
+    settings = cli._settings(
+        parser.parse_args([command, "--config", str(cfg)]), flags
+    )
+    assert settings.keys() == set(options.values())
+    assert None not in settings.values()
 
 
 def test_experiment_requires_strategy(tmp_path):

@@ -5,9 +5,11 @@ from hypothesis import example, given, strategies as st
 from casener.corpus import (
     AnnotatedSentence,
     Corpus,
+    EntitySpan,
     Scheme,
     Sentence,
     TagSequence,
+    spans_to_tags,
 )
 from casener.crf import _encode
 from casener.features import (
@@ -166,11 +168,18 @@ _TABLE_TOKENS = st.one_of(
 
 @st.composite
 def _annotated(draw):
+    """A sentence cut into O runs and entity spans of one to six tokens."""
     tokens = draw(st.lists(_TABLE_TOKENS, min_size=1, max_size=6))
-    tags = draw(st.lists(st.sampled_from(["O", "S-PER", "S-LOC"]),
-                         min_size=len(tokens), max_size=len(tokens)))
+    spans, start = [], 0
+    while start < len(tokens):
+        end = draw(st.integers(start, len(tokens) - 1))
+        entity_type = draw(st.sampled_from([None, "PER", "LOC"]))
+        if entity_type is not None:
+            spans.append(EntitySpan(start, end, entity_type))
+        start = end + 1
     return AnnotatedSentence(
-        Sentence(tuple(tokens)), TagSequence(tuple(tags), Scheme.IOBES)
+        Sentence(tuple(tokens)),
+        spans_to_tags(spans, len(tokens), Scheme.IOBES),
     )
 
 

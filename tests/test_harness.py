@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from casener import harness
 from casener.corpus import write_conll_file
 from casener.crf import TrainConfig, load_file
 from casener.harness import (
@@ -15,7 +16,7 @@ from casener.harness import (
 from casener.corpus import Scheme, TagSequence
 from casener.evaluation import map_prediction_types
 from casener.features import TemplateSet
-from casener.synth import default_config
+from casener.synth import default_config, generate
 from casener.transforms import CaseVariant
 from conftest import random_corpus
 
@@ -116,8 +117,6 @@ class TestRunExperiment:
         assert outputs[0] == outputs[1]
 
     def test_file_data_source(self, tmp_path, rng):
-        from casener.synth import generate
-
         train_c, test_c = generate(SMALL_SYNTH)
         train_path = str(tmp_path / "train.conll")
         test_path = str(tmp_path / "test.conll")
@@ -178,6 +177,51 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid([a, b])
 
+    def test_different_train_files_rejected(self, tmp_path):
+        train_c, test_c = generate(SMALL_SYNTH)
+        paths = [str(tmp_path / name) for name in ("a", "b", "test")]
+        for corpus, path in zip((train_c, train_c, test_c), paths):
+            write_conll_file(corpus, path)
+        configs = [
+            ExperimentConfig(strategy=s, train_path=train, test_path=paths[2])
+            for s, train in zip(Strategy, paths[:2])
+        ]
+        with pytest.raises(ValueError, match="same train and test data"):
+            run_grid(configs)
+
+    def test_data_loaded_once_and_each_model_trained_once(self, monkeypatch):
+        calls = {"train": 0, "generate": 0}
+
+        def counted(name):
+            real = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        counted("train")
+        counted("generate")
+        quick = TrainConfig(max_epochs=5)
+        results, _ = run_grid(
+            [small_config(s, train_config=quick) for s in Strategy]
+        )
+        assert calls == {"train": 3, "generate": 1}
+        by_strategy = {r.config.strategy: r.model for r in results}
+        assert by_strategy[Strategy.BASELINE] is by_strategy[Strategy.TRUECASING]
+        assert by_strategy[Strategy.BASELINE] is not by_strategy[Strategy.AUGMENT]
+
+        run_experiment(small_config(Strategy.TRUECASING, train_config=quick))
+        assert calls == {"train": 4, "generate": 2}
+        # a different training config is a different model
+        run_grid([
+            small_config(Strategy.BASELINE, train_config=quick),
+            small_config(Strategy.TRUECASING,
+                         train_config=TrainConfig(max_epochs=6)),
+        ])
+        assert calls == {"train": 6, "generate": 3}
+
     def test_grid_shape_and_consistency(self, tmp_path):
         configs = [small_config(s) for s in Strategy]
         results, combined = run_grid(
@@ -193,6 +237,8 @@ class TestRunGrid:
         for result in results:
             single = run_experiment(result.config)
             assert single.grid == result.grid
+            assert single.report_text == result.report_text
+            assert single.report_kv == result.report_kv
         assert open(str(tmp_path / "grid.txt")).read() == combined
 
 
