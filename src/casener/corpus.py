@@ -52,7 +52,8 @@ def split_tag(tag: str) -> tuple[str, str | None]:
     if tag == "O":
         return "O", None
     prefix, sep, entity_type = tag.partition("-")
-    if sep != "-" or not entity_type or len(prefix) != 1:
+    # "O" takes no type: "O-X" would pass every scheme check as an O.
+    if sep != "-" or not entity_type or len(prefix) != 1 or prefix == "O":
         raise TagValidationError(f"malformed tag {tag!r}")
     return prefix, entity_type
 
@@ -372,6 +373,10 @@ def parse_conll(
                 f"line {lineno}: too few columns ({ncols}) for token column "
                 f"{token_column} and tag column {tag_column}: {line!r}"
             )
+        try:
+            split_tag(cols[resolved_tag])
+        except TagValidationError as exc:
+            raise TagValidationError(f"line {lineno}: {exc}") from None
         if not tokens:
             first_line = lineno
         tokens.append(cols[token_column])

@@ -8,6 +8,14 @@ legal IOBES transitions.  One batched forward-backward recursion
 log-space recursion when the weights spread too widely for that; scores and
 Viterbi decoding are in log space.  All computation is double precision.
 
+Training encodes each distinct (tokens, tags) pair of the corpus once and
+weights it by how often it occurs; feature counts for `min_count` are still
+taken over the whole corpus.  On a corpus without duplicates the objective,
+gradient and trained weights are bitwise those of encoding every sentence.
+With duplicates the sums run in another order, so the trained weights agree
+with per-sentence training only to the last bits (the iteration counts and
+decoded tags were the same on the synthetic data).
+
 Training normalizes over the full tag alphabet (no transition masking);
 the IOBES constraints are applied only at decode time, which guarantees
 scheme-valid output.
@@ -19,6 +27,7 @@ import base64
 import gzip
 import json
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -198,7 +207,7 @@ def posteriors(
     """
     emit = _emissions(model, sentence)
     logz, node, edge = _forward_backward(
-        emit[None], model.begin, model.end, model.transition
+        emit[None], _chain(model.begin, model.end, model.transition)
     )
     return float(logz[0]), node[0], edge
 
@@ -208,14 +217,50 @@ def posteriors(
 _MAX_SCALED_SPREAD = 200.0
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """Begin, end and transition weights with the terms of the scaled kernel
+    that depend on them alone, so an objective call computes those once
+    rather than once per length bucket.
+
+    `spread` is the summed spread (max - min) of the three.  The
+    exponentiated weights, each relative to its maximum, are None when
+    `spread` alone rules the scaled kernel out: non-finite weights would
+    make their exps NaN.
+    """
+
+    begin: np.ndarray
+    end: np.ndarray
+    trans: np.ndarray
+    spread: float
+    bmax: float
+    fmax: float
+    tmax: float
+    e_begin: np.ndarray | None
+    e_end: np.ndarray | None
+    e_trans: np.ndarray | None
+
+
+def _chain(begin: np.ndarray, end: np.ndarray, trans: np.ndarray) -> _Chain:
+    bmax, fmax, tmax = begin.max(), end.max(), trans.max()
+    spread = (tmax - trans.min()) + (bmax - begin.min()) + (fmax - end.min())
+    if not spread <= _MAX_SCALED_SPREAD:
+        return _Chain(begin, end, trans, spread, bmax, fmax, tmax,
+                      None, None, None)
+    return _Chain(
+        begin, end, trans, spread, bmax, fmax, tmax,
+        np.exp(begin - bmax), np.exp(end - fmax), np.exp(trans - tmax),
+    )
+
+
 def _forward_backward(
-    emit: np.ndarray, begin: np.ndarray, end: np.ndarray, trans: np.ndarray
+    emit: np.ndarray, chain: _Chain, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward-backward over S sentences of equal length L.
 
     `emit` has shape (S, L, K).  Returns logZ per sentence (S,), node
-    marginals (S, L, K), and edge marginals summed over the batch
-    (L-1, K, K).
+    marginals (S, L, K), and edge marginals summed over the batch with
+    per-sentence `weights` (default 1.0 each), shape (L-1, K, K).
 
     The recursion runs in probability space (Rabiner, 1989): every factor is
     exponentiated relative to its maximum, the forward row is normalized at
@@ -232,28 +277,30 @@ def _forward_backward(
     (`_forward_backward_log`) for that batch.
     """
     s, length, k = emit.shape
+    if weights is None:
+        weights = np.ones(s)
     emax = emit.max(axis=2)
     ex = emit - emax[:, :, None]
-    spread = np.ptp(trans) + np.ptp(begin) + np.ptp(end) - ex.min()
+    spread = chain.spread - ex.min()
     if not spread <= _MAX_SCALED_SPREAD:
-        return _forward_backward_log(emit, begin, end, trans)
+        return _forward_backward_log(
+            emit, chain.begin, chain.end, chain.trans, weights
+        )
 
-    tmax, bmax, fmax = trans.max(), begin.max(), end.max()
-    tm = np.exp(trans - tmax)
+    tm = chain.e_trans
     np.exp(ex, out=ex)
-    e_end = np.exp(end - fmax)
 
     a = np.empty((s, length, k))
     c = np.empty((s, length))
-    a_t = ex[:, 0] * np.exp(begin - bmax)
+    a_t = ex[:, 0] * chain.e_begin
     for t in range(length):
         if t:
             a_t = (a[:, t - 1] @ tm) * ex[:, t]
         c[:, t] = a_t.sum(axis=1)
         a[:, t] = a_t / c[:, t, None]
-    z = a[:, length - 1] @ e_end
+    z = a[:, length - 1] @ chain.e_end
     logz = (
-        emax.sum(axis=1) + (length - 1) * tmax + bmax + fmax
+        emax.sum(axis=1) + (length - 1) * chain.tmax + chain.bmax + chain.fmax
         + np.log(c).sum(axis=1) + np.log(z)
     )
 
@@ -261,12 +308,13 @@ def _forward_backward(
     # ex * b / c, the right-hand factor of the edge marginals into t.
     node = np.empty((s, length, k))
     edge = np.empty((length - 1, k, k))
-    b = e_end[None, :] / z[:, None]
+    b = chain.e_end[None, :] / z[:, None]
+    weighted_a = a * weights[:, None, None]
     for t in range(length - 1, 0, -1):
         node[:, t] = a[:, t] * b
         v = ex[:, t]
         v *= b / c[:, t, None]
-        edge[t - 1] = tm * (a[:, t - 1].T @ v)
+        edge[t - 1] = tm * (weighted_a[:, t - 1].T @ v)
         b = v @ tm.T
     node[:, 0] = a[:, 0] * b
     return logz, node, edge
@@ -281,12 +329,18 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _forward_backward_log(
-    emit: np.ndarray, begin: np.ndarray, end: np.ndarray, trans: np.ndarray
+    emit: np.ndarray,
+    begin: np.ndarray,
+    end: np.ndarray,
+    trans: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-space forward-backward: `_forward_backward`'s fallback for
     weight spreads that would underflow in probability space.  Same
-    arguments and results."""
+    results; the chain weights come as separate arrays."""
     s, length, k = emit.shape
+    if weights is None:
+        weights = np.ones(s)
     alpha = np.empty((s, length, k))
     alpha[:, 0] = begin[None, :] + emit[:, 0]
     for t in range(1, length):
@@ -307,11 +361,14 @@ def _forward_backward_log(
     node = np.exp(alpha + beta - logz[:, None, None])
     edge = np.empty((length - 1, k, k))
     for t in range(1, length):
-        edge[t - 1] = np.exp(
-            alpha[:, t - 1][:, :, None]
-            + trans[None]
-            + (emit[:, t] + beta[:, t])[:, None, :]
-            - logz[:, None, None]
+        edge[t - 1] = (
+            np.exp(
+                alpha[:, t - 1][:, :, None]
+                + trans[None]
+                + (emit[:, t] + beta[:, t])[:, None, :]
+                - logz[:, None, None]
+            )
+            * weights[:, None, None]
         ).sum(axis=0)
     return logz, node, edge
 
@@ -325,18 +382,27 @@ class _EncodedCorpus:
     """Corpus pre-digested for repeated objective evaluations.
 
     `feature_rows` is a (total_positions, num_features) binary indicator
-    matrix; `buckets` groups sentences of equal length so the forward and
-    backward recursions vectorize across sentences without padding.
+    matrix and `feature_cols` its transpose (a CSC view of the same
+    arrays); `buckets` pairs the position rows of the sentences of each
+    length with their counts, so the forward and backward recursions
+    vectorize across sentences without padding.  Sentence `i` stands for
+    `counts[i]` identical sentences: every corpus sum weights it so, and
+    `position_counts` and `pair_counts` spread the counts over its
+    positions and transition pairs.
     """
 
     feature_rows: scipy.sparse.csr_matrix
+    feature_cols: scipy.sparse.csc_matrix
     lengths: np.ndarray
+    counts: np.ndarray
+    position_counts: np.ndarray
+    pair_counts: np.ndarray
     gold: np.ndarray
     first_tags: np.ndarray
     last_tags: np.ndarray
     pair_prev: np.ndarray
     pair_next: np.ndarray
-    buckets: list[tuple[int, np.ndarray]]
+    buckets: list[tuple[np.ndarray, np.ndarray]]
     obs_emission: np.ndarray
     obs_begin: np.ndarray
     obs_end: np.ndarray
@@ -348,9 +414,23 @@ class _EncodedCorpus:
         return int(self.lengths.sum())
 
 
+def _distinct(corpus: Corpus) -> tuple[Corpus, np.ndarray]:
+    """The distinct annotated sentences of `corpus`, in first-occurrence
+    order, and how many times each occurs (as floats, for `_encode`)."""
+    counts = Counter(corpus)
+    return Corpus(tuple(counts)), np.fromiter(
+        counts.values(), dtype=np.float64, count=len(counts)
+    )
+
+
 def _encode(
-    corpus: Corpus, fmap: FeatureMap, template_set: TemplateSet
+    corpus: Corpus,
+    fmap: FeatureMap,
+    template_set: TemplateSet,
+    counts: np.ndarray | None = None,
 ) -> _EncodedCorpus:
+    """Encode every sentence of `corpus`; sentence `i` counts `counts[i]`
+    times in the objective (default once)."""
     k = fmap.num_tags
     names, table = feature_table(corpus, template_set)
     # Table IDs -> feature indices, -1 where unmapped; the appended -1 maps
@@ -371,6 +451,9 @@ def _encode(
     lengths_arr = np.fromiter(
         (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
     )
+    if counts is None:
+        counts = np.ones(len(corpus))
+    position_counts = np.repeat(counts, lengths_arr)
     offsets = np.cumsum(lengths_arr) - lengths_arr
     total = len(active)
     matrix = scipy.sparse.csr_matrix(
@@ -392,27 +475,33 @@ def _encode(
     pair_at = np.flatnonzero(has_next)
     prev_arr = gold_arr[pair_at]
     next_arr = gold_arr[pair_at + 1]
+    pair_counts = position_counts[pair_at]
 
     order = np.argsort(lengths_arr, kind="stable")
-    bucket_lengths, counts = np.unique(lengths_arr[order], return_counts=True)
+    bucket_lengths, sizes = np.unique(lengths_arr[order], return_counts=True)
     buckets = [
-        (int(length), offsets[sids][:, None] + np.arange(length)[None, :])
+        (offsets[sids][:, None] + np.arange(length)[None, :], counts[sids])
         for length, sids in zip(
-            bucket_lengths, np.split(order, np.cumsum(counts)[:-1])
+            bucket_lengths, np.split(order, np.cumsum(sizes)[:-1])
         )
     ]
 
-    onehot = np.zeros((total, k))
-    onehot[np.arange(total), gold_arr] = 1.0
-    obs_emission = np.asarray(matrix.T @ onehot)
-    obs_begin = np.bincount(first_tags, minlength=k).astype(np.float64)
-    obs_end = np.bincount(last_tags, minlength=k).astype(np.float64)
+    # The observed statistics are sums of whole counts, so they are exact.
+    weighted_gold = np.zeros((total, k))
+    weighted_gold[np.arange(total), gold_arr] = position_counts
+    obs_emission = np.asarray(matrix.T @ weighted_gold)
+    obs_begin = np.bincount(first_tags, weights=counts, minlength=k)
+    obs_end = np.bincount(last_tags, weights=counts, minlength=k)
     obs_transition = np.zeros((k, k))
-    np.add.at(obs_transition, (prev_arr, next_arr), 1.0)
+    np.add.at(obs_transition, (prev_arr, next_arr), pair_counts)
 
     return _EncodedCorpus(
         feature_rows=matrix,
+        feature_cols=matrix.T,
         lengths=lengths_arr,
+        counts=counts,
+        position_counts=position_counts,
+        pair_counts=pair_counts,
         gold=gold_arr,
         first_tags=first_tags,
         last_tags=last_tags,
@@ -454,27 +543,29 @@ def _neg_ll_and_grad(
     emit_all = enc.feature_rows @ emission  # (total, K) dense
 
     gold_score = (
-        emit_all[np.arange(total), enc.gold].sum()
-        + begin[enc.first_tags].sum()
-        + end[enc.last_tags].sum()
-        + trans[enc.pair_prev, enc.pair_next].sum()
+        (emit_all[np.arange(total), enc.gold] * enc.position_counts).sum()
+        + (begin[enc.first_tags] * enc.counts).sum()
+        + (end[enc.last_tags] * enc.counts).sum()
+        + (trans[enc.pair_prev, enc.pair_next] * enc.pair_counts).sum()
     )
 
+    chain = _chain(begin, end, trans)
     logz_total = 0.0
     node_post = np.empty((total, k))
     exp_begin = np.zeros(k)
     exp_end = np.zeros(k)
     exp_trans = np.zeros((k, k))
 
-    for _, rows in enc.buckets:
-        logz, node, edge = _forward_backward(emit_all[rows], begin, end, trans)
-        logz_total += logz.sum()
+    for rows, counts in enc.buckets:
+        logz, node, edge = _forward_backward(emit_all[rows], chain, counts)
+        logz_total += (logz * counts).sum()
+        node *= counts[:, None, None]
         node_post[rows.reshape(-1)] = node.reshape(-1, k)
         exp_begin += node[:, 0].sum(axis=0)
         exp_end += node[:, -1].sum(axis=0)
         exp_trans += edge.sum(axis=0)
 
-    exp_emission = np.asarray(enc.feature_rows.T @ node_post)
+    exp_emission = np.asarray(enc.feature_cols @ node_post)
 
     inv_var = 1.0 / (sigma * sigma)
     with np.errstate(over="ignore"):  # non-finite results are caught below
@@ -502,7 +593,8 @@ def log_likelihood_and_gradient(
     """
     if l2_sigma <= 0:
         raise ValueError("l2_sigma must be positive")
-    enc = _encode(corpus, model.feature_map, model.template_set)
+    distinct, counts = _distinct(corpus)
+    enc = _encode(distinct, model.feature_map, model.template_set, counts)
     w = _pack(model.emission, model.begin, model.end, model.transition)
     neg_ll, neg_grad = _neg_ll_and_grad(w, enc, l2_sigma)
     return -neg_ll, -neg_grad
@@ -527,8 +619,10 @@ def train(
     cfg = cfg or TrainConfig()
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
+    # The feature counts behind `min_count` are over the whole corpus.
     fmap = fit_feature_map(corpus, template_set, min_count=min_count)
-    enc = _encode(corpus, fmap, template_set)
+    distinct, counts = _distinct(corpus)
+    enc = _encode(distinct, fmap, template_set, counts)
     k = fmap.num_tags
     size = fmap.num_features * k + 2 * k + k * k
     w0 = np.zeros(size)

@@ -92,6 +92,20 @@ def random_model(
     )
 
 
+@st.composite
+def iobes_taggings(draw, length: int):
+    """An IOBES tagging of `length` tokens cut into O runs and PER/LOC spans
+    of any length."""
+    spans, start = [], 0
+    while start < length:
+        end = draw(st.integers(start, length - 1))
+        entity_type = draw(st.sampled_from([None, "PER", "LOC"]))
+        if entity_type is not None:
+            spans.append(EntitySpan(start, end, entity_type))
+        start = end + 1
+    return spans_to_tags(spans, length, Scheme.IOBES)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
@@ -138,3 +152,23 @@ garbage_containers = (
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(12345)
+
+
+_CONLL_TAGS = ["O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
+               "E-LOC", "S-LOC", "O-X", "B-", "-X", "B-X-Y", "b-per", "B_PER"]
+_CONLL_TOKENS = ["the", "New", "YORK", "-DOCSTART-", "<s>", "İ", "ẞ", "ﬁ"]
+_conll_line = st.one_of(
+    st.just(""),
+    st.tuples(
+        st.sampled_from(_CONLL_TOKENS) | st.text(min_size=1, max_size=4),
+        st.lists(st.sampled_from(_CONLL_TOKENS + _CONLL_TAGS), max_size=2),
+        st.sampled_from(_CONLL_TAGS) | st.text(max_size=4),
+        st.sampled_from([" ", "\t", " \t"]),
+        st.sampled_from(["", "\r", " "]),
+    ).map(lambda t: t[3].join([t[0], *t[1], t[2]]) + t[4]),
+    st.text(max_size=12),
+)
+
+#: CoNLL-like text: lines of a token, extra columns and a tag (legal or
+#: not), blank lines, -DOCSTART- lines and arbitrary lines; or any text.
+conll_texts = st.lists(_conll_line, max_size=12).map("\n".join) | st.text()

@@ -1,7 +1,11 @@
 import argparse
+import contextlib
+import io
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 from casener import cli
 from casener.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -11,6 +15,7 @@ from casener.evaluation import tag_corpus
 from casener.synth import default_config, generate
 from casener.transforms import CaseVariant, make_variant
 from casener.truecase import train_truecaser
+from conftest import conll_texts
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +51,22 @@ def test_bad_corpus_exits_2(tmp_path):
     bad.write_text("onlyonetoken\n")
     assert main(["train", "--train", str(bad),
                  "--model", str(tmp_path / "m.crf")]) == EXIT_DATA
+
+
+@settings(deadline=None)
+@given(conll_texts)
+def test_train_on_fuzzed_file_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "train.conll")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--train", path, "--model",
+                         os.path.join(root, "m.crf"), "--max-epochs", "3"])
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERICAL), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_train_tag_eval_roundtrip(data_files, tmp_path, capsys):

@@ -21,7 +21,7 @@ from casener.corpus import (
     spans_to_tags,
     write_conll,
 )
-from conftest import random_corpus, random_tagging
+from conftest import conll_texts, random_corpus, random_tagging
 
 TABLE_SENTENCE = "I O\nlive O\nin O\nNew B-ORG\nYork I-ORG\nCity E-ORG\n\n"
 
@@ -90,6 +90,18 @@ class TestParse:
         with pytest.raises(ParseError, match="line 3"):
             parse_conll("A O\nB O\nnotag\n")
 
+    def test_malformed_tag_reports_line_number(self):
+        with pytest.raises(TagValidationError, match="line 2.*'B_PER'"):
+            parse_conll("A O\nB B_PER\n\n")
+
+    @pytest.mark.parametrize("text", [
+        "a O-X\nb S-PER\n\n",  # detected as IOBES
+        "a O-X\nb I-PER\n\n",  # detected as IOB1
+    ])
+    def test_typed_o_tag_rejected(self, text):
+        with pytest.raises(TagValidationError, match="line 1.*'O-X'"):
+            parse_conll(text)
+
     def test_illegal_transition_reports_sentence_and_position(self):
         text = "A O\nB I-ORG\nC B-ORG\n\n"  # I-ORG cannot open in IOB2... auto-detects IOB1
         # Force IOB2 so the orphan I is an error.
@@ -110,6 +122,19 @@ class TestParse:
     def test_one_column_line_is_malformed(self):
         with pytest.raises(ParseError):
             parse_conll("token\n")
+
+
+class TestParseFuzz:
+    @given(conll_texts)
+    def test_any_text_parses_or_raises_corpus_error(self, text):
+        try:
+            corpus = parse_conll(text)
+        except CorpusError:
+            return
+        for ann in corpus:
+            for tag in ann.gold.tags:
+                assert tag == "O" or tag[0] in "BIES" and tag[1] == "-"
+        assert parse_conll(write_conll(corpus)).sentences == corpus.sentences
 
 
 class TestDetection:

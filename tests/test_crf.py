@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casener.corpus import (
     AnnotatedSentence,
@@ -37,6 +37,7 @@ from casener.evaluation import evaluate
 from casener.features import FeatureMap, TemplateSet, fit_feature_map
 from conftest import (
     garbage_containers,
+    iobes_taggings,
     mutated_container,
     random_corpus,
     random_model,
@@ -165,16 +166,22 @@ class TestLogPartition:
             "print(' '.join(float.hex(log_partition(model, ann.sentence)) "
             "for ann in test))\n"
         )
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(sys.path))
-            run = subprocess.run(
-                [sys.executable, "-c", script], env=env,
-                capture_output=True, text=True, check=True,
-            )
-            outputs.append(run.stdout)
-        assert outputs[0] == outputs[1]
+        first, second = _outputs_under_hash_seeds(script)
+        assert first == second
+
+
+def _outputs_under_hash_seeds(script: str) -> list[str]:
+    """Stdout of `script` run in subprocesses with PYTHONHASHSEED 1 and 2."""
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        outputs.append(run.stdout)
+    return outputs
 
 
 class TestPosteriors:
@@ -247,7 +254,9 @@ class TestForwardBackward:
             expected = crf._forward_backward_log(emit, begin, end, trans)
             with monkeypatch.context() as patch:
                 patch.setattr(crf, "_forward_backward_log", _no_fallback)
-                got = crf._forward_backward(emit, begin, end, trans)
+                got = crf._forward_backward(
+                    emit, crf._chain(begin, end, trans)
+                )
             for a, b in zip(got, expected):
                 assert a.shape == b.shape
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
@@ -274,6 +283,41 @@ class TestForwardBackward:
             np.testing.assert_allclose(node, expected_node, rtol=0, atol=1e-9)
             np.testing.assert_allclose(edge, expected_edge, rtol=0, atol=1e-9)
         assert len(calls) == 10
+
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["scaled", "log-space"])
+    def test_weighted_edge_sum_matches_repeated_batch(self, monkeypatch,
+                                                      fallback):
+        """Integer weights give the results of the batch with each sentence
+        repeated that many times."""
+        calls = []
+        if fallback:
+            original = crf._forward_backward_log
+            monkeypatch.setattr(crf, "_MAX_SCALED_SPREAD", -1.0)
+            monkeypatch.setattr(crf, "_forward_backward_log",
+                                lambda *args: calls.append(1) or original(*args))
+        else:
+            monkeypatch.setattr(crf, "_forward_backward_log", _no_fallback)
+        rng = np.random.default_rng(11)
+        k = 13
+        for _ in range(20):
+            s, length = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            emit = rng.normal(0.0, 2.0, (s, length, k))
+            chain = crf._chain(*rng.normal(0.0, 1.0, (2, k)),
+                               rng.normal(0.0, 1.0, (k, k)))
+            weights = rng.integers(1, 4, s)
+            logz, node, edge = crf._forward_backward(
+                emit, chain, weights.astype(np.float64)
+            )
+            rep_logz, rep_node, rep_edge = crf._forward_backward(
+                np.repeat(emit, weights, axis=0), chain
+            )
+            np.testing.assert_allclose(np.repeat(logz, weights), rep_logz,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(np.repeat(node, weights, axis=0),
+                                       rep_node, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(edge, rep_edge, rtol=1e-12, atol=1e-10)
+        assert len(calls) == (40 if fallback else 0)
 
 
 def _no_fallback(*args):
@@ -473,6 +517,100 @@ class TestTrain:
             for ann in corpus
         )
         assert ll == pytest.approx(manual, abs=1e-7)
+
+
+_VOCAB = ("the", "Baker", "baker", "OSLO", "met", "x9")
+
+
+@st.composite
+def _corpus_with_repeats(draw) -> Corpus:
+    """Sentences of one to four tokens, some with the same tokens but other
+    tags, drawn into a corpus longer than the set of them."""
+    pool = []
+    token_lists = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4)
+    for tokens in draw(st.lists(token_lists, min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(1, 2))):
+            pool.append(AnnotatedSentence(
+                Sentence(tuple(tokens)), draw(iobes_taggings(len(tokens)))
+            ))
+    picks = draw(st.lists(st.sampled_from(range(len(pool))),
+                          min_size=len(pool) + 1, max_size=3 * len(pool)))
+    return Corpus(tuple(pool[i] for i in picks))
+
+
+def _one_token(token: str, tag: str) -> AnnotatedSentence:
+    return AnnotatedSentence(
+        Sentence((token,)), TagSequence((tag,), Scheme.IOBES)
+    )
+
+
+class TestDistinctTraining:
+    """Training encodes each distinct (tokens, tags) pair once, weighted by
+    how often it occurs."""
+
+    @settings(deadline=None)
+    @given(
+        corpus=_corpus_with_repeats(),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.sampled_from([0.5, 1.0, 10.0]),
+    )
+    @example(
+        corpus=Corpus((
+            _one_token("x9", "S-PER"), _one_token("x9", "O"),
+            _one_token("x9", "S-PER"), _one_token("the", "O"),
+            _one_token("x9", "O"),
+        )),
+        seed=0, sigma=1.0,
+    )
+    def test_grouped_objective_matches_ungrouped(self, corpus, seed, sigma):
+        distinct, counts = crf._distinct(corpus)
+        assert distinct.sentences == tuple(dict.fromkeys(corpus.sentences))
+        assert counts.sum() == len(corpus) > len(distinct)
+        model = random_model(random.Random(seed), corpus, scale=1.0)
+        ll, grad = log_likelihood_and_gradient(model, corpus, sigma)
+        enc = crf._encode(corpus, model.feature_map, model.template_set)
+        w = crf._pack(model.emission, model.begin, model.end, model.transition)
+        neg_ll, neg_grad = crf._neg_ll_and_grad(w, enc, sigma)
+        assert ll == pytest.approx(-neg_ll, rel=1e-12, abs=1e-10)
+        np.testing.assert_allclose(grad, -neg_grad, rtol=1e-12, atol=1e-10)
+
+    def test_min_count_counts_every_copy(self):
+        twice = AnnotatedSentence(
+            Sentence(("zebra", "runs")), TagSequence(("S-PER", "O"), Scheme.IOBES)
+        )
+        once = AnnotatedSentence(
+            Sentence(("a", "cat")), TagSequence(("O", "O"), Scheme.IOBES)
+        )
+        corpus = Corpus((twice, once, twice))
+        fmap = fit_feature_map(corpus, TemplateSet.CASE_AWARE, min_count=2)
+        model = train(corpus, TemplateSet.CASE_AWARE, TrainConfig(max_epochs=1),
+                      min_count=2)
+        assert model.feature_map == fmap
+        assert fmap.feature_index("w0=zebra") is not None
+        assert fmap.feature_index("w0=cat") is None
+        assert model.metadata["training_sentences"] == 3
+
+    def test_independent_of_string_hash_seed(self):
+        # The distinct sentences are found by hashing strings; their order,
+        # and so the sums over them, must not follow the hash seed.
+        script = (
+            "import hashlib\n"
+            "from casener.corpus import Corpus\n"
+            "from casener.crf import TrainConfig, _distinct, save, train\n"
+            "from casener.features import TemplateSet\n"
+            "from casener.synth import default_config, generate\n"
+            "corpus, _ = generate(default_config(seed=7, "
+            "train_sentences=80, test_sentences=10))\n"
+            "corpus = Corpus(corpus.sentences + corpus.sentences[::3])\n"
+            "model = train(corpus, TemplateSet.CASE_AWARE, "
+            "TrainConfig(max_epochs=20))\n"
+            "print(len(_distinct(corpus)[0]), len(corpus), "
+            "hashlib.sha256(save(model)).hexdigest())\n"
+        )
+        first, second = _outputs_under_hash_seeds(script)
+        assert first == second
+        distinct, total, _ = first.split()
+        assert int(distinct) < int(total)
 
 
 class TestPersistence:

@@ -5,11 +5,9 @@ from hypothesis import example, given, strategies as st
 from casener.corpus import (
     AnnotatedSentence,
     Corpus,
-    EntitySpan,
     Scheme,
     Sentence,
     TagSequence,
-    spans_to_tags,
 )
 from casener.crf import _encode
 from casener.features import (
@@ -20,7 +18,7 @@ from casener.features import (
     word_shape,
 )
 from casener.transforms import to_lower, to_upper
-from conftest import random_corpus, random_sentence
+from conftest import iobes_taggings, random_corpus, random_sentence
 from oracles import feature_rows_reference, fit_feature_map_reference
 
 NYC = Sentence(("New", "York", "City"))
@@ -170,16 +168,8 @@ _TABLE_TOKENS = st.one_of(
 def _annotated(draw):
     """A sentence cut into O runs and entity spans of one to six tokens."""
     tokens = draw(st.lists(_TABLE_TOKENS, min_size=1, max_size=6))
-    spans, start = [], 0
-    while start < len(tokens):
-        end = draw(st.integers(start, len(tokens) - 1))
-        entity_type = draw(st.sampled_from([None, "PER", "LOC"]))
-        if entity_type is not None:
-            spans.append(EntitySpan(start, end, entity_type))
-        start = end + 1
     return AnnotatedSentence(
-        Sentence(tuple(tokens)),
-        spans_to_tags(spans, len(tokens), Scheme.IOBES),
+        Sentence(tuple(tokens)), draw(iobes_taggings(len(tokens)))
     )
 
 
