@@ -117,10 +117,7 @@ def _build_parser() -> _Parser:
                    help="CoNLL file (existing tags are ignored) or one token "
                         "per line with blank-line sentence breaks")
     p.add_argument("--output", help="output CoNLL file (default: stdout)")
-    prep = p.add_mutually_exclusive_group()
-    prep.add_argument("--truecaser", help="apply this truecaser before decoding")
-    prep.add_argument("--lowercase", action="store_true",
-                      help="lowercase input before decoding (caseless tagging)")
+    p.add_argument("--truecaser", help="apply this truecaser before decoding")
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--gold", required=True)
@@ -270,9 +267,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     model = load_file(args.model)
     corpus = _read_tokens_file(args.input)
     truecaser = _load_truecaser(args.truecaser) if args.truecaser else None
-    predictions = tag_corpus(
-        model, corpus, truecaser=truecaser, caseless=args.lowercase
-    )
+    predictions = tag_corpus(model, corpus, truecaser=truecaser)
     _write_tagged([ann.sentence for ann in corpus], predictions, args.output)
     return EXIT_OK
 

@@ -10,11 +10,14 @@ Viterbi decoding are in log space.  All computation is double precision.
 
 Training encodes each distinct (tokens, tags) pair of the corpus once and
 weights it by how often it occurs; feature counts for `min_count` are still
-taken over the whole corpus.  On a corpus without duplicates the objective,
-gradient and trained weights are bitwise those of encoding every sentence.
-With duplicates the sums run in another order, so the trained weights agree
-with per-sentence training only to the last bits (the iteration counts and
-decoded tags were the same on the synthetic data).
+taken over the whole corpus.  The log-likelihood is `observed @ w` minus the
+summed logZ and its gradient is observed minus expected feature counts
+(Lafferty et al., 2001), where `_encode` builds `observed`, the gold feature
+counts laid out like the weights, once.  Those are sums of whole counts, so
+the gold score is bitwise that of encoding every sentence.  The expected
+counts and logZ sum in another order where pairs repeat, so there the
+trained weights agree with per-sentence training only to the last bits (the
+iteration counts and decoded tags were the same on the synthetic data).
 
 Training normalizes over the full tag alphabet (no transition masking);
 the IOBES constraints are applied only at decode time, which guarantees
@@ -80,12 +83,13 @@ class TrainConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.l2_sigma <= 0:
-            raise ValueError("l2_sigma must be positive")
+        # Written so that NaN fails too: every comparison with it is False.
+        if not 0 < self.l2_sigma < np.inf:
+            raise ValueError("l2_sigma must be positive and finite")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 class CrfModel:
@@ -385,33 +389,17 @@ class _EncodedCorpus:
     matrix and `feature_cols` its transpose (a CSC view of the same
     arrays); `buckets` pairs the position rows of the sentences of each
     length with their counts, so the forward and backward recursions
-    vectorize across sentences without padding.  Sentence `i` stands for
-    `counts[i]` identical sentences: every corpus sum weights it so, and
-    `position_counts` and `pair_counts` spread the counts over its
-    positions and transition pairs.
+    vectorize across sentences without padding.  `observed` holds the
+    count-weighted gold feature counts, laid out like the weights (`_pack`
+    order): the log-likelihood is `observed @ w` minus the summed logZ, and
+    its gradient is `observed` minus the expected counts.
     """
 
     feature_rows: scipy.sparse.csr_matrix
     feature_cols: scipy.sparse.csc_matrix
-    lengths: np.ndarray
-    counts: np.ndarray
-    position_counts: np.ndarray
-    pair_counts: np.ndarray
-    gold: np.ndarray
-    first_tags: np.ndarray
-    last_tags: np.ndarray
-    pair_prev: np.ndarray
-    pair_next: np.ndarray
     buckets: list[tuple[np.ndarray, np.ndarray]]
-    obs_emission: np.ndarray
-    obs_begin: np.ndarray
-    obs_end: np.ndarray
-    obs_transition: np.ndarray
+    observed: np.ndarray
     num_tags: int
-
-    @property
-    def num_positions(self) -> int:
-        return int(self.lengths.sum())
 
 
 def _distinct(corpus: Corpus) -> tuple[Corpus, np.ndarray]:
@@ -430,7 +418,8 @@ def _encode(
     counts: np.ndarray | None = None,
 ) -> _EncodedCorpus:
     """Encode every sentence of `corpus`; sentence `i` counts `counts[i]`
-    times in the objective (default once)."""
+    times in the objective (default once), both in the length buckets and
+    in the gold statistics `observed`."""
     k = fmap.num_tags
     names, table = feature_table(corpus, template_set)
     # Table IDs -> feature indices, -1 where unmapped; the appended -1 maps
@@ -448,13 +437,14 @@ def _encode(
     np.cumsum(mapped.sum(axis=1), out=indptr[1:])
     indices = active[mapped]
 
-    lengths_arr = np.fromiter(
+    lengths = np.fromiter(
         (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
     )
     if counts is None:
         counts = np.ones(len(corpus))
-    position_counts = np.repeat(counts, lengths_arr)
-    offsets = np.cumsum(lengths_arr) - lengths_arr
+    position_counts = np.repeat(counts, lengths)
+    offsets = np.cumsum(lengths) - lengths
+    last = offsets + lengths - 1
     total = len(active)
     matrix = scipy.sparse.csr_matrix(
         (np.ones(len(indices), dtype=np.float64), indices, indptr),
@@ -462,23 +452,12 @@ def _encode(
     )
     tags = [t for ann in corpus for t in ann.gold.tags]
     tag_ids = {t: fmap.tag_index(t) for t in dict.fromkeys(tags)}
-    gold_arr = np.fromiter(
+    gold = np.fromiter(
         (tag_ids[t] for t in tags), dtype=np.int64, count=total
     )
-    last = offsets + lengths_arr - 1
-    first_tags = gold_arr[offsets]
-    last_tags = gold_arr[last]
 
-    # A transition pair starts at every position but a sentence's last.
-    has_next = np.ones(total, dtype=bool)
-    has_next[last] = False
-    pair_at = np.flatnonzero(has_next)
-    prev_arr = gold_arr[pair_at]
-    next_arr = gold_arr[pair_at + 1]
-    pair_counts = position_counts[pair_at]
-
-    order = np.argsort(lengths_arr, kind="stable")
-    bucket_lengths, sizes = np.unique(lengths_arr[order], return_counts=True)
+    order = np.argsort(lengths, kind="stable")
+    bucket_lengths, sizes = np.unique(lengths[order], return_counts=True)
     buckets = [
         (offsets[sids][:, None] + np.arange(length)[None, :], counts[sids])
         for length, sids in zip(
@@ -487,36 +466,31 @@ def _encode(
     ]
 
     # The observed statistics are sums of whole counts, so they are exact.
+    observed = np.zeros(fmap.num_features * k + 2 * k + k * k)
+    emission, begin, end, trans = _unpack(observed, fmap.num_features, k)
     weighted_gold = np.zeros((total, k))
-    weighted_gold[np.arange(total), gold_arr] = position_counts
-    obs_emission = np.asarray(matrix.T @ weighted_gold)
-    obs_begin = np.bincount(first_tags, weights=counts, minlength=k)
-    obs_end = np.bincount(last_tags, weights=counts, minlength=k)
-    obs_transition = np.zeros((k, k))
-    np.add.at(obs_transition, (prev_arr, next_arr), pair_counts)
+    weighted_gold[np.arange(total), gold] = position_counts
+    emission[:] = matrix.T @ weighted_gold
+    begin[:] = np.bincount(gold[offsets], weights=counts, minlength=k)
+    end[:] = np.bincount(gold[last], weights=counts, minlength=k)
+    # A transition pair starts at every position but a sentence's last.
+    has_next = np.ones(total, dtype=bool)
+    has_next[last] = False
+    pair_at = np.flatnonzero(has_next)
+    np.add.at(trans, (gold[pair_at], gold[pair_at + 1]),
+              position_counts[pair_at])
 
     return _EncodedCorpus(
         feature_rows=matrix,
         feature_cols=matrix.T,
-        lengths=lengths_arr,
-        counts=counts,
-        position_counts=position_counts,
-        pair_counts=pair_counts,
-        gold=gold_arr,
-        first_tags=first_tags,
-        last_tags=last_tags,
-        pair_prev=prev_arr,
-        pair_next=next_arr,
         buckets=buckets,
-        obs_emission=obs_emission,
-        obs_begin=obs_begin,
-        obs_end=obs_end,
-        obs_transition=obs_transition,
+        observed=observed,
         num_tags=k,
     )
 
 
 def _unpack(w: np.ndarray, num_features: int, k: int):
+    """Views of flat `w` as (emission, begin, end, transition) weights."""
     fk = num_features * k
     emission = w[:fk].reshape(num_features, k)
     begin = w[fk : fk + k]
@@ -538,24 +512,15 @@ def _neg_ll_and_grad(
     num_features = enc.feature_rows.shape[1]
     k = enc.num_tags
     emission, begin, end, trans = _unpack(w, num_features, k)
-    total = enc.num_positions
-
     emit_all = enc.feature_rows @ emission  # (total, K) dense
-
-    gold_score = (
-        (emit_all[np.arange(total), enc.gold] * enc.position_counts).sum()
-        + (begin[enc.first_tags] * enc.counts).sum()
-        + (end[enc.last_tags] * enc.counts).sum()
-        + (trans[enc.pair_prev, enc.pair_next] * enc.pair_counts).sum()
-    )
 
     chain = _chain(begin, end, trans)
     logz_total = 0.0
-    node_post = np.empty((total, k))
-    exp_begin = np.zeros(k)
-    exp_end = np.zeros(k)
-    exp_trans = np.zeros((k, k))
-
+    node_post = np.empty_like(emit_all)
+    expected = np.zeros_like(w)
+    exp_emission, exp_begin, exp_end, exp_trans = _unpack(
+        expected, num_features, k
+    )
     for rows, counts in enc.buckets:
         logz, node, edge = _forward_backward(emit_all[rows], chain, counts)
         logz_total += (logz * counts).sum()
@@ -564,18 +529,12 @@ def _neg_ll_and_grad(
         exp_begin += node[:, 0].sum(axis=0)
         exp_end += node[:, -1].sum(axis=0)
         exp_trans += edge.sum(axis=0)
-
-    exp_emission = np.asarray(enc.feature_cols @ node_post)
+    exp_emission[:] = enc.feature_cols @ node_post
 
     inv_var = 1.0 / (sigma * sigma)
     with np.errstate(over="ignore"):  # non-finite results are caught below
-        ll = gold_score - logz_total - 0.5 * inv_var * float(w @ w)
-        grad = _pack(
-            enc.obs_emission - exp_emission,
-            enc.obs_begin - exp_begin,
-            enc.obs_end - exp_end,
-            enc.obs_transition - exp_trans,
-        )
+        ll = enc.observed @ w - logz_total - 0.5 * inv_var * float(w @ w)
+        grad = enc.observed - expected
         grad -= inv_var * w
 
     if not (np.isfinite(ll) and np.isfinite(grad).all()):
@@ -591,8 +550,8 @@ def log_likelihood_and_gradient(
     The gradient is flat: emission weights (row-major, feature-major), then
     begin, end, and transition weights (row-major).
     """
-    if l2_sigma <= 0:
-        raise ValueError("l2_sigma must be positive")
+    if not 0 < l2_sigma < np.inf:
+        raise ValueError("l2_sigma must be positive and finite")
     distinct, counts = _distinct(corpus)
     enc = _encode(distinct, model.feature_map, model.template_set, counts)
     w = _pack(model.emission, model.begin, model.end, model.transition)
@@ -623,20 +582,18 @@ def train(
     fmap = fit_feature_map(corpus, template_set, min_count=min_count)
     distinct, counts = _distinct(corpus)
     enc = _encode(distinct, fmap, template_set, counts)
-    k = fmap.num_tags
-    size = fmap.num_features * k + 2 * k + k * k
-    w0 = np.zeros(size)
-
     result = scipy.optimize.minimize(
         _neg_ll_and_grad,
-        w0,
+        np.zeros_like(enc.observed),
         args=(enc, cfg.l2_sigma),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": cfg.max_epochs, "ftol": cfg.tolerance},
     )
 
-    emission, begin, end, trans = _unpack(result.x, fmap.num_features, k)
+    emission, begin, end, trans = _unpack(
+        result.x, fmap.num_features, fmap.num_tags
+    )
     metadata = {
         "l2_sigma": cfg.l2_sigma,
         "max_epochs": cfg.max_epochs,

@@ -6,7 +6,9 @@ ratios are taken (micro-averaging); zero denominators yield 0, matching
 conlleval.
 
 Test-time tagging lives here too: `tag_corpus` is the one place a test
-sentence is preprocessed (lowercased or truecased) and decoded.
+sentence is preprocessed (truecased) and decoded.  A caseless model needs no
+test-time lowercasing: its `CASE_AGNOSTIC` templates lowercase every
+feature, so it tags a sentence and its lowercased copy alike.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .corpus import Corpus, TagSequence, extract_spans, spans_to_tags
 from .crf import CrfModel, decode
-from .transforms import CaseVariant, make_variant, to_lower
+from .transforms import CaseVariant, make_variant
 from .truecase import Truecaser, truecase
 
 
@@ -99,18 +101,12 @@ def tag_corpus(
     corpus: Corpus,
     *,
     truecaser: Truecaser | None = None,
-    caseless: bool = False,
 ) -> list[TagSequence]:
-    """Decode each sentence, lowercased first if `caseless` or truecased
-    first with `truecaser` (at most one may be given)."""
-    if truecaser is not None and caseless:
-        raise ValueError("choose either truecasing or caseless preprocessing")
+    """Decode each sentence, truecased first if a `truecaser` is given."""
     predictions = []
     for ann in corpus:
         sentence = ann.sentence
-        if caseless:
-            sentence = to_lower(sentence)
-        elif truecaser is not None:
+        if truecaser is not None:
             sentence = truecase(truecaser, sentence)
         predictions.append(decode(model, sentence))
     return predictions
@@ -141,7 +137,6 @@ def variant_grid(
     test: Corpus,
     *,
     truecaser: Truecaser | None = None,
-    caseless: bool = False,
     type_map: Mapping[str, str] | None = None,
 ) -> tuple[dict[CaseVariant, Metrics], int]:
     """Tag (see `tag_corpus`) and score the test corpus under all three
@@ -154,9 +149,7 @@ def variant_grid(
     dropped_total = 0
     for variant in CaseVariant:
         corpus = make_variant(test, variant)
-        predictions = tag_corpus(
-            model, corpus, truecaser=truecaser, caseless=caseless
-        )
+        predictions = tag_corpus(model, corpus, truecaser=truecaser)
         if type_map is not None:
             mapped = [map_prediction_types(p, type_map) for p in predictions]
             predictions = [tags for tags, _ in mapped]
@@ -170,10 +163,9 @@ def robustness_grid(
     test: Corpus,
     *,
     truecaser: Truecaser | None = None,
-    caseless: bool = False,
 ) -> dict[CaseVariant, Metrics]:
     """The F1 grid of `variant_grid` with no type map."""
-    return variant_grid(model, test, truecaser=truecaser, caseless=caseless)[0]
+    return variant_grid(model, test, truecaser=truecaser)[0]
 
 
 def metrics_lines(metrics: Metrics, prefix: str = "") -> list[str]:

@@ -4,8 +4,8 @@ The four strategies differ in how training data and test input are
 prepared:
 
 * BASELINE    - train on the data as-is, case-aware templates.
-* CASELESS    - lowercase all training data, case-agnostic templates,
-                lowercase test input before decoding.
+* CASELESS    - lowercase all training data, case-agnostic templates;
+                test input is decoded as-is (the templates lowercase it).
 * TRUECASING  - train as BASELINE; truecase test input with a truecaser
                 fitted on the training corpus.
 * AUGMENT     - train on the corpus plus its all-lower and all-upper
@@ -177,8 +177,7 @@ def _run_strategy(cfg: ExperimentConfig, data: tuple[Corpus, Corpus, list[str]],
     if cfg.strategy is Strategy.TRUECASING:
         truecaser = train_truecaser(train_corpus)
     grid, dropped = variant_grid(
-        model, test_corpus, truecaser=truecaser,
-        caseless=cfg.strategy is Strategy.CASELESS, type_map=cfg.type_map,
+        model, test_corpus, truecaser=truecaser, type_map=cfg.type_map
     )
 
     header = [

@@ -174,10 +174,7 @@ def synthetic_grid():
             else None
         )
         grids[strategy] = robustness_grid(
-            model,
-            test_corpus,
-            truecaser=truecaser,
-            caseless=strategy is Strategy.CASELESS,
+            model, test_corpus, truecaser=truecaser
         )
     return grids, time.time() - start
 
@@ -296,10 +293,7 @@ def test_criterion_6_conll2003_orderings():
             else None
         )
         grids[strategy] = robustness_grid(
-            model,
-            test_corpus,
-            truecaser=truecaser,
-            caseless=strategy is Strategy.CASELESS,
+            model, test_corpus, truecaser=truecaser
         )
     elapsed = time.time() - start
     f1 = lambda s, v: 100 * grids[s][v].f1  # noqa: E731

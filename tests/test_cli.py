@@ -46,6 +46,18 @@ def test_missing_file_exits_2(tmp_path):
                  "--model", model]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--l2-sigma", "--tolerance"])
+def test_non_finite_training_setting_exits_2(data_files, tmp_path, capsys,
+                                             flag, value):
+    root, train, test = data_files
+    model = tmp_path / "m.crf"
+    assert main(["train", "--train", train, "--model", str(model),
+                 flag, value]) == EXIT_DATA
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_bad_corpus_exits_2(tmp_path):
     bad = tmp_path / "bad.conll"
     bad.write_text("onlyonetoken\n")
@@ -129,29 +141,30 @@ def test_tag_reads_bare_token_files(data_files, tmp_path, capsys):
     )
 
 
-def test_tag_truecaser_and_lowercase_exclusive(tmp_path, capsys):
-    # rejected while parsing, before the (missing) model and input are read
+def test_tag_has_no_lowercase_flag(tmp_path, capsys):
+    # A caseless model tags its input as it is (see the test below); the
+    # flag is rejected while parsing, before the missing files are read.
     assert main(["tag", "--model", str(tmp_path / "none.crf"),
                  "--input", str(tmp_path / "none.conll"),
-                 "--truecaser", str(tmp_path / "none.bin"),
                  "--lowercase"]) == EXIT_USAGE
-    assert "not allowed with" in capsys.readouterr().err
+    assert "--lowercase" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--lowercase", "--truecaser"])
+@pytest.mark.parametrize("flag", [pytest.param(None, id="caseless"),
+                                  "--truecaser"])
 def test_tag_preprocessing_is_case_invariant(data_files, tmp_path, flag):
     root, train, test = data_files
     model_path = str(tmp_path / "model.crf")
-    strategy = "caseless" if flag == "--lowercase" else "truecasing"
+    strategy = "truecasing" if flag else "caseless"
     assert main(["train", "--train", train, "--strategy", strategy,
                  "--model", model_path, "--max-epochs", "30"]) == EXIT_OK
-    extra = [flag]
+    extra = []
     truecaser = None
     if flag == "--truecaser":
         caser_path = str(tmp_path / "tc.bin")
         assert main(["truecase", "--model", caser_path,
                      "--fit", train]) == EXIT_OK
-        extra.append(caser_path)
+        extra += [flag, caser_path]
         truecaser = train_truecaser(read_conll_file(train))
     gold = read_conll_file(test)
     upper = str(tmp_path / "upper.conll")
@@ -164,8 +177,7 @@ def test_tag_preprocessing_is_case_invariant(data_files, tmp_path, flag):
                      "--output", out, *extra]) == EXIT_OK
         columns.append([ann.gold.tags for ann in read_conll_file(out)])
     assert columns[0] == columns[1]
-    expected = tag_corpus(load_file(model_path), gold, truecaser=truecaser,
-                          caseless=flag == "--lowercase")
+    expected = tag_corpus(load_file(model_path), gold, truecaser=truecaser)
     assert columns[0] == [tags.tags for tags in expected]
 
 

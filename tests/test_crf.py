@@ -497,6 +497,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(Corpus(()), TemplateSet.CASE_AWARE)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["l2_sigma", "tolerance"])
+    def test_non_finite_setting_rejected(self, rng, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        if field == "l2_sigma":
+            corpus = random_corpus(rng, sentences=2)
+            with pytest.raises(ValueError, match=field):
+                log_likelihood_and_gradient(
+                    random_model(rng, corpus), corpus, value
+                )
+
     def test_non_finite_objective_aborts(self, rng):
         from casener.crf import TrainingError
 
@@ -572,6 +584,10 @@ class TestDistinctTraining:
         w = crf._pack(model.emission, model.begin, model.end, model.transition)
         neg_ll, neg_grad = crf._neg_ll_and_grad(w, enc, sigma)
         assert ll == pytest.approx(-neg_ll, rel=1e-12, abs=1e-10)
+        # The gold counts are sums of whole counts, so they are exact.
+        grouped = crf._encode(distinct, model.feature_map,
+                              model.template_set, counts)
+        assert np.array_equal(grouped.observed, enc.observed)
         np.testing.assert_allclose(grad, -neg_grad, rtol=1e-12, atol=1e-10)
 
     def test_min_count_counts_every_copy(self):

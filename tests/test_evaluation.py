@@ -11,7 +11,7 @@ from casener.evaluation import (
     variant_grid,
 )
 from casener.features import TemplateSet
-from casener.transforms import CaseVariant, to_lower
+from casener.transforms import CaseVariant
 from casener.truecase import train_truecaser, truecase
 from casener.synth import default_config, generate
 from conftest import random_tagging
@@ -141,7 +141,7 @@ class TestRobustnessGrid:
         _, train_corpus, test_corpus = setup
         view, tset = training_view(train_corpus, Strategy.CASELESS)
         model = train(view, tset, TrainConfig(max_epochs=60))
-        grid = robustness_grid(model, test_corpus, caseless=True)
+        grid = robustness_grid(model, test_corpus)
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.LOWER]
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.UPPER]
 
@@ -152,12 +152,6 @@ class TestRobustnessGrid:
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.LOWER]
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.UPPER]
 
-    def test_truecaser_and_caseless_exclusive(self, setup):
-        model, train_corpus, test_corpus = setup
-        caser = train_truecaser(train_corpus)
-        with pytest.raises(ValueError):
-            robustness_grid(model, test_corpus, truecaser=caser, caseless=True)
-
 
 class TestTagCorpus:
     def test_preprocesses_then_decodes(self, setup):
@@ -167,18 +161,9 @@ class TestTagCorpus:
         assert tag_corpus(model, test_corpus) == [
             decode(model, s) for s in sentences
         ]
-        assert tag_corpus(model, test_corpus, caseless=True) == [
-            decode(model, to_lower(s)) for s in sentences
-        ]
         assert tag_corpus(model, test_corpus, truecaser=caser) == [
             decode(model, truecase(caser, s)) for s in sentences
         ]
-
-    def test_truecaser_and_caseless_exclusive(self, setup):
-        model, train_corpus, test_corpus = setup
-        caser = train_truecaser(train_corpus)
-        with pytest.raises(ValueError):
-            tag_corpus(model, test_corpus, truecaser=caser, caseless=True)
 
     def test_identity_type_map_keeps_the_grid(self, setup):
         model, _, test_corpus = setup

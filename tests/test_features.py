@@ -14,6 +14,7 @@ from casener.features import (
     FeatureMap,
     TemplateSet,
     extract,
+    feature_table,
     fit_feature_map,
     word_shape,
 )
@@ -197,3 +198,29 @@ def test_feature_table_matches_extract(template_set, min_count, corpus):
     indices, indptr = feature_rows_reference(corpus, fmap, template_set)
     assert np.array_equal(rows.indices, indices)
     assert np.array_equal(rows.indptr, indptr)
+
+
+# Greek capital sigma lowercases to a final or a medial form by context.
+_CASED_TOKENS = st.one_of(
+    st.sampled_from(["ΟΔΟΣ", "ΣΟΦΟΣ", "Σ"]), _TABLE_TOKENS
+)
+
+
+@given(st.lists(_CASED_TOKENS, min_size=1, max_size=6).map(
+    lambda tokens: Sentence(tuple(tokens))
+))
+@example(Sentence(("<s>", "İ", "ẞ", "ﬁ", "ΟΔΟΣ")))
+def test_case_agnostic_features_ignore_lowercasing(sentence):
+    """A caseless model tags a sentence and its lowercased copy alike, so
+    it needs no test-time lowercasing."""
+    lowered = to_lower(sentence)
+    for i in range(len(sentence)):
+        assert (extract(sentence, i, TemplateSet.CASE_AGNOSTIC)
+                == extract(lowered, i, TemplateSet.CASE_AGNOSTIC))
+    rows = []
+    for s in (sentence, lowered):
+        names, table = feature_table(
+            _corpus(s.tokens), TemplateSet.CASE_AGNOSTIC
+        )
+        rows.append([{names[j] for j in row if j >= 0} for row in table])
+    assert rows[0] == rows[1]

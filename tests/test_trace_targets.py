@@ -8,7 +8,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from casener import evaluation
+from casener import crf, evaluation
+from casener.features import TemplateSet
 from casener.truecase import train_truecaser
 from conftest import random_corpus, random_model
 
@@ -34,3 +35,17 @@ def test_every_target_installs_and_tagging_goes_through_it(rng):
     assert not hasattr(evaluation.decode, "__wrapped__")
     assert trace.stat("crf.decode").calls == len(corpus)
     assert trace.stat("truecase.apply").calls == len(corpus)
+
+
+def test_training_goes_through_the_encode_and_objective_spans(rng):
+    # The traced benchmark reads crf.encode and crf.objective; training that
+    # bypassed crf's globals would report zeros for both without an error.
+    tracer = _load_tracer()
+    corpus = random_corpus(rng, sentences=5)
+    with tracer.Tracer().installed() as trace:
+        model = crf.train(corpus, TemplateSet.CASE_AWARE,
+                          crf.TrainConfig(max_epochs=5))
+    assert trace.stat("crf.train").calls == 1
+    assert trace.stat("crf.encode").calls == 1
+    assert (trace.stat("crf.objective").calls
+            == model.metadata["function_evaluations"] > 0)
