@@ -4,11 +4,17 @@ Tokens are plain strings; a sentence is an ordered tuple of them.  Tag
 sequences carry their tagging scheme and are validated on construction, so
 any ``TagSequence`` reachable from this module is scheme-legal.  The
 canonical in-memory scheme is IOBES; ``parse_conll`` converts on load.
+
+The construction checks do their work once per distinct value: a
+``Sentence`` searches its joined tokens for whitespace in one pass, and
+``validate_tags`` parses each distinct tag and checks each distinct
+transition once.  Errors still name the first offending token or position.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -16,6 +22,9 @@ DOCSTART = "-DOCSTART-"
 
 #: Type alias: a token is a non-empty string without whitespace.
 Token = str
+
+#: Matches exactly the characters for which `str.isspace` is true.
+_WHITESPACE = re.compile(r"\s")
 
 
 class CorpusError(ValueError):
@@ -58,9 +67,7 @@ def split_tag(tag: str) -> tuple[str, str | None]:
     return prefix, entity_type
 
 
-def is_legal_start(tag: str, scheme: Scheme) -> bool:
-    """True if `tag` may open a sentence under `scheme`."""
-    prefix, _ = split_tag(tag)
+def _legal_start(prefix: str, scheme: Scheme) -> bool:
     if scheme is Scheme.IOB1:
         return prefix in ("O", "I")
     if scheme is Scheme.IOB2:
@@ -68,10 +75,10 @@ def is_legal_start(tag: str, scheme: Scheme) -> bool:
     return prefix in ("O", "B", "S")
 
 
-def is_legal_transition(prev: str, cur: str, scheme: Scheme) -> bool:
-    """True if `cur` may directly follow `prev` under `scheme`."""
-    pp, pt = split_tag(prev)
-    cp, ct = split_tag(cur)
+def _legal_transition(
+    prev: tuple[str, str | None], cur: tuple[str, str | None], scheme: Scheme
+) -> bool:
+    (pp, pt), (cp, ct) = prev, cur
     if scheme is Scheme.IOB1:
         # B marks the boundary between adjacent chunks of the same type.
         if cp == "B":
@@ -87,37 +94,58 @@ def is_legal_transition(prev: str, cur: str, scheme: Scheme) -> bool:
     return cp in ("O", "B", "S")
 
 
-def is_legal_end(tag: str, scheme: Scheme) -> bool:
-    """True if `tag` may close a sentence under `scheme`."""
-    prefix, _ = split_tag(tag)
+def _legal_end(prefix: str, scheme: Scheme) -> bool:
     if scheme is Scheme.IOBES:
         return prefix in ("O", "E", "S")
     return True
 
 
+def is_legal_start(tag: str, scheme: Scheme) -> bool:
+    """True if `tag` may open a sentence under `scheme`."""
+    return _legal_start(split_tag(tag)[0], scheme)
+
+
+def is_legal_transition(prev: str, cur: str, scheme: Scheme) -> bool:
+    """True if `cur` may directly follow `prev` under `scheme`."""
+    return _legal_transition(split_tag(prev), split_tag(cur), scheme)
+
+
+def is_legal_end(tag: str, scheme: Scheme) -> bool:
+    """True if `tag` may close a sentence under `scheme`."""
+    return _legal_end(split_tag(tag)[0], scheme)
+
+
 def validate_tags(tags: Sequence[str], scheme: Scheme, context: str = "") -> None:
-    """Raise :class:`TagValidationError` unless `tags` is legal under `scheme`."""
+    """Raise :class:`TagValidationError` unless `tags` is legal under `scheme`.
+
+    Each distinct tag is parsed once and each distinct transition checked
+    once, in first-occurrence order, so an error names the first offending
+    position.
+    """
     if not tags:
         raise TagValidationError(f"{context}empty tag sequence")
-    for i, tag in enumerate(tags):
-        prefix, _ = split_tag(tag)
+    parsed: dict[str, tuple[str, str | None]] = {}
+    for tag in dict.fromkeys(tags):
+        prefix, _ = parsed[tag] = split_tag(tag)
         if prefix != "O" and prefix not in scheme.prefixes:
             raise TagValidationError(
-                f"{context}position {i}: prefix {prefix!r} of tag {tag!r} "
-                f"is not part of scheme {scheme.value}"
+                f"{context}position {tags.index(tag)}: prefix {prefix!r} of "
+                f"tag {tag!r} is not part of scheme {scheme.value}"
             )
-    if not is_legal_start(tags[0], scheme):
+    if not _legal_start(parsed[tags[0]][0], scheme):
         raise TagValidationError(
             f"{context}position 0: tag {tags[0]!r} cannot open a sentence "
             f"in scheme {scheme.value}"
         )
-    for i in range(1, len(tags)):
-        if not is_legal_transition(tags[i - 1], tags[i], scheme):
+    pairs = list(zip(tags, tags[1:]))
+    for prev, cur in dict.fromkeys(pairs):
+        if not _legal_transition(parsed[prev], parsed[cur], scheme):
             raise TagValidationError(
-                f"{context}position {i}: transition {tags[i - 1]!r} -> "
-                f"{tags[i]!r} is illegal in scheme {scheme.value}"
+                f"{context}position {pairs.index((prev, cur)) + 1}: "
+                f"transition {prev!r} -> {cur!r} is illegal in scheme "
+                f"{scheme.value}"
             )
-    if not is_legal_end(tags[-1], scheme):
+    if not _legal_end(parsed[tags[-1]][0], scheme):
         raise TagValidationError(
             f"{context}position {len(tags) - 1}: tag {tags[-1]!r} cannot close "
             f"a sentence in scheme {scheme.value}"
@@ -131,13 +159,18 @@ class Sentence:
     tokens: tuple[Token, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
+        tokens = tuple(self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        if not tokens:
             raise CorpusError("a sentence must contain at least one token")
-        for i, tok in enumerate(self.tokens):
+        # One check over the whole sentence; the per-token walk only runs
+        # to name the first bad token.
+        if all(tokens) and not _WHITESPACE.search("".join(tokens)):
+            return
+        for i, tok in enumerate(tokens):
             if not tok:
                 raise CorpusError(f"token {i} is empty")
-            if any(c.isspace() for c in tok):
+            if _WHITESPACE.search(tok):
                 raise CorpusError(f"token {i} ({tok!r}) contains whitespace")
 
     def __len__(self) -> int:
@@ -170,7 +203,7 @@ class AnnotatedSentence:
     gold: TagSequence
 
     def __post_init__(self) -> None:
-        if len(self.sentence) != len(self.gold):
+        if len(self.sentence.tokens) != len(self.gold.tags):
             raise CorpusError(
                 f"sentence has {len(self.sentence)} tokens but the tag "
                 f"sequence has {len(self.gold)}"

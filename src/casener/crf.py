@@ -52,8 +52,9 @@ from .features import (
     FeatureMap,
     TemplateSet,
     extract,
+    feature_map_from_table,
     feature_table,
-    fit_feature_map,
+    fit_feature_map,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
 
 _FORMAT = "casener-crf"
@@ -416,12 +417,14 @@ def _encode(
     fmap: FeatureMap,
     template_set: TemplateSet,
     counts: np.ndarray | None = None,
+    featurized: tuple[list[str], np.ndarray] | None = None,
 ) -> _EncodedCorpus:
     """Encode every sentence of `corpus`; sentence `i` counts `counts[i]`
     times in the objective (default once), both in the length buckets and
-    in the gold statistics `observed`."""
+    in the gold statistics `observed`.  `featurized` is the corpus'
+    `feature_table`, computed here if not given."""
     k = fmap.num_tags
-    names, table = feature_table(corpus, template_set)
+    names, table = featurized or feature_table(corpus, template_set)
     # Table IDs -> feature indices, -1 where unmapped; the appended -1 maps
     # the table's own -1.  A sorted row holds its -1s first and then the
     # mapped indices in ascending order, as `_active_features` gives them.
@@ -578,10 +581,13 @@ def train(
     cfg = cfg or TrainConfig()
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
-    # The feature counts behind `min_count` are over the whole corpus.
-    fmap = fit_feature_map(corpus, template_set, min_count=min_count)
+    # The corpus is featurized once, per distinct sentence; the feature
+    # counts behind `min_count` weigh each one by its count, so they are
+    # over the whole corpus.
     distinct, counts = _distinct(corpus)
-    enc = _encode(distinct, fmap, template_set, counts)
+    featurized = feature_table(distinct, template_set)
+    fmap = feature_map_from_table(distinct, *featurized, min_count, counts)
+    enc = _encode(distinct, fmap, template_set, counts, featurized)
     result = scipy.optimize.minimize(
         _neg_ll_and_grad,
         np.zeros_like(enc.observed),

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, TagSequence, extract_spans, spans_to_tags
+from .corpus import (
+    Corpus, Sentence, TagSequence, extract_spans, spans_to_tags,
+)
 from .crf import CrfModel, decode
 from .transforms import CaseVariant, make_variant
 from .truecase import Truecaser, truecase
@@ -102,13 +104,21 @@ def tag_corpus(
     *,
     truecaser: Truecaser | None = None,
 ) -> list[TagSequence]:
-    """Decode each sentence, truecased first if a `truecaser` is given."""
+    """Decode each sentence, truecased first if a `truecaser` is given.
+
+    Decoding is deterministic, so each distinct (preprocessed) sentence is
+    decoded once and its tags reused for every repeat.
+    """
+    tagged: dict[Sentence, TagSequence] = {}
     predictions = []
     for ann in corpus:
         sentence = ann.sentence
         if truecaser is not None:
             sentence = truecase(truecaser, sentence)
-        predictions.append(decode(model, sentence))
+        tags = tagged.get(sentence)
+        if tags is None:
+            tags = tagged[sentence] = decode(model, sentence)
+        predictions.append(tags)
     return predictions
 
 

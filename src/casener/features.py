@@ -275,11 +275,35 @@ def fit_feature_map(
     """
     if len(corpus) == 0:
         raise ValueError("cannot fit a feature map on an empty corpus")
+    return feature_map_from_table(
+        corpus, *feature_table(corpus, template_set), min_count
+    )
+
+
+def feature_map_from_table(
+    corpus: Corpus,
+    names: list[str],
+    table: np.ndarray,
+    min_count: int,
+    weights: np.ndarray | None = None,
+) -> FeatureMap:
+    """`fit_feature_map` from the `feature_table` of `corpus`, where
+    sentence `i` occurs `weights[i]` times (default once).
+
+    With whole-number weights the counts are exact, so a corpus and its
+    distinct sentences weighted by their counts give the same map.
+    """
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
-
-    names, table = feature_table(corpus, template_set)
-    counts = np.bincount(table.ravel() + 1, minlength=len(names) + 1)[1:]
+    if weights is not None:
+        lengths = np.fromiter(
+            (len(ann.sentence) for ann in corpus), dtype=np.int64,
+            count=len(corpus),
+        )
+        weights = np.repeat(np.repeat(weights, lengths), table.shape[1])
+    counts = np.bincount(
+        table.ravel() + 1, weights=weights, minlength=len(names) + 1
+    )[1:]
     # A cutoff-exempt name must still occur: the table names sentinel
     # shapes at offsets where no position has them.
     kept = sorted(

@@ -113,34 +113,35 @@ def _ambiguous_subset(
     return subset or pool
 
 
+#: A template with each element parsed once: (element, slot or None).
+_ParsedTemplate = tuple[tuple[str, tuple[str, str | None] | None], ...]
+
+
 def _make_sentence(
     rng: random.Random,
     cfg: SynthConfig,
+    templates: list[_ParsedTemplate],
+    types: list[str],
     pools: Mapping[str, list[str]],
+    ambiguous: Mapping[str, list[str]],
 ) -> AnnotatedSentence:
-    template = rng.choice(cfg.templates)
+    template = rng.choice(templates)
     tokens: list[str] = []
     spans: list[EntitySpan] = []
     entity_positions: set[int] = set()
 
-    for element in template:
-        slot = _parse_slot(element)
+    for element, slot in template:
         if slot is None:
             tokens.append(element)
             continue
         kind, etype = slot
         if kind == "any":
-            etype = rng.choice(sorted(cfg.gazetteers))
+            etype = rng.choice(types)
         assert etype is not None
         if kind == "amb" and rng.random() >= AMB_ENTITY_PROBABILITY:
             tokens.append(rng.choice(cfg.decoys[etype]))
             continue
-        pool = (
-            _ambiguous_subset(pools[etype], cfg.decoys, etype)
-            if kind == "amb"
-            else pools[etype]
-        )
-        phrase = rng.choice(pool)
+        phrase = rng.choice(ambiguous[etype] if kind == "amb" else pools[etype])
         parts = phrase.split()
         if rng.random() < cfg.noise_rate:
             parts = [p.lower() for p in parts]
@@ -161,12 +162,25 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
     """Produce (train, test) corpora; fully deterministic given cfg.seed."""
     rng = random.Random(cfg.seed)
     train_pools, test_pools = _split_pools(rng, cfg.gazetteers)
-    train = tuple(
-        _make_sentence(rng, cfg, train_pools) for _ in range(cfg.train_sentences)
-    )
-    test = tuple(
-        _make_sentence(rng, cfg, test_pools) for _ in range(cfg.test_sentences)
-    )
+    # Everything that draws no random number is prepared once per call.
+    templates = [
+        tuple((element, _parse_slot(element)) for element in template)
+        for template in cfg.templates
+    ]
+    types = sorted(cfg.gazetteers)
+
+    def sentences(pools: dict[str, list[str]], n: int):
+        ambiguous = {
+            etype: _ambiguous_subset(pool, cfg.decoys, etype)
+            for etype, pool in pools.items()
+        }
+        return tuple(
+            _make_sentence(rng, cfg, templates, types, pools, ambiguous)
+            for _ in range(n)
+        )
+
+    train = sentences(train_pools, cfg.train_sentences)
+    test = sentences(test_pools, cfg.test_sentences)
     label = (
         f"synthetic seed={cfg.seed} noise_rate={cfg.noise_rate} "
         f"train={cfg.train_sentences} test={cfg.test_sentences}"

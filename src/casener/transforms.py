@@ -20,12 +20,12 @@ class CaseVariant(enum.Enum):
 
 def to_lower(sentence: Sentence) -> Sentence:
     """Lowercase every token; token count is unchanged."""
-    return Sentence(tuple(token.lower() for token in sentence.tokens))
+    return Sentence(tuple(map(str.lower, sentence.tokens)))
 
 
 def to_upper(sentence: Sentence) -> Sentence:
     """Uppercase every token; token count is unchanged (characters may not be)."""
-    return Sentence(tuple(token.upper() for token in sentence.tokens))
+    return Sentence(tuple(map(str.upper, sentence.tokens)))
 
 
 def transform_annotated(

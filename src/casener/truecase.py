@@ -197,10 +197,16 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     )
     mixed_counts: dict[str, Counter[str]] = defaultdict(Counter)
     initial: dict[CaseClass, float] = defaultdict(float)
+    # Each distinct token is classified and lowercased once; the counts
+    # still accumulate per occurrence, in corpus order, so the float sums
+    # do not depend on how the work is shared.
+    seen: dict[str, tuple[CaseClass, str]] = {}
     for ann in corpus:
         for pos, token in enumerate(ann.sentence.tokens):
-            cls = classify_case(token)
-            lowered = token.lower()
+            known = seen.get(token)
+            if known is None:
+                known = seen[token] = (classify_case(token), token.lower())
+            cls, lowered = known
             if pos == 0:
                 initial[cls] += 1.0
                 if cls is CaseClass.INIT_CAP:

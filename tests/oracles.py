@@ -4,27 +4,37 @@ Everything here is deliberately brute-force and kept separate from the
 package: feature maps and feature rows come from `extract` at every
 position, sequence scores are re-summed term by term, partition functions
 and argmax paths are found by enumerating all taggings, span counting
-re-implements conlleval's chunk-boundary logic, and gradients come from
-central finite differences.
+re-implements conlleval's chunk-boundary logic, gradients come from
+central finite differences, token and tag checks walk every position, and
+the truecaser classifies every occurrence.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from casener.corpus import (
+    CorpusError,
     Scheme,
+    TagValidationError,
     extract_spans,
     is_legal_end,
     is_legal_start,
     is_legal_transition,
+    split_tag,
 )
 from casener.crf import CrfModel, log_likelihood_and_gradient
 from casener.features import FeatureMap, extract
+from casener.truecase import (
+    INITIAL_INIT_CAP_WEIGHT,
+    CaseClass,
+    Truecaser,
+    classify_case,
+)
 
 
 def emission_table(model: CrfModel, sentence) -> np.ndarray:
@@ -324,3 +334,114 @@ def finite_difference_flat(objective, w: np.ndarray, step: float = 1e-5) -> np.n
         minus[j] -= step
         grad[j] = (objective(plus) - objective(minus)) / (2 * step)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Corpus checks and the truecaser, one position or occurrence at a time.
+
+
+def check_tokens_reference(tokens) -> None:
+    """`Sentence`'s token check, character by character."""
+    if not tokens:
+        raise CorpusError("a sentence must contain at least one token")
+    for i, tok in enumerate(tokens):
+        if not tok:
+            raise CorpusError(f"token {i} is empty")
+        if any(c.isspace() for c in tok):
+            raise CorpusError(f"token {i} ({tok!r}) contains whitespace")
+
+
+def _legal_start_reference(tag: str, scheme: Scheme) -> bool:
+    prefix, _ = split_tag(tag)
+    if scheme is Scheme.IOB1:
+        return prefix in ("O", "I")
+    if scheme is Scheme.IOB2:
+        return prefix in ("O", "B")
+    return prefix in ("O", "B", "S")
+
+
+def _legal_transition_reference(prev: str, cur: str, scheme: Scheme) -> bool:
+    pp, pt = split_tag(prev)
+    cp, ct = split_tag(cur)
+    if scheme is Scheme.IOB1:
+        if cp == "B":
+            return pp in ("B", "I") and pt == ct
+        return True
+    if scheme is Scheme.IOB2:
+        if cp == "I":
+            return pp in ("B", "I") and pt == ct
+        return True
+    if pp in ("B", "I"):
+        return cp in ("I", "E") and ct == pt
+    return cp in ("O", "B", "S")
+
+
+def _legal_end_reference(tag: str, scheme: Scheme) -> bool:
+    prefix, _ = split_tag(tag)
+    if scheme is Scheme.IOBES:
+        return prefix in ("O", "E", "S")
+    return True
+
+
+def validate_tags_reference(tags, scheme: Scheme, context: str = "") -> None:
+    """`validate_tags`, parsing and checking every position in turn."""
+    if not tags:
+        raise TagValidationError(f"{context}empty tag sequence")
+    for i, tag in enumerate(tags):
+        prefix, _ = split_tag(tag)
+        if prefix != "O" and prefix not in scheme.prefixes:
+            raise TagValidationError(
+                f"{context}position {i}: prefix {prefix!r} of tag {tag!r} "
+                f"is not part of scheme {scheme.value}"
+            )
+    if not _legal_start_reference(tags[0], scheme):
+        raise TagValidationError(
+            f"{context}position 0: tag {tags[0]!r} cannot open a sentence "
+            f"in scheme {scheme.value}"
+        )
+    for i in range(1, len(tags)):
+        if not _legal_transition_reference(tags[i - 1], tags[i], scheme):
+            raise TagValidationError(
+                f"{context}position {i}: transition {tags[i - 1]!r} -> "
+                f"{tags[i]!r} is illegal in scheme {scheme.value}"
+            )
+    if not _legal_end_reference(tags[-1], scheme):
+        raise TagValidationError(
+            f"{context}position {len(tags) - 1}: tag {tags[-1]!r} cannot close "
+            f"a sentence in scheme {scheme.value}"
+        )
+
+
+def train_truecaser_reference(corpus) -> Truecaser:
+    """`train_truecaser`, classifying every occurrence anew."""
+    case_counts: dict = defaultdict(lambda: defaultdict(float))
+    mixed_counts: dict = defaultdict(Counter)
+    initial: dict = defaultdict(float)
+    for ann in corpus:
+        for pos, token in enumerate(ann.sentence.tokens):
+            cls = classify_case(token)
+            lowered = token.lower()
+            if pos == 0:
+                initial[cls] += 1.0
+                if cls is CaseClass.INIT_CAP:
+                    case_counts[lowered][CaseClass.INIT_CAP] += (
+                        INITIAL_INIT_CAP_WEIGHT
+                    )
+                    case_counts[lowered][CaseClass.LOWER] += (
+                        1.0 - INITIAL_INIT_CAP_WEIGHT
+                    )
+                else:
+                    case_counts[lowered][cls] += 1.0
+            else:
+                case_counts[lowered][cls] += 1.0
+            if cls is CaseClass.MIXED:
+                mixed_counts[lowered][token] += 1
+    mixed_surface = {
+        word: min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        for word, counter in mixed_counts.items()
+    }
+    return Truecaser(
+        {w: dict(c) for w, c in case_counts.items()},
+        mixed_surface,
+        dict(initial),
+    )

@@ -1,9 +1,13 @@
 import itertools
 import random
+import re
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import casener.corpus
 from casener.corpus import (
     AnnotatedSentence,
     Corpus,
@@ -19,9 +23,11 @@ from casener.corpus import (
     extract_spans,
     parse_conll,
     spans_to_tags,
+    validate_tags,
     write_conll,
 )
 from conftest import conll_texts, random_corpus, random_tagging
+from oracles import check_tokens_reference, validate_tags_reference
 
 TABLE_SENTENCE = "I O\nlive O\nin O\nNew B-ORG\nYork I-ORG\nCity E-ORG\n\n"
 
@@ -284,3 +290,59 @@ def test_arbitrary_sequences_never_crash_validation(tags):
         return
     spans = extract_spans(seq)
     assert spans_to_tags(spans, len(tags), Scheme.IOBES).tags == tuple(tags)
+
+
+def _outcome(check, *args):
+    """(exception type, message) of `check(*args)`, or None if it passes."""
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_whitespace_pattern_is_str_isspace():
+    """`Sentence` finds whitespace with a regular expression; it must match
+    exactly the code points `str.isspace` accepts."""
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", text) == [c for c in text if c.isspace()]
+
+
+# Separators, NEL and ideographic space are whitespace; the rest are not.
+_TOKEN_PIECES = ["", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", " ", "\u3000",
+                 "\u0130", "\u1e9e", "a", "Z", "-"]
+
+
+@given(st.lists(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=3)
+                .map("".join), max_size=5))
+def test_sentence_check_matches_reference(tokens):
+    expected = _outcome(check_tokens_reference, tokens)
+    assert _outcome(Sentence, tuple(tokens)) == expected
+    assert expected is None or expected[0] is CorpusError
+
+
+_TAG_PIECES = ["O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
+               "E-LOC", "S-LOC", "O-X", "B-", "X-PER"]
+
+
+@given(st.lists(st.sampled_from(_TAG_PIECES), max_size=8),
+       st.sampled_from(list(Scheme)))
+def test_validate_tags_matches_reference(tags, scheme):
+    tags = tuple(tags)
+    expected = _outcome(validate_tags_reference, tags, scheme, "ctx: ")
+    assert _outcome(validate_tags, tags, scheme, "ctx: ") == expected
+    assert expected is None or expected[0] is TagValidationError
+
+
+def test_validate_tags_parses_each_distinct_tag_once(monkeypatch):
+    parsed = Counter()
+    split_tag = casener.corpus.split_tag
+
+    def counting(tag):
+        parsed[tag] += 1
+        return split_tag(tag)
+
+    monkeypatch.setattr(casener.corpus, "split_tag", counting)
+    tags = ("O", "B-PER", "E-PER", "O", "S-LOC", "O") * 50
+    validate_tags(tags, Scheme.IOBES)
+    assert parsed == Counter(set(tags))

@@ -19,7 +19,7 @@ from casener.corpus import (
     parse_conll,
     validate_tags,
 )
-from casener import crf
+from casener import crf, features
 from casener.crf import (
     CrfModel,
     ModelFormatError,
@@ -34,7 +34,13 @@ from casener.crf import (
     train,
 )
 from casener.evaluation import evaluate
-from casener.features import FeatureMap, TemplateSet, fit_feature_map
+from casener.features import (
+    FeatureMap,
+    TemplateSet,
+    feature_map_from_table,
+    feature_table,
+    fit_feature_map,
+)
 from conftest import (
     garbage_containers,
     iobes_taggings,
@@ -605,6 +611,30 @@ class TestDistinctTraining:
         assert fmap.feature_index("w0=zebra") is not None
         assert fmap.feature_index("w0=cat") is None
         assert model.metadata["training_sentences"] == 3
+
+    @given(corpus=_corpus_with_repeats(), min_count=st.integers(1, 3),
+           template_set=st.sampled_from(list(TemplateSet)))
+    def test_weighted_fit_matches_full_corpus(self, corpus, min_count,
+                                              template_set):
+        distinct, counts = crf._distinct(corpus)
+        weighted = feature_map_from_table(
+            distinct, *feature_table(distinct, template_set), min_count, counts
+        )
+        assert weighted == fit_feature_map(corpus, template_set, min_count)
+
+    def test_train_featurizes_once(self, monkeypatch):
+        tables = []
+
+        def counting(corpus, template_set):
+            tables.append(len(corpus))
+            return feature_table(corpus, template_set)
+
+        monkeypatch.setattr(crf, "feature_table", counting)
+        monkeypatch.setattr(features, "feature_table", counting)
+        corpus = Corpus(separable_corpus().sentences * 3)
+        train(corpus, TemplateSet.CASE_AWARE, TrainConfig(max_epochs=2),
+              min_count=2)
+        assert tables == [len(crf._distinct(corpus)[0])]
 
     def test_independent_of_string_hash_seed(self):
         # The distinct sentences are found by hashing strings; their order,

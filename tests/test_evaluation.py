@@ -1,6 +1,9 @@
 import pytest
 
-from casener.corpus import EntitySpan, Scheme, TagSequence, spans_to_tags
+import casener.evaluation
+from casener.corpus import (
+    Corpus, EntitySpan, Scheme, TagSequence, spans_to_tags,
+)
 from casener.crf import TrainConfig, decode, train
 from casener.evaluation import (
     Metrics,
@@ -173,3 +176,21 @@ class TestTagCorpus:
         )
         assert grid == robustness_grid(model, test_corpus)
         assert dropped == 0
+
+    def test_decodes_each_distinct_sentence_once(self, setup, monkeypatch):
+        model, train_corpus, test_corpus = setup
+        caser = train_truecaser(train_corpus)
+        doubled = Corpus(test_corpus.sentences * 2)
+        expected = [decode(model, truecase(caser, ann.sentence))
+                    for ann in doubled]
+        decoded = []
+
+        def counting(model, sentence):
+            decoded.append(sentence)
+            return decode(model, sentence)
+
+        monkeypatch.setattr(casener.evaluation, "decode", counting)
+        assert tag_corpus(model, doubled, truecaser=caser) == expected
+        assert len(decoded) == len(set(decoded)) == len(
+            {truecase(caser, ann.sentence) for ann in test_corpus}
+        )

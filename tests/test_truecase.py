@@ -1,8 +1,9 @@
 import gzip
+import importlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from casener.corpus import (
     AnnotatedSentence,
@@ -21,6 +22,7 @@ from casener.truecase import (
     truecase,
 )
 from conftest import garbage_containers, mutated_container, random_corpus
+from oracles import train_truecaser_reference
 
 
 def ann(text: str) -> AnnotatedSentence:
@@ -79,6 +81,48 @@ class TestTraining:
         corpus = Corpus(tuple(ann("NATO said so") for _ in range(2)))
         caser = train_truecaser(corpus)
         assert caser.majority_class("nato") is CaseClass.ALL_CAP
+
+
+# Cased letters whose lowercase or uppercase forms change length ("İ",
+# "ẞ", "ß"), uncased characters, and a titlecase digraph ("ǅ").
+_WORDS = st.text("aBcİẞßéÉǅ1-", min_size=1, max_size=4)
+
+
+@st.composite
+def _mixed_case_corpora(draw) -> Corpus:
+    """Sentences over a small vocabulary, so tokens repeat; some open with
+    an InitCap token."""
+    vocab = draw(st.lists(_WORDS, min_size=1, max_size=6))
+    sentences = []
+    for _ in range(draw(st.integers(1, 6))):
+        tokens = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            tokens[0] = tokens[0][0].upper() + tokens[0][1:].lower()
+        sentences.append(ann(" ".join(tokens)))
+    return Corpus(tuple(sentences))
+
+
+class TestPerTokenTraining:
+    @given(_mixed_case_corpora())
+    def test_matches_per_occurrence_reference(self, corpus):
+        assert (train_truecaser(corpus).to_bytes()
+                == train_truecaser_reference(corpus).to_bytes())
+
+    def test_classifies_each_distinct_token_once(self, monkeypatch, rng):
+        classified = []
+
+        def counting(word):
+            classified.append(word)
+            return classify_case(word)
+
+        # `casener.truecase` names the re-exported function, not the module.
+        module = importlib.import_module("casener.truecase")
+        monkeypatch.setattr(module, "classify_case", counting)
+        corpus = random_corpus(rng, sentences=30)
+        train_truecaser(corpus)
+        tokens = [t for a in corpus for t in a.sentence.tokens]
+        assert len(tokens) > len(set(tokens))
+        assert sorted(classified) == sorted(set(tokens))
 
 
 class TestTruecase:
