@@ -356,22 +356,14 @@ def detect_scheme(tag_sequences: Iterable[Sequence[str]]) -> Scheme:
     return Scheme.IOB1 if saw_orphan_i else Scheme.IOB2
 
 
-def parse_conll(
-    text: str,
-    token_column: int = 0,
-    tag_column: int = -1,
-    scheme: Scheme | None = None,
-) -> Corpus:
+def parse_conll(text: str) -> Corpus:
     """Parse CoNLL-style column text into a Corpus (canonical IOBES tags).
 
-    Columns are separated by runs of spaces/tabs; a blank line ends a
-    sentence; lines whose first column is ``-DOCSTART-`` are document markers
-    and are dropped.  When `scheme` is None the tagging scheme is
-    auto-detected over the whole input.
+    Columns are separated by runs of spaces/tabs; the token is the first
+    column and the tag the last.  A blank line ends a sentence; lines whose
+    first column is ``-DOCSTART-`` are document markers and are dropped.
+    The tagging scheme is auto-detected over the whole input.
     """
-    if token_column < 0:
-        raise ValueError("token_column must be non-negative")
-
     raw_sentences: list[tuple[int, list[str], list[str]]] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -394,31 +386,22 @@ def parse_conll(
             docstart_count += 1
             flush()
             continue
-        ncols = len(cols)
-        resolved_tag = tag_column if tag_column >= 0 else ncols + tag_column
-        if (
-            token_column >= ncols
-            or resolved_tag < 0
-            or resolved_tag >= ncols
-            or resolved_tag == token_column
-        ):
+        if len(cols) < 2:
             raise ParseError(
-                f"line {lineno}: too few columns ({ncols}) for token column "
-                f"{token_column} and tag column {tag_column}: {line!r}"
+                f"line {lineno}: too few columns ({len(cols)}) for a token "
+                f"and a tag: {line!r}"
             )
         try:
-            split_tag(cols[resolved_tag])
+            split_tag(cols[-1])
         except TagValidationError as exc:
             raise TagValidationError(f"line {lineno}: {exc}") from None
         if not tokens:
             first_line = lineno
-        tokens.append(cols[token_column])
-        tags.append(cols[resolved_tag])
+        tokens.append(cols[0])
+        tags.append(cols[-1])
     flush()
 
-    detected = scheme if scheme is not None else detect_scheme(
-        t for _, _, t in raw_sentences
-    )
+    detected = detect_scheme(t for _, _, t in raw_sentences)
 
     annotated: list[AnnotatedSentence] = []
     for index, (start_line, sent_tokens, sent_tags) in enumerate(raw_sentences):
@@ -454,15 +437,10 @@ def write_conll(corpus: Corpus) -> str:
     return "".join(blocks)
 
 
-def read_conll_file(
-    path: str,
-    token_column: int = 0,
-    tag_column: int = -1,
-    scheme: Scheme | None = None,
-) -> Corpus:
+def read_conll_file(path: str) -> Corpus:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    corpus = parse_conll(text, token_column, tag_column, scheme)
+    corpus = parse_conll(text)
     return Corpus(corpus.sentences, f"{path}: {corpus.provenance}")
 
 

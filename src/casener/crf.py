@@ -9,8 +9,8 @@ log-space recursion when the weights spread too widely for that; scores and
 Viterbi decoding are in log space.  All computation is double precision.
 
 Training encodes each distinct (tokens, tags) pair of the corpus once and
-weights it by how often it occurs; feature counts for `min_count` are still
-taken over the whole corpus.  The log-likelihood is `observed @ w` minus the
+weights it by how often it occurs; the feature map holds every feature some
+position of the corpus has.  The log-likelihood is `observed @ w` minus the
 summed logZ and its gradient is observed minus expected feature counts
 (Lafferty et al., 2001), where `_encode` builds `observed`, the gold feature
 counts laid out like the weights, once.  Those are sums of whole counts, so
@@ -570,7 +570,6 @@ def train(
     corpus: Corpus,
     template_set: TemplateSet,
     cfg: TrainConfig | None = None,
-    min_count: int = 1,
 ) -> CrfModel:
     """Fit a CRF on `corpus`; deterministic given the config.
 
@@ -581,12 +580,9 @@ def train(
     cfg = cfg or TrainConfig()
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
-    # The corpus is featurized once, per distinct sentence; the feature
-    # counts behind `min_count` weigh each one by its count, so they are
-    # over the whole corpus.
     distinct, counts = _distinct(corpus)
     featurized = feature_table(distinct, template_set)
-    fmap = feature_map_from_table(distinct, *featurized, min_count, counts)
+    fmap = feature_map_from_table(distinct, *featurized)
     enc = _encode(distinct, fmap, template_set, counts, featurized)
     result = scipy.optimize.minimize(
         _neg_ll_and_grad,
@@ -604,7 +600,6 @@ def train(
         "l2_sigma": cfg.l2_sigma,
         "max_epochs": cfg.max_epochs,
         "tolerance": cfg.tolerance,
-        "min_count": min_count,
         "training_sentences": len(corpus),
         "iterations": int(result.nit),
         "function_evaluations": int(result.nfev),

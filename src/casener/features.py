@@ -13,6 +13,8 @@ distinct token's attributes (lowercase form, shape, case class, affixes)
 once and builds every template as a numpy gather over the corpus' token-type
 IDs: an int32 (positions, slots) table of feature-name IDs, -1 where a
 template emits nothing.  Both give the same feature set at every position.
+A fitted `FeatureMap` holds, in sorted order, every feature that some
+position of the training corpus has.
 """
 
 from __future__ import annotations
@@ -197,12 +199,6 @@ def feature_table(
     return names, table
 
 
-def _cutoff_exempt(feature: str) -> bool:
-    # Shape and capitalization patterns are a small closed set; keep them all.
-    key = feature.partition("=")[0]
-    return key.startswith("sh") or key.startswith("cap")
-
-
 class FeatureMap:
     """Immutable bidirectional feature/tag <-> dense index mapping.
 
@@ -263,53 +259,26 @@ class FeatureMap:
             raise ValueError(f"unknown tag {tag!r}") from None
 
 
-def fit_feature_map(
-    corpus: Corpus, template_set: TemplateSet, min_count: int = 1
-) -> FeatureMap:
-    """Collect features occurring >= `min_count` times plus the corpus tag set.
+def fit_feature_map(corpus: Corpus, template_set: TemplateSet) -> FeatureMap:
+    """Collect every feature that occurs in `corpus`, plus its tag set.
 
-    Shape/pattern features are exempt from the cutoff.  Feature indices are
-    assigned lexicographically; the tag list puts "O" first and closes the
-    IOBES label space over every entity type seen (all of B/I/E/S per type),
-    so decoding constraints are always well-formed.
+    Feature indices are assigned lexicographically; the tag list puts "O"
+    first and closes the IOBES label space over every entity type seen (all
+    of B/I/E/S per type), so decoding constraints are always well-formed.
     """
     if len(corpus) == 0:
         raise ValueError("cannot fit a feature map on an empty corpus")
-    return feature_map_from_table(
-        corpus, *feature_table(corpus, template_set), min_count
-    )
+    return feature_map_from_table(corpus, *feature_table(corpus, template_set))
 
 
 def feature_map_from_table(
-    corpus: Corpus,
-    names: list[str],
-    table: np.ndarray,
-    min_count: int,
-    weights: np.ndarray | None = None,
+    corpus: Corpus, names: list[str], table: np.ndarray
 ) -> FeatureMap:
-    """`fit_feature_map` from the `feature_table` of `corpus`, where
-    sentence `i` occurs `weights[i]` times (default once).
-
-    With whole-number weights the counts are exact, so a corpus and its
-    distinct sentences weighted by their counts give the same map.
-    """
-    if min_count < 1:
-        raise ValueError("min_count must be at least 1")
-    if weights is not None:
-        lengths = np.fromiter(
-            (len(ann.sentence) for ann in corpus), dtype=np.int64,
-            count=len(corpus),
-        )
-        weights = np.repeat(np.repeat(weights, lengths), table.shape[1])
-    counts = np.bincount(
-        table.ravel() + 1, weights=weights, minlength=len(names) + 1
-    )[1:]
-    # A cutoff-exempt name must still occur: the table names sentinel
-    # shapes at offsets where no position has them.
-    kept = sorted(
-        names[i] for i in np.flatnonzero(counts)
-        if counts[i] >= min_count or _cutoff_exempt(names[i])
-    )
+    """`fit_feature_map` from the `feature_table` of `corpus`."""
+    # The table names sentinel shapes at offsets where no position has them;
+    # only the names some position holds are kept.
+    counts = np.bincount(table.ravel() + 1, minlength=len(names) + 1)[1:]
+    kept = sorted(names[i] for i in np.flatnonzero(counts))
     # A validated tag sequence puts every non-O tag in a span of its own
     # type, so the distinct tags name every entity type.
     distinct = {tag for ann in corpus for tag in ann.gold.tags} - {"O"}

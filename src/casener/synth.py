@@ -7,15 +7,18 @@ only entities when capitalized, acronym organizations are all-caps, and a
 slice of test entities never occurs in training.  Gold tags are derived
 from the slot positions, so annotations are scheme-valid by construction.
 
-Slot syntax inside templates: ``{PER}``/``{LOC}``/``{ORG}`` draw an entity
-of that type, ``{ANY}`` draws a random type, and ``{AMB:TYPE}`` flips a
-coin between an ambiguous entity of TYPE and its common-noun decoy.
+The vocabulary (gazetteers, templates and decoy nouns) is fixed in this
+module; a `SynthConfig` chooses only the seed, the split sizes and the
+noise rate.  Slot syntax inside templates: ``{PER}``/``{LOC}``/``{ORG}``
+draw an entity of that type, ``{ANY}`` draws a random type, and
+``{AMB:TYPE}`` flips a coin between an ambiguous entity of TYPE and its
+common-noun decoy.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .corpus import (
@@ -44,38 +47,12 @@ class SynthConfig:
     train_sentences: int
     test_sentences: int
     noise_rate: float
-    gazetteers: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    templates: tuple[tuple[str, ...], ...] = ()
-    decoys: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gazetteers", dict(self.gazetteers))
-        object.__setattr__(self, "decoys", dict(self.decoys))
         if self.train_sentences < 1 or self.test_sentences < 1:
             raise ValueError("sentence counts must be at least 1")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError("noise_rate must lie in [0, 1]")
-        if not self.gazetteers:
-            raise ValueError("at least one gazetteer is required")
-        for etype, entries in self.gazetteers.items():
-            if not entries:
-                raise ValueError(f"gazetteer for {etype!r} is empty")
-        if not self.templates:
-            raise ValueError("at least one template is required")
-        for template in self.templates:
-            for token in template:
-                slot = _parse_slot(token)
-                if slot is None:
-                    continue
-                kind, etype = slot
-                if kind in ("type", "amb") and etype not in self.gazetteers:
-                    raise ValueError(
-                        f"template slot {token!r} references unknown type"
-                    )
-                if kind == "amb" and not self.decoys.get(etype):
-                    raise ValueError(
-                        f"template slot {token!r} needs decoys for {etype!r}"
-                    )
 
 
 def _parse_slot(token: str) -> tuple[str, str | None] | None:
@@ -90,12 +67,12 @@ def _parse_slot(token: str) -> tuple[str, str | None] | None:
 
 
 def _split_pools(
-    rng: random.Random, gazetteers: Mapping[str, tuple[str, ...]]
+    rng: random.Random,
 ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     train: dict[str, list[str]] = {}
     test: dict[str, list[str]] = {}
-    for etype in sorted(gazetteers):
-        entries = list(gazetteers[etype])
+    for etype in sorted(_GAZETTEERS):
+        entries = list(_GAZETTEERS[etype])
         rng.shuffle(entries)
         n = len(entries)
         train_end = max(1, round(n * _TRAIN_POOL_FRACTION))
@@ -105,10 +82,8 @@ def _split_pools(
     return train, test
 
 
-def _ambiguous_subset(
-    pool: list[str], decoys: Mapping[str, tuple[str, ...]], etype: str
-) -> list[str]:
-    noun_forms = set(decoys.get(etype, ()))
+def _ambiguous_subset(pool: list[str], etype: str) -> list[str]:
+    noun_forms = set(_DECOYS.get(etype, ()))
     subset = [e for e in pool if e.lower() in noun_forms]
     return subset or pool
 
@@ -139,7 +114,7 @@ def _make_sentence(
             etype = rng.choice(types)
         assert etype is not None
         if kind == "amb" and rng.random() >= AMB_ENTITY_PROBABILITY:
-            tokens.append(rng.choice(cfg.decoys[etype]))
+            tokens.append(rng.choice(_DECOYS[etype]))
             continue
         phrase = rng.choice(ambiguous[etype] if kind == "amb" else pools[etype])
         parts = phrase.split()
@@ -161,17 +136,17 @@ def _make_sentence(
 def generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
     """Produce (train, test) corpora; fully deterministic given cfg.seed."""
     rng = random.Random(cfg.seed)
-    train_pools, test_pools = _split_pools(rng, cfg.gazetteers)
+    train_pools, test_pools = _split_pools(rng)
     # Everything that draws no random number is prepared once per call.
     templates = [
         tuple((element, _parse_slot(element)) for element in template)
-        for template in cfg.templates
+        for template in _TEMPLATES
     ]
-    types = sorted(cfg.gazetteers)
+    types = sorted(_GAZETTEERS)
 
     def sentences(pools: dict[str, list[str]], n: int):
         ambiguous = {
-            etype: _ambiguous_subset(pool, cfg.decoys, etype)
+            etype: _ambiguous_subset(pool, etype)
             for etype, pool in pools.items()
         }
         return tuple(
@@ -295,6 +270,22 @@ _DEFAULT_TEMPLATES = (
 )
 
 
+_GAZETTEERS: Mapping[str, tuple[str, ...]] = {
+    "PER": tuple(
+        f"{first} {last}"
+        for first, last in zip(_PER_FIRST + _PER_FIRST[:8], _PER_LAST + _PER_LAST[8:])
+    ) + _PER_AMBIGUOUS,
+    "LOC": _LOC_PLAIN + _LOC_AMBIGUOUS,
+    "ORG": _ORG_ACRONYM + _ORG_NAMED,
+}
+_TEMPLATES = tuple(tuple(template.split()) for template in _DEFAULT_TEMPLATES)
+#: The common nouns an {AMB:TYPE} slot can resolve to instead of an entity.
+_DECOYS: Mapping[str, tuple[str, ...]] = {
+    "PER": tuple(w.lower() for w in _PER_AMBIGUOUS),
+    "LOC": tuple(w.lower() for w in _LOC_AMBIGUOUS),
+}
+
+
 def default_config(
     seed: int = 42,
     train_sentences: int = 2000,
@@ -302,25 +293,9 @@ def default_config(
     noise_rate: float = 0.05,
 ) -> SynthConfig:
     """The standard synthetic setup used by the experiment harness."""
-    per = tuple(
-        f"{first} {last}"
-        for first, last in zip(_PER_FIRST + _PER_FIRST[:8], _PER_LAST + _PER_LAST[8:])
-    ) + _PER_AMBIGUOUS
     return SynthConfig(
         seed=seed,
         train_sentences=train_sentences,
         test_sentences=test_sentences,
         noise_rate=noise_rate,
-        gazetteers={
-            "PER": per,
-            "LOC": _LOC_PLAIN + _LOC_AMBIGUOUS,
-            "ORG": _ORG_ACRONYM + _ORG_NAMED,
-        },
-        templates=tuple(
-            tuple(template.split()) for template in _DEFAULT_TEMPLATES
-        ),
-        decoys={
-            "PER": tuple(w.lower() for w in _PER_AMBIGUOUS),
-            "LOC": tuple(w.lower() for w in _LOC_AMBIGUOUS),
-        },
     )

@@ -192,34 +192,35 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     """
     if len(corpus) == 0:
         raise ValueError("cannot train a truecaser on an empty corpus")
-    case_counts: dict[str, dict[CaseClass, float]] = defaultdict(
-        lambda: defaultdict(float)
-    )
+    # word -> class -> one-element list holding the count
+    case_counts: dict[str, dict[CaseClass, list[float]]] = {}
     mixed_counts: dict[str, Counter[str]] = defaultdict(Counter)
     initial: dict[CaseClass, float] = defaultdict(float)
-    # Each distinct token is classified and lowercased once; the counts
-    # still accumulate per occurrence, in corpus order, so the float sums
-    # do not depend on how the work is shared.
-    seen: dict[str, tuple[CaseClass, str]] = {}
+    # Each distinct token is classified and lowercased once, and `seen`
+    # keeps its word's row and its own class's cell, so an occurrence
+    # inside a sentence hashes no CaseClass.  The counts still accumulate
+    # per occurrence, in corpus order, so the float sums do not depend on
+    # how the work is shared.
+    seen: dict[str, tuple] = {}
     for ann in corpus:
         for pos, token in enumerate(ann.sentence.tokens):
             known = seen.get(token)
             if known is None:
-                known = seen[token] = (classify_case(token), token.lower())
-            cls, lowered = known
+                cls, lowered = classify_case(token), token.lower()
+                row = case_counts.setdefault(lowered, {})
+                known = seen[token] = (
+                    cls, lowered, row, row.setdefault(cls, [0.0])
+                )
+            cls, lowered, row, cell = known
             if pos == 0:
                 initial[cls] += 1.0
-                if cls is CaseClass.INIT_CAP:
-                    case_counts[lowered][CaseClass.INIT_CAP] += (
-                        INITIAL_INIT_CAP_WEIGHT
-                    )
-                    case_counts[lowered][CaseClass.LOWER] += (
-                        1.0 - INITIAL_INIT_CAP_WEIGHT
-                    )
-                else:
-                    case_counts[lowered][cls] += 1.0
+            if pos == 0 and cls is CaseClass.INIT_CAP:
+                cell[0] += INITIAL_INIT_CAP_WEIGHT
+                row.setdefault(CaseClass.LOWER, [0.0])[0] += (
+                    1.0 - INITIAL_INIT_CAP_WEIGHT
+                )
             else:
-                case_counts[lowered][cls] += 1.0
+                cell[0] += 1.0
             if cls is CaseClass.MIXED:
                 mixed_counts[lowered][token] += 1
     mixed_surface = {
@@ -227,7 +228,10 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
         for word, counter in mixed_counts.items()
     }
     return Truecaser(
-        {w: dict(c) for w, c in case_counts.items()},
+        {
+            word: {cls: cell[0] for cls, cell in row.items()}
+            for word, row in case_counts.items()
+        },
         mixed_surface,
         dict(initial),
     )

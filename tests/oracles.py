@@ -50,18 +50,15 @@ def emission_table(model: CrfModel, sentence) -> np.ndarray:
     return out
 
 
-def fit_feature_map_reference(corpus, template_set, min_count: int) -> FeatureMap:
-    """`fit_feature_map` by counting `extract` at every position."""
-    counts: Counter[str] = Counter()
+def fit_feature_map_reference(corpus, template_set) -> FeatureMap:
+    """`fit_feature_map` by collecting `extract` at every position."""
+    seen: set[str] = set()
     types: set[str] = set()
     for ann in corpus:
         for i in range(len(ann.sentence)):
-            counts.update(extract(ann.sentence, i, template_set))
+            seen.update(extract(ann.sentence, i, template_set))
         types.update(span.entity_type for span in extract_spans(ann.gold))
-    kept = sorted(
-        f for f, n in counts.items()
-        if n >= min_count or f.partition("=")[0].startswith(("sh", "cap"))
-    )
+    kept = sorted(seen)
     tags = ("O",) + tuple(
         sorted(f"{p}-{t}" for t in types for p in ("B", "I", "E", "S"))
     )

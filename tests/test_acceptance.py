@@ -1,8 +1,9 @@
 """Acceptance suite: one test per acceptance criterion.
 
 Each criterion prints a single PASS/FAIL line (run with ``pytest -s`` to see
-them as they happen).  The synthetic strategy grid (criteria 4 and 5) trains
-four models at full scale and takes a few minutes; everything else is fast.
+them as they happen).  The synthetic strategy grid (criteria 4 and 5) is one
+`run_grid`, which trains three models at full scale (truecasing reuses the
+baseline model) and takes a minute or so; everything else is fast.
 Criterion 6 needs CoNLL-2003 English data and is skipped unless
 ``CASENER_CONLL2003_DIR`` points at a directory containing ``eng.train`` and
 ``eng.testb``.
@@ -17,21 +18,19 @@ import time
 import numpy as np
 import pytest
 
-from casener.corpus import Corpus, Scheme, TagSequence, read_conll_file
+from casener.corpus import Corpus, Scheme, TagSequence
 from casener.crf import (
     TrainConfig,
     decode,
     log_likelihood_and_gradient,
     log_partition,
     score_sequence,
-    train,
 )
 from casener.crf import _encode, _neg_ll_and_grad, _pack  # objective internals
-from casener.evaluation import evaluate, robustness_grid
-from casener.harness import ExperimentConfig, Strategy, run_experiment, training_view
-from casener.synth import default_config, generate
+from casener.evaluation import evaluate
+from casener.harness import ExperimentConfig, Strategy, run_experiment, run_grid
+from casener.synth import default_config
 from casener.transforms import CaseVariant
-from casener.truecase import train_truecaser
 from conftest import random_model, random_sentence, random_tagging
 from oracles import (
     conlleval_counts,
@@ -158,24 +157,21 @@ def test_criterion_3_metric_correctness():
     )
 
 
+def _strategy_grids(**data) -> dict:
+    """Strategy -> F1 grid, from one `run_grid` of all four strategies on
+    the data source `data` (ExperimentConfig fields), stock hyperparameters."""
+    results, _ = run_grid(
+        [ExperimentConfig(strategy=strategy, **data) for strategy in Strategy]
+    )
+    return {result.config.strategy: result.grid for result in results}
+
+
 @pytest.fixture(scope="module")
 def synthetic_grid():
     """The full strategy grid on the standard synthetic dataset
-    (seed 42, 2000 train / 500 test, noise rate 0.05), stock hyperparameters."""
-    train_corpus, test_corpus = generate(default_config())
+    (seed 42, 2000 train / 500 test, noise rate 0.05)."""
     start = time.time()
-    grids = {}
-    for strategy in Strategy:
-        view, template_set = training_view(train_corpus, strategy)
-        model = train(view, template_set, TrainConfig())
-        truecaser = (
-            train_truecaser(train_corpus)
-            if strategy is Strategy.TRUECASING
-            else None
-        )
-        grids[strategy] = robustness_grid(
-            model, test_corpus, truecaser=truecaser
-        )
+    grids = _strategy_grids(synth=default_config())
     return grids, time.time() - start
 
 
@@ -281,20 +277,7 @@ def test_criterion_6_conll2003_orderings():
     test_path = os.path.join(CONLL_DIR, "eng.testb")
     assert os.path.exists(train_path) and os.path.exists(test_path)
     start = time.time()
-    train_corpus = read_conll_file(train_path)
-    test_corpus = read_conll_file(test_path)
-    grids = {}
-    for strategy in Strategy:
-        view, template_set = training_view(train_corpus, strategy)
-        model = train(view, template_set, TrainConfig())
-        truecaser = (
-            train_truecaser(train_corpus)
-            if strategy is Strategy.TRUECASING
-            else None
-        )
-        grids[strategy] = robustness_grid(
-            model, test_corpus, truecaser=truecaser
-        )
+    grids = _strategy_grids(train_path=train_path, test_path=test_path)
     elapsed = time.time() - start
     f1 = lambda s, v: 100 * grids[s][v].f1  # noqa: E731
     O, L, U = CaseVariant.ORIGINAL, CaseVariant.LOWER, CaseVariant.UPPER

@@ -109,24 +109,19 @@ class TestParse:
             parse_conll(text)
 
     def test_illegal_transition_reports_sentence_and_position(self):
-        text = "A O\nB I-ORG\nC B-ORG\n\n"  # I-ORG cannot open in IOB2... auto-detects IOB1
-        # Force IOB2 so the orphan I is an error.
+        text = "A S-ORG\nB I-ORG\n\n"  # S- makes it IOBES; I- cannot follow S-
         with pytest.raises(TagValidationError, match="sentence 1.*position 1"):
-            parse_conll(text, scheme=Scheme.IOB2)
+            parse_conll(text)
 
     def test_crlf_and_column_selection(self):
+        # The token is the first column and the tag the last.
         text = "Alpha NNP I-NP S-LOC\r\nbeta NN I-NP O\r\n\r\n"
-        corpus = parse_conll(text, token_column=0, tag_column=-1)
+        corpus = parse_conll(text)
         assert corpus.sentences[0].sentence.tokens == ("Alpha", "beta")
         assert corpus.sentences[0].gold.tags == ("S-LOC", "O")
 
-    def test_tag_column_override(self):
-        text = "Alpha B-LOC x\nbeta O x\n\n"
-        corpus = parse_conll(text, tag_column=1)
-        assert corpus.sentences[0].gold.tags == ("S-LOC", "O")
-
     def test_one_column_line_is_malformed(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 1"):
             parse_conll("token\n")
 
 

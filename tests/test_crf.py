@@ -37,7 +37,6 @@ from casener.evaluation import evaluate
 from casener.features import (
     FeatureMap,
     TemplateSet,
-    feature_map_from_table,
     feature_table,
     fit_feature_map,
 )
@@ -596,31 +595,12 @@ class TestDistinctTraining:
         assert np.array_equal(grouped.observed, enc.observed)
         np.testing.assert_allclose(grad, -neg_grad, rtol=1e-12, atol=1e-10)
 
-    def test_min_count_counts_every_copy(self):
-        twice = AnnotatedSentence(
-            Sentence(("zebra", "runs")), TagSequence(("S-PER", "O"), Scheme.IOBES)
-        )
-        once = AnnotatedSentence(
-            Sentence(("a", "cat")), TagSequence(("O", "O"), Scheme.IOBES)
-        )
-        corpus = Corpus((twice, once, twice))
-        fmap = fit_feature_map(corpus, TemplateSet.CASE_AWARE, min_count=2)
-        model = train(corpus, TemplateSet.CASE_AWARE, TrainConfig(max_epochs=1),
-                      min_count=2)
-        assert model.feature_map == fmap
-        assert fmap.feature_index("w0=zebra") is not None
-        assert fmap.feature_index("w0=cat") is None
-        assert model.metadata["training_sentences"] == 3
-
-    @given(corpus=_corpus_with_repeats(), min_count=st.integers(1, 3),
+    @given(corpus=_corpus_with_repeats(),
            template_set=st.sampled_from(list(TemplateSet)))
-    def test_weighted_fit_matches_full_corpus(self, corpus, min_count,
-                                              template_set):
-        distinct, counts = crf._distinct(corpus)
-        weighted = feature_map_from_table(
-            distinct, *feature_table(distinct, template_set), min_count, counts
-        )
-        assert weighted == fit_feature_map(corpus, template_set, min_count)
+    def test_fit_matches_distinct_sentences(self, corpus, template_set):
+        distinct, _ = crf._distinct(corpus)
+        assert (fit_feature_map(distinct, template_set)
+                == fit_feature_map(corpus, template_set))
 
     def test_train_featurizes_once(self, monkeypatch):
         tables = []
@@ -632,8 +612,7 @@ class TestDistinctTraining:
         monkeypatch.setattr(crf, "feature_table", counting)
         monkeypatch.setattr(features, "feature_table", counting)
         corpus = Corpus(separable_corpus().sentences * 3)
-        train(corpus, TemplateSet.CASE_AWARE, TrainConfig(max_epochs=2),
-              min_count=2)
+        train(corpus, TemplateSet.CASE_AWARE, TrainConfig(max_epochs=2))
         assert tables == [len(crf._distinct(corpus)[0])]
 
     def test_independent_of_string_hash_seed(self):

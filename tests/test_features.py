@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -18,6 +20,8 @@ from casener.features import (
     fit_feature_map,
     word_shape,
 )
+from casener.harness import Strategy, training_view
+from casener.synth import default_config, generate
 from casener.transforms import to_lower, to_upper
 from conftest import iobes_taggings, random_corpus, random_sentence
 from oracles import feature_rows_reference, fit_feature_map_reference
@@ -110,16 +114,11 @@ class TestFeatureMap:
         from casener.corpus import parse_conll
 
         corpus = parse_conll("I O\nlive O\nin O\nNew B-ORG\nYork I-ORG\nCity E-ORG\n\n")
-        fmap = fit_feature_map(corpus, TemplateSet.CASE_AWARE, min_count=1)
+        fmap = fit_feature_map(corpus, TemplateSet.CASE_AWARE)
         assert fmap.feature_index("w0=york") is not None
         assert "B-ORG" in fmap.tags
         assert fmap.tags[0] == "O"
         assert fmap.tags == ("O", "B-ORG", "E-ORG", "I-ORG", "S-ORG")
-
-    def test_min_count_filters_but_not_shape_or_cap(self, rng):
-        corpus = random_corpus(rng, sentences=10)
-        fmap = fit_feature_map(corpus, TemplateSet.CASE_AWARE, min_count=10**6)
-        assert all(f.partition("=")[0].startswith(("sh", "cap")) for f in fmap.features)
 
     def test_fit_deterministic_under_shuffle(self, rng):
         corpus = random_corpus(rng, sentences=15)
@@ -183,17 +182,16 @@ def _corpus(*sentences):
     ))
 
 
-@pytest.mark.parametrize("min_count", [1, 2])
 @pytest.mark.parametrize("template_set", list(TemplateSet))
 @given(st.lists(_annotated(), min_size=1, max_size=6).map(
     lambda a: Corpus(tuple(a))
 ))
 @example(_corpus(("<s>",), ("İ", "ẞ", "ﬁ"), ("a", "</s>", "<s>")))
-def test_feature_table_matches_extract(template_set, min_count, corpus):
-    """fit_feature_map and _encode's feature rows equal counting and
+def test_feature_table_matches_extract(template_set, corpus):
+    """fit_feature_map and _encode's feature rows equal collecting and
     looking up `extract` position by position."""
-    fmap = fit_feature_map(corpus, template_set, min_count=min_count)
-    assert fmap == fit_feature_map_reference(corpus, template_set, min_count)
+    fmap = fit_feature_map(corpus, template_set)
+    assert fmap == fit_feature_map_reference(corpus, template_set)
     rows = _encode(corpus, fmap, template_set).feature_rows
     indices, indptr = feature_rows_reference(corpus, fmap, template_set)
     assert np.array_equal(rows.indices, indices)
@@ -224,3 +222,26 @@ def test_case_agnostic_features_ignore_lowercasing(sentence):
         )
         rows.append([{names[j] for j in row if j >= 0} for row in table])
     assert rows[0] == rows[1]
+
+
+def test_default_feature_maps_are_pinned():
+    """The feature maps of the seed-42 training views hash as recorded
+    (sha256 of the newline-joined names), which pins every feature name
+    and tag the featurizer keeps."""
+    train, _ = generate(default_config(42))
+
+    def digest(strings):
+        return hashlib.sha256("\n".join(strings).encode("utf-8")).hexdigest()
+
+    tags = "191cb7a21247baad6c0335e616334c994f33af0b76578226dac437dfc90de437"
+    expected = {
+        Strategy.BASELINE:
+            "9b0121facc6153f40492b4ecb1088a2d299cf27ddeb4fea9877d97593f23bfe0",
+        Strategy.CASELESS:
+            "14a83feb17aa77f32e4dfa6a53be512d6dddb795c38916a74d7488418709001b",
+        Strategy.AUGMENT:
+            "1398c8c36925bd7c4772907249213f52b33722260e6a6fbef7f471d5d5692553",
+    }
+    for strategy, features in expected.items():
+        fmap = fit_feature_map(*training_view(train, strategy))
+        assert (digest(fmap.features), digest(fmap.tags)) == (features, tags)

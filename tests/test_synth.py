@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from casener import synth
 from casener.corpus import Scheme, extract_spans, validate_tags, write_conll
 from casener.synth import SynthConfig, default_config, generate, vocabulary_overlap
 
@@ -18,23 +19,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             default_config(train_sentences=0)
         with pytest.raises(ValueError):
+            default_config(test_sentences=0)
+        with pytest.raises(ValueError):
             default_config(noise_rate=1.5)
         with pytest.raises(ValueError):
             SynthConfig(seed=1, train_sentences=1, test_sentences=1,
-                        noise_rate=0.0, gazetteers={}, templates=(("a",),))
-        with pytest.raises(ValueError):
-            SynthConfig(seed=1, train_sentences=1, test_sentences=1,
-                        noise_rate=0.0, gazetteers={"PER": ("Ann",)},
-                        templates=())
-        with pytest.raises(ValueError):
-            SynthConfig(seed=1, train_sentences=1, test_sentences=1,
-                        noise_rate=0.0, gazetteers={"PER": ("Ann",)},
-                        templates=(("{LOC}",),))
-        with pytest.raises(ValueError):
-            # AMB slot without decoys for the type
-            SynthConfig(seed=1, train_sentences=1, test_sentences=1,
-                        noise_rate=0.0, gazetteers={"PER": ("Ann",)},
-                        templates=(("{AMB:PER}",),))
+                        noise_rate=-0.1)
 
 
 class TestGenerate:
@@ -86,13 +76,14 @@ class TestGenerate:
             validate_tags(ann.gold.tags, Scheme.IOBES)
             assert len(ann.gold) == len(ann.sentence)
 
-    def test_every_slot_yields_exactly_one_span(self):
-        cfg = SynthConfig(
-            seed=3, train_sentences=200, test_sentences=1, noise_rate=0.0,
-            gazetteers={"PER": ("Ada Lovelace", "Grace Hopper"),
-                        "LOC": ("Oslo",)},
-            templates=(("met", "{PER}", "in", "{LOC}"),),
-        )
+    def test_every_slot_yields_exactly_one_span(self, monkeypatch):
+        monkeypatch.setattr(synth, "_GAZETTEERS", {
+            "PER": ("Ada Lovelace", "Grace Hopper"), "LOC": ("Oslo",),
+        })
+        monkeypatch.setattr(synth, "_TEMPLATES",
+                            (("met", "{PER}", "in", "{LOC}"),))
+        cfg = SynthConfig(seed=3, train_sentences=200, test_sentences=1,
+                          noise_rate=0.0)
         train, _ = generate(cfg)
         for ann in train:
             spans = extract_spans(ann.gold)
