@@ -14,10 +14,12 @@ position of the corpus has.  The log-likelihood is `observed @ w` minus the
 summed logZ and its gradient is observed minus expected feature counts
 (Lafferty et al., 2001), where `_encode` builds `observed`, the gold feature
 counts laid out like the weights, once.  Those are sums of whole counts, so
-the gold score is bitwise that of encoding every sentence.  The expected
-counts and logZ sum in another order where pairs repeat, so there the
-trained weights agree with per-sentence training only to the last bits (the
-iteration counts and decoded tags were the same on the synthetic data).
+the gold score is bitwise that of encoding every sentence.  The objective
+runs one forward-backward pass over all the distinct pairs, packed time-major
+with the longest first (`_packed`), so the expected counts and logZ sum in
+another order than sentence by sentence: the trained weights agree with
+per-sentence training only to the last bits (the iteration counts and
+decoded tags were the same on the synthetic data).
 
 Training normalizes over the full tag alphabet (no transition masking);
 the IOBES constraints are applied only at decode time, which guarantees
@@ -210,11 +212,11 @@ def posteriors(
     Node marginals sum to 1 per position; edge marginals marginalize to the
     node marginals on both sides.
     """
-    emit = _emissions(model, sentence)
     logz, node, edge = _forward_backward(
-        emit[None], _chain(model.begin, model.end, model.transition)
+        _emissions(model, sentence), np.array([len(sentence)]), np.ones(1),
+        model.begin, model.end, model.transition,
     )
-    return float(logz[0]), node[0], edge
+    return float(logz[0]), node, edge
 
 
 #: Largest summed weight spread (nats) the scaled kernel accepts: see
@@ -222,107 +224,107 @@ def posteriors(
 _MAX_SCALED_SPREAD = 200.0
 
 
-@dataclass(frozen=True)
-class _Chain:
-    """Begin, end and transition weights with the terms of the scaled kernel
-    that depend on them alone, so an objective call computes those once
-    rather than once per length bucket.
+def _packed(
+    lengths: np.ndarray,
+) -> tuple[list[tuple[slice, slice]], np.ndarray, np.ndarray]:
+    """The time-major layout of a batch of sentences ordered longest first.
 
-    `spread` is the summed spread (max - min) of the three.  The
-    exponentiated weights, each relative to its maximum, are None when
-    `spread` alone rules the scaled kernel out: non-finite weights would
-    make their exps NaN.
+    Step t holds one row per sentence longer than t, in batch order, so
+    every step's sentences are a prefix of the batch (the layout of
+    `torch.nn.utils.rnn.pack_padded_sequence`).  Returns, for each step
+    t >= 1, the rows of step t - 1 that continue into step t and the rows of
+    step t; the batch rank of every row; and every sentence's last row.
     """
-
-    begin: np.ndarray
-    end: np.ndarray
-    trans: np.ndarray
-    spread: float
-    bmax: float
-    fmax: float
-    tmax: float
-    e_begin: np.ndarray | None
-    e_end: np.ndarray | None
-    e_trans: np.ndarray | None
-
-
-def _chain(begin: np.ndarray, end: np.ndarray, trans: np.ndarray) -> _Chain:
-    bmax, fmax, tmax = begin.max(), end.max(), trans.max()
-    spread = (tmax - trans.min()) + (bmax - begin.min()) + (fmax - end.min())
-    if not spread <= _MAX_SCALED_SPREAD:
-        return _Chain(begin, end, trans, spread, bmax, fmax, tmax,
-                      None, None, None)
-    return _Chain(
-        begin, end, trans, spread, bmax, fmax, tmax,
-        np.exp(begin - bmax), np.exp(end - fmax), np.exp(trans - tmax),
-    )
+    # sizes[t] counts the sentences longer than t.
+    sizes = np.cumsum(np.bincount(lengths)[:0:-1])[::-1]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    steps = [
+        (slice(start, start + size), slice(stop, stop + size))
+        for start, stop, size in zip(
+            offsets[:-2].tolist(), offsets[1:-1].tolist(), sizes[1:].tolist()
+        )
+    ]
+    rank = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
+    last = offsets[lengths - 1] + np.arange(len(lengths))
+    return steps, rank, last
 
 
 def _forward_backward(
-    emit: np.ndarray, chain: _Chain, weights: np.ndarray | None = None
+    emit: np.ndarray,
+    lengths: np.ndarray,
+    weights: np.ndarray,
+    begin: np.ndarray,
+    end: np.ndarray,
+    trans: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward-backward over S sentences of equal length L.
+    """Forward-backward over a batch of S sentences in one pass.
 
-    `emit` has shape (S, L, K).  Returns logZ per sentence (S,), node
-    marginals (S, L, K), and edge marginals summed over the batch with
-    per-sentence `weights` (default 1.0 each), shape (L-1, K, K).
+    `lengths` (S,) are the sentence lengths, longest first, and `emit` has
+    one emission row (K,) per position, laid out as `_packed` describes.
+    Returns logZ per sentence (S,), node marginals in `emit`'s row order,
+    and per step the edge marginals into it summed over the batch with
+    per-sentence `weights`, shape (max(lengths) - 1, K, K).
 
-    The recursion runs in probability space (Rabiner, 1989): every factor is
-    exponentiated relative to its maximum, the forward row is normalized at
-    each step, and the logs of those scales sum to logZ; the backward pass
-    reuses the forward scales.  Each step is one (S, K) @ (K, K) matmul.
+    The recursion runs in probability space (Rabiner, 1989; Sutton &
+    McCallum, 2012, section 4): every factor is exponentiated relative to
+    its maximum, the forward rows are normalized at each step, and the logs
+    of those scales sum to logZ; the backward pass reuses the forward
+    scales and starts each sentence at its own last step.  Each step is one
+    matmul over the sentences still running.
 
     Every exponentiated factor lies in [exp(-d), 1], where d is the spread
     (max - min) of the transition weights plus that of the begin weights,
-    the end weights and the widest per-position emission row.  Every
+    the end weights and the widest emission row of the batch.  Every
     intermediate product is then at least about exp(-3d) / K^2, so the
     scaled path runs only when d <= `_MAX_SCALED_SPREAD` (200 nats), which
     keeps it above the smallest normal double (exp(-708)).  A wider or
-    non-finite spread falls back to the log-space recursion
-    (`_forward_backward_log`) for that batch.
+    non-finite spread sends the whole batch to the log-space recursion
+    (`_forward_backward_log`).
     """
-    s, length, k = emit.shape
-    if weights is None:
-        weights = np.ones(s)
-    emax = emit.max(axis=2)
-    ex = emit - emax[:, :, None]
-    spread = chain.spread - ex.min()
+    emax = emit.max(axis=1)
+    ex = emit - emax[:, None]
+    bmax, fmax, tmax = begin.max(), end.max(), trans.max()
+    spread = (
+        (tmax - trans.min()) + (bmax - begin.min()) + (fmax - end.min())
+        - ex.min()
+    )
     if not spread <= _MAX_SCALED_SPREAD:
-        return _forward_backward_log(
-            emit, chain.begin, chain.end, chain.trans, weights
-        )
+        return _forward_backward_log(emit, lengths, weights, begin, end, trans)
 
-    tm = chain.e_trans
+    steps, rank, last = _packed(lengths)
+    s = len(lengths)
+    tm = np.exp(trans - tmax)
     np.exp(ex, out=ex)
-
-    a = np.empty((s, length, k))
-    c = np.empty((s, length))
-    a_t = ex[:, 0] * chain.e_begin
-    for t in range(length):
-        if t:
-            a_t = (a[:, t - 1] @ tm) * ex[:, t]
-        c[:, t] = a_t.sum(axis=1)
-        a[:, t] = a_t / c[:, t, None]
-    z = a[:, length - 1] @ chain.e_end
+    a = np.empty_like(ex)
+    c = np.empty(len(ex))
+    a_t = ex[:s] * np.exp(begin - bmax)
+    c[:s] = a_t.sum(axis=1)
+    a[:s] = a_t / c[:s, None]
+    for prev, cur in steps:
+        a_t = (a[prev] @ tm) * ex[cur]
+        c[cur] = a_t.sum(axis=1)
+        a[cur] = a_t / c[cur, None]
+    z = a[last] @ np.exp(end - fmax)
     logz = (
-        emax.sum(axis=1) + (length - 1) * chain.tmax + chain.bmax + chain.fmax
-        + np.log(c).sum(axis=1) + np.log(z)
+        np.bincount(rank, weights=emax + np.log(c), minlength=s)
+        + (lengths - 1) * tmax + bmax + fmax + np.log(z)
     )
 
-    # b is the scaled backward vector; ex[:, t] is overwritten with
-    # ex * b / c, the right-hand factor of the edge marginals into t.
-    node = np.empty((s, length, k))
-    edge = np.empty((length - 1, k, k))
-    b = chain.e_end[None, :] / z[:, None]
-    weighted_a = a * weights[:, None, None]
-    for t in range(length - 1, 0, -1):
-        node[:, t] = a[:, t] * b
-        v = ex[:, t]
-        v *= b / c[:, t, None]
-        edge[t - 1] = tm * (weighted_a[:, t - 1].T @ v)
-        b = v @ tm.T
-    node[:, 0] = a[:, 0] * b
-    return logz, node, edge
+    # b[i] is sentence i's scaled backward vector at the current step.  a
+    # is overwritten with the node marginals a * b, and ex with ex * b / c,
+    # the right-hand factor of the edge marginals into a step.
+    edge = np.empty((len(steps), *trans.shape))
+    b = np.exp(end - fmax)[None, :] / z[:, None]
+    for t, (prev, cur) in reversed(list(enumerate(steps))):
+        n = cur.stop - cur.start
+        b_t = b[:n]
+        v = ex[cur]
+        v *= b_t / c[cur, None]
+        edge[t] = tm * ((a[prev] * weights[:n, None]).T @ v)
+        a[cur] *= b_t
+        b_t[:] = v @ tm.T
+    a[:s] *= b
+    return logz, a, edge
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -335,46 +337,43 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def _forward_backward_log(
     emit: np.ndarray,
+    lengths: np.ndarray,
+    weights: np.ndarray,
     begin: np.ndarray,
     end: np.ndarray,
     trans: np.ndarray,
-    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-space forward-backward: `_forward_backward`'s fallback for
     weight spreads that would underflow in probability space.  Same
-    results; the chain weights come as separate arrays."""
-    s, length, k = emit.shape
-    if weights is None:
-        weights = np.ones(s)
-    alpha = np.empty((s, length, k))
-    alpha[:, 0] = begin[None, :] + emit[:, 0]
-    for t in range(1, length):
-        alpha[:, t] = (
-            _logsumexp(alpha[:, t - 1][:, :, None] + trans[None], axis=1)
-            + emit[:, t]
+    arguments, layout and results."""
+    steps, rank, last = _packed(lengths)
+    s = len(lengths)
+    alpha = np.empty_like(emit)
+    alpha[:s] = begin[None, :] + emit[:s]
+    for prev, cur in steps:
+        alpha[cur] = (
+            _logsumexp(alpha[prev][:, :, None] + trans[None], axis=1)
+            + emit[cur]
         )
-    logz = _logsumexp(alpha[:, length - 1] + end[None, :], axis=1)
+    logz = _logsumexp(alpha[last] + end[None, :], axis=1)
 
-    beta = np.empty((s, length, k))
-    beta[:, length - 1] = end[None, :]
-    for t in range(length - 2, -1, -1):
-        beta[:, t] = _logsumexp(
-            trans[None] + (emit[:, t + 1] + beta[:, t + 1])[:, None, :],
-            axis=2,
-        )
-
-    node = np.exp(alpha + beta - logz[:, None, None])
-    edge = np.empty((length - 1, k, k))
-    for t in range(1, length):
-        edge[t - 1] = (
+    # A sentence's beta starts at its last row; the rows of step t - 1 that
+    # continue into step t take theirs from it.
+    beta = np.empty_like(emit)
+    beta[last] = end[None, :]
+    edge = np.empty((len(steps), *trans.shape))
+    for t, (prev, cur) in reversed(list(enumerate(steps))):
+        n = cur.stop - cur.start
+        right = (emit[cur] + beta[cur])[:, None, :]
+        beta[prev] = _logsumexp(trans[None] + right, axis=2)
+        edge[t] = (
             np.exp(
-                alpha[:, t - 1][:, :, None]
-                + trans[None]
-                + (emit[:, t] + beta[:, t])[:, None, :]
-                - logz[:, None, None]
+                alpha[prev][:, :, None] + trans[None] + right
+                - logz[:n, None, None]
             )
-            * weights[:, None, None]
+            * weights[:n, None, None]
         ).sum(axis=0)
+    node = np.exp(alpha + beta - logz[rank, None])
     return logz, node, edge
 
 
@@ -386,19 +385,22 @@ def _forward_backward_log(
 class _EncodedCorpus:
     """Corpus pre-digested for repeated objective evaluations.
 
+    The sentences are ordered longest first (a stable sort); `lengths` and
+    `counts` hold their lengths and how often each counts, in that order.
     `feature_rows` is a (total_positions, num_features) binary indicator
-    matrix and `feature_cols` its transpose (a CSC view of the same
-    arrays); `buckets` pairs the position rows of the sentences of each
-    length with their counts, so the forward and backward recursions
-    vectorize across sentences without padding.  `observed` holds the
-    count-weighted gold feature counts, laid out like the weights (`_pack`
-    order): the log-likelihood is `observed @ w` minus the summed logZ, and
-    its gradient is `observed` minus the expected counts.
+    matrix with the positions laid out time-major as `_packed` describes,
+    and `feature_cols` its transpose (a CSC view of the same arrays), so
+    one forward-backward pass covers the corpus without padding.
+    `observed` holds the count-weighted gold feature counts, laid out like
+    the weights (`_pack` order): the log-likelihood is `observed @ w` minus
+    the summed logZ, and its gradient is `observed` minus the expected
+    counts.
     """
 
     feature_rows: scipy.sparse.csr_matrix
     feature_cols: scipy.sparse.csc_matrix
-    buckets: list[tuple[np.ndarray, np.ndarray]]
+    lengths: np.ndarray
+    counts: np.ndarray
     observed: np.ndarray
     num_tags: int
 
@@ -420,11 +422,27 @@ def _encode(
     featurized: tuple[list[str], np.ndarray] | None = None,
 ) -> _EncodedCorpus:
     """Encode every sentence of `corpus`; sentence `i` counts `counts[i]`
-    times in the objective (default once), both in the length buckets and
-    in the gold statistics `observed`.  `featurized` is the corpus'
-    `feature_table`, computed here if not given."""
+    times in the objective (default once), both in the forward-backward
+    weights and in the gold statistics `observed`.  `featurized` is the
+    corpus' `feature_table`, computed here if not given."""
     k = fmap.num_tags
     names, table = featurized or feature_table(corpus, template_set)
+    lengths = np.fromiter(
+        (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
+    )
+    if counts is None:
+        counts = np.ones(len(corpus))
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    lengths, counts, starts = lengths[order], counts[order], starts[order]
+    steps, rank, last = _packed(lengths)
+    # The corpus position each packed row holds: step t of sentence i is
+    # position t of the corpus' sentence order[i].
+    source = np.concatenate([starts] + [
+        starts[: cur.stop - cur.start] + t
+        for t, (_, cur) in enumerate(steps, 1)
+    ])
+
     # Table IDs -> feature indices, -1 where unmapped; the appended -1 maps
     # the table's own -1.  A sorted row holds its -1s first and then the
     # mapped indices in ascending order, as `_active_features` gives them.
@@ -433,21 +451,12 @@ def _encode(
         + [-1],
         dtype=np.int32,
     )
-    active = lookup[table]
+    active = lookup[table[source]]
     active.sort(axis=1)
     mapped = active >= 0
     indptr = np.zeros(len(active) + 1, dtype=np.int64)
     np.cumsum(mapped.sum(axis=1), out=indptr[1:])
     indices = active[mapped]
-
-    lengths = np.fromiter(
-        (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
-    )
-    if counts is None:
-        counts = np.ones(len(corpus))
-    position_counts = np.repeat(counts, lengths)
-    offsets = np.cumsum(lengths) - lengths
-    last = offsets + lengths - 1
     total = len(active)
     matrix = scipy.sparse.csr_matrix(
         (np.ones(len(indices), dtype=np.float64), indices, indptr),
@@ -457,36 +466,25 @@ def _encode(
     tag_ids = {t: fmap.tag_index(t) for t in dict.fromkeys(tags)}
     gold = np.fromiter(
         (tag_ids[t] for t in tags), dtype=np.int64, count=total
-    )
-
-    order = np.argsort(lengths, kind="stable")
-    bucket_lengths, sizes = np.unique(lengths[order], return_counts=True)
-    buckets = [
-        (offsets[sids][:, None] + np.arange(length)[None, :], counts[sids])
-        for length, sids in zip(
-            bucket_lengths, np.split(order, np.cumsum(sizes)[:-1])
-        )
-    ]
+    )[source]
 
     # The observed statistics are sums of whole counts, so they are exact.
     observed = np.zeros(fmap.num_features * k + 2 * k + k * k)
     emission, begin, end, trans = _unpack(observed, fmap.num_features, k)
     weighted_gold = np.zeros((total, k))
-    weighted_gold[np.arange(total), gold] = position_counts
+    weighted_gold[np.arange(total), gold] = counts[rank]
     emission[:] = matrix.T @ weighted_gold
-    begin[:] = np.bincount(gold[offsets], weights=counts, minlength=k)
+    begin[:] = np.bincount(gold[: len(lengths)], weights=counts, minlength=k)
     end[:] = np.bincount(gold[last], weights=counts, minlength=k)
-    # A transition pair starts at every position but a sentence's last.
-    has_next = np.ones(total, dtype=bool)
-    has_next[last] = False
-    pair_at = np.flatnonzero(has_next)
-    np.add.at(trans, (gold[pair_at], gold[pair_at + 1]),
-              position_counts[pair_at])
+    for prev, cur in steps:
+        np.add.at(trans, (gold[prev], gold[cur]),
+                  counts[: cur.stop - cur.start])
 
     return _EncodedCorpus(
         feature_rows=matrix,
         feature_cols=matrix.T,
-        buckets=buckets,
+        lengths=lengths,
+        counts=counts,
         observed=observed,
         num_tags=k,
     )
@@ -512,31 +510,27 @@ def _neg_ll_and_grad(
     w: np.ndarray, enc: _EncodedCorpus, sigma: float
 ) -> tuple[float, np.ndarray]:
     """Negative penalized log-likelihood and its gradient (for minimizers)."""
-    num_features = enc.feature_rows.shape[1]
-    k = enc.num_tags
-    emission, begin, end, trans = _unpack(w, num_features, k)
-    emit_all = enc.feature_rows @ emission  # (total, K) dense
-
-    chain = _chain(begin, end, trans)
-    logz_total = 0.0
-    node_post = np.empty_like(emit_all)
-    expected = np.zeros_like(w)
-    exp_emission, exp_begin, exp_end, exp_trans = _unpack(
-        expected, num_features, k
+    emission, begin, end, trans = _unpack(
+        w, enc.feature_rows.shape[1], enc.num_tags
     )
-    for rows, counts in enc.buckets:
-        logz, node, edge = _forward_backward(emit_all[rows], chain, counts)
-        logz_total += (logz * counts).sum()
-        node *= counts[:, None, None]
-        node_post[rows.reshape(-1)] = node.reshape(-1, k)
-        exp_begin += node[:, 0].sum(axis=0)
-        exp_end += node[:, -1].sum(axis=0)
-        exp_trans += edge.sum(axis=0)
-    exp_emission[:] = enc.feature_cols @ node_post
+    logz, node, edge = _forward_backward(
+        enc.feature_rows @ emission, enc.lengths, enc.counts, begin, end, trans
+    )
+    _, rank, last = _packed(enc.lengths)
+    node *= enc.counts[rank, None]
+    expected = _pack(
+        enc.feature_cols @ node,
+        node[: len(enc.lengths)].sum(axis=0),
+        node[last].sum(axis=0),
+        edge.sum(axis=0),
+    )
 
     inv_var = 1.0 / (sigma * sigma)
     with np.errstate(over="ignore"):  # non-finite results are caught below
-        ll = enc.observed @ w - logz_total - 0.5 * inv_var * float(w @ w)
+        ll = (
+            enc.observed @ w - logz @ enc.counts
+            - 0.5 * inv_var * float(w @ w)
+        )
         grad = enc.observed - expected
         grad -= inv_var * w
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .corpus import (
-    Corpus, Sentence, TagSequence, extract_spans, spans_to_tags,
-)
+from .corpus import Corpus, TagSequence, extract_spans, spans_to_tags
 from .crf import CrfModel, decode
+from .features import TemplateSet
 from .transforms import CaseVariant, make_variant
 from .truecase import Truecaser, truecase
 
@@ -107,17 +106,23 @@ def tag_corpus(
     """Decode each sentence, truecased first if a `truecaser` is given.
 
     Decoding is deterministic, so each distinct (preprocessed) sentence is
-    decoded once and its tags reused for every repeat.
+    decoded once and its tags reused for every repeat.  A caseless model's
+    features read only the lowercased tokens, so for it sentences that
+    lowercase alike are repeats.
     """
-    tagged: dict[Sentence, TagSequence] = {}
+    caseless = model.template_set is TemplateSet.CASE_AGNOSTIC
+    tagged: dict[tuple[str, ...], TagSequence] = {}
     predictions = []
     for ann in corpus:
         sentence = ann.sentence
         if truecaser is not None:
             sentence = truecase(truecaser, sentence)
-        tags = tagged.get(sentence)
+        key = sentence.tokens
+        if caseless:
+            key = tuple(map(str.lower, key))
+        tags = tagged.get(key)
         if tags is None:
-            tags = tagged[sentence] = decode(model, sentence)
+            tags = tagged[key] = decode(model, sentence)
         predictions.append(tags)
     return predictions
 
@@ -155,11 +160,17 @@ def variant_grid(
     With a `type_map` predicted types are mapped first; the second value
     counts the spans dropped for an unmapped type over all variants.
     """
+    # One tag_corpus call over the three variants, so that its memo spans
+    # them: the caseless and truecasing rows tag the same text in each.
+    variants = [make_variant(test, variant) for variant in CaseVariant]
+    tagged = tag_corpus(
+        model, Corpus(tuple(ann for c in variants for ann in c)),
+        truecaser=truecaser,
+    )
     grid: dict[CaseVariant, Metrics] = {}
     dropped_total = 0
-    for variant in CaseVariant:
-        corpus = make_variant(test, variant)
-        predictions = tag_corpus(model, corpus, truecaser=truecaser)
+    for i, (variant, corpus) in enumerate(zip(CaseVariant, variants)):
+        predictions = tagged[i * len(test) : (i + 1) * len(test)]
         if type_map is not None:
             mapped = [map_prediction_types(p, type_map) for p in predictions]
             predictions = [tags for tags, _ in mapped]

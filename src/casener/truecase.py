@@ -23,7 +23,7 @@ from .corpus import Corpus, Sentence
 INITIAL_INIT_CAP_WEIGHT = 0.1
 
 _FORMAT = "casener-truecaser"
-_VERSION = 1
+_VERSION = 2
 
 
 class TruecaserFormatError(ValueError):
@@ -87,15 +87,11 @@ class Truecaser:
         self,
         case_counts: Mapping[str, Mapping[CaseClass, float]],
         mixed_surface: Mapping[str, str],
-        initial_class_counts: Mapping[CaseClass, float],
-        fallback: CaseClass = CaseClass.LOWER,
     ) -> None:
         self.case_counts = {
             word: dict(counts) for word, counts in case_counts.items()
         }
         self.mixed_surface = dict(mixed_surface)
-        self.initial_class_counts = dict(initial_class_counts)
-        self.fallback = fallback
         for word, counts in self.case_counts.items():
             for cls, count in counts.items():
                 if count < 0:
@@ -116,8 +112,8 @@ class Truecaser:
         )
 
     def majority_class(self, lowercased_word: str) -> CaseClass:
-        """The most frequent case class of a word, or the fallback if unseen."""
-        return self._majority.get(lowercased_word, self.fallback)
+        """The most frequent case class of a word, or LOWER if unseen."""
+        return self._majority.get(lowercased_word, CaseClass.LOWER)
 
     def to_bytes(self) -> bytes:
         doc = {
@@ -128,11 +124,6 @@ class Truecaser:
                 for word, counts in self.case_counts.items()
             },
             "mixed_surface": self.mixed_surface,
-            "initial_class_counts": {
-                cls.value: count
-                for cls, count in self.initial_class_counts.items()
-            },
-            "fallback": self.fallback.value,
         }
         payload = json.dumps(
             doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
@@ -162,10 +153,6 @@ class Truecaser:
                 word: {CaseClass(c): float(n) for c, n in counts.items()}
                 for word, counts in doc["case_counts"].items()
             }
-            initial = {
-                CaseClass(c): float(n)
-                for c, n in doc["initial_class_counts"].items()
-            }
             mixed = doc["mixed_surface"]
             # A surface spells its lowercased key, as `train_truecaser`
             # builds it; so restoring one always gives a valid token.
@@ -174,12 +161,7 @@ class Truecaser:
                 raise TruecaserFormatError(
                     "a mixed_surface value does not spell its key"
                 )
-            return cls(
-                case_counts,
-                mixed,
-                initial,
-                CaseClass(doc["fallback"]),
-            )
+            return cls(case_counts, mixed)
         except (KeyError, ValueError, AttributeError, TypeError) as exc:
             raise TruecaserFormatError(f"malformed truecaser fields: {exc}") from exc
 
@@ -195,7 +177,6 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     # word -> class -> one-element list holding the count
     case_counts: dict[str, dict[CaseClass, list[float]]] = {}
     mixed_counts: dict[str, Counter[str]] = defaultdict(Counter)
-    initial: dict[CaseClass, float] = defaultdict(float)
     # Each distinct token is classified and lowercased once, and `seen`
     # keeps its word's row and its own class's cell, so an occurrence
     # inside a sentence hashes no CaseClass.  The counts still accumulate
@@ -212,8 +193,6 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
                     cls, lowered, row, row.setdefault(cls, [0.0])
                 )
             cls, lowered, row, cell = known
-            if pos == 0:
-                initial[cls] += 1.0
             if pos == 0 and cls is CaseClass.INIT_CAP:
                 cell[0] += INITIAL_INIT_CAP_WEIGHT
                 row.setdefault(CaseClass.LOWER, [0.0])[0] += (
@@ -233,7 +212,6 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
             for word, row in case_counts.items()
         },
         mixed_surface,
-        dict(initial),
     )
 
 

@@ -141,6 +141,15 @@ def mutated_container(draw, doc: dict) -> bytes:
     return gzip.compress(json.dumps(doc).encode("utf-8"), mtime=0)
 
 
+def version_1_blob(caser) -> bytes:
+    """A truecaser in format version 1, which also held the sentence-initial
+    class counts and the fallback class."""
+    doc = json.loads(gzip.decompress(caser.to_bytes()))
+    doc.update(version=1, initial_class_counts={"init_cap": 1.0},
+               fallback="lower")
+    return gzip.compress(json.dumps(doc).encode(), mtime=0)
+
+
 #: Random bytes, gzip around random bytes, and gzip around random JSON.
 garbage_containers = (
     st.binary(max_size=64)

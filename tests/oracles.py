@@ -83,6 +83,20 @@ def feature_rows_reference(
     return np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int64)
 
 
+def packed_positions(lengths) -> list[int]:
+    """The corpus-order position each row of the forward-backward layout
+    holds: the sentences sorted longest first (ties in corpus order), then
+    step t of every sentence longer than t, step by step."""
+    starts = np.cumsum(lengths) - np.asarray(lengths)
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    return [
+        int(starts[i]) + t
+        for t in range(max(lengths))
+        for i in order
+        if lengths[i] > t
+    ]
+
+
 def path_score(model: CrfModel, emissions: np.ndarray, path: tuple[int, ...]) -> float:
     score = model.begin[path[0]] + model.end[path[-1]]
     for pos, tag in enumerate(path):
@@ -413,13 +427,11 @@ def train_truecaser_reference(corpus) -> Truecaser:
     """`train_truecaser`, classifying every occurrence anew."""
     case_counts: dict = defaultdict(lambda: defaultdict(float))
     mixed_counts: dict = defaultdict(Counter)
-    initial: dict = defaultdict(float)
     for ann in corpus:
         for pos, token in enumerate(ann.sentence.tokens):
             cls = classify_case(token)
             lowered = token.lower()
             if pos == 0:
-                initial[cls] += 1.0
                 if cls is CaseClass.INIT_CAP:
                     case_counts[lowered][CaseClass.INIT_CAP] += (
                         INITIAL_INIT_CAP_WEIGHT
@@ -440,5 +452,4 @@ def train_truecaser_reference(corpus) -> Truecaser:
     return Truecaser(
         {w: dict(c) for w, c in case_counts.items()},
         mixed_surface,
-        dict(initial),
     )

@@ -15,7 +15,7 @@ from casener.evaluation import tag_corpus
 from casener.synth import default_config, generate
 from casener.transforms import CaseVariant, make_variant
 from casener.truecase import train_truecaser
-from conftest import conll_texts
+from conftest import conll_texts, version_1_blob
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +205,15 @@ def test_truecase_fit_and_apply(data_files, tmp_path, capsys):
     assert upper_initial > 0
 
     assert main(["truecase", "--model", model]) == EXIT_USAGE
+
+
+def test_truecase_version_1_model_exits_2(data_files, tmp_path, capsys):
+    root, train, test = data_files
+    model = tmp_path / "tc-v1.bin"
+    model.write_bytes(version_1_blob(train_truecaser(read_conll_file(train))))
+    assert main(["truecase", "--model", str(model), "--input", test,
+                 "--output", str(tmp_path / "out.conll")]) == EXIT_DATA
+    assert "unsupported truecaser version 1" in capsys.readouterr().err
 
 
 def test_synth_command(tmp_path, capsys):

@@ -54,6 +54,7 @@ from oracles import (
     enumerate_log_partition,
     enumerate_marginals,
     finite_difference_gradient,
+    packed_positions,
     path_score,
 )
 
@@ -244,24 +245,45 @@ class TestPosteriors:
         np.testing.assert_allclose(edge, expected_edge, rtol=0, atol=1e-9)
 
 
+def _pack_batch(emits):
+    """Per-sentence emission arrays, in the kernel's packed layout: returns
+    the rows, the lengths longest first, and the sentences' order."""
+    lengths = [len(e) for e in emits]
+    order = sorted(range(len(emits)), key=lambda i: -lengths[i])
+    rows = np.concatenate(emits)[packed_positions(lengths)]
+    return rows, np.array([lengths[i] for i in order]), order
+
+
+def _unpack_rows(rows, lengths):
+    """Per-sentence row arrays of a packed (longest-first) batch."""
+    in_order = np.empty_like(rows)
+    in_order[packed_positions(lengths)] = rows
+    return np.split(in_order, np.cumsum(lengths)[:-1])
+
+
+def _mixed_lengths(rng, s, longest):
+    """`s` lengths in [1, longest] plus a 1, longest first."""
+    return np.sort(np.append(rng.integers(1, longest + 1, s), 1))[::-1]
+
+
 class TestForwardBackward:
-    """The scaled kernel against its log-space fallback and enumeration."""
+    """The scaled kernel against its log-space fallback, repeated batches
+    and one-sentence `posteriors`, on packed batches of mixed lengths."""
 
     def test_scaled_kernel_matches_log_space(self, monkeypatch):
         rng = np.random.default_rng(5)
         k = 13
         for _ in range(40):
-            s, length = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+            lengths = _mixed_lengths(rng, int(rng.integers(1, 6)), 8)
             scale = float(rng.choice([0.1, 1.0, 3.0]))
-            emit = rng.normal(0.0, 4 * scale, (s, length, k))
-            begin, end = rng.normal(0.0, scale, (2, k))
-            trans = rng.normal(0.0, scale, (k, k))
-            expected = crf._forward_backward_log(emit, begin, end, trans)
+            emit = rng.normal(0.0, 4 * scale, (lengths.sum(), k))
+            weights = rng.integers(1, 4, len(lengths)).astype(np.float64)
+            chain = (*rng.normal(0.0, scale, (2, k)),
+                     rng.normal(0.0, scale, (k, k)))
+            expected = crf._forward_backward_log(emit, lengths, weights, *chain)
             with monkeypatch.context() as patch:
                 patch.setattr(crf, "_forward_backward_log", _no_fallback)
-                got = crf._forward_backward(
-                    emit, crf._chain(begin, end, trans)
-                )
+                got = crf._forward_backward(emit, lengths, weights, *chain)
             for a, b in zip(got, expected):
                 assert a.shape == b.shape
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
@@ -306,27 +328,95 @@ class TestForwardBackward:
         rng = np.random.default_rng(11)
         k = 13
         for _ in range(20):
-            s, length = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-            emit = rng.normal(0.0, 2.0, (s, length, k))
-            chain = crf._chain(*rng.normal(0.0, 1.0, (2, k)),
-                               rng.normal(0.0, 1.0, (k, k)))
-            weights = rng.integers(1, 4, s)
+            lengths = _mixed_lengths(rng, int(rng.integers(0, 5)), 7)
+            emits = [rng.normal(0.0, 2.0, (n, k)) for n in lengths]
+            chain = (*rng.normal(0.0, 1.0, (2, k)),
+                     rng.normal(0.0, 1.0, (k, k)))
+            weights = rng.integers(1, 4, len(lengths))
             logz, node, edge = crf._forward_backward(
-                emit, chain, weights.astype(np.float64)
+                _pack_batch(emits)[0], lengths, weights.astype(np.float64),
+                *chain,
             )
+            repeated = [e for e, w in zip(emits, weights) for _ in range(w)]
+            rows, rep_lengths, _ = _pack_batch(repeated)
             rep_logz, rep_node, rep_edge = crf._forward_backward(
-                np.repeat(emit, weights, axis=0), chain
+                rows, rep_lengths, np.ones(len(repeated)), *chain
             )
             np.testing.assert_allclose(np.repeat(logz, weights), rep_logz,
                                        rtol=1e-12, atol=0)
-            np.testing.assert_allclose(np.repeat(node, weights, axis=0),
-                                       rep_node, rtol=0, atol=1e-12)
+            nodes = _unpack_rows(node, lengths)
+            for got, want in zip(
+                (n for n, w in zip(nodes, weights) for _ in range(w)),
+                _unpack_rows(rep_node, rep_lengths),
+            ):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(edge, rep_edge, rtol=1e-12, atol=1e-10)
         assert len(calls) == (40 if fallback else 0)
+
+    def test_batch_matches_one_sentence_posteriors(self, monkeypatch):
+        monkeypatch.setattr(crf, "_forward_backward_log", _no_fallback)
+        rng = random.Random(17)
+        model = random_model(rng, scale=1.0)
+        words = ("the", "Baker", "baker", "OSLO", "met", "Monday", "x9")
+        sentences = [Sentence(tuple(rng.choice(words) for _ in range(n)))
+                     for n in rng.sample(range(1, 41), 40)]
+        rows, lengths, order = _pack_batch(
+            [crf._emissions(model, s) for s in sentences]
+        )
+        logz, node, edge = crf._forward_backward(
+            rows, lengths, np.ones(len(sentences)),
+            model.begin, model.end, model.transition,
+        )
+        edge_sum = np.zeros_like(edge)
+        for got_logz, got_node, i in zip(
+            logz, _unpack_rows(node, lengths), order
+        ):
+            want_logz, want_node, want_edge = posteriors(model, sentences[i])
+            assert got_logz == pytest.approx(want_logz, rel=1e-12)
+            np.testing.assert_allclose(got_node, want_node, rtol=0, atol=1e-12)
+            edge_sum[: len(want_edge)] += want_edge
+        np.testing.assert_allclose(edge, edge_sum, rtol=0, atol=1e-12)
 
 
 def _no_fallback(*args):
     raise AssertionError("the scaled kernel fell back to log space")
+
+
+class TestObjective:
+    """`_neg_ll_and_grad` runs one forward-backward pass per call."""
+
+    @staticmethod
+    def _encoded(rng):
+        corpus = random_corpus(rng, sentences=12)
+        assert len({len(ann.sentence) for ann in corpus}) > 2
+        model = random_model(rng, corpus, scale=0.5)
+        enc = crf._encode(corpus, model.feature_map, model.template_set)
+        w = crf._pack(model.emission, model.begin, model.end, model.transition)
+        return enc, w
+
+    def test_one_kernel_call_per_objective_call(self, monkeypatch, rng):
+        enc, w = self._encoded(rng)
+        calls = []
+        original = crf._forward_backward
+
+        def spy(emit, lengths, *args):
+            calls.append(len(lengths))
+            return original(emit, lengths, *args)
+
+        monkeypatch.setattr(crf, "_forward_backward", spy)
+        crf._neg_ll_and_grad(w, enc, 1.0)
+        assert calls == [len(enc.lengths)]
+
+    def test_forced_fallback_matches_scaled_path(self, monkeypatch, rng):
+        enc, w = self._encoded(rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(crf, "_forward_backward_log", _no_fallback)
+            scaled = crf._neg_ll_and_grad(w, enc, 1.0)
+        monkeypatch.setattr(crf, "_MAX_SCALED_SPREAD", -1.0)
+        log_space = crf._neg_ll_and_grad(w, enc, 1.0)
+        assert log_space[0] == pytest.approx(scaled[0], rel=1e-12)
+        np.testing.assert_allclose(log_space[1], scaled[1], rtol=1e-12,
+                                   atol=1e-12 * np.abs(scaled[1]).max())
 
 
 class TestGradient:

@@ -14,7 +14,8 @@ from casener.evaluation import (
     variant_grid,
 )
 from casener.features import TemplateSet
-from casener.transforms import CaseVariant
+from casener.harness import Strategy, training_view
+from casener.transforms import CaseVariant, make_variant, to_lower
 from casener.truecase import train_truecaser, truecase
 from casener.synth import default_config, generate
 from conftest import random_tagging
@@ -126,6 +127,12 @@ def setup():
     return model, train_corpus, test_corpus
 
 
+@pytest.fixture(scope="module")
+def caseless_model(setup):
+    view, tset = training_view(setup[1], Strategy.CASELESS)
+    return train(view, tset, TrainConfig(max_epochs=60))
+
+
 class TestRobustnessGrid:
     def test_original_cell_equals_plain_evaluate(self, setup):
         from casener.crf import decode
@@ -138,13 +145,8 @@ class TestRobustnessGrid:
         )
         assert grid[CaseVariant.ORIGINAL] == direct
 
-    def test_caseless_rows_equal(self, setup):
-        from casener.harness import Strategy, training_view
-
-        _, train_corpus, test_corpus = setup
-        view, tset = training_view(train_corpus, Strategy.CASELESS)
-        model = train(view, tset, TrainConfig(max_epochs=60))
-        grid = robustness_grid(model, test_corpus)
+    def test_caseless_rows_equal(self, setup, caseless_model):
+        grid = robustness_grid(caseless_model, setup[2])
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.LOWER]
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.UPPER]
 
@@ -194,3 +196,26 @@ class TestTagCorpus:
         assert len(decoded) == len(set(decoded)) == len(
             {truecase(caser, ann.sentence) for ann in test_corpus}
         )
+
+    def test_caseless_model_decodes_each_lowercased_sentence_once(
+        self, setup, caseless_model, monkeypatch
+    ):
+        test_corpus = setup[2]
+        variants = Corpus(tuple(
+            ann for v in CaseVariant for ann in make_variant(test_corpus, v)
+        ))
+        expected = [decode(caseless_model, ann.sentence) for ann in variants]
+        decoded = []
+
+        def counting(model, sentence):
+            decoded.append(sentence)
+            return decode(model, sentence)
+
+        monkeypatch.setattr(casener.evaluation, "decode", counting)
+        assert tag_corpus(caseless_model, variants) == expected
+        distinct = len({to_lower(ann.sentence) for ann in variants})
+        assert len(decoded) == distinct < len(set(variants.sentences))
+        # variant_grid tags the three variants in one tag_corpus call.
+        decoded.clear()
+        robustness_grid(caseless_model, test_corpus)
+        assert len(decoded) == distinct

@@ -24,7 +24,9 @@ from casener.harness import Strategy, training_view
 from casener.synth import default_config, generate
 from casener.transforms import to_lower, to_upper
 from conftest import iobes_taggings, random_corpus, random_sentence
-from oracles import feature_rows_reference, fit_feature_map_reference
+from oracles import (
+    feature_rows_reference, fit_feature_map_reference, packed_positions,
+)
 
 NYC = Sentence(("New", "York", "City"))
 
@@ -189,13 +191,16 @@ def _corpus(*sentences):
 @example(_corpus(("<s>",), ("İ", "ẞ", "ﬁ"), ("a", "</s>", "<s>")))
 def test_feature_table_matches_extract(template_set, corpus):
     """fit_feature_map and _encode's feature rows equal collecting and
-    looking up `extract` position by position."""
+    looking up `extract` position by position, in the packed layout."""
     fmap = fit_feature_map(corpus, template_set)
     assert fmap == fit_feature_map_reference(corpus, template_set)
     rows = _encode(corpus, fmap, template_set).feature_rows
     indices, indptr = feature_rows_reference(corpus, fmap, template_set)
-    assert np.array_equal(rows.indices, indices)
-    assert np.array_equal(rows.indptr, indptr)
+    reference = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
+    packed = [reference[p] for p in
+              packed_positions([len(ann.sentence) for ann in corpus])]
+    assert np.array_equal(rows.indices, np.concatenate(packed))
+    assert np.array_equal(np.diff(rows.indptr), [len(r) for r in packed])
 
 
 # Greek capital sigma lowercases to a final or a medial form by context.

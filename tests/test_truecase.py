@@ -21,7 +21,9 @@ from casener.truecase import (
     train_truecaser,
     truecase,
 )
-from conftest import garbage_containers, mutated_container, random_corpus
+from conftest import (
+    garbage_containers, mutated_container, random_corpus, version_1_blob,
+)
 from oracles import train_truecaser_reference
 
 
@@ -198,6 +200,11 @@ class TestPersistence:
         blob = caser.to_bytes()
         with pytest.raises(TruecaserFormatError):
             Truecaser.from_bytes(blob[: len(blob) // 2])
+
+    def test_version_1_rejected(self):
+        caser = train_truecaser(Corpus((ann("New York bought an iPhone"),)))
+        with pytest.raises(TruecaserFormatError, match="version 1"):
+            Truecaser.from_bytes(version_1_blob(caser))
 
 
 _TINY_CASER_DOC = json.loads(gzip.decompress(train_truecaser(Corpus((
