@@ -34,7 +34,7 @@ import json
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -213,8 +213,8 @@ def posteriors(
     node marginals on both sides.
     """
     logz, node, edge = _forward_backward(
-        _emissions(model, sentence), np.array([len(sentence)]), np.ones(1),
-        model.begin, model.end, model.transition,
+        _emissions(model, sentence), _packed(np.array([len(sentence)])),
+        np.ones(1), model.begin, model.end, model.transition,
     )
     return float(logz[0]), node, edge
 
@@ -224,17 +224,25 @@ def posteriors(
 _MAX_SCALED_SPREAD = 200.0
 
 
-def _packed(
-    lengths: np.ndarray,
-) -> tuple[list[tuple[slice, slice]], np.ndarray, np.ndarray]:
+class _Packed(NamedTuple):
     """The time-major layout of a batch of sentences ordered longest first.
 
     Step t holds one row per sentence longer than t, in batch order, so
     every step's sentences are a prefix of the batch (the layout of
-    `torch.nn.utils.rnn.pack_padded_sequence`).  Returns, for each step
-    t >= 1, the rows of step t - 1 that continue into step t and the rows of
-    step t; the batch rank of every row; and every sentence's last row.
+    `torch.nn.utils.rnn.pack_padded_sequence`).  `lengths` are the
+    sentence lengths; `steps` holds, for each step t >= 1, the rows of step
+    t - 1 that continue into step t and the rows of step t; `rank` is the
+    batch rank of every row and `last` every sentence's last row.
     """
+
+    lengths: np.ndarray
+    steps: list[tuple[slice, slice]]
+    rank: np.ndarray
+    last: np.ndarray
+
+
+def _packed(lengths: np.ndarray) -> _Packed:
+    """The `_Packed` layout of sentences of `lengths`, longest first."""
     # sizes[t] counts the sentences longer than t.
     sizes = np.cumsum(np.bincount(lengths)[:0:-1])[::-1]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -246,12 +254,12 @@ def _packed(
     ]
     rank = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
     last = offsets[lengths - 1] + np.arange(len(lengths))
-    return steps, rank, last
+    return _Packed(lengths, steps, rank, last)
 
 
 def _forward_backward(
     emit: np.ndarray,
-    lengths: np.ndarray,
+    packed: _Packed,
     weights: np.ndarray,
     begin: np.ndarray,
     end: np.ndarray,
@@ -259,11 +267,10 @@ def _forward_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward-backward over a batch of S sentences in one pass.
 
-    `lengths` (S,) are the sentence lengths, longest first, and `emit` has
-    one emission row (K,) per position, laid out as `_packed` describes.
-    Returns logZ per sentence (S,), node marginals in `emit`'s row order,
-    and per step the edge marginals into it summed over the batch with
-    per-sentence `weights`, shape (max(lengths) - 1, K, K).
+    `emit` has one emission row (K,) per position, laid out as `packed`
+    describes.  Returns logZ per sentence (S,), node marginals in `emit`'s
+    row order, and per step the edge marginals into it summed over the
+    batch with per-sentence `weights`, shape (max(lengths) - 1, K, K).
 
     The recursion runs in probability space (Rabiner, 1989; Sutton &
     McCallum, 2012, section 4): every factor is exponentiated relative to
@@ -289,9 +296,9 @@ def _forward_backward(
         - ex.min()
     )
     if not spread <= _MAX_SCALED_SPREAD:
-        return _forward_backward_log(emit, lengths, weights, begin, end, trans)
+        return _forward_backward_log(emit, packed, weights, begin, end, trans)
 
-    steps, rank, last = _packed(lengths)
+    lengths, steps, rank, last = packed
     s = len(lengths)
     tm = np.exp(trans - tmax)
     np.exp(ex, out=ex)
@@ -337,7 +344,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def _forward_backward_log(
     emit: np.ndarray,
-    lengths: np.ndarray,
+    packed: _Packed,
     weights: np.ndarray,
     begin: np.ndarray,
     end: np.ndarray,
@@ -346,7 +353,7 @@ def _forward_backward_log(
     """Log-space forward-backward: `_forward_backward`'s fallback for
     weight spreads that would underflow in probability space.  Same
     arguments, layout and results."""
-    steps, rank, last = _packed(lengths)
+    lengths, steps, rank, last = packed
     s = len(lengths)
     alpha = np.empty_like(emit)
     alpha[:s] = begin[None, :] + emit[:s]
@@ -385,10 +392,10 @@ def _forward_backward_log(
 class _EncodedCorpus:
     """Corpus pre-digested for repeated objective evaluations.
 
-    The sentences are ordered longest first (a stable sort); `lengths` and
-    `counts` hold their lengths and how often each counts, in that order.
+    The sentences are ordered longest first (a stable sort); `packed` is
+    their layout and `counts` how often each counts, in that order.
     `feature_rows` is a (total_positions, num_features) binary indicator
-    matrix with the positions laid out time-major as `_packed` describes,
+    matrix with the positions laid out time-major as `packed` describes,
     and `feature_cols` its transpose (a CSC view of the same arrays), so
     one forward-backward pass covers the corpus without padding.
     `observed` holds the count-weighted gold feature counts, laid out like
@@ -399,7 +406,7 @@ class _EncodedCorpus:
 
     feature_rows: scipy.sparse.csr_matrix
     feature_cols: scipy.sparse.csc_matrix
-    lengths: np.ndarray
+    packed: _Packed
     counts: np.ndarray
     observed: np.ndarray
     num_tags: int
@@ -435,7 +442,8 @@ def _encode(
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(-lengths, kind="stable")
     lengths, counts, starts = lengths[order], counts[order], starts[order]
-    steps, rank, last = _packed(lengths)
+    packed = _packed(lengths)
+    _, steps, rank, last = packed
     # The corpus position each packed row holds: step t of sentence i is
     # position t of the corpus' sentence order[i].
     source = np.concatenate([starts] + [
@@ -483,7 +491,7 @@ def _encode(
     return _EncodedCorpus(
         feature_rows=matrix,
         feature_cols=matrix.T,
-        lengths=lengths,
+        packed=packed,
         counts=counts,
         observed=observed,
         num_tags=k,
@@ -514,13 +522,13 @@ def _neg_ll_and_grad(
         w, enc.feature_rows.shape[1], enc.num_tags
     )
     logz, node, edge = _forward_backward(
-        enc.feature_rows @ emission, enc.lengths, enc.counts, begin, end, trans
+        enc.feature_rows @ emission, enc.packed, enc.counts, begin, end, trans
     )
-    _, rank, last = _packed(enc.lengths)
+    lengths, _, rank, last = enc.packed
     node *= enc.counts[rank, None]
     expected = _pack(
         enc.feature_cols @ node,
-        node[: len(enc.lengths)].sum(axis=0),
+        node[: len(lengths)].sum(axis=0),
         node[last].sum(axis=0),
         edge.sum(axis=0),
     )

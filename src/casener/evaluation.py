@@ -105,23 +105,24 @@ def tag_corpus(
 ) -> list[TagSequence]:
     """Decode each sentence, truecased first if a `truecaser` is given.
 
-    Decoding is deterministic, so each distinct (preprocessed) sentence is
+    Decoding is deterministic, so each distinct sentence is truecased and
     decoded once and its tags reused for every repeat.  A caseless model's
-    features read only the lowercased tokens, so for it sentences that
-    lowercase alike are repeats.
+    features read only the lowercased tokens, and truecasing reads only
+    those too, so for either, sentences that lowercase alike are repeats.
     """
-    caseless = model.template_set is TemplateSet.CASE_AGNOSTIC
+    case_free = (truecaser is not None
+                 or model.template_set is TemplateSet.CASE_AGNOSTIC)
     tagged: dict[tuple[str, ...], TagSequence] = {}
     predictions = []
     for ann in corpus:
         sentence = ann.sentence
-        if truecaser is not None:
-            sentence = truecase(truecaser, sentence)
         key = sentence.tokens
-        if caseless:
+        if case_free:
             key = tuple(map(str.lower, key))
         tags = tagged.get(key)
         if tags is None:
+            if truecaser is not None:
+                sentence = truecase(truecaser, sentence)
             tags = tagged[key] = decode(model, sentence)
         predictions.append(tags)
     return predictions

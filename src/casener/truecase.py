@@ -1,10 +1,12 @@
 """Word-level unigram truecaser.
 
-Restores the most frequent capitalization of each word before tagging, so a
-downstream case-aware model sees well-formed text regardless of how the
-input was cased.  The model is a per-word majority vote over case classes,
-with sentence-initial capitalization discounted because it says little
-about a word's lexical case.
+Restores the usual spelling of each word before tagging, so a downstream
+case-aware model sees well-formed text regardless of how the input was
+cased.  Training takes a per-word majority vote over case classes, with
+sentence-initial capitalization discounted because it says little about a
+word's lexical case, and keeps one decision per word: the spelling it is
+restored to (format version 3).  Restoring is a lookup on the lowercased
+token, so the output depends only on the lowercased sentence.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .corpus import Corpus, Sentence
 INITIAL_INIT_CAP_WEIGHT = 0.1
 
 _FORMAT = "casener-truecaser"
-_VERSION = 2
+_VERSION = 3
 
 
 class TruecaserFormatError(ValueError):
@@ -78,53 +80,19 @@ def _init_cap_form(word: str) -> str:
 
 
 class Truecaser:
-    """Frequency tables mapping lowercased words to their usual casing.
+    """The spelling each lowercased word is restored to.
 
-    Lookup is total: unseen words fall back to LOWER.
+    `surfaces` maps a lowercased word to its restored spelling, which
+    lowercases back to it; a word it does not hold (unseen, or usually
+    lowercase) is restored as itself.
     """
 
-    def __init__(
-        self,
-        case_counts: Mapping[str, Mapping[CaseClass, float]],
-        mixed_surface: Mapping[str, str],
-    ) -> None:
-        self.case_counts = {
-            word: dict(counts) for word, counts in case_counts.items()
-        }
-        self.mixed_surface = dict(mixed_surface)
-        for word, counts in self.case_counts.items():
-            for cls, count in counts.items():
-                if count < 0:
-                    raise ValueError(
-                        f"negative count for {word!r}/{cls.value}: {count}"
-                    )
-        self._majority = {
-            word: self._pick_majority(counts)
-            for word, counts in self.case_counts.items()
-            if counts
-        }
-
-    @staticmethod
-    def _pick_majority(counts: Mapping[CaseClass, float]) -> CaseClass:
-        return min(
-            counts,
-            key=lambda cls: (-counts[cls], _CLASS_PRIORITY.index(cls)),
-        )
-
-    def majority_class(self, lowercased_word: str) -> CaseClass:
-        """The most frequent case class of a word, or LOWER if unseen."""
-        return self._majority.get(lowercased_word, CaseClass.LOWER)
+    def __init__(self, surfaces: Mapping[str, str]) -> None:
+        self.surfaces = dict(surfaces)
 
     def to_bytes(self) -> bytes:
-        doc = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "case_counts": {
-                word: {cls.value: count for cls, count in counts.items()}
-                for word, counts in self.case_counts.items()
-            },
-            "mixed_surface": self.mixed_surface,
-        }
+        doc = {"format": _FORMAT, "version": _VERSION,
+               "surfaces": self.surfaces}
         payload = json.dumps(
             doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
         ).encode("utf-8")
@@ -148,35 +116,33 @@ class Truecaser:
             raise TruecaserFormatError(
                 f"unsupported truecaser version {doc.get('version')!r}"
             )
-        try:
-            case_counts = {
-                word: {CaseClass(c): float(n) for c, n in counts.items()}
-                for word, counts in doc["case_counts"].items()
-            }
-            mixed = doc["mixed_surface"]
-            # A surface spells its lowercased key, as `train_truecaser`
-            # builds it; so restoring one always gives a valid token.
-            if not all(isinstance(v, str) and v.lower() == w
-                       for w, v in mixed.items()):
-                raise TruecaserFormatError(
-                    "a mixed_surface value does not spell its key"
-                )
-            return cls(case_counts, mixed)
-        except (KeyError, ValueError, AttributeError, TypeError) as exc:
-            raise TruecaserFormatError(f"malformed truecaser fields: {exc}") from exc
+        surfaces = doc.get("surfaces")
+        # A surface spells its lowercased word, as `train_truecaser` builds
+        # it; so restoring one always gives a valid token.
+        if not isinstance(surfaces, dict) or not all(
+            isinstance(v, str) and v.lower() == w for w, v in surfaces.items()
+        ):
+            raise TruecaserFormatError(
+                "malformed truecaser surfaces: each must spell its word"
+            )
+        return cls(surfaces)
 
 
 def train_truecaser(corpus: Corpus) -> Truecaser:
     """Build a truecaser from token occurrences; annotations are ignored.
 
+    Each word is restored to its majority case class (Lita et al., 2003).
     Sentence-initial InitCap occurrences are discounted (weight 0.1 to
-    INIT_CAP, 0.9 to LOWER); all other occurrences count fully.
+    INIT_CAP, 0.9 to LOWER); all other occurrences count fully, and
+    `_CLASS_PRIORITY` breaks ties.  A word whose class is not LOWER keeps
+    the most frequent spelling of that class, ties going to the smallest
+    string.
     """
     if len(corpus) == 0:
         raise ValueError("cannot train a truecaser on an empty corpus")
-    # word -> class -> one-element list holding the count
-    case_counts: dict[str, dict[CaseClass, list[float]]] = {}
-    mixed_counts: dict[str, Counter[str]] = defaultdict(Counter)
+    # word -> class -> one-element list holding the weighted count
+    class_counts: dict[str, dict[CaseClass, list[float]]] = {}
+    occurrences: Counter[str] = Counter()
     # Each distinct token is classified and lowercased once, and `seen`
     # keeps its word's row and its own class's cell, so an occurrence
     # inside a sentence hashes no CaseClass.  The counts still accumulate
@@ -184,11 +150,12 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     # how the work is shared.
     seen: dict[str, tuple] = {}
     for ann in corpus:
+        occurrences.update(ann.sentence.tokens)
         for pos, token in enumerate(ann.sentence.tokens):
             known = seen.get(token)
             if known is None:
                 cls, lowered = classify_case(token), token.lower()
-                row = case_counts.setdefault(lowered, {})
+                row = class_counts.setdefault(lowered, {})
                 known = seen[token] = (
                     cls, lowered, row, row.setdefault(cls, [0.0])
                 )
@@ -200,42 +167,30 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
                 )
             else:
                 cell[0] += 1.0
-            if cls is CaseClass.MIXED:
-                mixed_counts[lowered][token] += 1
-    mixed_surface = {
-        word: min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        for word, counter in mixed_counts.items()
+    majority = {
+        word: min(row, key=lambda c: (-row[c][0], _CLASS_PRIORITY.index(c)))
+        for word, row in class_counts.items()
     }
+    spellings: dict[str, list[tuple[int, str]]] = defaultdict(list)
+    for token, (cls, lowered, _, _) in seen.items():
+        if cls is majority[lowered] and cls is not CaseClass.LOWER:
+            spellings[lowered].append((-occurrences[token], token))
+    surfaces = {word: min(found)[1] for word, found in spellings.items()}
     return Truecaser(
-        {
-            word: {cls: cell[0] for cls, cell in row.items()}
-            for word, row in case_counts.items()
-        },
-        mixed_surface,
+        {word: token for word, token in surfaces.items() if token != word}
     )
 
 
 def truecase(truecaser: Truecaser, sentence: Sentence) -> Sentence:
-    """Restore each token's majority capitalization.
+    """Restore each token's usual spelling.
 
-    Tokens are keyed by their lowercased form, so the output is independent
-    of how the input was cased.  A sentence-initial token whose class is
-    LOWER is emitted in InitCap form, mimicking well-formed text.
+    Tokens are looked up by their lowercased form, so the output is a
+    function of the lowercased sentence.  A sentence-initial token restored
+    as its lowercased form is emitted in InitCap form, mimicking
+    well-formed text.
     """
-    out: list[str] = []
-    for pos, token in enumerate(sentence.tokens):
-        lowered = token.lower()
-        cls = truecaser.majority_class(lowered)
-        if pos == 0 and cls is CaseClass.LOWER:
-            cls = CaseClass.INIT_CAP
-        if cls is CaseClass.LOWER:
-            out.append(lowered)
-        elif cls is CaseClass.INIT_CAP:
-            out.append(_init_cap_form(lowered))
-        elif cls is CaseClass.ALL_CAP:
-            out.append(lowered.upper())
-        elif cls is CaseClass.MIXED:
-            out.append(truecaser.mixed_surface.get(lowered, lowered))
-        else:  # NO_CASE: nothing to restore
-            out.append(token)
+    words = [token.lower() for token in sentence.tokens]
+    out = [truecaser.surfaces.get(word, word) for word in words]
+    if out[0] == words[0]:
+        out[0] = _init_cap_form(words[0])
     return Sentence(tuple(out))

@@ -19,6 +19,7 @@ from casener.corpus import (
 )
 from casener.crf import CrfModel
 from casener.features import FeatureMap, TemplateSet, fit_feature_map
+from casener.truecase import CaseClass, classify_case
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -141,12 +142,20 @@ def mutated_container(draw, doc: dict) -> bytes:
     return gzip.compress(json.dumps(doc).encode("utf-8"), mtime=0)
 
 
-def version_1_blob(caser) -> bytes:
-    """A truecaser in format version 1, which also held the sentence-initial
-    class counts and the fallback class."""
-    doc = json.loads(gzip.decompress(caser.to_bytes()))
-    doc.update(version=1, initial_class_counts={"init_cap": 1.0},
-               fallback="lower")
+def old_version_blob(caser, version: int) -> bytes:
+    """`caser` in truecaser format version 1 or 2, which held per-word case
+    class counts and the spellings of mixed-case words instead of one
+    spelling per word; version 1 also held the sentence-initial class
+    counts and the fallback class."""
+    classes = {w: classify_case(s) for w, s in caser.surfaces.items()}
+    doc = {
+        "format": "casener-truecaser", "version": version,
+        "case_counts": {w: {c.value: 1.0} for w, c in classes.items()},
+        "mixed_surface": {w: caser.surfaces[w] for w, c in classes.items()
+                          if c is CaseClass.MIXED},
+    }
+    if version == 1:
+        doc.update(initial_class_counts={"init_cap": 1.0}, fallback="lower")
     return gzip.compress(json.dumps(doc).encode(), mtime=0)
 
 

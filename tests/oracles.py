@@ -424,9 +424,14 @@ def validate_tags_reference(tags, scheme: Scheme, context: str = "") -> None:
 
 
 def train_truecaser_reference(corpus) -> Truecaser:
-    """`train_truecaser`, classifying every occurrence anew."""
+    """`train_truecaser`, classifying every occurrence anew.
+
+    Each occurrence adds its weight to its word's class and one to its own
+    spelling; a word then takes its majority class, ties going to the
+    earlier class in `CaseClass` order, and unless that is LOWER keeps the
+    class's most frequent spelling, ties going to the smallest string."""
     case_counts: dict = defaultdict(lambda: defaultdict(float))
-    mixed_counts: dict = defaultdict(Counter)
+    spellings: dict = defaultdict(lambda: defaultdict(Counter))
     for ann in corpus:
         for pos, token in enumerate(ann.sentence.tokens):
             cls = classify_case(token)
@@ -443,13 +448,15 @@ def train_truecaser_reference(corpus) -> Truecaser:
                     case_counts[lowered][cls] += 1.0
             else:
                 case_counts[lowered][cls] += 1.0
-            if cls is CaseClass.MIXED:
-                mixed_counts[lowered][token] += 1
-    mixed_surface = {
-        word: min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        for word, counter in mixed_counts.items()
-    }
-    return Truecaser(
-        {w: dict(c) for w, c in case_counts.items()},
-        mixed_surface,
-    )
+            spellings[lowered][cls][token] += 1
+    order = list(CaseClass)
+    surfaces = {}
+    for word, counts in case_counts.items():
+        cls = min(counts, key=lambda c: (-counts[c], order.index(c)))
+        if cls is CaseClass.LOWER:
+            continue
+        surface = min(spellings[word][cls].items(),
+                      key=lambda kv: (-kv[1], kv[0]))[0]
+        if surface != word:
+            surfaces[word] = surface
+    return Truecaser(surfaces)

@@ -1,11 +1,12 @@
 import argparse
 import contextlib
+import gzip
 import io
 import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from casener import cli
 from casener.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -15,7 +16,7 @@ from casener.evaluation import tag_corpus
 from casener.synth import default_config, generate
 from casener.transforms import CaseVariant, make_variant
 from casener.truecase import train_truecaser
-from conftest import conll_texts, version_1_blob
+from conftest import conll_texts, old_version_blob
 
 
 @pytest.fixture(scope="module")
@@ -207,13 +208,123 @@ def test_truecase_fit_and_apply(data_files, tmp_path, capsys):
     assert main(["truecase", "--model", model]) == EXIT_USAGE
 
 
-def test_truecase_version_1_model_exits_2(data_files, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["truecase", "tag"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_truecaser_version_exits_2(data_files, fuzz_inputs, tmp_path,
+                                       capsys, version, command):
     root, train, test = data_files
-    model = tmp_path / "tc-v1.bin"
-    model.write_bytes(version_1_blob(train_truecaser(read_conll_file(train))))
-    assert main(["truecase", "--model", str(model), "--input", test,
-                 "--output", str(tmp_path / "out.conll")]) == EXIT_DATA
-    assert "unsupported truecaser version 1" in capsys.readouterr().err
+    caser = tmp_path / "tc-old.bin"
+    caser.write_bytes(
+        old_version_blob(train_truecaser(read_conll_file(train)), version)
+    )
+    out = str(tmp_path / "out.conll")
+    if command == "truecase":
+        argv = ["truecase", "--model", str(caser), "--input", test]
+    else:
+        model = tmp_path / "m.crf"
+        model.write_bytes(fuzz_inputs["model"])
+        argv = ["tag", "--model", str(model), "--input", test,
+                "--truecaser", str(caser)]
+    assert main([*argv, "--output", out]) == EXIT_DATA
+    assert (f"unsupported truecaser version {version}"
+            in capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(data_files):
+    """Valid contents of every file the fuzzed commands read, by role."""
+    root, train, test = data_files
+    model, caser = root / "fuzz.crf", root / "fuzz-tc.bin"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--train", train, "--model", str(model),
+                     "--max-epochs", "3"]) == EXIT_OK
+        assert main(["truecase", "--model", str(caser),
+                     "--fit", train]) == EXIT_OK
+    with open(train, "rb") as handle:
+        train_bytes = handle.read()
+    with open(test, "rb") as handle:
+        test_bytes = handle.read()
+    return {
+        "train": train_bytes, "test": test_bytes, "pred": test_bytes,
+        "model": model.read_bytes(), "truecaser": caser.read_bytes(),
+        "config": b"strategy = baseline\ndata = synth\nsynth-seed = 3\n"
+                  b"synth-train-sentences = 30\nsynth-test-sentences = 10\n"
+                  b"max-epochs = 3\n",
+    }
+
+
+#: Each fuzzed command line; an argument naming a role of `fuzz_inputs`
+#: becomes a file with that content, and "new" a path not yet written.
+_FUZZ_COMMANDS = [
+    ["tag", "--model", "model", "--input", "test", "--truecaser", "truecaser"],
+    ["eval", "--gold", "test", "--pred", "pred"],
+    ["truecase", "--model", "new", "--fit", "train"],
+    ["truecase", "--model", "truecaser", "--input", "test"],
+    ["experiment", "--config", "config"],
+]
+_EDGE_VALUES = [b"", b"0", b"-1", b"nan", b"inf", b"x", b"O-X", b"B-",
+                b"S-PER", b"I-LOC", "ǅ".encode(), b"-DOCSTART-", b"files",
+                b"caseless"]
+
+
+@st.composite
+def _mutated(draw, data: bytes, lines_only: bool) -> bytes:
+    """`data` with one edit: a line deleted, duplicated, replaced by
+    arbitrary text, or its last field replaced by an edge-case value; or,
+    unless `lines_only`, cut short or with a byte range replaced.  A gzip
+    file may have its payload edited instead."""
+    if data[:2] == b"\x1f\x8b" and draw(st.booleans()):
+        payload = draw(_mutated(gzip.decompress(data), lines_only))
+        return gzip.compress(payload, mtime=0)
+    edits = ["delete", "duplicate", "replace", "value"]
+    if not lines_only:
+        edits += ["cut", "splice"]
+    edit = draw(st.sampled_from(edits))
+    if edit == "cut":
+        return data[: draw(st.integers(0, len(data)))]
+    if edit == "splice":
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, len(data)))
+        return data[:start] + draw(st.binary(max_size=4)) + data[stop:]
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "replace":
+        lines[i] = draw(st.text(max_size=12)).encode("utf-8", "surrogatepass")
+    else:
+        fields = lines[i].rsplit(None, 1)
+        lines[i] = b" ".join(fields[:-1] + [draw(st.sampled_from(_EDGE_VALUES))])
+    return b"\n".join(lines)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
+    """`main` ends every command on mutated input with an exit code of 0-3
+    and raises nothing.  Configs get only line edits, which keep the
+    synthetic data and the training run small."""
+    argv = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    roles = [arg for arg in argv if arg in fuzz_inputs]
+    target = data.draw(st.sampled_from(roles))
+    with tempfile.TemporaryDirectory() as root, contextlib.chdir(root):
+        for role in roles:
+            content = fuzz_inputs[role]
+            if role == target:
+                content = data.draw(
+                    _mutated(content, lines_only=role == "config")
+                )
+            with open(role, "wb") as handle:
+                handle.write(content)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL), (
+        stderr.getvalue()
+    )
 
 
 def test_synth_command(tmp_path, capsys):

@@ -280,10 +280,11 @@ class TestForwardBackward:
             weights = rng.integers(1, 4, len(lengths)).astype(np.float64)
             chain = (*rng.normal(0.0, scale, (2, k)),
                      rng.normal(0.0, scale, (k, k)))
-            expected = crf._forward_backward_log(emit, lengths, weights, *chain)
+            packed = crf._packed(lengths)
+            expected = crf._forward_backward_log(emit, packed, weights, *chain)
             with monkeypatch.context() as patch:
                 patch.setattr(crf, "_forward_backward_log", _no_fallback)
-                got = crf._forward_backward(emit, lengths, weights, *chain)
+                got = crf._forward_backward(emit, packed, weights, *chain)
             for a, b in zip(got, expected):
                 assert a.shape == b.shape
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
@@ -334,13 +335,13 @@ class TestForwardBackward:
                      rng.normal(0.0, 1.0, (k, k)))
             weights = rng.integers(1, 4, len(lengths))
             logz, node, edge = crf._forward_backward(
-                _pack_batch(emits)[0], lengths, weights.astype(np.float64),
-                *chain,
+                _pack_batch(emits)[0], crf._packed(lengths),
+                weights.astype(np.float64), *chain,
             )
             repeated = [e for e, w in zip(emits, weights) for _ in range(w)]
             rows, rep_lengths, _ = _pack_batch(repeated)
             rep_logz, rep_node, rep_edge = crf._forward_backward(
-                rows, rep_lengths, np.ones(len(repeated)), *chain
+                rows, crf._packed(rep_lengths), np.ones(len(repeated)), *chain
             )
             np.testing.assert_allclose(np.repeat(logz, weights), rep_logz,
                                        rtol=1e-12, atol=0)
@@ -364,7 +365,7 @@ class TestForwardBackward:
             [crf._emissions(model, s) for s in sentences]
         )
         logz, node, edge = crf._forward_backward(
-            rows, lengths, np.ones(len(sentences)),
+            rows, crf._packed(lengths), np.ones(len(sentences)),
             model.begin, model.end, model.transition,
         )
         edge_sum = np.zeros_like(edge)
@@ -383,7 +384,8 @@ def _no_fallback(*args):
 
 
 class TestObjective:
-    """`_neg_ll_and_grad` runs one forward-backward pass per call."""
+    """`_neg_ll_and_grad` runs one forward-backward pass per call, on the
+    layout `_encode` built."""
 
     @staticmethod
     def _encoded(rng):
@@ -399,13 +401,17 @@ class TestObjective:
         calls = []
         original = crf._forward_backward
 
-        def spy(emit, lengths, *args):
-            calls.append(len(lengths))
-            return original(emit, lengths, *args)
+        def spy(emit, packed, *args):
+            calls.append(packed)
+            return original(emit, packed, *args)
+
+        def no_packing(lengths):
+            raise AssertionError("the objective rebuilt the packed layout")
 
         monkeypatch.setattr(crf, "_forward_backward", spy)
+        monkeypatch.setattr(crf, "_packed", no_packing)
         crf._neg_ll_and_grad(w, enc, 1.0)
-        assert calls == [len(enc.lengths)]
+        assert len(calls) == 1 and calls[0] is enc.packed
 
     def test_forced_fallback_matches_scaled_path(self, monkeypatch, rng):
         enc, w = self._encoded(rng)

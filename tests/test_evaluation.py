@@ -219,3 +219,23 @@ class TestTagCorpus:
         decoded.clear()
         robustness_grid(caseless_model, test_corpus)
         assert len(decoded) == distinct
+
+    def test_truecases_each_lowercased_sentence_once(self, setup, monkeypatch):
+        model, train_corpus, test_corpus = setup
+        caser = train_truecaser(train_corpus)
+        variants = Corpus(tuple(
+            ann for v in CaseVariant for ann in make_variant(test_corpus, v)
+        ))
+        expected = [decode(model, truecase(caser, ann.sentence))
+                    for ann in variants]
+        truecased = []
+
+        def counting(truecaser, sentence):
+            truecased.append(sentence)
+            return truecase(truecaser, sentence)
+
+        monkeypatch.setattr(casener.evaluation, "truecase", counting)
+        assert tag_corpus(model, variants, truecaser=caser) == expected
+        assert len(truecased) == len(
+            {to_lower(ann.sentence) for ann in variants}
+        ) < len(variants)

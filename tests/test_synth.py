@@ -5,6 +5,7 @@ import pytest
 from casener import synth
 from casener.corpus import Scheme, extract_spans, validate_tags, write_conll
 from casener.synth import SynthConfig, default_config, generate, vocabulary_overlap
+from casener.truecase import train_truecaser
 
 
 class TestConfig:
@@ -108,3 +109,12 @@ def test_default_corpora_are_pinned():
         "b07525c6a73119e258314127a0602d68421380ff7390d53a9418bc14c5ac09b4",
         "1b29a7286ae939f33cd74c11af57f7b9f405b09eb3caa2706f5c0ae047841093",
     ]
+
+
+def test_default_truecaser_is_pinned():
+    """The truecaser fitted on the seed-42 train split serializes as
+    recorded, which pins every spelling it restores and its format."""
+    train, _ = generate(default_config(42))
+    assert hashlib.sha256(train_truecaser(train).to_bytes()).hexdigest() == (
+        "83d0fdf4f1fedb9ae0f0d823cb26598624f8d8e5389b238ddca9b09e51303af5"
+    )

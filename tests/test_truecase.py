@@ -22,7 +22,7 @@ from casener.truecase import (
     truecase,
 )
 from conftest import (
-    garbage_containers, mutated_container, random_corpus, version_1_blob,
+    garbage_containers, mutated_container, old_version_blob, random_corpus,
 )
 from oracles import train_truecaser_reference
 
@@ -58,22 +58,27 @@ class TestClassify:
             classify_case("")
 
 
+def restored(caser: Truecaser, word: str) -> str:
+    """The spelling `caser` restores `word` to at a non-initial position."""
+    return truecase(caser, Sentence(("x", word))).tokens[1]
+
+
 class TestTraining:
     def test_non_initial_initcap_majority(self):
         corpus = Corpus(tuple(ann("we saw New York City") for _ in range(3)))
         caser = train_truecaser(corpus)
-        assert caser.majority_class("york") is CaseClass.INIT_CAP
-        assert caser.majority_class("city") is CaseClass.INIT_CAP
+        assert restored(caser, "york") == "York"
+        assert restored(caser, "city") == "City"
 
     def test_sentence_initial_only_word_becomes_lower(self):
         corpus = Corpus(tuple(ann("The deal closed today") for _ in range(3)))
         caser = train_truecaser(corpus)
         # 3 initial occurrences: INIT_CAP 0.3 vs LOWER 2.7 after the discount
-        assert caser.majority_class("the") is CaseClass.LOWER
+        assert restored(caser, "the") == "the"
 
     def test_unseen_word_falls_back_to_lower(self):
         caser = train_truecaser(Corpus((ann("just one sentence"),)))
-        assert caser.majority_class("zzzz") is CaseClass.LOWER
+        assert restored(caser, "zzzz") == "zzzz"
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -82,7 +87,16 @@ class TestTraining:
     def test_allcap_at_sentence_start_is_not_discounted(self):
         corpus = Corpus(tuple(ann("NATO said so") for _ in range(2)))
         caser = train_truecaser(corpus)
-        assert caser.majority_class("nato") is CaseClass.ALL_CAP
+        assert restored(caser, "nato") == "NATO"
+
+    def test_majority_class_keeps_its_most_frequent_spelling(self):
+        caser = train_truecaser(Corpus((
+            ann("x McDonald MCDonald McDonald"), ann("x iPod IPod"),
+            ann("x ebay eBay ebay"),
+        )))
+        assert restored(caser, "mcdonald") == "McDonald"
+        assert restored(caser, "ipod") == "IPod"  # a tie: the smaller string
+        assert restored(caser, "ebay") == "ebay"  # LOWER outvotes MIXED
 
 
 # Cased letters whose lowercase or uppercase forms change length ("İ",
@@ -125,6 +139,18 @@ class TestPerTokenTraining:
         tokens = [t for a in corpus for t in a.sentence.tokens]
         assert len(tokens) > len(set(tokens))
         assert sorted(classified) == sorted(set(tokens))
+
+
+# Tokens with irregular case mappings: a titlecase digraph, letters whose
+# lowercase or uppercase forms change length, a ligature, a Greek word
+# ending in sigma; and uncased tokens.
+_UNICODE_TOKENS = ("ǅ", "İ", "ẞ", "ﬁ", "ΟΔΟΣ", "<s>", "123", "york")
+_unicode_sentences = st.lists(
+    st.builds(lambda token, casing: casing(token),
+              st.sampled_from(_UNICODE_TOKENS),
+              st.sampled_from([str, str.lower, str.upper, str.capitalize])),
+    min_size=1, max_size=6,
+).map(lambda tokens: Sentence(tuple(tokens)))
 
 
 class TestTruecase:
@@ -181,6 +207,16 @@ class TestTruecase:
             s = random_corpus(rng, sentences=1).sentences[0].sentence
             assert len(truecase(caser, s)) == len(s)
 
+    @given(st.lists(_unicode_sentences, min_size=1, max_size=6),
+           _unicode_sentences)
+    def test_output_is_a_function_of_the_lowercased_sentence(
+        self, training, sentence
+    ):
+        caser = train_truecaser(Corpus(tuple(
+            ann(" ".join(s.tokens)) for s in training
+        )))
+        assert truecase(caser, sentence) == truecase(caser, to_lower(sentence))
+
 
 class TestPersistence:
     def test_roundtrip_behavior(self, rng):
@@ -201,10 +237,11 @@ class TestPersistence:
         with pytest.raises(TruecaserFormatError):
             Truecaser.from_bytes(blob[: len(blob) // 2])
 
-    def test_version_1_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected(self, version):
         caser = train_truecaser(Corpus((ann("New York bought an iPhone"),)))
-        with pytest.raises(TruecaserFormatError, match="version 1"):
-            Truecaser.from_bytes(version_1_blob(caser))
+        with pytest.raises(TruecaserFormatError, match=f"version {version}"):
+            Truecaser.from_bytes(old_version_blob(caser, version))
 
 
 _TINY_CASER_DOC = json.loads(gzip.decompress(train_truecaser(Corpus((
@@ -236,8 +273,9 @@ class TestFromBytesFuzz:
 
     @pytest.mark.parametrize("surface", [5, "", "i Phone", "iPod"])
     def test_mixed_surface_must_spell_its_key(self, surface):
-        assert _TINY_CASER_DOC["mixed_surface"] == {"iphone": "iPhone"}
-        doc = dict(_TINY_CASER_DOC, mixed_surface={"iphone": surface})
+        surfaces = _TINY_CASER_DOC["surfaces"]
+        assert surfaces == {"iphone": "iPhone", "usa": "USA", "york": "York"}
+        doc = dict(_TINY_CASER_DOC, surfaces=dict(surfaces, iphone=surface))
         with pytest.raises(TruecaserFormatError):
             Truecaser.from_bytes(gzip.compress(json.dumps(doc).encode(), mtime=0))
 
