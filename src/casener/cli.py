@@ -3,7 +3,8 @@
 Subcommands: train, tag, eval, augment, truecase, synth, experiment, grid.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Experiment settings come from an optional key=value config file; flags
-override file values, and a key the command does not read is a data error.
+override file values, and a key the command does not read, or a value
+outside its flag's choices, is a data error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .crf import (
 )
 from .evaluation import evaluate, metrics_lines, tag_corpus
 from .harness import ExperimentConfig, Strategy, read_config_file
-from .synth import default_config, generate, vocabulary_overlap
+from .synth import default_config, generate, vocabulary_overlap_lines
 from .transforms import augment
 from .truecase import (
     Truecaser,
@@ -173,7 +174,8 @@ def _read_tokens_file(path: str) -> Corpus:
 def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
     """Each setting of `flags` by its dest: the flag value if given, else
     the config-file value cast like the flag, else None.  A config-file key
-    that names none of the flags is a data error."""
+    that names none of the flags, or a value outside its flag's choices, is
+    a data error."""
     file_cfg = read_config_file(args.config) if args.config else {}
     keys = {flag.removeprefix("--"): kwargs for flag, kwargs in flags}
     unknown = sorted(set(file_cfg) - set(keys))
@@ -186,7 +188,10 @@ def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
         dest = key.replace("-", "_")
         settings[dest] = getattr(args, dest)
         if settings[dest] is None and key in file_cfg:
-            settings[dest] = kwargs.get("type", str)(file_cfg[key])
+            value = settings[dest] = kwargs.get("type", str)(file_cfg[key])
+            if value not in kwargs.get("choices", [value]):
+                raise ValueError(f"{args.config}: {key} = {value!r} is not "
+                                 f"one of {', '.join(kwargs['choices'])}")
     return settings
 
 
@@ -321,17 +326,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     train_corpus, test_corpus = generate(cfg)
     write_conll_file(train_corpus, args.out_train)
     write_conll_file(test_corpus, args.out_test)
-    overlap = vocabulary_overlap(train_corpus, test_corpus)
     print(f"train: {len(train_corpus)} sentence(s) -> {args.out_train}")
     print(f"test:  {len(test_corpus)} sentence(s) -> {args.out_test}")
-    print(
-        f"test token types seen in training: "
-        f"{overlap['test_token_types_seen']:.3f}"
-    )
-    print(
-        f"test entity types seen in training: "
-        f"{overlap['test_entity_types_seen']:.3f}"
-    )
+    for line in vocabulary_overlap_lines(train_corpus, test_corpus):
+        print(line)
     return EXIT_OK
 
 

@@ -29,9 +29,6 @@ scheme-valid output.
 from __future__ import annotations
 
 import base64
-import gzip
-import json
-import zlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -40,6 +37,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
+from . import container
 from .corpus import (
     Corpus,
     Scheme,
@@ -59,7 +57,7 @@ from .features import (
     fit_feature_map,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
 
-_FORMAT = "casener-crf"
+_KIND = "crf"
 _VERSION = 1
 
 
@@ -101,7 +99,7 @@ class CrfModel:
     `emission` has shape (num_features, num_tags); `begin`, `end` have shape
     (num_tags,); `transition` has shape (num_tags, num_tags).  All weights
     must be finite.  Tags must form an IOBES label space ("O" or
-    "<B|I|E|S>-<TYPE>"); decoding constraints are derived from it.
+    "<B|I|E|S>-<TYPE>") holding "O"; decoding constraints are derived from it.
     """
 
     def __init__(
@@ -132,6 +130,8 @@ class CrfModel:
             prefix, _ = split_tag(tag)
             if prefix != "O" and prefix not in "BIES":
                 raise ValueError(f"tag {tag!r} is not an IOBES label")
+        if "O" not in feature_map.tags:
+            raise ValueError('the tag set lacks "O"')
 
         self.feature_map = feature_map
         self.template_set = template_set
@@ -672,9 +672,7 @@ def save(model: CrfModel) -> bytes:
     Weights are stored as raw little-endian float64, so save/load round
     trips are bit-lossless and repeated saves are byte-identical.
     """
-    doc = {
-        "format": _FORMAT,
-        "version": _VERSION,
+    return container.dump(_KIND, _VERSION, {
         "template_set": model.template_set.value,
         "tags": list(model.feature_map.tags),
         "features": list(model.feature_map.features),
@@ -683,11 +681,7 @@ def save(model: CrfModel) -> bytes:
         "end": _encode_array(model.end),
         "transition": _encode_array(model.transition),
         "metadata": model.metadata,
-    }
-    payload = json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-    return gzip.compress(payload, mtime=0)
+    })
 
 
 def _strings(doc: dict, key: str) -> tuple[str, ...]:
@@ -699,19 +693,7 @@ def _strings(doc: dict, key: str) -> tuple[str, ...]:
 
 def load(data: bytes) -> CrfModel:
     """Inverse of :func:`save`; raises ModelFormatError on any defect."""
-    if not data:
-        raise ModelFormatError("empty model data")
-    try:
-        payload = gzip.decompress(data)
-        doc = json.loads(payload)
-    except (OSError, EOFError, zlib.error, ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and over-long integers;
-        # RecursionError, arrays nested too deep.
-        raise ModelFormatError(f"corrupt model container: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise ModelFormatError("not a CRF model file")
-    if doc.get("version") != _VERSION:
-        raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
+    doc = container.load(data, _KIND, _VERSION, ModelFormatError)
     try:
         fmap = FeatureMap(_strings(doc, "features"), _strings(doc, "tags"))
         template_set = TemplateSet(doc["template_set"])

@@ -31,7 +31,7 @@ from .corpus import Corpus, read_conll_file
 from .crf import CrfModel, TrainConfig, save_file, train
 from .evaluation import Metrics, metrics_lines, variant_grid
 from .features import TemplateSet
-from .synth import SynthConfig, generate, vocabulary_overlap
+from .synth import SynthConfig, generate, vocabulary_overlap_lines
 from .transforms import CaseVariant, augment, make_variant
 from .truecase import train_truecaser
 
@@ -88,9 +88,6 @@ class ExperimentResult:
     config: ExperimentConfig
     grid: dict[CaseVariant, Metrics]
     model: CrfModel
-    train_sentences: int
-    effective_train_sentences: int
-    dropped_prediction_spans: int
     report_text: str
     report_kv: str
 
@@ -108,13 +105,9 @@ def _load_corpora(cfg: ExperimentConfig) -> tuple[Corpus, Corpus, list[str]]:
     """Returns (train, test, provenance lines for the report header)."""
     if cfg.synth is not None:
         train_corpus, test_corpus = generate(cfg.synth)
-        overlap = vocabulary_overlap(train_corpus, test_corpus)
         lines = [
             _synth_data_line(cfg.synth),
-            f"test token types seen in training: "
-            f"{overlap['test_token_types_seen']:.3f}",
-            f"test entity types seen in training: "
-            f"{overlap['test_entity_types_seen']:.3f}",
+            *vocabulary_overlap_lines(train_corpus, test_corpus),
         ]
         return train_corpus, test_corpus, lines
     train_corpus = read_conll_file(cfg.train_path)
@@ -258,9 +251,6 @@ def _run_strategy(cfg: ExperimentConfig, data: tuple[Corpus, Corpus, list[str]],
         config=cfg,
         grid=grid,
         model=model,
-        train_sentences=len(train_corpus),
-        effective_train_sentences=effective_sentences,
-        dropped_prediction_spans=dropped,
         report_text=report_text,
         report_kv=report_kv,
     )

@@ -208,6 +208,16 @@ def vocabulary_overlap(train: Corpus, test: Corpus) -> dict[str, float]:
     }
 
 
+def vocabulary_overlap_lines(train: Corpus, test: Corpus) -> list[str]:
+    """The report lines of `vocabulary_overlap(train, test)`."""
+    overlap = vocabulary_overlap(train, test)
+    return [
+        f"test {kind} types seen in training: "
+        f"{overlap[f'test_{kind}_types_seen']:.3f}"
+        for kind in ("token", "entity")
+    ]
+
+
 _PER_FIRST = (
     "Anna", "James", "Maria", "Peter", "Susan", "David", "Laura", "Kevin",
     "Nadia", "Omar", "Wei", "Yuki", "Carlos", "Elena", "Tomas", "Ingrid",

@@ -12,19 +12,17 @@ token, so the output depends only on the lowercased sentence.
 from __future__ import annotations
 
 import enum
-import gzip
-import json
-import zlib
 from collections import Counter, defaultdict
 from typing import Mapping
 
+from . import container
 from .corpus import Corpus, Sentence
 
 #: Weight a sentence-initial InitCap occurrence contributes to INIT_CAP;
 #: the remaining 0.9 is credited to LOWER (the uncapitalized reading).
 INITIAL_INIT_CAP_WEIGHT = 0.1
 
-_FORMAT = "casener-truecaser"
+_KIND = "truecaser"
 _VERSION = 3
 
 
@@ -91,31 +89,11 @@ class Truecaser:
         self.surfaces = dict(surfaces)
 
     def to_bytes(self) -> bytes:
-        doc = {"format": _FORMAT, "version": _VERSION,
-               "surfaces": self.surfaces}
-        payload = json.dumps(
-            doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
-        return gzip.compress(payload, mtime=0)
+        return container.dump(_KIND, _VERSION, {"surfaces": self.surfaces})
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Truecaser":
-        if not data:
-            raise TruecaserFormatError("empty truecaser data")
-        try:
-            payload = gzip.decompress(data)
-            doc = json.loads(payload)
-        except (OSError, EOFError, zlib.error, ValueError,
-                RecursionError) as exc:
-            # ValueError covers bad UTF-8, bad JSON and over-long integers;
-            # RecursionError, arrays nested too deep.
-            raise TruecaserFormatError(f"corrupt truecaser data: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-            raise TruecaserFormatError("not a truecaser file")
-        if doc.get("version") != _VERSION:
-            raise TruecaserFormatError(
-                f"unsupported truecaser version {doc.get('version')!r}"
-            )
+        doc = container.load(data, _KIND, _VERSION, TruecaserFormatError)
         surfaces = doc.get("surfaces")
         # A surface spells its lowercased word, as `train_truecaser` builds
         # it; so restoring one always gives a valid token.

@@ -3,7 +3,10 @@ import contextlib
 import gzip
 import io
 import os
+import re
+import shlex
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -393,6 +396,46 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys, command, line):
     assert "data error" in err and line.split(" =")[0] in err
 
 
+@pytest.mark.parametrize("command", ["experiment", "grid"])
+def test_config_file_value_outside_choices_exits_2(data_files, tmp_path,
+                                                   capsys, command):
+    # As a flag, `--data bogus` is a usage error; in a config file it must
+    # not fall through to the file data source.
+    root, train, test = data_files
+    selector = "strategies" if command == "grid" else "strategy"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{selector} = baseline\ndata = bogus\nmax-epochs = 3\n")
+    assert main([command, "--config", str(cfg), "--train", train,
+                 "--test", test]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "data = 'bogus'" in err
+    assert main([command, "--data", "bogus"]) == EXIT_USAGE
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every `casener ...` line of README's code blocks, split into words,
+    with backslash continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("casener ")]
+
+
+def test_readme_commands_parse():
+    parser = cli._build_parser()
+    commands = _readme_commands()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except cli.UsageError as exc:
+            pytest.fail(f"README line {' '.join(argv)!r}: {exc}")
+    [subparsers] = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert {argv[1] for argv in commands} == set(subparsers.choices)
+
+
 def test_type_map_file_keys_are_free_form(tmp_path):
     type_map = tmp_path / "types.cfg"
     type_map.write_text("PER = PERSON\nLOC = PLACE\nNOT-A-SETTING = X\n")
@@ -417,16 +460,19 @@ def test_run_flags_and_config_keys_match(tmp_path, command, flags):
         if isinstance(action, argparse._SubParsersAction)
     ]
     options = {
-        action.option_strings[0]: action.dest
+        action.option_strings[0]: action
         for action in commands.choices[command]._actions
         if action.option_strings[0] not in ("-h", "--config")
     }
     cfg = tmp_path / "all.cfg"
-    cfg.write_text("".join(f"{flag[2:]} = 1\n" for flag in options))
+    cfg.write_text("".join(
+        f"{flag[2:]} = {(action.choices or [1])[0]}\n"
+        for flag, action in options.items()
+    ))
     settings = cli._settings(
         parser.parse_args([command, "--config", str(cfg)]), flags
     )
-    assert settings.keys() == set(options.values())
+    assert settings.keys() == {action.dest for action in options.values()}
     assert None not in settings.values()
 
 
