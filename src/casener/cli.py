@@ -3,8 +3,8 @@
 Subcommands: train, tag, eval, augment, truecase, synth, experiment, grid.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Experiment settings come from an optional key=value config file; flags
-override file values, and a key the command does not read, or a value
-outside its flag's choices, is a data error.
+override file values, and a key the command does not read, or a value that
+fails its flag's cast or lies outside its choices, is a data error.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ _EXPERIMENT_FLAGS = (
     *_SHARED_FLAGS,
 )
 _GRID_FLAGS = (
-    ("--strategies", {"help": "comma-separated list (default: all four)"}),
+    ("--strategies", {"help": "comma-separated list, each strategy at most "
+                              "once (default: all four)"}),
     *_SHARED_FLAGS,
 )
 
@@ -174,8 +175,8 @@ def _read_tokens_file(path: str) -> Corpus:
 def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
     """Each setting of `flags` by its dest: the flag value if given, else
     the config-file value cast like the flag, else None.  A config-file key
-    that names none of the flags, or a value outside its flag's choices, is
-    a data error."""
+    that names none of the flags, or a value that fails its flag's cast or
+    lies outside its choices, is a data error."""
     file_cfg = read_config_file(args.config) if args.config else {}
     keys = {flag.removeprefix("--"): kwargs for flag, kwargs in flags}
     unknown = sorted(set(file_cfg) - set(keys))
@@ -188,7 +189,13 @@ def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
         dest = key.replace("-", "_")
         settings[dest] = getattr(args, dest)
         if settings[dest] is None and key in file_cfg:
-            value = settings[dest] = kwargs.get("type", str)(file_cfg[key])
+            try:
+                value = kwargs.get("type", str)(file_cfg[key])
+            except ValueError as exc:
+                raise ValueError(
+                    f"{args.config}: {key} = {file_cfg[key]!r}: {exc}"
+                ) from None
+            settings[dest] = value
             if value not in kwargs.get("choices", [value]):
                 raise ValueError(f"{args.config}: {key} = {value!r} is not "
                                  f"one of {', '.join(kwargs['choices'])}")
@@ -346,11 +353,23 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     settings = _settings(args, _GRID_FLAGS)
     names = settings["strategies"]
-    if names is None:
-        names = ",".join(s.value for s in Strategy)
-    strategies = [Strategy(name.strip()) for name in names.split(",") if name.strip()]
-    if not strategies:
+    choices = [s.value for s in Strategy]
+    listed = choices if names is None else [
+        name.strip() for name in names.split(",") if name.strip()
+    ]
+    for i, name in enumerate(listed):
+        if name not in choices or name in listed[:i]:
+            problem = (
+                f"{'repeated' if name in choices else 'invalid'} choice: "
+                f"{name!r} (choose from {', '.join(map(repr, choices))}, "
+                "each at most once)"
+            )
+            if args.strategies is not None:
+                raise UsageError(f"argument --strategies: {problem}")
+            raise ValueError(f"{args.config}: strategies = {names!r}: {problem}")
+    if not listed:
         raise UsageError("no strategies selected")
+    strategies = [Strategy(name) for name in listed]
     cfg = _experiment_config(settings, strategies[0])
     configs = [replace(cfg, strategy=s, report_path=None) for s in strategies]
     _, combined = harness.run_grid(configs, report_path=cfg.report_path)

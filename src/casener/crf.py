@@ -21,6 +21,12 @@ another order than sentence by sentence: the trained weights agree with
 per-sentence training only to the last bits (the iteration counts and
 decoded tags were the same on the synthetic data).
 
+Training and decoding featurize with the one featurizer,
+`features.feature_table`, and `_sorted_rows` turns its rows into sorted
+feature indices for both: a position's emission score sums its weight rows
+in ascending index order, whether the position is encoded for training or
+decoded.
+
 Training normalizes over the full tag alphabet (no transition masking);
 the IOBES constraints are applied only at decode time, which guarantees
 scheme-valid output.
@@ -51,7 +57,7 @@ from .corpus import (
 from .features import (
     FeatureMap,
     TemplateSet,
-    extract,
+    extract,  # noqa: F401  (perfbench's tracer wraps this name here)
     feature_map_from_table,
     feature_table,
     fit_feature_map,  # noqa: F401  (perfbench's tracer wraps this name here)
@@ -158,28 +164,33 @@ class CrfModel:
         return self.feature_map.num_tags
 
 
-def _active_features(
-    sentence: Sentence, i: int, fmap: FeatureMap, template_set: TemplateSet
-) -> list[int]:
-    """Sorted indices of the mapped features at position `i`; sorting makes
-    the emission sums independent of the string hash seed."""
-    return sorted(
-        idx
-        for feat in extract(sentence, i, template_set)
-        if (idx := fmap.feature_index(feat)) is not None
+def _sorted_rows(
+    fmap: FeatureMap, names: list[str], table: np.ndarray
+) -> np.ndarray:
+    """The `feature_table` rows `table` as feature indices of `fmap`, each
+    row sorted: its -1s (templates that emit nothing or an unmapped name)
+    first, then the mapped indices in ascending order.  Sorting makes the
+    emission sums independent of the string hash seed."""
+    # The appended -1 maps the table's own -1.
+    lookup = np.array(
+        [-1 if (i := fmap.feature_index(name)) is None else i for name in names]
+        + [-1],
+        dtype=np.int32,
     )
+    rows = lookup[table]
+    rows.sort(axis=1)
+    return rows
 
 
 def _emissions(model: CrfModel, sentence: Sentence) -> np.ndarray:
-    """Per-position emission scores, shape (len(sentence), num_tags)."""
-    out = np.zeros((len(sentence), model.num_tags))
-    for i in range(len(sentence)):
-        rows = _active_features(
-            sentence, i, model.feature_map, model.template_set
-        )
-        if rows:
-            out[i] = model.emission[rows].sum(axis=0)
-    return out
+    """Per-position emission scores, shape (len(sentence), num_tags): each
+    position's `model.emission` rows summed in ascending index order."""
+    rows = _sorted_rows(
+        model.feature_map, *feature_table([sentence], model.template_set)
+    )
+    scores = model.emission[rows]
+    scores[rows < 0] = 0.0
+    return scores.sum(axis=1)
 
 
 def score_sequence(model: CrfModel, sentence: Sentence, tags: TagSequence) -> float:
@@ -433,7 +444,9 @@ def _encode(
     weights and in the gold statistics `observed`.  `featurized` is the
     corpus' `feature_table`, computed here if not given."""
     k = fmap.num_tags
-    names, table = featurized or feature_table(corpus, template_set)
+    names, table = featurized or feature_table(
+        [ann.sentence for ann in corpus], template_set
+    )
     lengths = np.fromiter(
         (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
     )
@@ -451,16 +464,7 @@ def _encode(
         for t, (_, cur) in enumerate(steps, 1)
     ])
 
-    # Table IDs -> feature indices, -1 where unmapped; the appended -1 maps
-    # the table's own -1.  A sorted row holds its -1s first and then the
-    # mapped indices in ascending order, as `_active_features` gives them.
-    lookup = np.array(
-        [-1 if (i := fmap.feature_index(name)) is None else i for name in names]
-        + [-1],
-        dtype=np.int32,
-    )
-    active = lookup[table[source]]
-    active.sort(axis=1)
+    active = _sorted_rows(fmap, names, table[source])
     mapped = active >= 0
     indptr = np.zeros(len(active) + 1, dtype=np.int64)
     np.cumsum(mapped.sum(axis=1), out=indptr[1:])
@@ -583,7 +587,7 @@ def train(
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
     distinct, counts = _distinct(corpus)
-    featurized = feature_table(distinct, template_set)
+    featurized = feature_table([ann.sentence for ann in distinct], template_set)
     fmap = feature_map_from_table(distinct, *featurized)
     enc = _encode(distinct, fmap, template_set, counts, featurized)
     result = scipy.optimize.minimize(

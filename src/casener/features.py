@@ -6,20 +6,21 @@ emits only features that cannot distinguish a sentence from its lowercased
 form.  Word identities are stored lowercased in both sets, so casing is
 carried exclusively by the shape/pattern features.
 
-`extract` gives the feature strings of one position; it is the reference
-for the templates and the featurizer used at decode time.  Training
-featurizes a whole corpus with `feature_table` instead, which computes each
-distinct token's attributes (lowercase form, shape, case class, affixes)
-once and builds every template as a numpy gather over the corpus' token-type
-IDs: an int32 (positions, slots) table of feature-name IDs, -1 where a
-template emits nothing.  Both give the same feature set at every position.
-A fitted `FeatureMap` holds, in sorted order, every feature that some
-position of the training corpus has.
+There is one featurizer, `feature_table`, and training and decoding both
+use it.  It computes each distinct token's attributes (lowercase form,
+shape, case class, affixes) once, lays out every template slot's
+feature-name ID per token type, and builds the table of a list of
+sentences with one gather over their token-type IDs: an int32 (positions,
+slots) table of feature-name IDs, -1 where a template emits nothing.
+`extract` is its row view: the feature strings of one position.  A fitted
+`FeatureMap` holds, in sorted order, every feature that some position of
+the training corpus has.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Sequence
 
 import numpy as np
 
@@ -77,126 +78,89 @@ def word_shape(word: str) -> str:
     return "".join(out)
 
 
-def extract(sentence: Sentence, i: int, template_set: TemplateSet) -> set[str]:
-    """Feature strings for position `i` of `sentence`.
+def feature_table(
+    sentences: Sequence[Sentence], template_set: TemplateSet
+) -> tuple[list[str], np.ndarray]:
+    """Feature-name IDs of every token position of `sentences`, in order.
+
+    Returns (names, table).  `table` is int32 with shape (positions, slots),
+    one slot per template, holding an index into `names` or -1 where the
+    template emits nothing.  `names` are distinct and may include names
+    that occur at no position (such as "w0=<s>").
 
     Out-of-range window offsets emit boundary sentinels instead of being
     skipped, so models can learn sentence-edge behavior.
     """
+    # The type ID of every token, each sentence padded with WINDOW start
+    # (-2) and end (-1) sentinels, which `%` turns into type IDs of their
+    # own after the tokens', the last two entries of every per-type list
+    # below.  So a literal "<s>" token keeps its own shape and case class.
+    type_ids: dict[str, int] = {}
+    padded: list[int] = []
+    start, end = [-2] * WINDOW, [-1] * WINDOW
+    for sentence in sentences:
+        padded += start
+        padded += [type_ids.setdefault(t, len(type_ids)) for t in sentence.tokens]
+        padded += end
+    words = list(type_ids)
+    lower = [w.lower() for w in words]
+    types = np.array(padded, dtype=np.int32) % (len(words) + 2)
+
+    # Each template: its value for every type and the two sentinels (None
+    # where it emits nothing), and the (name prefix, window offset) of each
+    # of its slots.  The affixes are those of the position's own token.
+    window = range(-WINDOW, WINDOW + 1)
+    sentinels = [_BOS, _EOS]
+    templates = [(lower + sentinels, [(f"w{d}=", d) for d in window])]
+    if template_set is TemplateSet.CASE_AWARE:
+        templates += [
+            ([word_shape(w) for w in words] + sentinels,
+             [(f"sh{d}=", d) for d in window]),
+            ([_CAP_NAME[classify_case(w)] for w in words] + sentinels,
+             [(f"cap{d}=", d) for d in (-1, 0, 1)]),
+        ]
+    for length in range(1, _MAX_AFFIX + 1):
+        for template, cut in (("pre", slice(length)), ("suf", slice(-length, None))):
+            templates.append((
+                [w[cut] if len(w) >= length else None for w in lower]
+                + [None, None],
+                [(f"{template}{length}=", 0)],
+            ))
+    # "bos" marks the position whose left neighbour is the start sentinel.
+    templates.append(([None] * len(words) + ["", None], [("bos", -1)]))
+
+    # codes[j, t]: the index of type t's value among template j's distinct
+    # values, or -1; slot s of template j names them from names[base[s]].
+    names: list[str] = []
+    codes, template_of, base, offsets = [], [], [], []
+    for values, slots in templates:
+        index: dict[str, int] = {}
+        codes.append(
+            [-1 if v is None else index.setdefault(v, len(index)) for v in values]
+        )
+        for prefix, d in slots:
+            template_of.append(len(codes) - 1)
+            base.append(len(names))
+            offsets.append(d)
+            names += [prefix + v for v in index]
+    # by_type[s, t]: the name ID slot s gives a position whose token at the
+    # slot's offset has type t, or -1.
+    slot_codes = np.array(codes, dtype=np.int32)[template_of]
+    by_type = np.where(
+        slot_codes >= 0, slot_codes + np.array(base, dtype=np.int32)[:, None], -1
+    )
+    windows = types[np.add.outer(np.flatnonzero(types < len(words)), offsets)]
+    return names, by_type.ravel()[windows + np.arange(len(offsets)) * by_type.shape[1]]
+
+
+def extract(sentence: Sentence, i: int, template_set: TemplateSet) -> set[str]:
+    """Feature strings for position `i` of `sentence`: row `i` of its
+    `feature_table`."""
     n = len(sentence)
     if not 0 <= i < n:
         raise ValueError(f"position {i} out of range for a {n}-token sentence")
-    case_aware = template_set is TemplateSet.CASE_AWARE
-    feats: set[str] = set()
-
-    for d in range(-WINDOW, WINDOW + 1):
-        j = i + d
-        if j < 0:
-            feats.add(f"w{d}={_BOS}")
-            if case_aware:
-                feats.add(f"sh{d}={_BOS}")
-        elif j >= n:
-            feats.add(f"w{d}={_EOS}")
-            if case_aware:
-                feats.add(f"sh{d}={_EOS}")
-        else:
-            token = sentence.tokens[j]
-            feats.add(f"w{d}={token.lower()}")
-            if case_aware:
-                feats.add(f"sh{d}={word_shape(token)}")
-
-    word = sentence.tokens[i].lower()
-    for length in range(1, min(_MAX_AFFIX, len(word)) + 1):
-        feats.add(f"pre{length}={word[:length]}")
-        feats.add(f"suf{length}={word[-length:]}")
-
-    if case_aware:
-        for d in (-1, 0, 1):
-            j = i + d
-            if j < 0:
-                feats.add(f"cap{d}={_BOS}")
-            elif j >= n:
-                feats.add(f"cap{d}={_EOS}")
-            else:
-                feats.add(f"cap{d}={_CAP_NAME[classify_case(sentence.tokens[j])]}")
-
-    if i == 0:
-        feats.add("bos")
-    return feats
-
-
-def _intern(values: list[str | None]) -> tuple[np.ndarray, list[str]]:
-    """Codes (-1 for None) and the distinct non-None values they index."""
-    index: dict[str, int] = {}
-    codes = [-1 if v is None else index.setdefault(v, len(index)) for v in values]
-    return np.asarray(codes, dtype=np.int32), list(index)
-
-
-def feature_table(
-    corpus: Corpus, template_set: TemplateSet
-) -> tuple[list[str], np.ndarray]:
-    """Feature-name IDs of every token position of `corpus`, in corpus order.
-
-    Returns (names, table).  `table` is int32 with shape (positions, slots),
-    one slot per template, holding an index into `names` or -1 where the
-    template emits nothing; row p holds exactly the features `extract`
-    gives for position p.  `names` are distinct and may include names that
-    occur at no position (such as "w0=<s>").
-    """
-    type_ids: dict[str, int] = {}
-    tids = np.fromiter(
-        (type_ids.setdefault(tok, len(type_ids))
-         for ann in corpus for tok in ann.sentence.tokens),
-        dtype=np.int32,
-    )
-    lengths = np.fromiter(
-        (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
-    )
-    words = list(type_ids)
-    lower = [w.lower() for w in words]
-
-    # Every sentence is padded with WINDOW sentinels on each side.  The
-    # sentinels get type IDs of their own, so a literal "<s>" token keeps
-    # its own shape and case class.
-    bos, eos = len(words), len(words) + 1
-    starts = np.cumsum(lengths) - lengths
-    pad_at = np.arange(len(tids)) + np.repeat(
-        2 * WINDOW * np.arange(len(lengths)) + WINDOW, lengths
-    )
-    padded = np.full(len(tids) + 2 * WINDOW * len(lengths), eos, dtype=np.int32)
-    for d in range(1, WINDOW + 1):
-        padded[pad_at[starts] - d] = bos
-    padded[pad_at] = tids
-
-    windows = [("w", lower, range(-WINDOW, WINDOW + 1))]
-    if template_set is TemplateSet.CASE_AWARE:
-        windows += [
-            ("sh", [word_shape(w) for w in words], range(-WINDOW, WINDOW + 1)),
-            ("cap", [_CAP_NAME[classify_case(w)] for w in words], (-1, 0, 1)),
-        ]
-    # (template, codes per type ID, distinct values, window offset or None
-    # for the position's own token)
-    slots = []
-    for template, values, offsets in windows:
-        codes, distinct = _intern(values + [_BOS, _EOS])
-        slots += [(f"{template}{d}", codes, distinct, d) for d in offsets]
-    for length in range(1, _MAX_AFFIX + 1):
-        for template, cut in (("pre", slice(length)), ("suf", slice(-length, None))):
-            codes, distinct = _intern(
-                [w[cut] if len(w) >= length else None for w in lower]
-            )
-            slots.append((f"{template}{length}", codes, distinct, None))
-
-    names: list[str] = []
-    table = np.empty((len(tids), len(slots) + 1), dtype=np.int32)
-    for col, (template, codes, distinct, d) in enumerate(slots):
-        ids = codes[tids if d is None else padded[pad_at + d]]
-        table[:, col] = np.where(ids >= 0, ids + len(names), -1)
-        names += [f"{template}={v}" for v in distinct]
-    table[:, -1] = -1
-    table[starts, -1] = len(names)
-    names.append("bos")
-    return names, table
+    names, table = feature_table([sentence], template_set)
+    return {names[j] for j in table[i] if j >= 0}
 
 
 class FeatureMap:
@@ -268,7 +232,9 @@ def fit_feature_map(corpus: Corpus, template_set: TemplateSet) -> FeatureMap:
     """
     if len(corpus) == 0:
         raise ValueError("cannot fit a feature map on an empty corpus")
-    return feature_map_from_table(corpus, *feature_table(corpus, template_set))
+    return feature_map_from_table(corpus, *feature_table(
+        [ann.sentence for ann in corpus], template_set
+    ))
 
 
 def feature_map_from_table(

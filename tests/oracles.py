@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the real code.
 
 Everything here is deliberately brute-force and kept separate from the
-package: feature maps and feature rows come from `extract` at every
+package: the feature templates are spelled out one position at a time
+(`extract_reference`), feature maps and feature rows collect them at every
 position, sequence scores are re-summed term by term, partition functions
 and argmax paths are found by enumerating all taggings, span counting
 re-implements conlleval's chunk-boundary logic, gradients come from
@@ -28,7 +29,7 @@ from casener.corpus import (
     split_tag,
 )
 from casener.crf import CrfModel, log_likelihood_and_gradient
-from casener.features import FeatureMap, extract
+from casener.features import FeatureMap, TemplateSet, word_shape
 from casener.truecase import (
     INITIAL_INIT_CAP_WEIGHT,
     CaseClass,
@@ -37,12 +38,69 @@ from casener.truecase import (
 )
 
 
+_CAP_NAMES = {
+    CaseClass.LOWER: "AllLower",
+    CaseClass.INIT_CAP: "InitCap",
+    CaseClass.ALL_CAP: "AllCap",
+    CaseClass.MIXED: "Mixed",
+    CaseClass.NO_CASE: "NoCase",
+}
+
+
+def extract_reference(sentence, i: int, template_set) -> set[str]:
+    """The feature strings of position `i`, template by template: the
+    lowercased word (w) and, case-aware, its shape (sh) at offsets -2..2,
+    case-aware its case class (cap) at -1..1, the lowercased word's
+    prefixes and suffixes of one to four characters, and "bos" at i == 0.
+    Offsets outside the sentence give the "<s>" and "</s>" sentinels."""
+    n = len(sentence)
+    if not 0 <= i < n:
+        raise ValueError(f"position {i} out of range for a {n}-token sentence")
+    case_aware = template_set is TemplateSet.CASE_AWARE
+    feats: set[str] = set()
+
+    for d in range(-2, 3):
+        j = i + d
+        if j < 0:
+            feats.add(f"w{d}=<s>")
+            if case_aware:
+                feats.add(f"sh{d}=<s>")
+        elif j >= n:
+            feats.add(f"w{d}=</s>")
+            if case_aware:
+                feats.add(f"sh{d}=</s>")
+        else:
+            token = sentence.tokens[j]
+            feats.add(f"w{d}={token.lower()}")
+            if case_aware:
+                feats.add(f"sh{d}={word_shape(token)}")
+
+    word = sentence.tokens[i].lower()
+    for length in range(1, min(4, len(word)) + 1):
+        feats.add(f"pre{length}={word[:length]}")
+        feats.add(f"suf{length}={word[-length:]}")
+
+    if case_aware:
+        for d in (-1, 0, 1):
+            j = i + d
+            if j < 0:
+                feats.add(f"cap{d}=<s>")
+            elif j >= n:
+                feats.add(f"cap{d}=</s>")
+            else:
+                feats.add(f"cap{d}={_CAP_NAMES[classify_case(sentence.tokens[j])]}")
+
+    if i == 0:
+        feats.add("bos")
+    return feats
+
+
 def emission_table(model: CrfModel, sentence) -> np.ndarray:
     """Per-position emission scores via explicit feature lookup and Python sums."""
     k = model.num_tags
     out = np.zeros((len(sentence), k))
     for i in range(len(sentence)):
-        for feat in extract(sentence, i, model.template_set):
+        for feat in extract_reference(sentence, i, model.template_set):
             idx = model.feature_map.feature_index(feat)
             if idx is not None:
                 for t in range(k):
@@ -51,12 +109,13 @@ def emission_table(model: CrfModel, sentence) -> np.ndarray:
 
 
 def fit_feature_map_reference(corpus, template_set) -> FeatureMap:
-    """`fit_feature_map` by collecting `extract` at every position."""
+    """`fit_feature_map` by collecting `extract_reference` at every
+    position."""
     seen: set[str] = set()
     types: set[str] = set()
     for ann in corpus:
         for i in range(len(ann.sentence)):
-            seen.update(extract(ann.sentence, i, template_set))
+            seen.update(extract_reference(ann.sentence, i, template_set))
         types.update(span.entity_type for span in extract_spans(ann.gold))
     kept = sorted(seen)
     tags = ("O",) + tuple(
@@ -68,15 +127,15 @@ def fit_feature_map_reference(corpus, template_set) -> FeatureMap:
 def feature_rows_reference(
     corpus, fmap: FeatureMap, template_set
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indices, indptr) of the mapped `extract` features, one row per
-    position in corpus order, each row sorted."""
+    """CSR (indices, indptr) of the mapped `extract_reference` features, one
+    row per position in corpus order, each row sorted."""
     indptr = [0]
     indices: list[int] = []
     for ann in corpus:
         for i in range(len(ann.sentence)):
             indices.extend(sorted(
                 idx
-                for feat in extract(ann.sentence, i, template_set)
+                for feat in extract_reference(ann.sentence, i, template_set)
                 if (idx := fmap.feature_index(feat)) is not None
             ))
             indptr.append(len(indices))

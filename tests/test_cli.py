@@ -412,6 +412,44 @@ def test_config_file_value_outside_choices_exits_2(data_files, tmp_path,
     assert main([command, "--data", "bogus"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["experiment", "grid"])
+def test_config_file_value_failing_cast_exits_2(tmp_path, capsys, command):
+    selector = "strategies" if command == "grid" else "strategy"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{selector} = baseline\ndata = synth\nmax-epochs = abc\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {cfg}: max-epochs = 'abc': invalid literal" in err
+
+
+_CHOICES = "'baseline', 'caseless', 'truecasing', 'augment'"
+
+
+@pytest.mark.parametrize("names, problem", [
+    ("baseline,foo", "invalid choice: 'foo'"),
+    ("caseless, baseline,caseless", "repeated choice: 'caseless'"),
+])
+def test_grid_rejects_bad_or_repeated_strategy_flag(capsys, names, problem):
+    assert main(["grid", "--data", "synth", "--strategies", names]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage error: argument --strategies: {problem}" in err
+    assert _CHOICES in err
+
+
+@pytest.mark.parametrize("names, problem", [
+    ("baseline,foo", "invalid choice: 'foo'"),
+    ("baseline,baseline", "repeated choice: 'baseline'"),
+])
+def test_grid_rejects_bad_or_repeated_strategy_in_config(tmp_path, capsys,
+                                                         names, problem):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"strategies = {names}\ndata = synth\n")
+    assert main(["grid", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {cfg}: strategies = {names!r}: {problem}" in err
+    assert _CHOICES in err
+
+
 def _readme_commands() -> list[list[str]]:
     """Every `casener ...` line of README's code blocks, split into words,
     with backslash continuations joined."""

@@ -11,7 +11,7 @@ from casener.corpus import (
     Sentence,
     TagSequence,
 )
-from casener.crf import _encode
+from casener.crf import CrfModel, _emissions, _encode
 from casener.features import (
     FeatureMap,
     TemplateSet,
@@ -25,7 +25,8 @@ from casener.synth import default_config, generate
 from casener.transforms import to_lower, to_upper
 from conftest import iobes_taggings, random_corpus, random_sentence
 from oracles import (
-    feature_rows_reference, fit_feature_map_reference, packed_positions,
+    extract_reference, feature_rows_reference, fit_feature_map_reference,
+    packed_positions,
 )
 
 NYC = Sentence(("New", "York", "City"))
@@ -190,8 +191,13 @@ def _corpus(*sentences):
 ))
 @example(_corpus(("<s>",), ("İ", "ẞ", "ﬁ"), ("a", "</s>", "<s>")))
 def test_feature_table_matches_extract(template_set, corpus):
-    """fit_feature_map and _encode's feature rows equal collecting and
-    looking up `extract` position by position, in the packed layout."""
+    """`extract`, fit_feature_map and _encode's feature rows equal
+    spelling out and looking up the templates position by position
+    (`extract_reference`), in the packed layout."""
+    for ann in corpus:
+        for i in range(len(ann.sentence)):
+            assert (extract(ann.sentence, i, template_set)
+                    == extract_reference(ann.sentence, i, template_set))
     fmap = fit_feature_map(corpus, template_set)
     assert fmap == fit_feature_map_reference(corpus, template_set)
     rows = _encode(corpus, fmap, template_set).feature_rows
@@ -201,6 +207,59 @@ def test_feature_table_matches_extract(template_set, corpus):
               packed_positions([len(ann.sentence) for ann in corpus])]
     assert np.array_equal(rows.indices, np.concatenate(packed))
     assert np.array_equal(np.diff(rows.indptr), [len(r) for r in packed])
+
+
+def _with_entity(corpus):
+    """`corpus` and a one-token LOC sentence, so its tag set has K = 5."""
+    return Corpus(corpus.sentences + (AnnotatedSentence(
+        Sentence(("Oslo",)), TagSequence(("S-LOC",), Scheme.IOBES)
+    ),))
+
+
+@pytest.mark.parametrize("template_set", list(TemplateSet))
+@given(
+    st.lists(_annotated(), min_size=1, max_size=4).map(
+        lambda a: Corpus(tuple(a))
+    ),
+    st.lists(_TABLE_TOKENS, min_size=1, max_size=6).map(
+        lambda tokens: Sentence(tuple(tokens))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example(_with_entity(_corpus(("<s>",), ("İ", "ẞ", "ﬁ"), ("a", "</s>", "<s>"))),
+         Sentence(("<s>", "İ", "ẞ", "ﬁ", "</s>")), 0)
+@example(_with_entity(_corpus(("ﬁ",), ("New", "York"))), Sentence(("ﬁ",)), 1)
+@example(_with_entity(_corpus(("İ",))), Sentence(("ẞ",)), 2)
+@example(_corpus(("İ", "ẞ"), ("ﬁ",)), Sentence(("ﬁ",)), 3)
+def test_emissions_sum_the_reference_rows(template_set, corpus, sentence, seed):
+    """`_emissions` gives, bit for bit, `emission[row].sum(axis=0)` for the
+    sorted mapped `extract_reference` features of each position (zeros
+    where none is mapped).  The weights span twelve orders of magnitude,
+    so another summation order would change the last bits.
+
+    With one tag (a corpus without entities) numpy sums the lone weight
+    column pairwise, over the mapped rows in that expression and over the
+    slot-padded row in `_emissions`, so there the two agree to rounding;
+    such a model has a single tagging."""
+    fmap = fit_feature_map(corpus, template_set)
+    gen = np.random.default_rng(seed)
+    k = fmap.num_tags
+    emission = (gen.normal(size=(fmap.num_features, k))
+                * 10.0 ** gen.uniform(-6, 6, size=(fmap.num_features, 1)))
+    model = CrfModel(fmap, template_set, emission, np.zeros(k), np.zeros(k),
+                     np.zeros((k, k)))
+    indices, indptr = feature_rows_reference(
+        _corpus(sentence.tokens), fmap, template_set
+    )
+    rows = [emission[indices[a:b]] for a, b in zip(indptr, indptr[1:])]
+    want = np.array([r.sum(axis=0) if len(r) else np.zeros(k) for r in rows])
+    got = _emissions(model, sentence)
+    if k > 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        scale = np.array([np.abs(r).sum() for r in rows])
+        assert (np.abs(got - want)[:, 0]
+                <= 64 * np.finfo(float).eps * scale).all()
 
 
 # Greek capital sigma lowercases to a final or a medial form by context.
@@ -222,9 +281,7 @@ def test_case_agnostic_features_ignore_lowercasing(sentence):
                 == extract(lowered, i, TemplateSet.CASE_AGNOSTIC))
     rows = []
     for s in (sentence, lowered):
-        names, table = feature_table(
-            _corpus(s.tokens), TemplateSet.CASE_AGNOSTIC
-        )
+        names, table = feature_table([s], TemplateSet.CASE_AGNOSTIC)
         rows.append([{names[j] for j in row if j >= 0} for row in table])
     assert rows[0] == rows[1]
 
