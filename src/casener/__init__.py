@@ -16,7 +16,6 @@ from .corpus import (
     Sentence,
     TagSequence,
     TagValidationError,
-    convert_scheme,
     extract_spans,
     parse_conll,
     read_conll_file,

@@ -62,16 +62,21 @@ _TRAIN_FLAGS = (
     ("--max-epochs", {"type": int}),
     ("--tolerance", {"type": float}),
 )
+#: `synth` settings: `default_config`'s keywords, which a flag not given
+#: leaves at their defaults.
+_SYNTH_FLAGS = (
+    ("--seed", {"type": int}),
+    ("--train-sentences", {"type": int}),
+    ("--test-sentences", {"type": int}),
+    ("--noise-rate", {"type": float}),
+)
 #: Settings `experiment` and `grid` share.  Every flag of those two commands
 #: but --config is also a config-file key: the flag without its dashes.
 _SHARED_FLAGS = (
     ("--train", {"help": "training CoNLL file"}),
     ("--test", {"help": "test CoNLL file"}),
     ("--data", {"choices": ["files", "synth"]}),
-    ("--synth-seed", {"type": int}),
-    ("--synth-train-sentences", {"type": int}),
-    ("--synth-test-sentences", {"type": int}),
-    ("--synth-noise-rate", {"type": float}),
+    *((f"--synth-{flag[2:]}", kwargs) for flag, kwargs in _SYNTH_FLAGS),
     ("--report", {"help": "report base path (.txt/.kv appended)"}),
     ("--type-map", {"help": "key=value file mapping predicted entity types "
                             "onto the gold inventory"}),
@@ -136,10 +141,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", help="output file for --input (default: stdout)")
 
     p = sub.add_parser("synth", help="generate the synthetic corpora")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--train-sentences", type=int, default=2000)
-    p.add_argument("--test-sentences", type=int, default=500)
-    p.add_argument("--noise-rate", type=float, default=0.05)
+    add_flags(p, _SYNTH_FLAGS)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
 
@@ -324,13 +326,11 @@ def _cmd_truecase(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = default_config(
-        seed=args.seed,
-        train_sentences=args.train_sentences,
-        test_sentences=args.test_sentences,
-        noise_rate=args.noise_rate,
-    )
-    train_corpus, test_corpus = generate(cfg)
+    dests = [flag[2:].replace("-", "_") for flag, _ in _SYNTH_FLAGS]
+    train_corpus, test_corpus = generate(default_config(**{
+        dest: getattr(args, dest) for dest in dests
+        if getattr(args, dest) is not None
+    }))
     write_conll_file(train_corpus, args.out_train)
     write_conll_file(test_corpus, args.out_test)
     print(f"train: {len(train_corpus)} sentence(s) -> {args.out_train}")

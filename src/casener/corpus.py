@@ -1,9 +1,10 @@
 """CoNLL-style corpus handling: parsing, writing, tagging schemes, entity spans.
 
-Tokens are plain strings; a sentence is an ordered tuple of them.  Tag
-sequences carry their tagging scheme and are validated on construction, so
-any ``TagSequence`` reachable from this module is scheme-legal.  The
-canonical in-memory scheme is IOBES; ``parse_conll`` converts on load.
+Tokens are plain strings; a sentence is an ordered tuple of them.  Tags in
+memory are IOBES: a ``TagSequence`` holds no other scheme and is validated
+on construction, and ``spans_to_tags`` writes IOBES.  IOB1 and IOB2 exist
+only at parse time: ``parse_conll`` detects the input's scheme, validates
+each sentence in it and rewrites the tags as IOBES.
 
 The construction checks do their work once per distinct value: a
 ``Sentence`` searches its joined tokens for whitespace in one pass, and
@@ -46,14 +47,7 @@ class Scheme(enum.Enum):
 
     @property
     def prefixes(self) -> frozenset[str]:
-        return _PREFIXES[self]
-
-
-_PREFIXES = {
-    Scheme.IOB1: frozenset("BI"),
-    Scheme.IOB2: frozenset("BI"),
-    Scheme.IOBES: frozenset("BIES"),
-}
+        return frozenset("BIES" if self is Scheme.IOBES else "BI")
 
 
 def split_tag(tag: str) -> tuple[str, str | None]:
@@ -182,14 +176,20 @@ class Sentence:
 
 @dataclass(frozen=True)
 class TagSequence:
-    """Per-token labels in a declared scheme; validated on construction."""
+    """Per-token IOBES labels; validated on construction.
+
+    `scheme` admits IOBES only: IOB1 and IOB2 tags live only in the input
+    `parse_conll` reads.
+    """
 
     tags: tuple[str, ...]
-    scheme: Scheme
+    scheme: Scheme = Scheme.IOBES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tags", tuple(self.tags))
-        validate_tags(self.tags, self.scheme)
+        if self.scheme is not Scheme.IOBES:
+            raise TagValidationError(f"tags are IOBES, not {self.scheme}")
+        validate_tags(self.tags, Scheme.IOBES)
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -247,47 +247,20 @@ class EntitySpan:
 
 
 def extract_spans(tags: TagSequence) -> tuple[EntitySpan, ...]:
-    """Return the maximal entity spans of `tags`, sorted by start position.
-
-    The result is identical for all three schemes encoding the same
-    annotation.
-    """
-    parsed = [split_tag(t) for t in tags.tags]
+    """Return the entity spans of `tags`, sorted by start position."""
     spans: list[EntitySpan] = []
-    if tags.scheme is Scheme.IOBES:
-        start = 0
-        for i, (prefix, etype) in enumerate(parsed):
-            if prefix == "S":
-                spans.append(EntitySpan(i, i, etype))
-            elif prefix == "B":
-                start = i
-            elif prefix == "E":
-                spans.append(EntitySpan(start, i, etype))
-        return tuple(spans)
-
-    open_start: int | None = None
-    open_type: str | None = None
-    for i, (prefix, etype) in enumerate(parsed):
-        if prefix == "O":
-            if open_start is not None:
-                spans.append(EntitySpan(open_start, i - 1, open_type))
-                open_start = None
-        elif prefix == "B" or (open_start is not None and etype != open_type):
-            # B always opens a chunk; in IOB1 an I of a new type does too.
-            if open_start is not None:
-                spans.append(EntitySpan(open_start, i - 1, open_type))
-            open_start, open_type = i, etype
-        elif open_start is None:
-            open_start, open_type = i, etype
-    if open_start is not None:
-        spans.append(EntitySpan(open_start, len(parsed) - 1, open_type))
+    start = 0
+    for i, tag in enumerate(tags.tags):
+        prefix, etype = split_tag(tag)
+        if prefix in ("B", "S"):
+            start = i
+        if prefix in ("E", "S"):
+            spans.append(EntitySpan(start, i, etype))
     return tuple(spans)
 
 
-def spans_to_tags(
-    spans: Iterable[EntitySpan], length: int, scheme: Scheme
-) -> TagSequence:
-    """Encode non-overlapping `spans` as a tag sequence of `length` tokens."""
+def spans_to_tags(spans: Iterable[EntitySpan], length: int) -> TagSequence:
+    """Encode non-overlapping `spans` as IOBES tags for `length` tokens."""
     if length < 1:
         raise CorpusError("tag sequences must cover at least one token")
     ordered = sorted(spans)
@@ -300,39 +273,32 @@ def spans_to_tags(
         prev = span
 
     tags = ["O"] * length
-    last: EntitySpan | None = None
     for span in ordered:
         etype = span.entity_type
-        if scheme is Scheme.IOBES:
-            if span.start == span.end:
-                tags[span.start] = f"S-{etype}"
-            else:
-                tags[span.start] = f"B-{etype}"
-                for i in range(span.start + 1, span.end):
-                    tags[i] = f"I-{etype}"
-                tags[span.end] = f"E-{etype}"
-        elif scheme is Scheme.IOB2:
+        if span.start == span.end:
+            tags[span.start] = f"S-{etype}"
+        else:
             tags[span.start] = f"B-{etype}"
-            for i in range(span.start + 1, span.end + 1):
+            for i in range(span.start + 1, span.end):
                 tags[i] = f"I-{etype}"
-        else:  # IOB1: chunks open with I unless adjacent to a same-type chunk
-            adjacent = (
-                last is not None
-                and last.end == span.start - 1
-                and last.entity_type == etype
-            )
-            tags[span.start] = f"B-{etype}" if adjacent else f"I-{etype}"
-            for i in range(span.start + 1, span.end + 1):
-                tags[i] = f"I-{etype}"
-        last = span
-    return TagSequence(tuple(tags), scheme)
+            tags[span.end] = f"E-{etype}"
+    return TagSequence(tuple(tags))
 
 
-def convert_scheme(tags: TagSequence, target: Scheme) -> TagSequence:
-    """Re-encode `tags` in `target`; the span set is preserved exactly."""
-    if tags.scheme is target:
-        return tags
-    return spans_to_tags(extract_spans(tags), len(tags), target)
+def _detect(
+    tag_sequences: Iterable[Sequence[str]],
+) -> tuple[Scheme, tuple[int, int] | None]:
+    """The scheme of raw tag sequences and, when it is IOB1, the (sequence,
+    position) of the first orphan I-X, the tag that decided it."""
+    orphan = None
+    for s, tags in enumerate(tag_sequences):
+        for i, tag in enumerate(tags):
+            prefix = split_tag(tag)[0]
+            if prefix in ("E", "S"):
+                return Scheme.IOBES, None
+            if orphan is None and prefix == "I" and not _continues(tags, i):
+                orphan = (s, i)
+    return (Scheme.IOB2, None) if orphan is None else (Scheme.IOB1, orphan)
 
 
 def detect_scheme(tag_sequences: Iterable[Sequence[str]]) -> Scheme:
@@ -341,28 +307,42 @@ def detect_scheme(tag_sequences: Iterable[Sequence[str]]) -> Scheme:
     Any E/S prefix means IOBES; otherwise an I-X with no preceding B-X/I-X of
     the same type means IOB1; otherwise IOB2.
     """
-    saw_orphan_i = False
-    for tags in tag_sequences:
-        prev_prefix, prev_type = "O", None
-        for tag in tags:
-            prefix, etype = split_tag(tag)
-            if prefix in ("E", "S"):
-                return Scheme.IOBES
-            if prefix == "I" and not (
-                prev_prefix in ("B", "I") and prev_type == etype
-            ):
-                saw_orphan_i = True
-            prev_prefix, prev_type = prefix, etype
-    return Scheme.IOB1 if saw_orphan_i else Scheme.IOB2
+    return _detect(tag_sequences)[0]
+
+
+def _continues(tags: Sequence[str], i: int) -> bool:
+    """True if `tags[i]` follows a B or I of its type (IOB1 or IOB2 tags)."""
+    return i > 0 and tags[i - 1] != "O" and tags[i - 1][1:] == tags[i][1:]
+
+
+def _to_iobes(tags: Sequence[str]) -> tuple[str, ...]:
+    """Rewrite valid IOB1 or IOB2 `tags` as IOBES.
+
+    A chunk starts at a B, or at an I that continues no chunk of its type,
+    and runs over the I's of its type that follow.
+    """
+    out = []
+    for i, tag in enumerate(tags):
+        if tag != "O":
+            rest = tag[1:]  # "-TYPE"
+            opens = tag[0] == "B" or not _continues(tags, i)
+            closes = i + 1 == len(tags) or tags[i + 1] != "I" + rest
+            if opens:
+                tag = ("S" if closes else "B") + rest
+            else:
+                tag = ("E" if closes else "I") + rest
+        out.append(tag)
+    return tuple(out)
 
 
 def parse_conll(text: str) -> Corpus:
-    """Parse CoNLL-style column text into a Corpus (canonical IOBES tags).
+    """Parse CoNLL-style column text into a Corpus of IOBES tags.
 
     Columns are separated by runs of spaces/tabs; the token is the first
     column and the tag the last.  A blank line ends a sentence; lines whose
     first column is ``-DOCSTART-`` are document markers and are dropped.
-    The tagging scheme is auto-detected over the whole input.
+    The tagging scheme is detected over the whole input and each sentence
+    validated in it; IOB1 and IOB2 tags are then rewritten as IOBES.
     """
     raw_sentences: list[tuple[int, list[str], list[str]]] = []
     tokens: list[str] = []
@@ -401,21 +381,27 @@ def parse_conll(text: str) -> Corpus:
         tags.append(cols[-1])
     flush()
 
-    detected = detect_scheme(t for _, _, t in raw_sentences)
+    detected, orphan = _detect(t for _, _, t in raw_sentences)
+    # An error under IOB1 may lie far from the tag that made the input IOB1.
+    hint = ""
+    if orphan is not None:
+        line, _, sent_tags = raw_sentences[orphan[0]]
+        hint = (f"; IOB1 was inferred from line {line + orphan[1]}, where "
+                f"{sent_tags[orphan[1]]!r} continues no chunk")
 
     annotated: list[AnnotatedSentence] = []
     for index, (start_line, sent_tokens, sent_tags) in enumerate(raw_sentences):
-        context = f"sentence {index + 1} (starting at line {start_line}): "
         try:
-            seq = TagSequence(tuple(sent_tags), detected)
+            if detected is not Scheme.IOBES:
+                validate_tags(sent_tags, detected)
+                sent_tags = _to_iobes(sent_tags)
+            gold = TagSequence(tuple(sent_tags))
         except TagValidationError as exc:
-            raise TagValidationError(f"{context}{exc}") from exc
-        annotated.append(
-            AnnotatedSentence(
-                Sentence(tuple(sent_tokens)),
-                convert_scheme(seq, Scheme.IOBES),
-            )
-        )
+            raise TagValidationError(
+                f"sentence {index + 1} (starting at line {start_line}): "
+                f"{exc}{hint}"
+            ) from exc
+        annotated.append(AnnotatedSentence(Sentence(tuple(sent_tokens)), gold))
 
     provenance = (
         f"parsed {len(annotated)} sentence(s) from CoNLL text; "

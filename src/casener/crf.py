@@ -645,7 +645,7 @@ def decode(model: CrfModel, sentence: Sentence) -> TagSequence:
         path.append(best)
     path.reverse()
     tags = tuple(model.feature_map.tags[i] for i in path)
-    return TagSequence(tags, Scheme.IOBES)
+    return TagSequence(tags)
 
 
 # ---------------------------------------------------------------------------

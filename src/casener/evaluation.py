@@ -145,7 +145,7 @@ def map_prediction_types(
             dropped += 1
         else:
             kept.append(replace(span, entity_type=target))
-    return spans_to_tags(kept, len(tags), tags.scheme), dropped
+    return spans_to_tags(kept, len(tags)), dropped
 
 
 def variant_grid(

@@ -25,7 +25,6 @@ from .corpus import (
     AnnotatedSentence,
     Corpus,
     EntitySpan,
-    Scheme,
     Sentence,
     extract_spans,
     spans_to_tags,
@@ -129,7 +128,7 @@ def _make_sentence(
         first = tokens[0]
         tokens[0] = first[0].upper() + first[1:]
 
-    gold = spans_to_tags(spans, len(tokens), Scheme.IOBES)
+    gold = spans_to_tags(spans, len(tokens))
     return AnnotatedSentence(Sentence(tuple(tokens)), gold)
 
 

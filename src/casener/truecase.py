@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, defaultdict
+from fractions import Fraction
 from typing import Mapping
 
 from . import container
@@ -20,7 +21,7 @@ from .corpus import Corpus, Sentence
 
 #: Weight a sentence-initial InitCap occurrence contributes to INIT_CAP;
 #: the remaining 0.9 is credited to LOWER (the uncapitalized reading).
-INITIAL_INIT_CAP_WEIGHT = 0.1
+INITIAL_INIT_CAP_WEIGHT = Fraction(1, 10)
 
 _KIND = "truecaser"
 _VERSION = 3
@@ -118,41 +119,30 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     """
     if len(corpus) == 0:
         raise ValueError("cannot train a truecaser on an empty corpus")
-    # word -> class -> one-element list holding the weighted count
-    class_counts: dict[str, dict[CaseClass, list[float]]] = {}
-    occurrences: Counter[str] = Counter()
-    # Each distinct token is classified and lowercased once, and `seen`
-    # keeps its word's row and its own class's cell, so an occurrence
-    # inside a sentence hashes no CaseClass.  The counts still accumulate
-    # per occurrence, in corpus order, so the float sums do not depend on
-    # how the work is shared.
-    seen: dict[str, tuple] = {}
-    for ann in corpus:
-        occurrences.update(ann.sentence.tokens)
-        for pos, token in enumerate(ann.sentence.tokens):
-            known = seen.get(token)
-            if known is None:
-                cls, lowered = classify_case(token), token.lower()
-                row = class_counts.setdefault(lowered, {})
-                known = seen[token] = (
-                    cls, lowered, row, row.setdefault(cls, [0.0])
-                )
-            cls, lowered, row, cell = known
-            if pos == 0 and cls is CaseClass.INIT_CAP:
-                cell[0] += INITIAL_INIT_CAP_WEIGHT
-                row.setdefault(CaseClass.LOWER, [0.0])[0] += (
-                    1.0 - INITIAL_INIT_CAP_WEIGHT
-                )
-            else:
-                cell[0] += 1.0
+    occurrences = Counter(t for ann in corpus for t in ann.sentence.tokens)
+    initial = Counter(ann.sentence.tokens[0] for ann in corpus)
+    # Weights are summed exactly, in units of 1/d where the discount weight
+    # is m/d (tenths): a token seen n times, k of them sentence-initial in
+    # InitCap, gives its class d*n - (d-m)*k units and LOWER (d-m)*k.
+    m, d = INITIAL_INIT_CAP_WEIGHT.as_integer_ratio()
+    units: dict[str, Counter[CaseClass]] = defaultdict(Counter)
+    classes = {}
+    for token, n in occurrences.items():
+        cls = classes[token] = classify_case(token)
+        row = units[token.lower()]
+        k = initial[token] if cls is CaseClass.INIT_CAP else 0
+        row[cls] += d * n - (d - m) * k
+        if k:
+            row[CaseClass.LOWER] += (d - m) * k
     majority = {
-        word: min(row, key=lambda c: (-row[c][0], _CLASS_PRIORITY.index(c)))
-        for word, row in class_counts.items()
+        word: min(row, key=lambda c: (-row[c], _CLASS_PRIORITY.index(c)))
+        for word, row in units.items()
     }
     spellings: dict[str, list[tuple[int, str]]] = defaultdict(list)
-    for token, (cls, lowered, _, _) in seen.items():
-        if cls is majority[lowered] and cls is not CaseClass.LOWER:
-            spellings[lowered].append((-occurrences[token], token))
+    for token, cls in classes.items():
+        word = token.lower()
+        if cls is majority[word] and cls is not CaseClass.LOWER:
+            spellings[word].append((-occurrences[token], token))
     surfaces = {word: min(found)[1] for word, found in spellings.items()}
     return Truecaser(
         {word: token for word, token in surfaces.items() if token != word}

@@ -13,7 +13,6 @@ from casener.corpus import (
     AnnotatedSentence,
     Corpus,
     EntitySpan,
-    Scheme,
     Sentence,
     spans_to_tags,
 )
@@ -53,7 +52,7 @@ def random_tagging(
             i = end + 1
         else:
             i += 1
-    return spans_to_tags(spans, length, Scheme.IOBES)
+    return spans_to_tags(spans, length)
 
 
 def random_corpus(rng: random.Random, sentences: int = 20) -> Corpus:
@@ -104,7 +103,7 @@ def iobes_taggings(draw, length: int):
         if entity_type is not None:
             spans.append(EntitySpan(start, end, entity_type))
         start = end + 1
-    return spans_to_tags(spans, length, Scheme.IOBES)
+    return spans_to_tags(spans, length)
 
 
 json_values = st.recursive(

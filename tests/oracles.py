@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -482,14 +483,36 @@ def validate_tags_reference(tags, scheme: Scheme, context: str = "") -> None:
         )
 
 
+def iob_tags_reference(spans, length: int, scheme: Scheme) -> tuple[str, ...]:
+    """Non-overlapping `spans` written in IOB2, where every chunk opens with
+    B, or in IOB1, where a chunk opens with B only right after a chunk of
+    its own type and with I otherwise."""
+    tags = ["O"] * length
+    prev = None
+    for span in sorted(spans):
+        adjacent = (
+            prev is not None
+            and prev.end == span.start - 1
+            and prev.entity_type == span.entity_type
+        )
+        opener = "B" if scheme is Scheme.IOB2 or adjacent else "I"
+        tags[span.start] = f"{opener}-{span.entity_type}"
+        for i in range(span.start + 1, span.end + 1):
+            tags[i] = f"I-{span.entity_type}"
+        prev = span
+    return tuple(tags)
+
+
 def train_truecaser_reference(corpus) -> Truecaser:
     """`train_truecaser`, classifying every occurrence anew.
 
-    Each occurrence adds its weight to its word's class and one to its own
-    spelling; a word then takes its majority class, ties going to the
-    earlier class in `CaseClass` order, and unless that is LOWER keeps the
-    class's most frequent spelling, ties going to the smallest string."""
-    case_counts: dict = defaultdict(lambda: defaultdict(float))
+    Each occurrence adds its weight, an exact fraction, to its word's class
+    and one to its own spelling; a word then takes its majority class, ties
+    going to the earlier class in `CaseClass` order, and unless that is
+    LOWER keeps the class's most frequent spelling, ties going to the
+    smallest string."""
+    weight = INITIAL_INIT_CAP_WEIGHT  # a Fraction
+    case_counts: dict = defaultdict(lambda: defaultdict(Fraction))
     spellings: dict = defaultdict(lambda: defaultdict(Counter))
     for ann in corpus:
         for pos, token in enumerate(ann.sentence.tokens):
@@ -497,16 +520,12 @@ def train_truecaser_reference(corpus) -> Truecaser:
             lowered = token.lower()
             if pos == 0:
                 if cls is CaseClass.INIT_CAP:
-                    case_counts[lowered][CaseClass.INIT_CAP] += (
-                        INITIAL_INIT_CAP_WEIGHT
-                    )
-                    case_counts[lowered][CaseClass.LOWER] += (
-                        1.0 - INITIAL_INIT_CAP_WEIGHT
-                    )
+                    case_counts[lowered][CaseClass.INIT_CAP] += weight
+                    case_counts[lowered][CaseClass.LOWER] += 1 - weight
                 else:
-                    case_counts[lowered][cls] += 1.0
+                    case_counts[lowered][cls] += 1
             else:
-                case_counts[lowered][cls] += 1.0
+                case_counts[lowered][cls] += 1
             spellings[lowered][cls][token] += 1
     order = list(CaseClass)
     surfaces = {}

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from casener import cli
 from casener.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from casener.corpus import parse_conll, read_conll_file, write_conll_file
+from casener.corpus import (
+    parse_conll, read_conll_file, write_conll, write_conll_file,
+)
 from casener.crf import load_file
 from casener.evaluation import tag_corpus
 from casener.synth import default_config, generate
@@ -342,6 +344,15 @@ def test_synth_command(tmp_path, capsys):
     assert "seen in training" in out
 
 
+def test_synth_command_defaults_to_default_config(tmp_path):
+    out_train, out_test = tmp_path / "tr.conll", tmp_path / "te.conll"
+    assert main(["synth", "--out-train", str(out_train),
+                 "--out-test", str(out_test)]) == EXIT_OK
+    train_c, test_c = generate(default_config())
+    assert out_train.read_text("utf-8") == write_conll(train_c)
+    assert out_test.read_text("utf-8") == write_conll(test_c)
+
+
 def test_experiment_command_with_config_file(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -472,6 +483,22 @@ def test_readme_commands_parse():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert {argv[1] for argv in commands} == set(subparsers.choices)
+
+
+def test_readme_python_block_prints_the_baseline_row(capsys):
+    """README's "Python API" block runs and prints the quick-start table's
+    baseline F1s, one line per test variant, then a truecasing F1."""
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    api = text[text.index("## Python API"):]
+    code = re.search(r"^```python\n(.*?)^```", api, flags=re.M | re.S)[1]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    [row] = re.findall(r"^# baseline\s+(.*)$", text, flags=re.M)
+    assert [line.split()[0] for line in lines[:3]] == [
+        v.value for v in CaseVariant
+    ]
+    assert [line.split()[1] for line in lines[:3]] == row.split()
+    assert len(lines) == 4 and 0 < float(lines[3]) <= 1
 
 
 def test_type_map_file_keys_are_free_form(tmp_path):

@@ -18,7 +18,6 @@ from casener.corpus import (
     Sentence,
     TagSequence,
     TagValidationError,
-    convert_scheme,
     detect_scheme,
     extract_spans,
     parse_conll,
@@ -27,7 +26,12 @@ from casener.corpus import (
     write_conll,
 )
 from conftest import conll_texts, random_corpus, random_tagging
-from oracles import check_tokens_reference, validate_tags_reference
+from oracles import (
+    check_tokens_reference,
+    conlleval_spans,
+    iob_tags_reference,
+    validate_tags_reference,
+)
 
 TABLE_SENTENCE = "I O\nlive O\nin O\nNew B-ORG\nYork I-ORG\nCity E-ORG\n\n"
 
@@ -50,9 +54,16 @@ class TestTypes:
         with pytest.raises(TagValidationError):
             TagSequence(("O", "E-ORG"), Scheme.IOBES)  # bad transition
         with pytest.raises(TagValidationError):
-            TagSequence(("S-ORG",), Scheme.IOB2)  # prefix outside scheme
-        with pytest.raises(TagValidationError):
-            TagSequence(("B",), Scheme.IOB2)  # malformed tag
+            TagSequence(("B",))  # malformed tag
+        assert TagSequence(("S-ORG",)).scheme is Scheme.IOBES
+
+    @pytest.mark.parametrize("scheme", [Scheme.IOB1, Scheme.IOB2])
+    def test_tag_sequence_holds_iobes_only(self, scheme):
+        """IOB1 and IOB2 tags exist only in `parse_conll`'s input."""
+        for tags in [("O",), ("S-ORG",), ("I-ORG", "B-ORG"),
+                     ("B-ORG", "I-ORG")]:
+            with pytest.raises(TagValidationError, match="IOBES"):
+                TagSequence(tags, scheme)
 
     def test_annotated_sentence_length_mismatch(self):
         with pytest.raises(CorpusError):
@@ -110,8 +121,12 @@ class TestParse:
 
     def test_illegal_transition_reports_sentence_and_position(self):
         text = "A S-ORG\nB I-ORG\n\n"  # S- makes it IOBES; I- cannot follow S-
-        with pytest.raises(TagValidationError, match="sentence 1.*position 1"):
+        with pytest.raises(TagValidationError) as info:
             parse_conll(text)
+        assert str(info.value) == (  # names no inferring line outside IOB1
+            "sentence 1 (starting at line 1): position 1: transition "
+            "'S-ORG' -> 'I-ORG' is illegal in scheme IOBES"
+        )
 
     def test_crlf_and_column_selection(self):
         # The token is the first column and the tag the last.
@@ -123,6 +138,18 @@ class TestParse:
     def test_one_column_line_is_malformed(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_conll("token\n")
+
+    def test_iob1_error_names_the_line_that_made_it_iob1(self):
+        # An IOB2 file with one type typo: the orphan I-ORG on line 7 makes
+        # the input IOB1, in which sentence 1 is illegal.
+        text = "John B-PER\nSmith I-PER\n\nin O\n\nNew B-LOC\nYork I-ORG\n\n"
+        with pytest.raises(TagValidationError) as info:
+            parse_conll(text)
+        assert str(info.value) == (
+            "sentence 1 (starting at line 1): position 0: tag 'B-PER' cannot "
+            "open a sentence in scheme IOB1; IOB1 was inferred from line 7, "
+            "where 'I-ORG' continues no chunk"
+        )
 
 
 class TestParseFuzz:
@@ -170,35 +197,46 @@ class TestWrite:
 
 
 class TestSchemeConversion:
+    """IOB1 and IOB2 input is rewritten as IOBES by `parse_conll`."""
+
     def test_iob2_to_iobes(self):
-        tags = TagSequence(("B-ORG", "I-ORG", "I-ORG"), Scheme.IOB2)
-        assert convert_scheme(tags, Scheme.IOBES).tags == (
-            "B-ORG", "I-ORG", "E-ORG",
-        )
+        corpus = parse_conll("a B-ORG\nb I-ORG\nc I-ORG\n\n")
+        assert corpus.sentences[0].gold.tags == ("B-ORG", "I-ORG", "E-ORG")
+        assert "scheme IOB2 converted to IOBES" in corpus.provenance
 
     def test_single_token_becomes_s(self):
-        tags = TagSequence(("B-LOC",), Scheme.IOB2)
-        assert convert_scheme(tags, Scheme.IOBES).tags == ("S-LOC",)
+        corpus = parse_conll("a B-LOC\n\n")
+        assert corpus.sentences[0].gold.tags == ("S-LOC",)
 
     def test_iob1_adjacent_chunks(self):
-        tags = TagSequence(("I-LOC", "B-LOC", "O"), Scheme.IOB1)
-        assert extract_spans(tags) == (
-            EntitySpan(0, 0, "LOC"), EntitySpan(1, 1, "LOC"),
-        )
-        assert convert_scheme(tags, Scheme.IOBES).tags == ("S-LOC", "S-LOC", "O")
-        back = convert_scheme(convert_scheme(tags, Scheme.IOBES), Scheme.IOB1)
-        assert back.tags == tags.tags
+        corpus = parse_conll("a I-LOC\nb B-LOC\nc O\n\n")
+        assert corpus.sentences[0].gold.tags == ("S-LOC", "S-LOC", "O")
+        assert "scheme IOB1 converted to IOBES" in corpus.provenance
 
-    def test_roundtrips_preserve_tags_and_spans(self, rng):
-        for _ in range(50):
-            tags = random_tagging(rng, rng.randint(1, 9))
-            for a in Scheme:
-                for b in Scheme:
-                    converted = convert_scheme(convert_scheme(tags, a), b)
-                    assert extract_spans(converted) == extract_spans(tags)
-            for target in Scheme:
-                there = convert_scheme(tags, target)
-                assert convert_scheme(there, Scheme.IOBES).tags == tags.tags
+    @pytest.mark.parametrize("scheme", [Scheme.IOB1, Scheme.IOB2])
+    def test_every_short_sequence_keeps_its_conlleval_spans(self, scheme):
+        """Every `scheme`-valid sequence of up to 6 tokens over two types,
+        written as one CoNLL file, parses to IOBES tags with the chunks
+        conlleval reads in the input."""
+        alphabet = ["O", "B-A", "I-A", "B-B", "I-B"]
+        valid = [
+            candidate
+            for length in range(1, 7)
+            for candidate in itertools.product(alphabet, repeat=length)
+            if _outcome(validate_tags_reference, candidate, scheme) is None
+        ]
+        assert len(valid) == 2910  # one per set of spans
+        text = "".join(
+            "".join(f"t {tag}\n" for tag in tags) + "\n" for tags in valid
+        )
+        corpus = parse_conll(text)
+        assert f"scheme {scheme.value} converted" in corpus.provenance
+        assert len(corpus) == len(valid)
+        for raw, ann in zip(valid, corpus):
+            assert ann.gold.scheme is Scheme.IOBES
+            assert [
+                (s.start, s.end, s.entity_type) for s in extract_spans(ann.gold)
+            ] == conlleval_spans(raw), raw
 
 
 class TestSpans:
@@ -218,26 +256,23 @@ class TestSpans:
         )
 
     def test_spans_to_tags_examples(self):
-        assert spans_to_tags(
-            {EntitySpan(3, 5, "ORG")}, 6, Scheme.IOBES
-        ).tags == ("O", "O", "O", "B-ORG", "I-ORG", "E-ORG")
-        assert spans_to_tags(set(), 4, Scheme.IOBES).tags == ("O",) * 4
+        assert spans_to_tags({EntitySpan(3, 5, "ORG")}, 6).tags == (
+            "O", "O", "O", "B-ORG", "I-ORG", "E-ORG",
+        )
+        assert spans_to_tags(set(), 4).tags == ("O",) * 4
 
     def test_spans_to_tags_rejects_bad_input(self):
         with pytest.raises(CorpusError):
-            spans_to_tags([EntitySpan(0, 1, "A"), EntitySpan(1, 2, "A")], 4,
-                          Scheme.IOBES)
+            spans_to_tags([EntitySpan(0, 1, "A"), EntitySpan(1, 2, "A")], 4)
         with pytest.raises(CorpusError):
-            spans_to_tags([EntitySpan(2, 5, "A")], 4, Scheme.IOBES)
+            spans_to_tags([EntitySpan(2, 5, "A")], 4)
 
     def test_span_roundtrip_random(self, rng):
         for _ in range(100):
             length = rng.randint(1, 10)
             tags = random_tagging(rng, length)
             spans = extract_spans(tags)
-            for scheme in Scheme:
-                encoded = spans_to_tags(spans, length, scheme)
-                assert extract_spans(encoded) == spans
+            assert extract_spans(spans_to_tags(spans, length)) == spans
 
 
 def _all_span_sets(length: int, types: tuple[str, ...]):
@@ -256,22 +291,20 @@ def _all_span_sets(length: int, types: tuple[str, ...]):
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_validation_matches_span_generated_language(scheme):
     """The validator accepts exactly the encodings of span sets (length <= 5,
-    two entity types) and rejects everything else."""
+    two entity types) and rejects everything else.  IOBES encodings come
+    from `spans_to_tags`, IOB1 and IOB2 ones from the reference writer."""
     types = ("A", "B")
     prefixes = sorted(scheme.prefixes)
     alphabet = ["O"] + [f"{p}-{t}" for p in prefixes for t in types]
     for length in range(1, 6 if scheme is not Scheme.IOBES else 5):
         legal = {
-            spans_to_tags(spans, length, scheme).tags
+            spans_to_tags(spans, length).tags if scheme is Scheme.IOBES
+            else iob_tags_reference(spans, length, scheme)
             for spans in _all_span_sets(length, types)
         }
         for candidate in itertools.product(alphabet, repeat=length):
             expected = candidate in legal
-            try:
-                TagSequence(candidate, scheme)
-                actual = True
-            except TagValidationError:
-                actual = False
+            actual = _outcome(validate_tags, candidate, scheme) is None
             assert actual == expected, (candidate, scheme)
 
 
@@ -284,7 +317,7 @@ def test_arbitrary_sequences_never_crash_validation(tags):
     except TagValidationError:
         return
     spans = extract_spans(seq)
-    assert spans_to_tags(spans, len(tags), Scheme.IOBES).tags == tuple(tags)
+    assert spans_to_tags(spans, len(tags)).tags == tuple(tags)
 
 
 def _outcome(check, *args):

@@ -34,10 +34,10 @@ class TestEvaluate:
 
     def test_half_right_hand_count(self):
         gold = [spans_to_tags(
-            [EntitySpan(0, 0, "LOC"), EntitySpan(3, 5, "ORG")], 6, Scheme.IOBES
+            [EntitySpan(0, 0, "LOC"), EntitySpan(3, 5, "ORG")], 6
         )]
         pred = [spans_to_tags(
-            [EntitySpan(1, 1, "LOC"), EntitySpan(3, 5, "ORG")], 6, Scheme.IOBES
+            [EntitySpan(1, 1, "LOC"), EntitySpan(3, 5, "ORG")], 6
         )]
         metrics = evaluate(pred, gold)
         assert metrics.true_positives == 1

@@ -98,6 +98,20 @@ class TestTraining:
         assert restored(caser, "ipod") == "IPod"  # a tie: the smaller string
         assert restored(caser, "ebay") == "ebay"  # LOWER outvotes MIXED
 
+    def test_exact_tie_goes_to_lower(self):
+        # INIT_CAP 25 * 0.1 + 20 = 22.5 against LOWER 25 * 0.9 = 22.5, a tie;
+        # float sums give LOWER 22.499999999999993.
+        corpus = Corpus(
+            tuple(ann("Foo said so") for _ in range(25))
+            + tuple(ann("we saw Foo") for _ in range(20))
+        )
+        for caser in (train_truecaser(corpus),
+                      train_truecaser_reference(corpus)):
+            assert restored(caser, "foo") == "foo"
+        # One more mid-sentence Foo breaks the tie.
+        corpus = Corpus(corpus.sentences + (ann("we saw Foo"),))
+        assert restored(train_truecaser(corpus), "foo") == "Foo"
+
 
 # Cased letters whose lowercase or uppercase forms change length ("İ",
 # "ẞ", "ß"), uncased characters, and a titlecase digraph ("ǅ").
