@@ -121,8 +121,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("tag", help="decode a file with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True,
-                   help="CoNLL file (existing tags are ignored) or one token "
-                        "per line with blank-line sentence breaks")
+                   help="one token per line with blank-line sentence breaks; "
+                        "only the first column is read, so a CoNLL file's "
+                        "other columns, tags included, are ignored")
     p.add_argument("--output", help="output CoNLL file (default: stdout)")
     p.add_argument("--truecaser", help="apply this truecaser before decoding")
 
@@ -157,21 +158,13 @@ def _build_parser() -> _Parser:
 
 
 def _read_tokens_file(path: str) -> Corpus:
-    """Read tagging input: CoNLL columns or bare one-token-per-line text."""
+    """Read tagging input: the first column of each line is a token, any
+    other column is ignored, and a blank line ends a sentence."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    multi_column = any(
-        len(line.split()) > 1
-        for line in text.split("\n")
-        if line.strip() and line.split()[0] != "-DOCSTART-"
-    )
-    if multi_column:
-        return parse_conll(text)
-    padded = []
-    for line in text.split("\n"):
-        stripped = line.strip()
-        padded.append(f"{stripped} O" if stripped else "")
-    return parse_conll("\n".join(padded))
+        lines = handle.read().split("\n")
+    return parse_conll("\n".join(
+        f"{line.split()[0]} O" if line.strip() else "" for line in lines
+    ))
 
 
 def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
@@ -411,7 +404,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def cli_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    cli_main()

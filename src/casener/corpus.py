@@ -2,9 +2,10 @@
 
 Tokens are plain strings; a sentence is an ordered tuple of them.  Tags in
 memory are IOBES: a ``TagSequence`` holds no other scheme and is validated
-on construction, and ``spans_to_tags`` writes IOBES.  IOB1 and IOB2 exist
-only at parse time: ``parse_conll`` detects the input's scheme, validates
-each sentence in it and rewrites the tags as IOBES.
+on construction, and ``spans_to_tags`` writes IOBES.  The legality rules
+(``validate_tags``, ``is_legal_*``) are IOBES's.  IOB1 and IOB2 exist only
+at parse time: ``parse_conll`` detects the input's scheme, and ``_to_iobes``
+checks each IOB1 or IOB2 sentence while it rewrites the tags as IOBES.
 
 The construction checks do their work once per distinct value: a
 ``Sentence`` searches its joined tokens for whitespace in one pass, and
@@ -45,10 +46,6 @@ class Scheme(enum.Enum):
     IOB2 = "IOB2"
     IOBES = "IOBES"
 
-    @property
-    def prefixes(self) -> frozenset[str]:
-        return frozenset("BIES" if self is Scheme.IOBES else "BI")
-
 
 def split_tag(tag: str) -> tuple[str, str | None]:
     """Split ``"B-ORG"`` into ``("B", "ORG")`` and ``"O"`` into ``("O", None)``."""
@@ -61,88 +58,76 @@ def split_tag(tag: str) -> tuple[str, str | None]:
     return prefix, entity_type
 
 
-def _legal_start(prefix: str, scheme: Scheme) -> bool:
-    if scheme is Scheme.IOB1:
-        return prefix in ("O", "I")
-    if scheme is Scheme.IOB2:
-        return prefix in ("O", "B")
+def _legal_start(prefix: str) -> bool:
     return prefix in ("O", "B", "S")
 
 
 def _legal_transition(
-    prev: tuple[str, str | None], cur: tuple[str, str | None], scheme: Scheme
+    prev: tuple[str, str | None], cur: tuple[str, str | None]
 ) -> bool:
     (pp, pt), (cp, ct) = prev, cur
-    if scheme is Scheme.IOB1:
-        # B marks the boundary between adjacent chunks of the same type.
-        if cp == "B":
-            return pp in ("B", "I") and pt == ct
-        return True
-    if scheme is Scheme.IOB2:
-        if cp == "I":
-            return pp in ("B", "I") and pt == ct
-        return True
-    # IOBES
     if pp in ("B", "I"):
         return cp in ("I", "E") and ct == pt
     return cp in ("O", "B", "S")
 
 
-def _legal_end(prefix: str, scheme: Scheme) -> bool:
-    if scheme is Scheme.IOBES:
-        return prefix in ("O", "E", "S")
-    return True
+def _legal_end(prefix: str) -> bool:
+    return prefix in ("O", "E", "S")
 
 
-def is_legal_start(tag: str, scheme: Scheme) -> bool:
-    """True if `tag` may open a sentence under `scheme`."""
-    return _legal_start(split_tag(tag)[0], scheme)
+def is_legal_start(tag: str) -> bool:
+    """True if `tag` may open an IOBES sentence."""
+    return _legal_start(split_tag(tag)[0])
 
 
-def is_legal_transition(prev: str, cur: str, scheme: Scheme) -> bool:
-    """True if `cur` may directly follow `prev` under `scheme`."""
-    return _legal_transition(split_tag(prev), split_tag(cur), scheme)
+def is_legal_transition(prev: str, cur: str) -> bool:
+    """True if `cur` may directly follow `prev` in IOBES."""
+    return _legal_transition(split_tag(prev), split_tag(cur))
 
 
-def is_legal_end(tag: str, scheme: Scheme) -> bool:
-    """True if `tag` may close a sentence under `scheme`."""
-    return _legal_end(split_tag(tag)[0], scheme)
+def is_legal_end(tag: str) -> bool:
+    """True if `tag` may close an IOBES sentence."""
+    return _legal_end(split_tag(tag)[0])
 
 
-def validate_tags(tags: Sequence[str], scheme: Scheme, context: str = "") -> None:
-    """Raise :class:`TagValidationError` unless `tags` is legal under `scheme`.
+def validate_tags(
+    tags: Sequence[str], scheme: Scheme = Scheme.IOBES, context: str = ""
+) -> None:
+    """Raise :class:`TagValidationError` unless `tags` is legal IOBES.
 
-    Each distinct tag is parsed once and each distinct transition checked
-    once, in first-occurrence order, so an error names the first offending
-    position.
+    Any other `scheme` is an error: `parse_conll` checks other schemes'
+    tags while it rewrites them.  Each distinct tag is parsed once and each
+    distinct transition checked once, in first-occurrence order, so an
+    error names the first offending position.
     """
+    if scheme is not Scheme.IOBES:
+        raise TagValidationError(f"{context}tags are IOBES, not {scheme}")
     if not tags:
         raise TagValidationError(f"{context}empty tag sequence")
     parsed: dict[str, tuple[str, str | None]] = {}
     for tag in dict.fromkeys(tags):
         prefix, _ = parsed[tag] = split_tag(tag)
-        if prefix != "O" and prefix not in scheme.prefixes:
+        if prefix not in ("O", "B", "I", "E", "S"):
             raise TagValidationError(
                 f"{context}position {tags.index(tag)}: prefix {prefix!r} of "
-                f"tag {tag!r} is not part of scheme {scheme.value}"
+                f"tag {tag!r} is not part of scheme IOBES"
             )
-    if not _legal_start(parsed[tags[0]][0], scheme):
+    if not _legal_start(parsed[tags[0]][0]):
         raise TagValidationError(
             f"{context}position 0: tag {tags[0]!r} cannot open a sentence "
-            f"in scheme {scheme.value}"
+            "in scheme IOBES"
         )
     pairs = list(zip(tags, tags[1:]))
     for prev, cur in dict.fromkeys(pairs):
-        if not _legal_transition(parsed[prev], parsed[cur], scheme):
+        if not _legal_transition(parsed[prev], parsed[cur]):
             raise TagValidationError(
                 f"{context}position {pairs.index((prev, cur)) + 1}: "
-                f"transition {prev!r} -> {cur!r} is illegal in scheme "
-                f"{scheme.value}"
+                f"transition {prev!r} -> {cur!r} is illegal in scheme IOBES"
             )
-    if not _legal_end(parsed[tags[-1]][0], scheme):
+    if not _legal_end(parsed[tags[-1]][0]):
         raise TagValidationError(
             f"{context}position {len(tags) - 1}: tag {tags[-1]!r} cannot close "
-            f"a sentence in scheme {scheme.value}"
+            "a sentence in scheme IOBES"
         )
 
 
@@ -176,20 +161,15 @@ class Sentence:
 
 @dataclass(frozen=True)
 class TagSequence:
-    """Per-token IOBES labels; validated on construction.
-
-    `scheme` admits IOBES only: IOB1 and IOB2 tags live only in the input
-    `parse_conll` reads.
-    """
+    """Per-token IOBES labels; validated on construction, where
+    `validate_tags` rejects any other `scheme`."""
 
     tags: tuple[str, ...]
     scheme: Scheme = Scheme.IOBES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tags", tuple(self.tags))
-        if self.scheme is not Scheme.IOBES:
-            raise TagValidationError(f"tags are IOBES, not {self.scheme}")
-        validate_tags(self.tags, Scheme.IOBES)
+        validate_tags(self.tags, self.scheme)
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -289,7 +269,11 @@ def _detect(
     tag_sequences: Iterable[Sequence[str]],
 ) -> tuple[Scheme, tuple[int, int] | None]:
     """The scheme of raw tag sequences and, when it is IOB1, the (sequence,
-    position) of the first orphan I-X, the tag that decided it."""
+    position) of the first orphan I-X, the tag that decided it.
+
+    Any E/S prefix means IOBES; otherwise an I-X that continues no chunk
+    means IOB1; otherwise IOB2.
+    """
     orphan = None
     for s, tags in enumerate(tag_sequences):
         for i, tag in enumerate(tags):
@@ -301,33 +285,42 @@ def _detect(
     return (Scheme.IOB2, None) if orphan is None else (Scheme.IOB1, orphan)
 
 
-def detect_scheme(tag_sequences: Iterable[Sequence[str]]) -> Scheme:
-    """Guess the scheme of raw tag sequences.
-
-    Any E/S prefix means IOBES; otherwise an I-X with no preceding B-X/I-X of
-    the same type means IOB1; otherwise IOB2.
-    """
-    return _detect(tag_sequences)[0]
-
-
 def _continues(tags: Sequence[str], i: int) -> bool:
-    """True if `tags[i]` follows a B or I of its type (IOB1 or IOB2 tags)."""
+    """True if `tags[i]` follows a B or I of its type (O/B/I tags only)."""
     return i > 0 and tags[i - 1] != "O" and tags[i - 1][1:] == tags[i][1:]
 
 
-def _to_iobes(tags: Sequence[str]) -> tuple[str, ...]:
-    """Rewrite valid IOB1 or IOB2 `tags` as IOBES.
+def _to_iobes(tags: Sequence[str], scheme: Scheme) -> tuple[str, ...]:
+    """Check IOB1 or IOB2 `tags` and rewrite them as IOBES.
 
-    A chunk starts at a B, or at an I that continues no chunk of its type,
-    and runs over the I's of its type that follow.
+    Every prefix must be O, B or I, and a tag that continues no chunk must
+    not be a B in IOB1 (where B only splits adjacent chunks of one type)
+    or an I in IOB2 (where every chunk opens with B).  Errors name the
+    first offending position, a bad prefix before all else.  A chunk starts
+    at a B, or at an I that continues no chunk of its type, and runs over
+    the I's of its type that follow.
     """
+    for tag in dict.fromkeys(tags):
+        prefix = split_tag(tag)[0]
+        if prefix not in ("O", "B", "I"):
+            raise TagValidationError(
+                f"position {tags.index(tag)}: prefix {prefix!r} of tag "
+                f"{tag!r} is not part of scheme {scheme.value}"
+            )
+    must_continue = "B" if scheme is Scheme.IOB1 else "I"
     out = []
     for i, tag in enumerate(tags):
         if tag != "O":
             rest = tag[1:]  # "-TYPE"
-            opens = tag[0] == "B" or not _continues(tags, i)
+            continues = _continues(tags, i)
+            if not continues and tag[0] == must_continue:
+                where = (f"transition {tags[i - 1]!r} -> {tag!r} is illegal"
+                         if i else f"tag {tag!r} cannot open a sentence")
+                raise TagValidationError(
+                    f"position {i}: {where} in scheme {scheme.value}"
+                )
             closes = i + 1 == len(tags) or tags[i + 1] != "I" + rest
-            if opens:
+            if tag[0] == "B" or not continues:
                 tag = ("S" if closes else "B") + rest
             else:
                 tag = ("E" if closes else "I") + rest
@@ -341,8 +334,9 @@ def parse_conll(text: str) -> Corpus:
     Columns are separated by runs of spaces/tabs; the token is the first
     column and the tag the last.  A blank line ends a sentence; lines whose
     first column is ``-DOCSTART-`` are document markers and are dropped.
-    The tagging scheme is detected over the whole input and each sentence
-    validated in it; IOB1 and IOB2 tags are then rewritten as IOBES.
+    The tagging scheme is detected over the whole input; IOB1 and IOB2
+    sentences are checked as they are rewritten as IOBES, and IOBES ones
+    by `TagSequence`.
     """
     raw_sentences: list[tuple[int, list[str], list[str]]] = []
     tokens: list[str] = []
@@ -393,8 +387,7 @@ def parse_conll(text: str) -> Corpus:
     for index, (start_line, sent_tokens, sent_tags) in enumerate(raw_sentences):
         try:
             if detected is not Scheme.IOBES:
-                validate_tags(sent_tags, detected)
-                sent_tags = _to_iobes(sent_tags)
+                sent_tags = _to_iobes(sent_tags, detected)
             gold = TagSequence(tuple(sent_tags))
         except TagValidationError as exc:
             raise TagValidationError(

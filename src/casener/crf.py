@@ -46,7 +46,6 @@ import scipy.sparse
 from . import container
 from .corpus import (
     Corpus,
-    Scheme,
     Sentence,
     TagSequence,
     is_legal_end,
@@ -149,14 +148,12 @@ class CrfModel:
 
         tags = feature_map.tags
         self._start_mask = np.where(
-            [is_legal_start(t, Scheme.IOBES) for t in tags], 0.0, -np.inf
+            [is_legal_start(t) for t in tags], 0.0, -np.inf
         )
         self._end_mask = np.where(
-            [is_legal_end(t, Scheme.IOBES) for t in tags], 0.0, -np.inf
+            [is_legal_end(t) for t in tags], 0.0, -np.inf
         )
-        trans_ok = [
-            [is_legal_transition(a, b, Scheme.IOBES) for b in tags] for a in tags
-        ]
+        trans_ok = [[is_legal_transition(a, b) for b in tags] for a in tags]
         self._trans_mask = np.where(trans_ok, 0.0, -np.inf)
 
     @property

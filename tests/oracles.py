@@ -209,12 +209,12 @@ def enumerate_best_legal_path(
     best_path: tuple[int, ...] | None = None
     best_score = -math.inf
     for path in itertools.product(range(k), repeat=n):
-        if not is_legal_start(tags[path[0]], Scheme.IOBES):
+        if not is_legal_start(tags[path[0]]):
             continue
-        if not is_legal_end(tags[path[-1]], Scheme.IOBES):
+        if not is_legal_end(tags[path[-1]]):
             continue
         if any(
-            not is_legal_transition(tags[a], tags[b], Scheme.IOBES)
+            not is_legal_transition(tags[a], tags[b])
             for a, b in zip(path, path[1:])
         ):
             continue
@@ -379,10 +379,10 @@ def enumerate_best_legal_path_fast(
 ) -> tuple[tuple[str, ...], float]:
     paths, scores = _all_path_scores(model, sentence)
     tags = model.feature_map.tags
-    start_ok = np.array([is_legal_start(t, Scheme.IOBES) for t in tags])
-    end_ok = np.array([is_legal_end(t, Scheme.IOBES) for t in tags])
+    start_ok = np.array([is_legal_start(t) for t in tags])
+    end_ok = np.array([is_legal_end(t) for t in tags])
     trans_ok = np.array(
-        [[is_legal_transition(a, b, Scheme.IOBES) for b in tags] for a in tags]
+        [[is_legal_transition(a, b) for b in tags] for a in tags]
     )
     legal = start_ok[paths[:, 0]] & end_ok[paths[:, -1]]
     for pos in range(1, paths.shape[1]):
@@ -458,9 +458,10 @@ def validate_tags_reference(tags, scheme: Scheme, context: str = "") -> None:
     """`validate_tags`, parsing and checking every position in turn."""
     if not tags:
         raise TagValidationError(f"{context}empty tag sequence")
+    prefixes = "BIES" if scheme is Scheme.IOBES else "BI"
     for i, tag in enumerate(tags):
         prefix, _ = split_tag(tag)
-        if prefix != "O" and prefix not in scheme.prefixes:
+        if prefix != "O" and prefix not in prefixes:
             raise TagValidationError(
                 f"{context}position {i}: prefix {prefix!r} of tag {tag!r} "
                 f"is not part of scheme {scheme.value}"

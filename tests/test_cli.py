@@ -5,6 +5,8 @@ import io
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -145,6 +147,42 @@ def test_tag_reads_bare_token_files(data_files, tmp_path, capsys):
     assert parsed.sentences[0].sentence.tokens == (
         "The", "summit", "will", "be", "held", "in", "Oslo",
     )
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param(["NNP", "NN", "MD", "VB", "VBN", "IN", "NNP"], id="pos"),
+    pytest.param(["_"] * 7, id="underscore"),
+    pytest.param(["I-PER", "O", "O", "O", "E-LOC", "O", "B-X"],
+                 id="illegal-tags"),
+])
+def test_tag_reads_only_the_token_column(fuzz_inputs, tmp_path, capsys,
+                                         columns):
+    model = tmp_path / "model.crf"
+    model.write_bytes(fuzz_inputs["model"])
+    tokens = ["The", "summit", "will", "be", "held", "in", "Oslo"]
+    bare = tmp_path / "bare.txt"
+    bare.write_text("-DOCSTART-\n\n" + "\n".join(tokens) + "\n\nOslo\n")
+    extra = tmp_path / "columns.txt"
+    extra.write_text("-DOCSTART- -X- O\n\n" + "".join(
+        f"{token} {column}\t{column}\n" for token, column in zip(tokens, columns)
+    ) + "\r\n  \nOslo NNP I-LOC\n")
+    capsys.readouterr()
+    assert main(["tag", "--model", str(model), "--input", str(bare)]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["tag", "--model", str(model), "--input", str(extra)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert [ann.sentence.tokens for ann in parse_conll(expected)] == [
+        tuple(tokens), ("Oslo",),
+    ]
+
+
+def test_python_m_casener_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": "src"}
+    result = subprocess.run([sys.executable, "-m", "casener", "--help"],
+                            cwd=Path(__file__).parent.parent, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: casener")
 
 
 def test_tag_has_no_lowercase_flag(tmp_path, capsys):

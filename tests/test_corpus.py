@@ -18,7 +18,8 @@ from casener.corpus import (
     Sentence,
     TagSequence,
     TagValidationError,
-    detect_scheme,
+    _detect,
+    _to_iobes,
     extract_spans,
     parse_conll,
     spans_to_tags,
@@ -64,6 +65,8 @@ class TestTypes:
                      ("B-ORG", "I-ORG")]:
             with pytest.raises(TagValidationError, match="IOBES"):
                 TagSequence(tags, scheme)
+            with pytest.raises(TagValidationError, match="IOBES"):
+                validate_tags(tags, scheme)
 
     def test_annotated_sentence_length_mismatch(self):
         with pytest.raises(CorpusError):
@@ -167,17 +170,17 @@ class TestParseFuzz:
 
 class TestDetection:
     def test_iobes_detected_by_e_or_s(self):
-        assert detect_scheme([["O", "S-LOC"]]) is Scheme.IOBES
-        assert detect_scheme([["B-LOC", "E-LOC"]]) is Scheme.IOBES
+        assert _detect([["O", "S-LOC"]])[0] is Scheme.IOBES
+        assert _detect([["B-LOC", "E-LOC"]])[0] is Scheme.IOBES
 
     def test_iob1_detected_by_orphan_i(self):
-        assert detect_scheme([["I-LOC", "O"]]) is Scheme.IOB1
-        assert detect_scheme([["O", "I-LOC", "I-ORG"]]) is Scheme.IOB1
+        assert _detect([["I-LOC", "O"]])[0] is Scheme.IOB1
+        assert _detect([["O", "I-LOC", "I-ORG"]])[0] is Scheme.IOB1
 
     def test_iob2_default(self):
-        assert detect_scheme([["O", "B-LOC", "I-LOC"]]) is Scheme.IOB2
-        assert detect_scheme([["O", "O"]]) is Scheme.IOB2
-        assert detect_scheme([]) is Scheme.IOB2
+        assert _detect([["O", "B-LOC", "I-LOC"]])[0] is Scheme.IOB2
+        assert _detect([["O", "O"]])[0] is Scheme.IOB2
+        assert _detect([])[0] is Scheme.IOB2
 
 
 class TestWrite:
@@ -292,9 +295,11 @@ def _all_span_sets(length: int, types: tuple[str, ...]):
 def test_validation_matches_span_generated_language(scheme):
     """The validator accepts exactly the encodings of span sets (length <= 5,
     two entity types) and rejects everything else.  IOBES encodings come
-    from `spans_to_tags`, IOB1 and IOB2 ones from the reference writer."""
+    from `spans_to_tags` and are checked by `validate_tags`; IOB1 and IOB2
+    ones come from the reference writer and are checked by `_to_iobes`."""
     types = ("A", "B")
-    prefixes = sorted(scheme.prefixes)
+    prefixes = "BIES" if scheme is Scheme.IOBES else "BI"
+    check = validate_tags if scheme is Scheme.IOBES else _to_iobes
     alphabet = ["O"] + [f"{p}-{t}" for p in prefixes for t in types]
     for length in range(1, 6 if scheme is not Scheme.IOBES else 5):
         legal = {
@@ -304,7 +309,7 @@ def test_validation_matches_span_generated_language(scheme):
         }
         for candidate in itertools.product(alphabet, repeat=length):
             expected = candidate in legal
-            actual = _outcome(validate_tags, candidate, scheme) is None
+            actual = _outcome(check, candidate, scheme) is None
             assert actual == expected, (candidate, scheme)
 
 
@@ -353,13 +358,25 @@ _TAG_PIECES = ["O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
                "E-LOC", "S-LOC", "O-X", "B-", "X-PER"]
 
 
-@given(st.lists(st.sampled_from(_TAG_PIECES), max_size=8),
-       st.sampled_from(list(Scheme)))
-def test_validate_tags_matches_reference(tags, scheme):
+@given(st.lists(st.sampled_from(_TAG_PIECES), max_size=8))
+def test_validate_tags_matches_reference(tags):
     tags = tuple(tags)
-    expected = _outcome(validate_tags_reference, tags, scheme, "ctx: ")
-    assert _outcome(validate_tags, tags, scheme, "ctx: ") == expected
+    expected = _outcome(validate_tags_reference, tags, Scheme.IOBES, "ctx: ")
+    assert _outcome(validate_tags, tags, Scheme.IOBES, "ctx: ") == expected
     assert expected is None or expected[0] is TagValidationError
+
+
+@pytest.mark.parametrize("scheme", [Scheme.IOB1, Scheme.IOB2])
+def test_to_iobes_checks_like_reference(scheme):
+    """`_to_iobes` raises the reference validator's error, or none, on
+    every non-empty sequence of up to 4 tags (a parse yields no empty
+    one), and what it accepts it rewrites as legal IOBES."""
+    for length in range(1, 5):
+        for tags in itertools.product(_TAG_PIECES, repeat=length):
+            expected = _outcome(validate_tags_reference, tags, scheme)
+            assert _outcome(_to_iobes, tags, scheme) == expected, tags
+            if expected is None:
+                TagSequence(_to_iobes(tags, scheme))
 
 
 def test_validate_tags_parses_each_distinct_tag_once(monkeypatch):
