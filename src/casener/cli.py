@@ -361,7 +361,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 raise UsageError(f"argument --strategies: {problem}")
             raise ValueError(f"{args.config}: strategies = {names!r}: {problem}")
     if not listed:
-        raise UsageError("no strategies selected")
+        if args.strategies is not None:
+            raise UsageError("no strategies selected")
+        raise ValueError(
+            f"{args.config}: strategies = {names!r}: no strategies selected"
+        )
     strategies = [Strategy(name) for name in listed]
     cfg = _experiment_config(settings, strategies[0])
     configs = [replace(cfg, strategy=s, report_path=None) for s in strategies]

@@ -272,12 +272,13 @@ def _detect(
     position) of the first orphan I-X, the tag that decided it.
 
     Any E/S prefix means IOBES; otherwise an I-X that continues no chunk
-    means IOB1; otherwise IOB2.
+    means IOB1; otherwise IOB2.  The tags have passed `split_tag`, so a
+    tag's prefix is its first character.
     """
     orphan = None
     for s, tags in enumerate(tag_sequences):
         for i, tag in enumerate(tags):
-            prefix = split_tag(tag)[0]
+            prefix = tag[0]
             if prefix in ("E", "S"):
                 return Scheme.IOBES, None
             if orphan is None and prefix == "I" and not _continues(tags, i):

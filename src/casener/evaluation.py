@@ -25,40 +25,31 @@ from .truecase import Truecaser, truecase
 
 @dataclass(frozen=True)
 class Metrics:
-    """Pooled span counts and the derived ratios, plus per-type breakdowns."""
+    """Pooled span counts, plus per-type breakdowns.
+
+    Only the counts are stored; precision, recall and F1 are derived from
+    them (0.0 where a denominator is zero, as in conlleval).
+    """
 
     true_positives: int
     predicted_count: int
     gold_count: int
-    precision: float
-    recall: float
-    f1: float
     per_type: Mapping[str, "Metrics"] = field(default_factory=dict)
 
-    @classmethod
-    def from_counts(
-        cls,
-        true_positives: int,
-        predicted_count: int,
-        gold_count: int,
-        per_type: Mapping[str, "Metrics"] | None = None,
-    ) -> "Metrics":
-        precision = true_positives / predicted_count if predicted_count else 0.0
-        recall = true_positives / gold_count if gold_count else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        return cls(
-            true_positives,
-            predicted_count,
-            gold_count,
-            precision,
-            recall,
-            f1,
-            dict(per_type or {}),
-        )
+    @property
+    def precision(self) -> float:
+        return (self.true_positives / self.predicted_count
+                if self.predicted_count else 0.0)
+
+    @property
+    def recall(self) -> float:
+        return self.true_positives / self.gold_count if self.gold_count else 0.0
+
+    @property
+    def f1(self) -> float:
+        precision, recall = self.precision, self.recall
+        return (2 * precision * recall / (precision + recall)
+                if precision + recall else 0.0)
 
 
 def evaluate(
@@ -91,10 +82,10 @@ def evaluate(
             if span in gold_spans:
                 counts[2] += 1
     per_type = {
-        etype: Metrics.from_counts(*counts)
+        etype: Metrics(*counts)
         for etype, counts in sorted(type_counts.items())
     }
-    return Metrics.from_counts(tp, pred_n, gold_n, per_type)
+    return Metrics(tp, pred_n, gold_n, per_type)
 
 
 def tag_corpus(

@@ -20,6 +20,7 @@ the training corpus has.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -163,45 +164,33 @@ def extract(sentence: Sentence, i: int, template_set: TemplateSet) -> set[str]:
     return {names[j] for j in table[i] if j >= 0}
 
 
+@dataclass(frozen=True)
 class FeatureMap:
     """Immutable bidirectional feature/tag <-> dense index mapping.
 
-    Index order is fixed at construction; unknown feature strings map to
-    None (absent) rather than growing the map.
+    Stores the `features` and `tags` it is given, in index order; equality
+    and hashing are on those two.  The name -> index dicts are derived from
+    them at construction.  Unknown feature strings map to None (absent)
+    rather than growing the map.
     """
 
-    __slots__ = ("features", "tags", "_feature_index", "_tag_index")
+    features: tuple[str, ...] = field(repr=False)
+    tags: tuple[str, ...]
+    _feature_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _tag_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, features: tuple[str, ...], tags: tuple[str, ...]) -> None:
-        features = tuple(features)
-        tags = tuple(tags)
-        if len(set(features)) != len(features):
+    def __post_init__(self) -> None:
+        if len(set(self.features)) != len(self.features):
             raise ValueError("duplicate feature strings")
-        if len(set(tags)) != len(tags):
+        if len(set(self.tags)) != len(self.tags):
             raise ValueError("duplicate tags")
-        if not tags:
+        if not self.tags:
             raise ValueError("a feature map needs at least one tag")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "tags", tags)
         object.__setattr__(
-            self, "_feature_index", {f: i for i, f in enumerate(features)}
+            self, "_feature_index", {f: i for i, f in enumerate(self.features)}
         )
-        object.__setattr__(self, "_tag_index", {t: i for i, t in enumerate(tags)})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FeatureMap is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureMap):
-            return NotImplemented
-        return self.features == other.features and self.tags == other.tags
-
-    def __hash__(self) -> int:
-        return hash((self.features, self.tags))
-
-    def __repr__(self) -> str:
-        return (
-            f"FeatureMap({len(self.features)} features, {len(self.tags)} tags)"
+        object.__setattr__(
+            self, "_tag_index", {t: i for i, t in enumerate(self.tags)}
         )
 
     @property

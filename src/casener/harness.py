@@ -74,6 +74,12 @@ class ExperimentConfig:
             )
         if self.type_map is not None:
             object.__setattr__(self, "type_map", dict(self.type_map))
+            for key, target in self.type_map.items():
+                if target.split() != [target]:
+                    raise ValueError(
+                        f"type map: {key} = {target!r}: the target type must "
+                        "be non-empty, with no whitespace"
+                    )
 
     def data_key(self) -> tuple:
         """Identity of the train and test data; grids require all configs
@@ -313,8 +319,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse a plain key=value config file ('#' starts a comment line)."""
+    """Parse a plain key=value config file ('#' starts a comment line).
+
+    A key given twice is an error."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -325,5 +334,12 @@ def read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}"
                 )
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: repeated key {key!r} "
+                    f"(first set on line {first_line[key]})"
+                )
+            first_line[key] = lineno
+            out[key] = value.strip()
     return out

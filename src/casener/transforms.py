@@ -28,23 +28,15 @@ def to_upper(sentence: Sentence) -> Sentence:
     return Sentence(tuple(map(str.upper, sentence.tokens)))
 
 
-def transform_annotated(
-    annotated: AnnotatedSentence, variant: CaseVariant
-) -> AnnotatedSentence:
-    """Apply a case variant to the sentence; gold tags are carried over as-is."""
-    if variant is CaseVariant.ORIGINAL:
-        return annotated
-    if variant is CaseVariant.LOWER:
-        return AnnotatedSentence(to_lower(annotated.sentence), annotated.gold)
-    return AnnotatedSentence(to_upper(annotated.sentence), annotated.gold)
-
-
 def make_variant(corpus: Corpus, variant: CaseVariant) -> Corpus:
-    """Apply `variant` to every sentence of `corpus`."""
+    """Apply `variant` to every sentence of `corpus`; gold tags are carried
+    over as-is."""
     if variant is CaseVariant.ORIGINAL:
         return corpus
+    transform = to_lower if variant is CaseVariant.LOWER else to_upper
     return Corpus(
-        tuple(transform_annotated(ann, variant) for ann in corpus),
+        tuple(AnnotatedSentence(transform(ann.sentence), ann.gold)
+              for ann in corpus),
         f"{variant.value} variant of: {corpus.provenance}",
     )
 

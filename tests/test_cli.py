@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casener import cli
+from casener import cli, harness
 from casener.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from casener.corpus import (
     parse_conll, read_conll_file, write_conll, write_conll_file,
 )
-from casener.crf import load_file
+from casener.crf import TrainConfig, load_file
 from casener.evaluation import tag_corpus
 from casener.synth import default_config, generate
 from casener.transforms import CaseVariant, make_variant
@@ -537,6 +537,93 @@ def test_readme_python_block_prints_the_baseline_row(capsys):
     ]
     assert [line.split()[1] for line in lines[:3]] == row.split()
     assert len(lines) == 4 and 0 < float(lines[3]) <= 1
+
+
+def test_grid_rejects_empty_strategy_list(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("strategies = ,\ndata = synth\n")
+    assert main(["grid", "--config", str(cfg)]) == EXIT_DATA
+    assert (f"data error: {cfg}: strategies = ',': no strategies selected"
+            in capsys.readouterr().err)
+    assert main(["grid", "--data", "synth", "--strategies", ","]) == EXIT_USAGE
+    assert "usage error: no strategies selected" in capsys.readouterr().err
+
+
+def _no_run(*args, **kwargs):
+    pytest.fail("a rejected config must not load data or train")
+
+
+def test_config_file_rejects_repeated_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.harness, "run_grid", _no_run)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("strategies = baseline\ndata = synth\n"
+                   "strategies = caseless\n")
+    assert main(["grid", "--config", str(cfg)]) == EXIT_DATA
+    assert (f"data error: {cfg}:3: repeated key 'strategies' (first set on "
+            "line 1)" in capsys.readouterr().err)
+
+
+def test_type_map_file_rejects_repeated_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.harness, "run_grid", _no_run)
+    type_map = tmp_path / "types.cfg"
+    type_map.write_text("PER = PERSON\nLOC = PLACE\nPER = PEOPLE\n")
+    assert main(["experiment", "--strategy", "baseline", "--data", "synth",
+                 "--type-map", str(type_map)]) == EXIT_DATA
+    assert (f"data error: {type_map}:3: repeated key 'PER' (first set on "
+            "line 1)" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("line, target", [
+    ("PER =", ""), ("PER = A B", "A B"), ("PER = A\tB", "A\tB"),
+])
+def test_type_map_target_checked_before_data_loads(tmp_path, capsys,
+                                                   monkeypatch, line, target):
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
+    type_map = tmp_path / "types.cfg"
+    type_map.write_text(f"LOC = PLACE\n{line}\n")
+    assert main(["experiment", "--strategy", "baseline", "--data", "synth",
+                 "--type-map", str(type_map)]) == EXIT_DATA
+    assert (f"data error: type map: PER = {target!r}: the target type must "
+            "be non-empty, with no whitespace" in capsys.readouterr().err)
+
+
+def test_experiment_and_grid_read_conll_files(data_files, capsys):
+    root, train, test = data_files
+    flags = ["--train", train, "--test", test, "--max-epochs", "5"]
+    files = dict(train_path=train, test_path=test,
+                 train_config=TrainConfig(max_epochs=5))
+    assert main(["experiment", "--strategy", "caseless", *flags]) == EXIT_OK
+    single = harness.run_experiment(
+        harness.ExperimentConfig(harness.Strategy.CASELESS, **files)
+    )
+    assert capsys.readouterr().out == single.report_text
+    assert main(["grid", "--strategies", "baseline,caseless", *flags]) == EXIT_OK
+    _, combined = harness.run_grid([
+        harness.ExperimentConfig(strategy, **files)
+        for strategy in (harness.Strategy.BASELINE, harness.Strategy.CASELESS)
+    ])
+    assert capsys.readouterr().out == combined
+
+
+@pytest.mark.parametrize("command, selector", [
+    ("experiment", ["--strategy", "baseline"]), ("grid", []),
+])
+def test_train_without_test_is_a_usage_error(data_files, capsys, command,
+                                             selector):
+    root, train, test = data_files
+    assert main([command, *selector, "--train", train]) == EXIT_USAGE
+    assert ("usage error: file data source needs --train and --test"
+            in capsys.readouterr().err)
+
+
+def test_experiment_on_empty_training_file_exits_2(data_files, tmp_path,
+                                                   capsys):
+    root, train, test = data_files
+    empty = tmp_path / "empty.conll"
+    empty.write_text("")
+    assert main(["experiment", "--strategy", "baseline", "--train",
+                 str(empty), "--test", test]) == EXIT_DATA
+    assert "data error: training corpus is empty" in capsys.readouterr().err
 
 
 def test_type_map_file_keys_are_free_form(tmp_path):

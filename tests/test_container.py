@@ -49,16 +49,21 @@ MALFORMED = {
 }
 
 
-def _without_o() -> bytes:
-    """A CRF container that is valid but for a tag set lacking "O"."""
+def _crf_container(tags: list[str], weight: float = 0.0) -> bytes:
+    """A two-tag CRF container whose emission weights all equal `weight`."""
     encode = crf._encode_array
     return container.dump("crf", 1, {
         "template_set": TemplateSet.CASE_AWARE.value,
-        "tags": ["B-A", "E-A"], "features": ["w0=a"],
-        "emission": encode(np.zeros((1, 2))), "begin": encode(np.zeros(2)),
-        "end": encode(np.zeros(2)), "transition": encode(np.zeros((2, 2))),
-        "metadata": {},
+        "tags": tags, "features": ["w0=a"],
+        "emission": encode(np.full((1, 2), weight)),
+        "begin": encode(np.zeros(2)), "end": encode(np.zeros(2)),
+        "transition": encode(np.zeros((2, 2))), "metadata": {},
     })
+
+
+def _without_o() -> bytes:
+    """A CRF container that is valid but for a tag set lacking "O"."""
+    return _crf_container(["B-A", "E-A"])
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -95,6 +100,22 @@ def test_model_without_o_rejected(tmp_path, capsys):
     assert main(["tag", "--model", str(path), "--input",
                  str(tmp_path / "input.conll")]) == EXIT_DATA
     assert 'lacks "O"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    (_crf_container(["O", "S-A"], float("nan")),
+     "non-finite values in emission weights"),
+    (_crf_container(["O", "X-A"]), "tag 'X-A' is not an IOBES label"),
+])
+def test_model_with_nan_weight_or_non_iobes_tag_rejected(tmp_path, capsys,
+                                                         data, message):
+    with pytest.raises(crf.ModelFormatError, match=message):
+        crf.load(data)
+    path = tmp_path / "bad.crf"
+    path.write_bytes(data)
+    assert main(["tag", "--model", str(path), "--input",
+                 str(tmp_path / "input.conll")]) == EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("version", [4.0, True, "4"])

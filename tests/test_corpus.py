@@ -169,6 +169,19 @@ class TestParseFuzz:
 
 
 class TestDetection:
+    def test_prefixes_are_read_without_resplitting(self, monkeypatch):
+        calls = []
+        real = casener.corpus.split_tag
+        monkeypatch.setattr(casener.corpus, "split_tag",
+                            lambda tag: calls.append(tag) or real(tag))
+        assert _detect([["B-LOC", "I-LOC", "O"]] * 5)[0] is Scheme.IOB2
+        assert calls == []
+        # IOB2 input: each line's tag once, then each sentence's distinct
+        # tags once in `_to_iobes` and once more, rewritten, in
+        # `validate_tags`.
+        parse_conll("a B-LOC\nb I-LOC\nc O\nd O\n\ne B-PER\n")
+        assert len(calls) == 5 + (3 + 1) + (3 + 1)
+
     def test_iobes_detected_by_e_or_s(self):
         assert _detect([["O", "S-LOC"]])[0] is Scheme.IOBES
         assert _detect([["B-LOC", "E-LOC"]])[0] is Scheme.IOBES

@@ -55,7 +55,7 @@ class TestEvaluate:
 
     def test_zero_gold_zero_pred(self):
         metrics = evaluate([seq("O")], [seq("O")])
-        assert metrics == Metrics.from_counts(0, 0, 0)
+        assert metrics == Metrics(0, 0, 0)
         assert metrics.f1 == 0.0
 
     def test_type_must_match(self):
@@ -106,12 +106,12 @@ class TestEvaluate:
             assert metrics.predicted_count == pred_n
             assert metrics.gold_count == gold_n
             for etype, (ttp, tpred, tgold) in per_type.items():
-                sub = metrics.per_type.get(etype, Metrics.from_counts(0, 0, 0))
+                sub = metrics.per_type.get(etype, Metrics(0, 0, 0))
                 assert (sub.true_positives, sub.predicted_count,
                         sub.gold_count) == (ttp, tpred, tgold)
 
     def test_metrics_lines_format(self):
-        metrics = Metrics.from_counts(1, 2, 4)
+        metrics = Metrics(1, 2, 4)
         lines = metrics_lines(metrics, prefix="x.")
         assert "x.tp=1" in lines
         assert "x.precision=0.5" in lines

@@ -9,7 +9,6 @@ from casener.transforms import (
     make_variant,
     to_lower,
     to_upper,
-    transform_annotated,
 )
 from conftest import random_corpus
 
@@ -60,10 +59,11 @@ def test_transform_annotated_preserves_tags():
     ann = AnnotatedSentence(
         TABLE, TagSequence(("O", "O", "O", "B-ORG", "I-ORG", "E-ORG"), Scheme.IOBES)
     )
-    upper = transform_annotated(ann, CaseVariant.UPPER)
+    corpus = Corpus((ann,))
+    (upper,) = make_variant(corpus, CaseVariant.UPPER)
     assert upper.sentence.tokens == ("I", "LIVE", "IN", "NEW", "YORK", "CITY")
     assert upper.gold is ann.gold
-    assert transform_annotated(ann, CaseVariant.ORIGINAL) is ann
+    assert make_variant(corpus, CaseVariant.ORIGINAL) is corpus
 
 
 def test_label_and_span_preservation_random(rng):
