@@ -11,6 +11,10 @@ The construction checks do their work once per distinct value: a
 ``Sentence`` searches its joined tokens for whitespace in one pass, and
 ``validate_tags`` parses each distinct tag and checks each distinct
 transition once.  Errors still name the first offending token or position.
+The types are frozen, so a corpus may hold one object many times:
+``synth.generate`` and the case transforms build one ``AnnotatedSentence``
+per distinct value and share it among the repeats, while ``parse_conll``
+builds one per sentence it reads.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ carries real signal: some gazetteer entries double as common nouns and are
 only entities when capitalized, acronym organizations are all-caps, and a
 slice of test entities never occurs in training.  Gold tags are derived
 from the slot positions, so annotations are scheme-valid by construction.
+The split repeats itself (seed 42's 2,000 training sentences hold 456
+distinct ones), so each split builds and checks one immutable
+`AnnotatedSentence` per distinct draw and shares it among the repeats.
 
 The vocabulary (gazetteers, templates and decoy nouns) is fixed in this
 module; a `SynthConfig` chooses only the seed, the split sizes and the
@@ -89,6 +92,9 @@ def _ambiguous_subset(pool: list[str], etype: str) -> list[str]:
 
 #: A template with each element parsed once: (element, slot or None).
 _ParsedTemplate = tuple[tuple[str, tuple[str, str | None] | None], ...]
+#: A drawn sentence before annotation: its tokens and (start, end, type)
+#: entity spans.
+_SentenceKey = tuple[tuple[str, ...], tuple[tuple[int, int, str], ...]]
 
 
 def _make_sentence(
@@ -98,10 +104,13 @@ def _make_sentence(
     types: list[str],
     pools: Mapping[str, list[str]],
     ambiguous: Mapping[str, list[str]],
+    built: dict[_SentenceKey, AnnotatedSentence],
 ) -> AnnotatedSentence:
+    """Draw one sentence; a repeat of a sentence in `built` returns that
+    object, and only a new one is annotated, checked and added."""
     template = rng.choice(templates)
     tokens: list[str] = []
-    spans: list[EntitySpan] = []
+    spans: list[tuple[int, int, str]] = []
     entity_positions: set[int] = set()
 
     for element, slot in template:
@@ -122,14 +131,18 @@ def _make_sentence(
         start = len(tokens)
         tokens.extend(parts)
         entity_positions.update(range(start, start + len(parts)))
-        spans.append(EntitySpan(start, start + len(parts) - 1, etype))
+        spans.append((start, start + len(parts) - 1, etype))
 
     if 0 not in entity_positions:
         first = tokens[0]
         tokens[0] = first[0].upper() + first[1:]
 
-    gold = spans_to_tags(spans, len(tokens))
-    return AnnotatedSentence(Sentence(tuple(tokens)), gold)
+    key = (tuple(tokens), tuple(spans))
+    ann = built.get(key)
+    if ann is None:
+        gold = spans_to_tags([EntitySpan(*span) for span in spans], len(tokens))
+        ann = built[key] = AnnotatedSentence(Sentence(key[0]), gold)
+    return ann
 
 
 def generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
@@ -148,8 +161,9 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
             etype: _ambiguous_subset(pool, etype)
             for etype, pool in pools.items()
         }
+        built: dict[_SentenceKey, AnnotatedSentence] = {}
         return tuple(
-            _make_sentence(rng, cfg, templates, types, pools, ambiguous)
+            _make_sentence(rng, cfg, templates, types, pools, ambiguous, built)
             for _ in range(n)
         )
 

@@ -3,6 +3,10 @@
 Lowercasing or uppercasing every word of a sentence leaves its entity
 annotation valid, so these transforms copy gold tags through unchanged.
 Case mappings are the default Unicode ones (no locale tailoring).
+
+Within one `make_variant` call each distinct (tokens, tags) pair is
+transformed and checked once, and its repeats share that immutable
+object; `augment` inherits this from it.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -30,14 +34,22 @@ def to_upper(sentence: Sentence) -> Sentence:
 
 def make_variant(corpus: Corpus, variant: CaseVariant) -> Corpus:
     """Apply `variant` to every sentence of `corpus`; gold tags are carried
-    over as-is."""
+    over as-is.  Equal annotated sentences share one transformed object."""
     if variant is CaseVariant.ORIGINAL:
         return corpus
     transform = to_lower if variant is CaseVariant.LOWER else to_upper
+    # Keyed on the two tuples, whose hashes are computed in C; hashing the
+    # AnnotatedSentence itself runs a Python-level hash per field.
+    built: dict[tuple[tuple[str, ...], tuple[str, ...]], AnnotatedSentence] = {}
+    sentences = []
+    for ann in corpus:
+        key = (ann.sentence.tokens, ann.gold.tags)
+        out = built.get(key)
+        if out is None:
+            out = built[key] = AnnotatedSentence(transform(ann.sentence), ann.gold)
+        sentences.append(out)
     return Corpus(
-        tuple(AnnotatedSentence(transform(ann.sentence), ann.gold)
-              for ann in corpus),
-        f"{variant.value} variant of: {corpus.provenance}",
+        tuple(sentences), f"{variant.value} variant of: {corpus.provenance}"
     )
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import gzip
 import io
+import itertools
 import os
 import re
 import shlex
@@ -54,8 +55,10 @@ def test_missing_file_exits_2(tmp_path):
                  "--model", model]) == EXIT_DATA
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("flag", ["--l2-sigma", "--tolerance"])
+@pytest.mark.parametrize(("flag", "value"), [
+    *itertools.product(["--l2-sigma", "--tolerance"], ["nan", "inf"]),
+    ("--l2-sigma", "1e-200"),  # its square underflows to 0
+])
 def test_non_finite_training_setting_exits_2(data_files, tmp_path, capsys,
                                              flag, value):
     root, train, test = data_files

@@ -1,4 +1,5 @@
 import gzip
+import itertools
 import json
 import math
 import os
@@ -598,8 +599,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(Corpus(()), TemplateSet.CASE_AWARE)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["l2_sigma", "tolerance"])
+    @pytest.mark.parametrize(("field", "value"), [
+        *itertools.product(["l2_sigma", "tolerance"], [math.nan, math.inf]),
+        ("l2_sigma", 1e-200),  # its square underflows to 0
+    ])
     def test_non_finite_setting_rejected(self, rng, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})

@@ -3,7 +3,14 @@ import hashlib
 import pytest
 
 from casener import synth
-from casener.corpus import Scheme, extract_spans, validate_tags, write_conll
+from casener.corpus import (
+    Sentence,
+    Scheme,
+    extract_spans,
+    validate_tags,
+    write_conll,
+)
+from casener.harness import Strategy, training_view
 from casener.synth import SynthConfig, default_config, generate, vocabulary_overlap
 from casener.truecase import train_truecaser
 
@@ -118,3 +125,36 @@ def test_default_truecaser_is_pinned():
     assert hashlib.sha256(train_truecaser(train).to_bytes()).hexdigest() == (
         "83d0fdf4f1fedb9ae0f0d823cb26598624f8d8e5389b238ddca9b09e51303af5"
     )
+
+
+def test_each_distinct_sentence_is_built_once(monkeypatch):
+    """`generate` and the augment view build and check one `Sentence` and
+    one tag sequence per distinct annotated sentence, not per occurrence:
+    456 of the seed-42 split's 2,000 training sentences and 239 of its 500
+    test sentences are distinct."""
+    built = {"Sentence": 0, "spans_to_tags": 0}
+    sentence_post_init = Sentence.__post_init__
+    spans_to_tags = synth.spans_to_tags
+
+    def counting_post_init(self):
+        built["Sentence"] += 1
+        sentence_post_init(self)
+
+    def counting_spans_to_tags(spans, length):
+        built["spans_to_tags"] += 1
+        return spans_to_tags(spans, length)
+
+    monkeypatch.setattr(Sentence, "__post_init__", counting_post_init)
+    monkeypatch.setattr(synth, "spans_to_tags", counting_spans_to_tags)
+    train, test = generate(default_config(42))
+    assert (len(set(train)), len(set(test))) == (456, 239)
+    assert built == {"Sentence": 456 + 239, "spans_to_tags": 456 + 239}
+    assert len({id(ann) for ann in train}) == 456
+
+    built.update(Sentence=0, spans_to_tags=0)
+    view, _ = training_view(train, Strategy.AUGMENT)
+    assert len(view) == 6000
+    # The originals are reused; each case copy is built once per distinct
+    # training sentence.
+    assert built == {"Sentence": 2 * 456, "spans_to_tags": 0}
+    assert len({id(ann) for ann in view}) == 3 * 456

@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from casener.corpus import AnnotatedSentence, Corpus, Scheme, Sentence, TagSequence, extract_spans
 from casener.transforms import (
@@ -10,7 +10,7 @@ from casener.transforms import (
     to_lower,
     to_upper,
 )
-from conftest import random_corpus
+from conftest import iobes_taggings, random_corpus
 
 TABLE = Sentence(("I", "live", "in", "New", "York", "City"))
 
@@ -119,3 +119,99 @@ def test_make_variant_idempotent_and_original_identity(rng):
     lower = make_variant(corpus, CaseVariant.LOWER)
     assert make_variant(lower, CaseVariant.LOWER).sentences == lower.sentences
     assert make_variant(corpus, CaseVariant.ORIGINAL) is corpus
+
+
+# A few tokens, so that drawn sentences repeat; "İ", "ẞ" and "ﬁ" change
+# length or spelling under Unicode case mapping.
+_SHARED_TOKENS = ["the", "New", "YORK", "123", "İ", "ẞ", "ﬁ"]
+
+
+@st.composite
+def annotated(draw) -> AnnotatedSentence:
+    tokens = draw(st.lists(st.sampled_from(_SHARED_TOKENS), min_size=1,
+                           max_size=3))
+    return AnnotatedSentence(Sentence(tuple(tokens)),
+                             draw(iobes_taggings(len(tokens))))
+
+
+@st.composite
+def corpora_with_repeats(draw) -> Corpus:
+    """Up to 12 sentences drawn from a pool of up to 4; a repeat is either
+    the pool's object or an equal copy of it."""
+    pool = draw(st.lists(annotated(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                          min_size=1, max_size=12))
+    return Corpus(
+        tuple(AnnotatedSentence(Sentence(ann.sentence.tokens),
+                                TagSequence(ann.gold.tags)) if copy else ann
+              for ann, copy in picks),
+        "drawn",
+    )
+
+
+def _per_sentence_variant(corpus: Corpus, variant: CaseVariant) -> Corpus:
+    """`make_variant` as one transform per occurrence, sharing nothing."""
+    transform = to_lower if variant is CaseVariant.LOWER else to_upper
+    return Corpus(
+        tuple(AnnotatedSentence(transform(ann.sentence), ann.gold)
+              for ann in corpus),
+        f"{variant.value} variant of: {corpus.provenance}",
+    )
+
+
+def _key(ann: AnnotatedSentence) -> tuple:
+    return ann.sentence.tokens, ann.gold.tags
+
+
+def _shared_exactly_among_equal(out, inputs) -> bool:
+    """True if out[i] is out[j] exactly when inputs i and j are equal."""
+    return all(
+        (a is b) == (_key(x) == _key(y))
+        for a, x in zip(out, inputs)
+        for b, y in zip(out, inputs)
+    )
+
+
+_SAME_TOKENS_OTHER_TAGS = Corpus((
+    AnnotatedSentence(Sentence(("New", "YORK")), TagSequence(("B-LOC", "E-LOC"))),
+    AnnotatedSentence(Sentence(("New", "YORK")), TagSequence(("O", "S-ORG"))),
+    AnnotatedSentence(Sentence(("New", "YORK")), TagSequence(("B-LOC", "E-LOC"))),
+), "drawn")
+
+
+@given(corpora_with_repeats())
+@example(_SAME_TOKENS_OTHER_TAGS)
+def test_make_variant_shares_one_object_per_distinct_sentence(corpus):
+    for variant in (CaseVariant.LOWER, CaseVariant.UPPER):
+        out = make_variant(corpus, variant)
+        expected = _per_sentence_variant(corpus, variant)
+        assert out.sentences == expected.sentences
+        assert out.provenance == expected.provenance
+        assert _shared_exactly_among_equal(out, corpus)
+        again = make_variant(corpus, variant)
+        assert again.sentences == out.sentences
+        assert not {id(a) for a in again} & {id(a) for a in out}
+        assert not ({id(a.sentence) for a in again}
+                    & {id(a.sentence) for a in out})
+
+
+@given(corpora_with_repeats())
+@example(_SAME_TOKENS_OTHER_TAGS)
+def test_augment_shares_one_object_per_distinct_sentence(corpus):
+    n = len(corpus)
+    out = augment(corpus)
+    lower = _per_sentence_variant(corpus, CaseVariant.LOWER)
+    upper = _per_sentence_variant(corpus, CaseVariant.UPPER)
+    assert out.sentences == corpus.sentences + lower.sentences + upper.sentences
+    assert out.provenance == (
+        f"augmented from {n} sentence(s): originals at [0,{n}), lower copies "
+        f"at [{n},{2 * n}) with source i-{n}, upper copies at [{2 * n},{3 * n}) "
+        f"with source i-{2 * n}; base: drawn"
+    )
+    assert all(a is b for a, b in zip(out, corpus))
+    for copies in (out.sentences[n : 2 * n], out.sentences[2 * n :]):
+        assert _shared_exactly_among_equal(copies, corpus)
+    again = augment(corpus)
+    assert not {id(a) for a in again.sentences[n:]} & {
+        id(a) for a in out.sentences[n:]
+    }
