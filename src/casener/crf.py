@@ -22,10 +22,14 @@ per-sentence training only to the last bits (the iteration counts and
 decoded tags were the same on the synthetic data).
 
 Training and decoding featurize with the one featurizer,
-`features.feature_table`, and `_sorted_rows` turns its rows into sorted
-feature indices for both: a position's emission score sums its weight rows
-in ascending index order, whether the position is encoded for training or
-decoded.
+`features.feature_factors`, but sum a position's emission weight rows in
+different orders.  Decoding gathers the factors into a table and sums each
+position's rows in ascending index order (`_emissions`).  Training keeps
+the two factors apart as sparse matrices, whose product is the
+per-position feature matrix (`_EncodedCorpus`), so it sums per window
+offset: the rows each offset's token type gives, in ascending index order,
+then the offsets from left to right.  Training's emission scores can thus
+differ from decoding's in the last bits.
 
 Training normalizes over the full tag alphabet (no transition masking);
 the IOBES constraints are applied only at decode time, which guarantees
@@ -54,10 +58,13 @@ from .corpus import (
     split_tag,
 )
 from .features import (
+    WINDOW,
+    FeatureFactors,
     FeatureMap,
     TemplateSet,
     extract,  # noqa: F401  (perfbench's tracer wraps this name here)
-    feature_map_from_table,
+    feature_factors,
+    feature_map_from_factors,
     feature_table,
     fit_feature_map,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
@@ -169,30 +176,23 @@ class CrfModel:
         return self.feature_map.num_tags
 
 
-def _sorted_rows(
-    fmap: FeatureMap, names: list[str], table: np.ndarray
-) -> np.ndarray:
-    """The `feature_table` rows `table` as feature indices of `fmap`, each
-    row sorted: its -1s (templates that emit nothing or an unmapped name)
-    first, then the mapped indices in ascending order.  Sorting makes the
-    emission sums independent of the string hash seed."""
-    # The appended -1 maps the table's own -1.
-    lookup = np.array(
+def _feature_ids(fmap: FeatureMap, names: list[str]) -> np.ndarray:
+    """The feature index in `fmap` of each of the featurizer's `names` (-1
+    where unmapped), then a -1 that maps the featurizer's own -1."""
+    return np.array(
         [-1 if (i := fmap.feature_index(name)) is None else i for name in names]
         + [-1],
         dtype=np.int32,
     )
-    rows = lookup[table]
-    rows.sort(axis=1)
-    return rows
 
 
 def _emissions(model: CrfModel, sentence: Sentence) -> np.ndarray:
     """Per-position emission scores, shape (len(sentence), num_tags): each
-    position's `model.emission` rows summed in ascending index order."""
-    rows = _sorted_rows(
-        model.feature_map, *feature_table([sentence], model.template_set)
-    )
+    position's `model.emission` rows summed in ascending index order.
+    Sorting the rows makes the sums independent of the string hash seed."""
+    names, table = feature_table([sentence], model.template_set)
+    rows = _feature_ids(model.feature_map, names)[table]
+    rows.sort(axis=1)
     scores = model.emission[rows]
     scores[rows < 0] = 0.0
     return scores.sum(axis=1)
@@ -303,15 +303,20 @@ def _forward_backward(
     keeps it above the smallest normal double (exp(-708)).  A wider or
     non-finite spread sends the whole batch to the log-space recursion
     (`_forward_backward_log`).
+
+    The scaled path overwrites `emit` with its working values; the
+    fallback leaves it as it was.
     """
-    # A maximum is exact, and over the contiguous rows of the transpose
-    # numpy reduces several times faster than along the short tag axis.
-    emax = emit.T.copy().max(axis=0)
-    ex = emit - emax[:, None]
+    # Maxima and minima are exact, and over the contiguous rows of the
+    # transpose numpy reduces several times faster than along the short tag
+    # axis.  Rounding is monotonic, so min(e - emax) == emin - emax.
+    by_tag = emit.T.copy()
+    emax, emin = by_tag.max(axis=0), by_tag.min(axis=0)
+    del by_tag  # freed before the recursion allocates its own rows
     bmax, fmax, tmax = begin.max(), end.max(), trans.max()
     spread = (
         (tmax - trans.min()) + (bmax - begin.min()) + (fmax - end.min())
-        - ex.min()
+        - (emin - emax).min()
     )
     if not spread <= _MAX_SCALED_SPREAD:
         return _forward_backward_log(emit, packed, weights, begin, end, trans)
@@ -319,6 +324,8 @@ def _forward_backward(
     lengths, steps, rank, last = packed
     s = len(lengths)
     tm = np.exp(trans - tmax)
+    ex = emit  # rescaled and exponentiated in place
+    ex -= emax[:, None]
     np.exp(ex, out=ex)
     a = np.empty_like(ex)
     c = np.empty(len(ex))
@@ -413,18 +420,27 @@ class _EncodedCorpus:
     The sentences are ordered longest first (a stable sort); `packed` is
     their layout and `counts` how often each counts, in that order;
     `row_counts` is each packed row's sentence count, shape (rows, 1).
-    `feature_rows` is a (total_positions, num_features) binary indicator
-    matrix with the positions laid out time-major as `packed` describes,
-    and `feature_cols` its transpose (a CSC view of the same arrays), so
-    one forward-backward pass covers the corpus without padding.
+
+    The positions' features are kept as the featurizer's two factors, whose
+    product is the (positions, num_features) 0/1 feature matrix.
+    `offset_types` has one row per position, laid out time-major as
+    `packed` describes so that one forward-backward pass covers the corpus
+    without padding, and one column per (window offset, token type): a row
+    holds a 1 for the type at each of its offsets.  `type_features` has a
+    row per such column, holding a 1 for each feature index that the slots
+    at that offset give that type.  Each is stored with its transpose (a
+    CSC view of the same arrays) for the gradient's products.
+
     `observed` holds the count-weighted gold feature counts, laid out like
     the weights (`_pack` order): the log-likelihood is `observed @ w` minus
     the summed logZ, and its gradient is `observed` minus the expected
     counts.
     """
 
-    feature_rows: scipy.sparse.csr_matrix
-    feature_cols: scipy.sparse.csc_matrix
+    offset_types: scipy.sparse.csr_matrix
+    offset_types_t: scipy.sparse.csc_matrix
+    type_features: scipy.sparse.csr_matrix
+    type_features_t: scipy.sparse.csc_matrix
     packed: _Packed
     counts: np.ndarray
     row_counts: np.ndarray
@@ -435,8 +451,13 @@ class _EncodedCorpus:
 def _distinct(corpus: Corpus) -> tuple[Corpus, np.ndarray]:
     """The distinct annotated sentences of `corpus`, in first-occurrence
     order, and how many times each occurs (as floats, for `_encode`)."""
-    counts = Counter(corpus)
-    return Corpus(tuple(counts)), np.fromiter(
+    # Tuple keys hash in C; the dataclasses' own hash runs Python code per
+    # field.  A validated tag sequence is IOBES, so (tokens, tags) decides
+    # equality.  Walking backwards leaves each key's first sentence.
+    keys = [(ann.sentence.tokens, ann.gold.tags) for ann in corpus]
+    counts = Counter(keys)
+    first = dict(zip(reversed(keys), reversed(corpus.sentences)))
+    return Corpus(tuple(first[key] for key in counts)), np.fromiter(
         counts.values(), dtype=np.float64, count=len(counts)
     )
 
@@ -446,14 +467,14 @@ def _encode(
     fmap: FeatureMap,
     template_set: TemplateSet,
     counts: np.ndarray | None = None,
-    featurized: tuple[list[str], np.ndarray] | None = None,
+    factors: FeatureFactors | None = None,
 ) -> _EncodedCorpus:
     """Encode every sentence of `corpus`; sentence `i` counts `counts[i]`
     times in the objective (default once), both in the forward-backward
-    weights and in the gold statistics `observed`.  `featurized` is the
-    corpus' `feature_table`, computed here if not given."""
+    weights and in the gold statistics `observed`.  `factors` are the
+    corpus' `feature_factors`, computed here if not given."""
     k = fmap.num_tags
-    names, table = featurized or feature_table(
+    names, by_type, slot_offsets, window = factors or feature_factors(
         [ann.sentence for ann in corpus], template_set
     )
     lengths = np.fromiter(
@@ -472,16 +493,24 @@ def _encode(
         starts[: cur.stop - cur.start] + t
         for t, (_, cur) in enumerate(steps, 1)
     ])
+    total = len(source)
 
-    active = _sorted_rows(fmap, names, table[source])
-    mapped = active >= 0
-    indptr = np.zeros(len(active) + 1, dtype=np.int64)
-    np.cumsum(mapped.sum(axis=1), out=indptr[1:])
-    indices = active[mapped]
-    total = len(active)
-    matrix = scipy.sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.float64), indices, indptr),
-        shape=(total, fmap.num_features),
+    # Column j * types + t of both factors is type t at offset j - WINDOW,
+    # so a row of `offset_types` has one column per offset, ascending.
+    # `type_features` comes out with the indices of each row sorted.
+    width, types = window.shape[1], by_type.shape[1]
+    offset_types = scipy.sparse.csr_matrix(
+        (np.ones(total * width),
+         (window[source] + np.arange(width) * types).ravel(),
+         np.arange(0, total * width + 1, width)),
+        shape=(total, width * types),
+    )
+    mapped = _feature_ids(fmap, names)[by_type]
+    slot, type_id = np.nonzero(mapped >= 0)
+    row = (slot_offsets[slot] + WINDOW) * types + type_id
+    type_features = scipy.sparse.csr_matrix(
+        (np.ones(len(row)), (row, mapped[slot, type_id])),
+        shape=(width * types, fmap.num_features),
     )
     tags = [t for ann in corpus for t in ann.gold.tags]
     tag_ids = {t: fmap.tag_index(t) for t in dict.fromkeys(tags)}
@@ -494,7 +523,7 @@ def _encode(
     emission, begin, end, trans = _unpack(observed, fmap.num_features, k)
     weighted_gold = np.zeros((total, k))
     weighted_gold[np.arange(total), gold] = counts[rank]
-    emission[:] = matrix.T @ weighted_gold
+    emission[:] = type_features.T @ (offset_types.T @ weighted_gold)
     begin[:] = np.bincount(gold[: len(lengths)], weights=counts, minlength=k)
     end[:] = np.bincount(gold[last], weights=counts, minlength=k)
     for prev, cur in steps:
@@ -502,8 +531,10 @@ def _encode(
                   counts[: cur.stop - cur.start])
 
     return _EncodedCorpus(
-        feature_rows=matrix,
-        feature_cols=matrix.T,
+        offset_types=offset_types,
+        offset_types_t=offset_types.T,
+        type_features=type_features,
+        type_features_t=type_features.T,
         packed=packed,
         counts=counts,
         row_counts=counts[rank, None],
@@ -533,15 +564,16 @@ def _neg_ll_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Negative penalized log-likelihood and its gradient (for minimizers)."""
     emission, begin, end, trans = _unpack(
-        w, enc.feature_rows.shape[1], enc.num_tags
+        w, enc.type_features.shape[1], enc.num_tags
     )
     logz, node, edge = _forward_backward(
-        enc.feature_rows @ emission, enc.packed, enc.counts, begin, end, trans
+        enc.offset_types @ (enc.type_features @ emission), enc.packed,
+        enc.counts, begin, end, trans,
     )
     lengths, _, _, last = enc.packed
     node *= enc.row_counts
     expected = _pack(
-        enc.feature_cols @ node,
+        enc.type_features_t @ (enc.offset_types_t @ node),
         node[: len(lengths)].sum(axis=0),
         node[last].sum(axis=0),
         edge.sum(axis=0),
@@ -596,9 +628,10 @@ def train(
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
     distinct, counts = _distinct(corpus)
-    featurized = feature_table([ann.sentence for ann in distinct], template_set)
-    fmap = feature_map_from_table(distinct, *featurized)
-    enc = _encode(distinct, fmap, template_set, counts, featurized)
+    factors = feature_factors([ann.sentence for ann in distinct], template_set)
+    fmap = feature_map_from_factors(distinct, factors)
+    enc = _encode(distinct, fmap, template_set, counts, factors)
+    del factors  # nothing per position outlives the encoding
     result = scipy.optimize.minimize(
         _neg_ll_and_grad,
         np.zeros_like(enc.observed),

@@ -6,22 +6,25 @@ emits only features that cannot distinguish a sentence from its lowercased
 form.  Word identities are stored lowercased in both sets, so casing is
 carried exclusively by the shape/pattern features.
 
-There is one featurizer, `feature_table`, and training and decoding both
+There is one featurizer, `feature_factors`, and training and decoding both
 use it.  It computes each distinct token's attributes (lowercase form,
-shape, case class, affixes) once, lays out every template slot's
-feature-name ID per token type, and builds the table of a list of
-sentences with one gather over their token-type IDs: an int32 (positions,
-slots) table of feature-name IDs, -1 where a template emits nothing.
-`extract` is its row view: the feature strings of one position.  A fitted
-`FeatureMap` holds, in sorted order, every feature that some position of
-the training corpus has.
+shape, case class, affixes) once and lays out every template slot's
+feature-name ID per token type (`by_type`), next to the token type at each
+window offset of every position (`window`).  Every template reads one
+token at one offset, so these two factors determine every position's
+features.  Decoding gathers them into a table, an int32 (positions, slots)
+table of feature-name IDs, -1 where a template emits nothing
+(`feature_table`); training keeps them apart (see `crf._encode`).
+`extract` is the table's row view: the feature strings of one position.  A
+fitted `FeatureMap` holds, in sorted order, every feature that some
+position of the training corpus has.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,17 +82,31 @@ def word_shape(word: str) -> str:
     return "".join(out)
 
 
-def feature_table(
+class FeatureFactors(NamedTuple):
+    """The featurizer's output for a list of sentences, by token type.
+
+    `by_type[s, t]` is the index into `names` that slot s (one per
+    template and window offset) gives a position whose token at the slot's
+    offset has type t, or -1 where the template emits nothing.  The types
+    are the distinct tokens, then the start and the end sentinel.
+    `slot_offsets[s]` is slot s's window offset, and `window[p, d + WINDOW]`
+    the type of the token at offset d from position p, for every token
+    position p in order.  `names` are distinct and may include names that
+    occur at no position (such as "w0=<s>").
+    """
+
+    names: list[str]
+    by_type: np.ndarray
+    slot_offsets: np.ndarray
+    window: np.ndarray
+
+
+def feature_factors(
     sentences: Sequence[Sentence], template_set: TemplateSet
-) -> tuple[list[str], np.ndarray]:
-    """Feature-name IDs of every token position of `sentences`, in order.
+) -> FeatureFactors:
+    """The `FeatureFactors` of every token position of `sentences`.
 
-    Returns (names, table).  `table` is int32 with shape (positions, slots),
-    one slot per template, holding an index into `names` or -1 where the
-    template emits nothing.  `names` are distinct and may include names
-    that occur at no position (such as "w0=<s>").
-
-    Out-of-range window offsets emit boundary sentinels instead of being
+    Out-of-range window offsets read boundary sentinels instead of being
     skipped, so models can learn sentence-edge behavior.
     """
     # The type ID of every token, each sentence padded with WINDOW start
@@ -144,14 +161,34 @@ def feature_table(
             base.append(len(names))
             offsets.append(d)
             names += [prefix + v for v in index]
-    # by_type[s, t]: the name ID slot s gives a position whose token at the
-    # slot's offset has type t, or -1.
     slot_codes = np.array(codes, dtype=np.int32)[template_of]
     by_type = np.where(
         slot_codes >= 0, slot_codes + np.array(base, dtype=np.int32)[:, None], -1
     )
-    windows = types[np.add.outer(np.flatnonzero(types < len(words)), offsets)]
-    return names, by_type.ravel()[windows + np.arange(len(offsets)) * by_type.shape[1]]
+    positions = np.flatnonzero(types < len(words))
+    return FeatureFactors(
+        names, by_type, np.array(offsets, dtype=np.int32),
+        types[np.add.outer(positions, np.arange(-WINDOW, WINDOW + 1))],
+    )
+
+
+def feature_table(
+    sentences: Sequence[Sentence], template_set: TemplateSet
+) -> tuple[list[str], np.ndarray]:
+    """Feature-name IDs of every token position of `sentences`, in order.
+
+    Returns (names, table): the `FeatureFactors` names, and `by_type`
+    gathered over `window`.  `table` is int32 with shape (positions,
+    slots), one slot per template, holding an index into `names` or -1
+    where the template emits nothing.
+    """
+    names, by_type, slot_offsets, window = feature_factors(
+        sentences, template_set
+    )
+    slots, types = by_type.shape
+    return names, by_type.ravel()[
+        window[:, slot_offsets + WINDOW] + np.arange(slots) * types
+    ]
 
 
 def extract(sentence: Sentence, i: int, template_set: TemplateSet) -> set[str]:
@@ -221,19 +258,23 @@ def fit_feature_map(corpus: Corpus, template_set: TemplateSet) -> FeatureMap:
     """
     if len(corpus) == 0:
         raise ValueError("cannot fit a feature map on an empty corpus")
-    return feature_map_from_table(corpus, *feature_table(
+    return feature_map_from_factors(corpus, feature_factors(
         [ann.sentence for ann in corpus], template_set
     ))
 
 
-def feature_map_from_table(
-    corpus: Corpus, names: list[str], table: np.ndarray
+def feature_map_from_factors(
+    corpus: Corpus, factors: FeatureFactors
 ) -> FeatureMap:
-    """`fit_feature_map` from the `feature_table` of `corpus`."""
-    # The table names sentinel shapes at offsets where no position has them;
-    # only the names some position holds are kept.
-    counts = np.bincount(table.ravel() + 1, minlength=len(names) + 1)[1:]
-    kept = sorted(names[i] for i in np.flatnonzero(counts))
+    """`fit_feature_map` from the `feature_factors` of `corpus`."""
+    # A slot's name for type t occurs iff some position has type t at the
+    # slot's offset.  The factors name sentinel shapes at offsets where no
+    # position has them; only the names some position holds are kept.
+    names, by_type, slot_offsets, window = factors
+    occurs = np.zeros((window.shape[1], by_type.shape[1]), dtype=bool)
+    occurs[np.arange(window.shape[1]), window] = True
+    held = by_type[occurs[slot_offsets + WINDOW] & (by_type >= 0)]
+    kept = sorted(names[i] for i in np.unique(held))
     # A validated tag sequence puts every non-O tag in a span of its own
     # type, so the distinct tags name every entity type.
     distinct = {tag for ann in corpus for tag in ann.gold.tags} - {"O"}

@@ -143,6 +143,33 @@ def feature_rows_reference(
     return np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int64)
 
 
+def observed_reference(corpus, fmap: FeatureMap, template_set, counts):
+    """The gold statistics of `corpus` in the flat weight layout (emission,
+    begin, end, transition), each sentence counted `counts[i]` times, summed
+    in Python position by position over `feature_rows_reference`."""
+    k = fmap.num_tags
+    emission = [[0.0] * k for _ in range(fmap.num_features)]
+    begin, end = [0.0] * k, [0.0] * k
+    trans = [[0.0] * k for _ in range(k)]
+    indices, indptr = feature_rows_reference(corpus, fmap, template_set)
+    position = 0
+    for ann, count in zip(corpus, counts):
+        gold = [fmap.tag_index(tag) for tag in ann.gold.tags]
+        for tag in gold:
+            for f in indices[indptr[position]:indptr[position + 1]]:
+                emission[f][tag] += float(count)
+            position += 1
+        begin[gold[0]] += float(count)
+        end[gold[-1]] += float(count)
+        for prev, cur in zip(gold, gold[1:]):
+            trans[prev][cur] += float(count)
+    return np.array(
+        [v for row in emission for v in row] + begin + end
+        + [v for row in trans for v in row],
+        dtype=np.float64,
+    )
+
+
 def packed_positions(lengths) -> list[int]:
     """The corpus-order position each row of the forward-backward layout
     holds: the sentences sorted longest first (ties in corpus order), then

@@ -38,7 +38,7 @@ from casener.evaluation import evaluate
 from casener.features import (
     FeatureMap,
     TemplateSet,
-    feature_table,
+    feature_factors,
     fit_feature_map,
 )
 from conftest import (
@@ -312,6 +312,29 @@ class TestForwardBackward:
             np.testing.assert_allclose(node, expected_node, rtol=0, atol=1e-9)
             np.testing.assert_allclose(edge, expected_edge, rtol=0, atol=1e-9)
         assert len(calls) == 10
+
+    def test_wide_emission_spread_falls_back(self, monkeypatch):
+        """A batch whose only wide spread is one emission row goes to the
+        log-space recursion with `emit` untouched, and gives its results."""
+        rng = np.random.default_rng(23)
+        k = 5
+        lengths = _mixed_lengths(rng, 4, 6)
+        emit = rng.normal(0.0, 1.0, (lengths.sum(), k))
+        emit[-1] = 0.0
+        emit[-1, 2] = 201.0  # every other spread is at most 12 nats
+        chain = (np.zeros(k), np.zeros(k), np.zeros((k, k)))
+        packed, weights = crf._packed(lengths), np.ones(len(lengths))
+        untouched = emit.copy()
+        calls = []
+        original = crf._forward_backward_log
+        monkeypatch.setattr(crf, "_forward_backward_log",
+                            lambda *args: calls.append(1) or original(*args))
+        got = crf._forward_backward(emit, packed, weights, *chain)
+        assert calls == [1]
+        assert emit.tobytes() == untouched.tobytes()
+        want = original(untouched, packed, weights, *chain)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("fallback", [False, True],
                              ids=["scaled", "log-space"])
@@ -702,17 +725,19 @@ class TestDistinctTraining:
                 == fit_feature_map(corpus, template_set))
 
     def test_train_featurizes_once(self, monkeypatch):
-        tables = []
+        # feature_table goes through features.feature_factors too, so a
+        # per-position table built anywhere in training would count here.
+        featurized = []
 
-        def counting(corpus, template_set):
-            tables.append(len(corpus))
-            return feature_table(corpus, template_set)
+        def counting(sentences, template_set):
+            featurized.append(len(sentences))
+            return feature_factors(sentences, template_set)
 
-        monkeypatch.setattr(crf, "feature_table", counting)
-        monkeypatch.setattr(features, "feature_table", counting)
+        monkeypatch.setattr(crf, "feature_factors", counting)
+        monkeypatch.setattr(features, "feature_factors", counting)
         corpus = Corpus(separable_corpus().sentences * 3)
         train(corpus, TemplateSet.CASE_AWARE, TrainConfig(max_epochs=2))
-        assert tables == [len(crf._distinct(corpus)[0])]
+        assert featurized == [len(crf._distinct(corpus)[0])]
 
     def test_independent_of_string_hash_seed(self):
         # The distinct sentences are found by hashing strings; their order,

@@ -13,6 +13,7 @@ from casener.corpus import (
 )
 from casener.crf import CrfModel, _emissions, _encode
 from casener.features import (
+    WINDOW,
     FeatureMap,
     TemplateSet,
     extract,
@@ -26,7 +27,7 @@ from casener.transforms import to_lower, to_upper
 from conftest import iobes_taggings, random_corpus, random_sentence
 from oracles import (
     extract_reference, feature_rows_reference, fit_feature_map_reference,
-    packed_positions,
+    observed_reference, packed_positions,
 )
 
 NYC = Sentence(("New", "York", "City"))
@@ -191,22 +192,53 @@ def _corpus(*sentences):
 ))
 @example(_corpus(("<s>",), ("İ", "ẞ", "ﬁ"), ("a", "</s>", "<s>")))
 def test_feature_table_matches_extract(template_set, corpus):
-    """`extract`, fit_feature_map and _encode's feature rows equal
-    spelling out and looking up the templates position by position
-    (`extract_reference`), in the packed layout."""
+    """`extract`, fit_feature_map and the product of _encode's two feature
+    factors equal spelling out and looking up the templates position by
+    position (`extract_reference`), in the packed layout: the product is
+    0/1 and each of its rows sorted holds the reference row."""
     for ann in corpus:
         for i in range(len(ann.sentence)):
             assert (extract(ann.sentence, i, template_set)
                     == extract_reference(ann.sentence, i, template_set))
     fmap = fit_feature_map(corpus, template_set)
     assert fmap == fit_feature_map_reference(corpus, template_set)
-    rows = _encode(corpus, fmap, template_set).feature_rows
+    enc = _encode(corpus, fmap, template_set)
+    # One type per window offset in every row of the position factor.
+    assert (np.diff(enc.offset_types.indptr) == 2 * WINDOW + 1).all()
+    rows = (enc.offset_types @ enc.type_features).tocsr()
+    rows.sort_indices()
+    assert (rows.data == 1.0).all()
     indices, indptr = feature_rows_reference(corpus, fmap, template_set)
     reference = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
     packed = [reference[p] for p in
               packed_positions([len(ann.sentence) for ann in corpus])]
     assert np.array_equal(rows.indices, np.concatenate(packed))
     assert np.array_equal(np.diff(rows.indptr), [len(r) for r in packed])
+
+
+@pytest.mark.parametrize("template_set", list(TemplateSet))
+@given(
+    st.lists(
+        st.tuples(st.one_of(_annotated(), _TABLE_TOKENS.flatmap(
+            lambda token: iobes_taggings(1).map(
+                lambda tags: AnnotatedSentence(Sentence((token,)), tags)
+            )
+        )), st.integers(1, 3)),
+        min_size=1, max_size=6,
+    ),
+)
+@example([(s, 2) for s in _corpus(("<s>",), ("İ",), ("ẞ",), ("ﬁ",))])
+@example([(s, 1) for s in _corpus(("<s>", "İ", "ẞ", "ﬁ"), ("ﬁ",))])
+def test_observed_matches_reference_gold_counts(template_set, weighted):
+    """_encode's `observed` equals, bit for bit, the count-weighted gold
+    statistics summed position by position over `extract_reference`'s
+    features (`observed_reference`), one-token sentences included."""
+    corpus = Corpus(tuple(ann for ann, _ in weighted))
+    counts = np.array([count for _, count in weighted], dtype=np.float64)
+    fmap = fit_feature_map(corpus, template_set)
+    enc = _encode(corpus, fmap, template_set, counts)
+    want = observed_reference(corpus, fmap, template_set, counts)
+    assert enc.observed.tobytes() == want.tobytes()
 
 
 def _with_entity(corpus):
