@@ -236,6 +236,7 @@ def _experiment_config(settings: dict[str, object],
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    harness.check_output_dir("model", args.model)
     corpus = read_conll_file(args.train)
     strategy = Strategy(args.strategy)
     train_view, template_set = harness.training_view(corpus, strategy)

@@ -11,10 +11,12 @@ The construction checks do their work once per distinct value: a
 ``Sentence`` searches its joined tokens for whitespace in one pass, and
 ``validate_tags`` parses each distinct tag and checks each distinct
 transition once.  Errors still name the first offending token or position.
-The types are frozen, so a corpus may hold one object many times:
-``synth.generate`` and the case transforms build one ``AnnotatedSentence``
-per distinct value and share it among the repeats, while ``parse_conll``
-builds one per sentence it reads.
+The value types are frozen and slotted: they carry no instance
+``__dict__``, which keeps the many per-sentence objects of a corpus, its
+case variants and its predictions small.  Being frozen, a corpus may hold
+one object many times: ``synth.generate`` and the case transforms build
+one ``AnnotatedSentence`` per distinct value and share it among the
+repeats, while ``parse_conll`` builds one per sentence it reads.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def validate_tags(
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """An ordered, non-empty sequence of whitespace-free tokens."""
 
@@ -163,7 +165,7 @@ class Sentence:
         return iter(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagSequence:
     """Per-token IOBES labels; validated on construction, where
     `validate_tags` rejects any other `scheme`."""
@@ -179,7 +181,7 @@ class TagSequence:
         return len(self.tags)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
     """A sentence paired with its gold tag sequence."""
 
@@ -194,7 +196,7 @@ class AnnotatedSentence:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     """An ordered collection of annotated sentences.
 
@@ -215,7 +217,7 @@ class Corpus:
         return iter(self.sentences)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class EntitySpan:
     """A labelled token range; `start` and `end` are inclusive indices."""
 

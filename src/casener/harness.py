@@ -143,6 +143,18 @@ def _format_f1_table(rows: Sequence[tuple[str, dict[CaseVariant, Metrics]]]) -> 
     return "\n".join(lines)
 
 
+def check_output_dir(what: str, path: str | None) -> None:
+    """Raise FileNotFoundError, naming `path`, unless the directory that
+    `path` is written into exists, so a bad output path fails before
+    training."""
+    if path is not None:
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(
+                f"{what} path {path!r}: directory {directory!r} does not exist"
+            )
+
+
 def _atomic_write(path: str, content: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
@@ -277,6 +289,10 @@ def run_grid(
         raise ValueError(
             "all grid experiments must share the same train and test data"
         )
+    check_output_dir("report", report_path)
+    for cfg in configs:
+        check_output_dir("report", cfg.report_path)
+        check_output_dir("model", cfg.model_path)
     data = _load_corpora(first)
     if len(data[0]) == 0:
         raise ValueError("training corpus is empty")

@@ -590,6 +590,33 @@ def test_type_map_target_checked_before_data_loads(tmp_path, capsys,
             "be non-empty, with no whitespace" in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("what, argv", [
+    ("model", ["train", "--train", "{train}", "--model", "{path}"]),
+    ("model", ["experiment", "--strategy", "baseline", "--data", "synth",
+               "--model", "{path}"]),
+    ("report", ["experiment", "--strategy", "baseline", "--data", "synth",
+                "--report", "{path}"]),
+    ("report", ["grid", "--data", "synth", "--report", "{path}"]),
+    ("report", ["grid", "--config", "{config}"]),
+], ids=["train", "experiment-model", "experiment-report", "grid-report",
+        "grid-config"])
+def test_missing_output_directory_exits_2_before_training(
+        data_files, tmp_path, capsys, monkeypatch, what, argv):
+    for name in ("train", "read_conll_file"):
+        monkeypatch.setattr(cli, name, _no_run)
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
+    directory = str(tmp_path / "missing" / "dir")
+    path = os.path.join(directory, "out")
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"data = synth\nreport = {path}\n")
+    fill = dict(train=data_files[1], path=path, config=config)
+    assert main([arg.format(**fill) for arg in argv]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {what} path {path!r}: directory {directory!r} does "
+        "not exist\n"
+    )
+
+
 def test_experiment_and_grid_read_conll_files(data_files, capsys):
     root, train, test = data_files
     flags = ["--train", train, "--test", test, "--max-epochs", "5"]

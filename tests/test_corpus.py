@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -81,6 +82,46 @@ class TestTypes:
             EntitySpan(-1, 0, "ORG")
         with pytest.raises(CorpusError):
             EntitySpan(0, 0, "")
+
+    @pytest.mark.parametrize("make, field, other", [
+        (lambda: Sentence(("New", "York")), "tokens", ("York",)),
+        (lambda: TagSequence(("B-LOC", "E-LOC")), "tags", ("O",)),
+        (lambda: AnnotatedSentence(Sentence(("Rome",)), TagSequence(("S-LOC",))),
+         "gold", TagSequence(("O",))),
+        (lambda: Corpus((AnnotatedSentence(Sentence(("a",)),
+                                           TagSequence(("O",))),), "p"),
+         "sentences", ()),
+        (lambda: EntitySpan(1, 2, "ORG"), "end", 3),
+    ])
+    def test_value_types_are_slotted_frozen_values(self, make, field, other):
+        value = make()
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, other)
+        # A name that is no field has no slot to go to.  Python 3.11 raises
+        # TypeError here: the generated __setattr__ names the class that
+        # slots=True replaced.
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(value, "extra", other)
+        copy = make()
+        assert copy is not value and copy == value and hash(copy) == hash(value)
+        changed = dataclasses.replace(value, **{field: other})
+        assert changed != value
+
+    def test_corpus_equality_ignores_provenance(self):
+        sentences = (AnnotatedSentence(Sentence(("a",)), TagSequence(("O",))),)
+        assert Corpus(sentences, "one") == Corpus(sentences, "two")
+        assert hash(Corpus(sentences, "one")) == hash(Corpus(sentences, "two"))
+
+    def test_entity_spans_order_by_start_end_then_type(self):
+        spans = [EntitySpan(2, 3, "LOC"), EntitySpan(0, 4, "PER"),
+                 EntitySpan(0, 1, "PER"), EntitySpan(0, 1, "LOC")]
+        assert sorted(spans) == [
+            EntitySpan(0, 1, "LOC"), EntitySpan(0, 1, "PER"),
+            EntitySpan(0, 4, "PER"), EntitySpan(2, 3, "LOC"),
+        ]
+        assert EntitySpan(0, 1, "LOC") < EntitySpan(0, 1, "PER")
+        assert EntitySpan(0, 9, "ZZZ") < EntitySpan(1, 1, "AAA")
 
 
 class TestParse:

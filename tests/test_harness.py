@@ -193,6 +193,25 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="same train and test data"):
             run_grid(configs)
 
+    @pytest.mark.parametrize("what, field", [
+        ("report", None), ("report", "report_path"), ("model", "model_path"),
+    ])
+    def test_missing_output_directory_fails_before_data_loads(
+            self, tmp_path, monkeypatch, what, field):
+        def no_load(cfg):
+            pytest.fail("a missing output directory must stop the grid first")
+
+        monkeypatch.setattr(harness, "_load_corpora", no_load)
+        path = str(tmp_path / "missing" / "out")
+        cfg = small_config(**({field: path} if field else {}))
+        with pytest.raises(FileNotFoundError) as info:
+            run_grid([small_config(Strategy.CASELESS), cfg],
+                     report_path=None if field else path)
+        assert str(info.value) == (
+            f"{what} path {path!r}: directory "
+            f"{str(tmp_path / 'missing')!r} does not exist"
+        )
+
     def test_data_loaded_once_and_each_model_trained_once(self, monkeypatch):
         calls = {"train": 0, "generate": 0}
 

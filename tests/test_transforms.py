@@ -195,6 +195,24 @@ def test_make_variant_shares_one_object_per_distinct_sentence(corpus):
                     & {id(a.sentence) for a in out})
 
 
+# "New", "new" and "NEW" case to one string under either variant.
+_CASE_COLLISIONS = Corpus((
+    AnnotatedSentence(Sentence(("New", "york", "new")),
+                      TagSequence(("B-LOC", "E-LOC", "O"))),
+    AnnotatedSentence(Sentence(("NEW", "York")), TagSequence(("B-LOC", "E-LOC"))),
+), "drawn")
+
+
+@given(corpora_with_repeats())
+@example(_CASE_COLLISIONS)
+def test_make_variant_shares_one_string_per_distinct_cased_token(corpus):
+    for variant in (CaseVariant.LOWER, CaseVariant.UPPER):
+        first: dict[str, str] = {}
+        for ann in make_variant(corpus, variant):
+            for token in ann.sentence.tokens:
+                assert first.setdefault(token, token) is token
+
+
 @given(corpora_with_repeats())
 @example(_SAME_TOKENS_OTHER_TAGS)
 def test_augment_shares_one_object_per_distinct_sentence(corpus):
