@@ -88,8 +88,28 @@ _EXPERIMENT_FLAGS = (
     ("--model", {"help": "save the trained model here"}),
     *_SHARED_FLAGS,
 )
+
+
+def _strategy_list(text: str) -> list[Strategy]:
+    """`--strategies`' cast: a comma-separated list of strategy names, each
+    at most once, with blanks around the names ignored."""
+    choices = [s.value for s in Strategy]
+    listed = [name.strip() for name in text.split(",") if name.strip()]
+    for i, name in enumerate(listed):
+        if name not in choices or name in listed[:i]:
+            raise argparse.ArgumentTypeError(
+                f"{'repeated' if name in choices else 'invalid'} choice: "
+                f"{name!r} (choose from {', '.join(map(repr, choices))}, "
+                "each at most once)"
+            )
+    if not listed:
+        raise argparse.ArgumentTypeError("no strategies selected")
+    return [Strategy(name) for name in listed]
+
+
 _GRID_FLAGS = (
-    ("--strategies", {"help": "comma-separated list, each strategy at most "
+    ("--strategies", {"type": _strategy_list,
+                      "help": "comma-separated list, each strategy at most "
                               "once (default: all four)"}),
     *_SHARED_FLAGS,
 )
@@ -186,7 +206,7 @@ def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
         if settings[dest] is None and key in file_cfg:
             try:
                 value = kwargs.get("type", str)(file_cfg[key])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(
                     f"{args.config}: {key} = {file_cfg[key]!r}: {exc}"
                 ) from None
@@ -236,7 +256,7 @@ def _experiment_config(settings: dict[str, object],
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    harness.check_output_dir("model", args.model)
+    harness.check_output_path("model", args.model)
     corpus = read_conll_file(args.train)
     strategy = Strategy(args.strategy)
     train_view, template_set = harness.training_view(corpus, strategy)
@@ -346,28 +366,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     settings = _settings(args, _GRID_FLAGS)
-    names = settings["strategies"]
-    choices = [s.value for s in Strategy]
-    listed = choices if names is None else [
-        name.strip() for name in names.split(",") if name.strip()
-    ]
-    for i, name in enumerate(listed):
-        if name not in choices or name in listed[:i]:
-            problem = (
-                f"{'repeated' if name in choices else 'invalid'} choice: "
-                f"{name!r} (choose from {', '.join(map(repr, choices))}, "
-                "each at most once)"
-            )
-            if args.strategies is not None:
-                raise UsageError(f"argument --strategies: {problem}")
-            raise ValueError(f"{args.config}: strategies = {names!r}: {problem}")
-    if not listed:
-        if args.strategies is not None:
-            raise UsageError("no strategies selected")
-        raise ValueError(
-            f"{args.config}: strategies = {names!r}: no strategies selected"
-        )
-    strategies = [Strategy(name) for name in listed]
+    strategies = settings["strategies"] or list(Strategy)
     cfg = _experiment_config(settings, strategies[0])
     configs = [replace(cfg, strategy=s, report_path=None) for s in strategies]
     _, combined = harness.run_grid(configs, report_path=cfg.report_path)

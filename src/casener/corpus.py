@@ -96,9 +96,7 @@ def is_legal_end(tag: str) -> bool:
     return _legal_end(split_tag(tag)[0])
 
 
-def validate_tags(
-    tags: Sequence[str], scheme: Scheme = Scheme.IOBES, context: str = ""
-) -> None:
+def validate_tags(tags: Sequence[str], scheme: Scheme = Scheme.IOBES) -> None:
     """Raise :class:`TagValidationError` unless `tags` is legal IOBES.
 
     Any other `scheme` is an error: `parse_conll` checks other schemes'
@@ -107,32 +105,32 @@ def validate_tags(
     error names the first offending position.
     """
     if scheme is not Scheme.IOBES:
-        raise TagValidationError(f"{context}tags are IOBES, not {scheme}")
+        raise TagValidationError(f"tags are IOBES, not {scheme}")
     if not tags:
-        raise TagValidationError(f"{context}empty tag sequence")
+        raise TagValidationError("empty tag sequence")
     parsed: dict[str, tuple[str, str | None]] = {}
     for tag in dict.fromkeys(tags):
         prefix, _ = parsed[tag] = split_tag(tag)
         if prefix not in ("O", "B", "I", "E", "S"):
             raise TagValidationError(
-                f"{context}position {tags.index(tag)}: prefix {prefix!r} of "
+                f"position {tags.index(tag)}: prefix {prefix!r} of "
                 f"tag {tag!r} is not part of scheme IOBES"
             )
     if not _legal_start(parsed[tags[0]][0]):
         raise TagValidationError(
-            f"{context}position 0: tag {tags[0]!r} cannot open a sentence "
+            f"position 0: tag {tags[0]!r} cannot open a sentence "
             "in scheme IOBES"
         )
     pairs = list(zip(tags, tags[1:]))
     for prev, cur in dict.fromkeys(pairs):
         if not _legal_transition(parsed[prev], parsed[cur]):
             raise TagValidationError(
-                f"{context}position {pairs.index((prev, cur)) + 1}: "
+                f"position {pairs.index((prev, cur)) + 1}: "
                 f"transition {prev!r} -> {cur!r} is illegal in scheme IOBES"
             )
     if not _legal_end(parsed[tags[-1]][0]):
         raise TagValidationError(
-            f"{context}position {len(tags) - 1}: tag {tags[-1]!r} cannot close "
+            f"position {len(tags) - 1}: tag {tags[-1]!r} cannot close "
             "a sentence in scheme IOBES"
         )
 

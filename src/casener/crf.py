@@ -22,11 +22,12 @@ per-sentence training only to the last bits (the iteration counts and
 decoded tags were the same on the synthetic data).
 
 Training and decoding featurize with the one featurizer,
-`features.feature_factors`, but sum a position's emission weight rows in
-different orders.  Decoding gathers the factors into a table and sums each
-position's rows in ascending index order (`_emissions`).  Training keeps
-the two factors apart as sparse matrices, whose product is the
-per-position feature matrix (`_EncodedCorpus`), so it sums per window
+`features.feature_factors`, and map its names onto the model's features
+the same way (`_mapped_types`), but sum a position's emission weight rows
+in different orders.  Decoding gathers each position's rows from the
+mapped factors and sums them in ascending index order (`_emissions`).
+Training keeps the two factors apart as sparse matrices, whose product is
+the per-position feature matrix (`_EncodedCorpus`), so it sums per window
 offset: the rows each offset's token type gives, in ascending index order,
 then the offsets from left to right.  Training's emission scores can thus
 differ from decoding's in the last bits.
@@ -65,7 +66,6 @@ from .features import (
     extract,  # noqa: F401  (perfbench's tracer wraps this name here)
     feature_factors,
     feature_map_from_factors,
-    feature_table,
     fit_feature_map,  # noqa: F401  (perfbench's tracer wraps this name here)
 )
 
@@ -176,22 +176,27 @@ class CrfModel:
         return self.feature_map.num_tags
 
 
-def _feature_ids(fmap: FeatureMap, names: list[str]) -> np.ndarray:
-    """The feature index in `fmap` of each of the featurizer's `names` (-1
-    where unmapped), then a -1 that maps the featurizer's own -1."""
-    return np.array(
-        [-1 if (i := fmap.feature_index(name)) is None else i for name in names]
-        + [-1],
+def _mapped_types(fmap: FeatureMap, factors: FeatureFactors) -> np.ndarray:
+    """`factors.by_type` with each name ID replaced by the name's feature
+    index in `fmap`: int32, shape (slots, types), -1 where the slot emits
+    nothing or `fmap` lacks the name."""
+    ids = np.array(
+        [-1 if (i := fmap.feature_index(name)) is None else i
+         for name in factors.names] + [-1],
         dtype=np.int32,
     )
+    return ids[factors.by_type]
 
 
 def _emissions(model: CrfModel, sentence: Sentence) -> np.ndarray:
     """Per-position emission scores, shape (len(sentence), num_tags): each
     position's `model.emission` rows summed in ascending index order.
     Sorting the rows makes the sums independent of the string hash seed."""
-    names, table = feature_table([sentence], model.template_set)
-    rows = _feature_ids(model.feature_map, names)[table]
+    factors = feature_factors([sentence], model.template_set)
+    slot_offsets = factors.slot_offsets
+    rows = _mapped_types(model.feature_map, factors)[
+        np.arange(len(slot_offsets)), factors.window[:, slot_offsets + WINDOW]
+    ]
     rows.sort(axis=1)
     scores = model.emission[rows]
     scores[rows < 0] = 0.0
@@ -465,23 +470,18 @@ def _distinct(corpus: Corpus) -> tuple[Corpus, np.ndarray]:
 def _encode(
     corpus: Corpus,
     fmap: FeatureMap,
-    template_set: TemplateSet,
-    counts: np.ndarray | None = None,
-    factors: FeatureFactors | None = None,
+    counts: np.ndarray,
+    factors: FeatureFactors,
 ) -> _EncodedCorpus:
-    """Encode every sentence of `corpus`; sentence `i` counts `counts[i]`
-    times in the objective (default once), both in the forward-backward
-    weights and in the gold statistics `observed`.  `factors` are the
-    corpus' `feature_factors`, computed here if not given."""
+    """Encode every sentence of `corpus`, whose `feature_factors` are
+    `factors`; sentence `i` counts `counts[i]` times in the objective, both
+    in the forward-backward weights and in the gold statistics
+    `observed`."""
     k = fmap.num_tags
-    names, by_type, slot_offsets, window = factors or feature_factors(
-        [ann.sentence for ann in corpus], template_set
-    )
+    _, by_type, slot_offsets, window = factors
     lengths = np.fromiter(
         (len(ann.sentence) for ann in corpus), dtype=np.int64, count=len(corpus)
     )
-    if counts is None:
-        counts = np.ones(len(corpus))
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(-lengths, kind="stable")
     lengths, counts, starts = lengths[order], counts[order], starts[order]
@@ -505,7 +505,7 @@ def _encode(
          np.arange(0, total * width + 1, width)),
         shape=(total, width * types),
     )
-    mapped = _feature_ids(fmap, names)[by_type]
+    mapped = _mapped_types(fmap, factors)
     slot, type_id = np.nonzero(mapped >= 0)
     row = (slot_offsets[slot] + WINDOW) * types + type_id
     type_features = scipy.sparse.csr_matrix(
@@ -603,7 +603,10 @@ def log_likelihood_and_gradient(
     """
     _check_l2_sigma(l2_sigma)
     distinct, counts = _distinct(corpus)
-    enc = _encode(distinct, model.feature_map, model.template_set, counts)
+    factors = feature_factors(
+        [ann.sentence for ann in distinct], model.template_set
+    )
+    enc = _encode(distinct, model.feature_map, counts, factors)
     w = _pack(model.emission, model.begin, model.end, model.transition)
     neg_ll, neg_grad = _neg_ll_and_grad(w, enc, l2_sigma)
     return -neg_ll, -neg_grad
@@ -630,7 +633,7 @@ def train(
     distinct, counts = _distinct(corpus)
     factors = feature_factors([ann.sentence for ann in distinct], template_set)
     fmap = feature_map_from_factors(distinct, factors)
-    enc = _encode(distinct, fmap, template_set, counts, factors)
+    enc = _encode(distinct, fmap, counts, factors)
     del factors  # nothing per position outlives the encoding
     result = scipy.optimize.minimize(
         _neg_ll_and_grad,

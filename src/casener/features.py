@@ -6,18 +6,16 @@ emits only features that cannot distinguish a sentence from its lowercased
 form.  Word identities are stored lowercased in both sets, so casing is
 carried exclusively by the shape/pattern features.
 
-There is one featurizer, `feature_factors`, and training and decoding both
-use it.  It computes each distinct token's attributes (lowercase form,
-shape, case class, affixes) once and lays out every template slot's
-feature-name ID per token type (`by_type`), next to the token type at each
-window offset of every position (`window`).  Every template reads one
-token at one offset, so these two factors determine every position's
-features.  Decoding gathers them into a table, an int32 (positions, slots)
-table of feature-name IDs, -1 where a template emits nothing
-(`feature_table`); training keeps them apart (see `crf._encode`).
-`extract` is the table's row view: the feature strings of one position.  A
-fitted `FeatureMap` holds, in sorted order, every feature that some
-position of the training corpus has.
+There is one featurizer, `feature_factors`, and training, decoding and
+`extract` all read its output.  It computes each distinct token's
+attributes (lowercase form, shape, case class, affixes) once and lays out
+every template slot's feature-name ID per token type (`by_type`), next to
+the token type at each window offset of every position (`window`).  Every
+template reads one token at one offset, so these two factors determine
+every position's features: position p's name in slot s is
+`by_type[s, window[p, slot_offsets[s] + WINDOW]]`.  `extract` spells out
+one position's names that way.  A fitted `FeatureMap` holds, in sorted
+order, every feature that some position of the training corpus has.
 """
 
 from __future__ import annotations
@@ -172,33 +170,17 @@ def feature_factors(
     )
 
 
-def feature_table(
-    sentences: Sequence[Sentence], template_set: TemplateSet
-) -> tuple[list[str], np.ndarray]:
-    """Feature-name IDs of every token position of `sentences`, in order.
-
-    Returns (names, table): the `FeatureFactors` names, and `by_type`
-    gathered over `window`.  `table` is int32 with shape (positions,
-    slots), one slot per template, holding an index into `names` or -1
-    where the template emits nothing.
-    """
-    names, by_type, slot_offsets, window = feature_factors(
-        sentences, template_set
-    )
-    slots, types = by_type.shape
-    return names, by_type.ravel()[
-        window[:, slot_offsets + WINDOW] + np.arange(slots) * types
-    ]
-
-
 def extract(sentence: Sentence, i: int, template_set: TemplateSet) -> set[str]:
-    """Feature strings for position `i` of `sentence`: row `i` of its
-    `feature_table`."""
+    """Feature strings for position `i` of `sentence`, read off its
+    `feature_factors`."""
     n = len(sentence)
     if not 0 <= i < n:
         raise ValueError(f"position {i} out of range for a {n}-token sentence")
-    names, table = feature_table([sentence], template_set)
-    return {names[j] for j in table[i] if j >= 0}
+    names, by_type, slot_offsets, window = feature_factors(
+        [sentence], template_set
+    )
+    row = by_type[np.arange(len(slot_offsets)), window[i, slot_offsets + WINDOW]]
+    return {names[j] for j in row if j >= 0}
 
 
 @dataclass(frozen=True)

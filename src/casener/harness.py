@@ -143,24 +143,39 @@ def _format_f1_table(rows: Sequence[tuple[str, dict[CaseVariant, Metrics]]]) -> 
     return "\n".join(lines)
 
 
-def check_output_dir(what: str, path: str | None) -> None:
-    """Raise FileNotFoundError, naming `path`, unless the directory that
-    `path` is written into exists, so a bad output path fails before
-    training."""
-    if path is not None:
-        directory = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(directory):
-            raise FileNotFoundError(
-                f"{what} path {path!r}: directory {directory!r} does not exist"
-            )
+#: What a report path gets appended for its two files.
+_REPORT_SUFFIXES = (".txt", ".kv")
+
+
+def check_output_path(what: str, path: str | None,
+                      suffixes: Sequence[str] = ("",)) -> None:
+    """Fail, naming the path, unless `path` plus each of `suffixes` can be
+    written as a file, so a bad output path fails before training:
+    FileNotFoundError if the directory `path` is written into does not
+    exist, IsADirectoryError if one of those paths is a directory."""
+    if path is None:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(
+            f"{what} path {path!r}: directory {directory!r} does not exist"
+        )
+    for target in [path + suffix for suffix in suffixes]:
+        if os.path.isdir(target):
+            raise IsADirectoryError(f"{what} path {target!r} is a directory")
 
 
 def _atomic_write(path: str, content: str) -> None:
+    """Write `content` to `path` through a temporary file in its directory,
+    which gets the mode `open` gives a new file: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(content)
+        umask = os.umask(0)  # the only way to read it; restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -262,8 +277,8 @@ def _run_strategy(cfg: ExperimentConfig, data: tuple[Corpus, Corpus, list[str]],
     if cfg.model_path is not None:
         save_file(model, cfg.model_path)
     if cfg.report_path is not None:
-        _atomic_write(cfg.report_path + ".txt", report_text)
-        _atomic_write(cfg.report_path + ".kv", report_kv)
+        for suffix, content in zip(_REPORT_SUFFIXES, (report_text, report_kv)):
+            _atomic_write(cfg.report_path + suffix, content)
 
     return ExperimentResult(
         config=cfg,
@@ -289,10 +304,10 @@ def run_grid(
         raise ValueError(
             "all grid experiments must share the same train and test data"
         )
-    check_output_dir("report", report_path)
+    check_output_path("report", report_path, _REPORT_SUFFIXES)
     for cfg in configs:
-        check_output_dir("report", cfg.report_path)
-        check_output_dir("model", cfg.model_path)
+        check_output_path("report", cfg.report_path, _REPORT_SUFFIXES)
+        check_output_path("model", cfg.model_path)
     data = _load_corpora(first)
     if len(data[0]) == 0:
         raise ValueError("training corpus is empty")
@@ -323,8 +338,8 @@ def run_grid(
     combined_kv = "\n".join(kv_lines) + "\n"
 
     if report_path is not None:
-        _atomic_write(report_path + ".txt", combined)
-        _atomic_write(report_path + ".kv", combined_kv)
+        for suffix, content in zip(_REPORT_SUFFIXES, (combined, combined_kv)):
+            _atomic_write(report_path + suffix, content)
     return results, combined
 
 

@@ -16,8 +16,13 @@ from casener.corpus import (
     Sentence,
     spans_to_tags,
 )
-from casener.crf import CrfModel
-from casener.features import FeatureMap, TemplateSet, fit_feature_map
+from casener.crf import CrfModel, _encode
+from casener.features import (
+    FeatureMap,
+    TemplateSet,
+    feature_factors,
+    fit_feature_map,
+)
 from casener.truecase import CaseClass, classify_case
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
@@ -89,6 +94,16 @@ def random_model(
         uniform(k),
         uniform(k),
         uniform(k * k).reshape(k, k),
+    )
+
+
+def encode(corpus: Corpus, fmap: FeatureMap, template_set: TemplateSet,
+           counts: np.ndarray | None = None):
+    """`crf._encode` of `corpus`, featurized with `template_set`; each
+    sentence counts once unless `counts` says otherwise."""
+    return _encode(
+        corpus, fmap, np.ones(len(corpus)) if counts is None else counts,
+        feature_factors([ann.sentence for ann in corpus], template_set),
     )
 
 

@@ -26,12 +26,12 @@ from casener.crf import (
     log_partition,
     score_sequence,
 )
-from casener.crf import _encode, _neg_ll_and_grad, _pack  # objective internals
+from casener.crf import _neg_ll_and_grad, _pack  # objective internals
 from casener.evaluation import evaluate
 from casener.harness import ExperimentConfig, Strategy, run_experiment, run_grid
 from casener.synth import default_config
 from casener.transforms import CaseVariant
-from conftest import random_model, random_sentence, random_tagging
+from conftest import encode, random_model, random_sentence, random_tagging
 from oracles import (
     conlleval_counts,
     enumerate_best_legal_path_fast,
@@ -97,7 +97,7 @@ def test_criterion_2_gradient_correctness():
         ))
         model = random_model(rng, corpus, scale=0.5)
         sigma = rng.choice([0.7, 1.0, 2.0])
-        enc = _encode(corpus, model.feature_map, model.template_set)
+        enc = encode(corpus, model.feature_map, model.template_set)
         w = _pack(model.emission, model.begin, model.end, model.transition)
 
         ll, grad = log_likelihood_and_gradient(model, corpus, sigma)

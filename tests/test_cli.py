@@ -549,7 +549,8 @@ def test_grid_rejects_empty_strategy_list(tmp_path, capsys):
     assert (f"data error: {cfg}: strategies = ',': no strategies selected"
             in capsys.readouterr().err)
     assert main(["grid", "--data", "synth", "--strategies", ","]) == EXIT_USAGE
-    assert "usage error: no strategies selected" in capsys.readouterr().err
+    assert ("usage error: argument --strategies: no strategies selected"
+            in capsys.readouterr().err)
 
 
 def _no_run(*args, **kwargs):
@@ -617,6 +618,31 @@ def test_missing_output_directory_exits_2_before_training(
     )
 
 
+@pytest.mark.parametrize("what, suffix, argv", [
+    ("model", "", ["train", "--train", "{train}", "--model", "{path}"]),
+    ("model", "", ["experiment", "--strategy", "baseline", "--data", "synth",
+                   "--model", "{path}"]),
+    ("report", ".txt", ["experiment", "--strategy", "baseline", "--data",
+                        "synth", "--report", "{path}"]),
+    ("report", ".kv", ["grid", "--data", "synth", "--report", "{path}"]),
+    ("report", ".txt", ["grid", "--config", "{config}"]),
+], ids=["train", "experiment-model", "experiment-report", "grid-report",
+        "grid-config"])
+def test_output_path_naming_a_directory_exits_2_before_training(
+        data_files, tmp_path, capsys, monkeypatch, what, suffix, argv):
+    monkeypatch.setattr(cli, "train", _no_run)
+    monkeypatch.setattr(cli.harness, "train", _no_run)
+    path = str(tmp_path / "out")
+    os.mkdir(path + suffix)
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"data = synth\nreport = {path}\n")
+    fill = dict(train=data_files[1], path=path, config=config)
+    assert main([arg.format(**fill) for arg in argv]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {what} path {path + suffix!r} is a directory\n"
+    )
+
+
 def test_experiment_and_grid_read_conll_files(data_files, capsys):
     root, train, test = data_files
     flags = ["--train", train, "--test", test, "--max-epochs", "5"]
@@ -673,7 +699,8 @@ def test_type_map_file_keys_are_free_form(tmp_path):
     ("experiment", cli._EXPERIMENT_FLAGS), ("grid", cli._GRID_FLAGS),
 ])
 def test_run_flags_and_config_keys_match(tmp_path, command, flags):
-    """Every flag but --config is a config-file key, and every key a flag."""
+    """Every flag but --config is a config-file key, and every key a flag.
+    Each key gets its flag's first choice, a strategy list, or 1."""
     parser = cli._build_parser()
     [commands] = [
         action for action in parser._actions
@@ -685,8 +712,9 @@ def test_run_flags_and_config_keys_match(tmp_path, command, flags):
         if action.option_strings[0] not in ("-h", "--config")
     }
     cfg = tmp_path / "all.cfg"
+    valid = {"--strategies": "baseline"}
     cfg.write_text("".join(
-        f"{flag[2:]} = {(action.choices or [1])[0]}\n"
+        f"{flag[2:]} = {valid.get(flag, (action.choices or [1])[0])}\n"
         for flag, action in options.items()
     ))
     settings = cli._settings(

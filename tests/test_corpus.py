@@ -415,8 +415,8 @@ _TAG_PIECES = ["O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
 @given(st.lists(st.sampled_from(_TAG_PIECES), max_size=8))
 def test_validate_tags_matches_reference(tags):
     tags = tuple(tags)
-    expected = _outcome(validate_tags_reference, tags, Scheme.IOBES, "ctx: ")
-    assert _outcome(validate_tags, tags, Scheme.IOBES, "ctx: ") == expected
+    expected = _outcome(validate_tags_reference, tags, Scheme.IOBES)
+    assert _outcome(validate_tags, tags, Scheme.IOBES) == expected
     assert expected is None or expected[0] is TagValidationError
 
 

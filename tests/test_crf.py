@@ -42,6 +42,7 @@ from casener.features import (
     fit_feature_map,
 )
 from conftest import (
+    encode,
     garbage_containers,
     iobes_taggings,
     mutated_container,
@@ -416,7 +417,7 @@ class TestObjective:
         corpus = random_corpus(rng, sentences=12)
         assert len({len(ann.sentence) for ann in corpus}) > 2
         model = random_model(rng, corpus, scale=0.5)
-        enc = crf._encode(corpus, model.feature_map, model.template_set)
+        enc = encode(corpus, model.feature_map, model.template_set)
         w = crf._pack(model.emission, model.begin, model.end, model.transition)
         return enc, w
 
@@ -707,13 +708,13 @@ class TestDistinctTraining:
         assert counts.sum() == len(corpus) > len(distinct)
         model = random_model(random.Random(seed), corpus, scale=1.0)
         ll, grad = log_likelihood_and_gradient(model, corpus, sigma)
-        enc = crf._encode(corpus, model.feature_map, model.template_set)
+        enc = encode(corpus, model.feature_map, model.template_set)
         w = crf._pack(model.emission, model.begin, model.end, model.transition)
         neg_ll, neg_grad = crf._neg_ll_and_grad(w, enc, sigma)
         assert ll == pytest.approx(-neg_ll, rel=1e-12, abs=1e-10)
         # The gold counts are sums of whole counts, so they are exact.
-        grouped = crf._encode(distinct, model.feature_map,
-                              model.template_set, counts)
+        grouped = encode(distinct, model.feature_map, model.template_set,
+                         counts)
         assert np.array_equal(grouped.observed, enc.observed)
         np.testing.assert_allclose(grad, -neg_grad, rtol=1e-12, atol=1e-10)
 
@@ -725,8 +726,8 @@ class TestDistinctTraining:
                 == fit_feature_map(corpus, template_set))
 
     def test_train_featurizes_once(self, monkeypatch):
-        # feature_table goes through features.feature_factors too, so a
-        # per-position table built anywhere in training would count here.
+        # extract and fit_feature_map go through features.feature_factors
+        # too, so featurizing anywhere else in training would count here.
         featurized = []
 
         def counting(sentences, template_set):

@@ -11,20 +11,19 @@ from casener.corpus import (
     Sentence,
     TagSequence,
 )
-from casener.crf import CrfModel, _emissions, _encode
+from casener.crf import CrfModel, _emissions
 from casener.features import (
     WINDOW,
     FeatureMap,
     TemplateSet,
     extract,
-    feature_table,
     fit_feature_map,
     word_shape,
 )
 from casener.harness import Strategy, training_view
 from casener.synth import default_config, generate
 from casener.transforms import to_lower, to_upper
-from conftest import iobes_taggings, random_corpus, random_sentence
+from conftest import encode, iobes_taggings, random_corpus, random_sentence
 from oracles import (
     extract_reference, feature_rows_reference, fit_feature_map_reference,
     observed_reference, packed_positions,
@@ -202,7 +201,7 @@ def test_feature_table_matches_extract(template_set, corpus):
                     == extract_reference(ann.sentence, i, template_set))
     fmap = fit_feature_map(corpus, template_set)
     assert fmap == fit_feature_map_reference(corpus, template_set)
-    enc = _encode(corpus, fmap, template_set)
+    enc = encode(corpus, fmap, template_set)
     # One type per window offset in every row of the position factor.
     assert (np.diff(enc.offset_types.indptr) == 2 * WINDOW + 1).all()
     rows = (enc.offset_types @ enc.type_features).tocsr()
@@ -236,7 +235,7 @@ def test_observed_matches_reference_gold_counts(template_set, weighted):
     corpus = Corpus(tuple(ann for ann, _ in weighted))
     counts = np.array([count for _, count in weighted], dtype=np.float64)
     fmap = fit_feature_map(corpus, template_set)
-    enc = _encode(corpus, fmap, template_set, counts)
+    enc = encode(corpus, fmap, template_set, counts)
     want = observed_reference(corpus, fmap, template_set, counts)
     assert enc.observed.tobytes() == want.tobytes()
 
@@ -306,16 +305,20 @@ _CASED_TOKENS = st.one_of(
 @example(Sentence(("<s>", "İ", "ẞ", "ﬁ", "ΟΔΟΣ")))
 def test_case_agnostic_features_ignore_lowercasing(sentence):
     """A caseless model tags a sentence and its lowercased copy alike, so
-    it needs no test-time lowercasing."""
+    it needs no test-time lowercasing: the features and a caseless model's
+    emission scores are the same for both."""
     lowered = to_lower(sentence)
     for i in range(len(sentence)):
         assert (extract(sentence, i, TemplateSet.CASE_AGNOSTIC)
                 == extract(lowered, i, TemplateSet.CASE_AGNOSTIC))
-    rows = []
-    for s in (sentence, lowered):
-        names, table = feature_table([s], TemplateSet.CASE_AGNOSTIC)
-        rows.append([{names[j] for j in row if j >= 0} for row in table])
-    assert rows[0] == rows[1]
+    fmap = fit_feature_map(_with_entity(_corpus(sentence.tokens)),
+                           TemplateSet.CASE_AGNOSTIC)
+    k = fmap.num_tags
+    emission = np.random.default_rng(0).normal(size=(fmap.num_features, k))
+    model = CrfModel(fmap, TemplateSet.CASE_AGNOSTIC, emission, np.zeros(k),
+                     np.zeros(k), np.zeros((k, k)))
+    assert (_emissions(model, sentence).tobytes()
+            == _emissions(model, lowered).tobytes())
 
 
 def test_default_feature_maps_are_pinned():

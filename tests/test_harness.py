@@ -100,6 +100,21 @@ class TestRunExperiment:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".report-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_output_files_honour_the_umask(self, tmp_path, umask, mode):
+        base = str(tmp_path / "rep")
+        model_path = str(tmp_path / "model.crf")
+        old = os.umask(umask)
+        try:
+            run_experiment(small_config(
+                report_path=base, model_path=model_path,
+                train_config=TrainConfig(max_epochs=3),
+            ))
+        finally:
+            os.umask(old)
+        for path in (base + ".txt", base + ".kv", model_path):
+            assert os.stat(path).st_mode & 0o777 == mode, path
+
     def test_determinism_byte_identical(self, tmp_path):
         outputs = []
         for run in ("a", "b"):
