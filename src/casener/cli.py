@@ -292,6 +292,7 @@ def _write_tagged(sentences: list[Sentence], tags: list[TagSequence],
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
+    harness.check_output_path("output", args.output)
     model = load_file(args.model)
     corpus = _read_tokens_file(args.input)
     truecaser = _load_truecaser(args.truecaser) if args.truecaser else None
@@ -312,6 +313,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
+    harness.check_output_path("output", args.output)
     corpus = read_conll_file(args.input)
     augmented = augment(corpus)
     write_conll_file(augmented, args.output)
@@ -322,6 +324,10 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 def _cmd_truecase(args: argparse.Namespace) -> int:
     if args.fit is None and args.input is None:
         raise UsageError("truecase needs --fit and/or --input")
+    if args.fit is not None:
+        harness.check_output_path("model", args.model)
+    if args.input is not None:
+        harness.check_output_path("output", args.output)
     if args.fit is not None:
         corpus = read_conll_file(args.fit)
         truecaser = train_truecaser(corpus)
@@ -340,6 +346,8 @@ def _cmd_truecase(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    harness.check_output_path("train output", args.out_train)
+    harness.check_output_path("test output", args.out_test)
     dests = [flag[2:].replace("-", "_") for flag, _ in _SYNTH_FLAGS]
     train_corpus, test_corpus = generate(default_config(**{
         dest: getattr(args, dest) for dest in dests

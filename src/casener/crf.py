@@ -190,8 +190,10 @@ def _mapped_types(fmap: FeatureMap, factors: FeatureFactors) -> np.ndarray:
 
 def _emissions(model: CrfModel, sentence: Sentence) -> np.ndarray:
     """Per-position emission scores, shape (len(sentence), num_tags): each
-    position's `model.emission` rows summed in ascending index order.
-    Sorting the rows makes the sums independent of the string hash seed."""
+    position's `model.emission` rows summed in ascending index order.  The
+    mapped factors give the rows in template-slot order, which does not
+    depend on the string hash seed; the sort fixes the ascending order that
+    `test_emissions_sum_the_reference_rows` pins."""
     factors = feature_factors([sentence], model.template_set)
     slot_offsets = factors.slot_offsets
     rows = _mapped_types(model.feature_map, factors)[

@@ -25,7 +25,7 @@ import enum
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, read_conll_file
 from .crf import CrfModel, TrainConfig, save_file, train
@@ -81,13 +81,6 @@ class ExperimentConfig:
                         "be non-empty, with no whitespace"
                     )
 
-    def data_key(self) -> tuple:
-        """Identity of the train and test data; grids require all configs
-        to share it."""
-        if self.synth is not None:
-            return ("synth", self.synth)
-        return ("files", self.train_path, self.test_path)
-
 
 @dataclass
 class ExperimentResult:
@@ -98,28 +91,38 @@ class ExperimentResult:
     report_kv: str
 
 
-def _synth_data_line(synth: SynthConfig) -> str:
-    return (
-        f"data: synthetic (seed={synth.seed}, "
-        f"train={synth.train_sentences}, "
-        f"test={synth.test_sentences}, "
-        f"noise_rate={synth.noise_rate})"
+class _Data(NamedTuple):
+    """An experiment's corpora and how its reports describe their source."""
+
+    train: Corpus
+    test: Corpus
+    header_lines: list[str]  # the experiment report's header
+    kv_lines: list[str]  # its kv file's `data.*` lines
+    grid_line: str  # the grid report's data line
+
+
+def _load_corpora(cfg: ExperimentConfig) -> _Data:
+    """Generate or read the config's data source: the only code that tells
+    a synthetic source from a pair of files."""
+    synth = cfg.synth
+    if synth is not None:
+        train_corpus, test_corpus = generate(synth)
+        line = (f"data: synthetic (seed={synth.seed}, train="
+                f"{synth.train_sentences}, test={synth.test_sentences}, "
+                f"noise_rate={synth.noise_rate})")
+        return _Data(
+            train_corpus, test_corpus,
+            [line, *vocabulary_overlap_lines(train_corpus, test_corpus)],
+            [f"data.synth.seed={synth.seed}",
+             f"data.synth.noise_rate={synth.noise_rate!r}"],
+            line,
+        )
+    return _Data(
+        read_conll_file(cfg.train_path), read_conll_file(cfg.test_path),
+        [f"data: train={cfg.train_path} test={cfg.test_path}"],
+        [f"data.train={cfg.train_path}", f"data.test={cfg.test_path}"],
+        f"data: test={cfg.test_path}",
     )
-
-
-def _load_corpora(cfg: ExperimentConfig) -> tuple[Corpus, Corpus, list[str]]:
-    """Returns (train, test, provenance lines for the report header)."""
-    if cfg.synth is not None:
-        train_corpus, test_corpus = generate(cfg.synth)
-        lines = [
-            _synth_data_line(cfg.synth),
-            *vocabulary_overlap_lines(train_corpus, test_corpus),
-        ]
-        return train_corpus, test_corpus, lines
-    train_corpus = read_conll_file(cfg.train_path)
-    test_corpus = read_conll_file(cfg.test_path)
-    lines = [f"data: train={cfg.train_path} test={cfg.test_path}"]
-    return train_corpus, test_corpus, lines
 
 
 def training_view(corpus: Corpus, strategy: Strategy) -> tuple[Corpus, TemplateSet]:
@@ -165,57 +168,60 @@ def check_output_path(what: str, path: str | None,
             raise IsADirectoryError(f"{what} path {target!r} is a directory")
 
 
-def _atomic_write(path: str, content: str) -> None:
-    """Write `content` to `path` through a temporary file in its directory,
+def _write_report(path: str | None, text: str, kv: str) -> None:
+    """Unless `path` is None, write `text` and `kv` to it plus
+    `_REPORT_SUFFIXES`, each through a temporary file in its directory,
     which gets the mode `open` gives a new file: 0o666 less the umask."""
+    if path is None:
+        return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(content)
-        umask = os.umask(0)  # the only way to read it; restored at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    umask = os.umask(0)  # the only way to read it; restored at once
+    os.umask(umask)
+    for suffix, content in zip(_REPORT_SUFFIXES, (text, kv)):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(content)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path + suffix)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
-def _run_strategy(cfg: ExperimentConfig, data: tuple[Corpus, Corpus, list[str]],
+def _run_strategy(cfg: ExperimentConfig, data: _Data,
                   models: dict[tuple, CrfModel]) -> ExperimentResult:
     """Score one strategy on `data` (from `_load_corpora`) and write the
     files its config names.  The model comes from `models`, keyed by what
     determines its weights, and is trained and added there if missing."""
-    train_corpus, test_corpus, data_lines = data
     train_cfg = cfg.train_config
     # TRUECASING trains as BASELINE: only its test input differs.
     recipe = Strategy.BASELINE if cfg.strategy is Strategy.TRUECASING else cfg.strategy
     key = (recipe, train_cfg)
     if key not in models:
-        models[key] = train(*training_view(train_corpus, recipe), train_cfg)
+        models[key] = train(*training_view(data.train, recipe), train_cfg)
     model = models[key]
     template_set = model.template_set
     effective_sentences = model.metadata["training_sentences"]
 
     truecaser = None
     if cfg.strategy is Strategy.TRUECASING:
-        truecaser = train_truecaser(train_corpus)
+        truecaser = train_truecaser(data.train)
     grid, dropped = variant_grid(
-        model, test_corpus, truecaser=truecaser, type_map=cfg.type_map
+        model, data.test, truecaser=truecaser, type_map=cfg.type_map
     )
 
     header = [
         "casener experiment report",
         "=========================",
         f"strategy: {cfg.strategy.value}",
-        *data_lines,
+        *data.header_lines,
         f"seed: {cfg.seed}",
         f"l2_sigma: {train_cfg.l2_sigma}  max_epochs: {train_cfg.max_epochs}"
         f"  tolerance: {train_cfg.tolerance}",
         f"feature templates: {template_set.value}",
-        f"training sentences: {len(train_corpus)}"
+        f"training sentences: {len(data.train)}"
         f" (effective {effective_sentences})",
         f"features: {model.feature_map.num_features}"
         f"  tags: {model.feature_map.num_tags}",
@@ -256,18 +262,13 @@ def _run_strategy(cfg: ExperimentConfig, data: tuple[Corpus, Corpus, list[str]],
         f"max_epochs={train_cfg.max_epochs}",
         f"tolerance={train_cfg.tolerance!r}",
         f"template_set={template_set.value}",
-        f"train.sentences={len(train_corpus)}",
+        f"train.sentences={len(data.train)}",
         f"train.effective_sentences={effective_sentences}",
         f"model.features={model.feature_map.num_features}",
         f"model.tags={model.feature_map.num_tags}",
         f"predictions.dropped_spans={dropped}",
+        *data.kv_lines,
     ]
-    if cfg.synth is not None:
-        kv_lines.append(f"data.synth.seed={cfg.synth.seed}")
-        kv_lines.append(f"data.synth.noise_rate={cfg.synth.noise_rate!r}")
-    else:
-        kv_lines.append(f"data.train={cfg.train_path}")
-        kv_lines.append(f"data.test={cfg.test_path}")
     for variant in CaseVariant:
         kv_lines.extend(
             metrics_lines(grid[variant], prefix=f"variant.{variant.value}.")
@@ -276,9 +277,7 @@ def _run_strategy(cfg: ExperimentConfig, data: tuple[Corpus, Corpus, list[str]],
 
     if cfg.model_path is not None:
         save_file(model, cfg.model_path)
-    if cfg.report_path is not None:
-        for suffix, content in zip(_REPORT_SUFFIXES, (report_text, report_kv)):
-            _atomic_write(cfg.report_path + suffix, content)
+    _write_report(cfg.report_path, report_text, report_kv)
 
     return ExperimentResult(
         config=cfg,
@@ -299,8 +298,8 @@ def run_grid(
     """
     if not configs:
         raise ValueError("at least one experiment config is required")
-    first = configs[0]
-    if any(cfg.data_key() != first.data_key() for cfg in configs[1:]):
+    sources = {(cfg.synth, cfg.train_path, cfg.test_path) for cfg in configs}
+    if len(sources) > 1:
         raise ValueError(
             "all grid experiments must share the same train and test data"
         )
@@ -308,8 +307,8 @@ def run_grid(
     for cfg in configs:
         check_output_path("report", cfg.report_path, _REPORT_SUFFIXES)
         check_output_path("model", cfg.model_path)
-    data = _load_corpora(first)
-    if len(data[0]) == 0:
+    data = _load_corpora(configs[0])
+    if len(data.train) == 0:
         raise ValueError("training corpus is empty")
 
     models: dict[tuple, CrfModel] = {}
@@ -317,29 +316,15 @@ def run_grid(
     table = _format_f1_table(
         [(r.config.strategy.value, r.grid) for r in results]
     )
-    if first.synth is not None:
-        data_line = _synth_data_line(first.synth)
-    else:
-        data_line = f"data: test={first.test_path}"
-    combined = (
-        "casener strategy grid\n=====================\n"
-        + data_line
-        + "\n\nF1 (%) by test variant\n"
-        + table
-        + "\n"
+    combined = ("casener strategy grid\n=====================\n"
+                f"{data.grid_line}\n\nF1 (%) by test variant\n{table}\n")
+
+    combined_kv = "".join(
+        f"{result.config.strategy.value}.{line}\n"
+        for result in results
+        for line in result.report_kv.strip().split("\n")
     )
-
-    kv_lines = []
-    for result in results:
-        prefix = f"{result.config.strategy.value}."
-        kv_lines.extend(
-            f"{prefix}{line}" for line in result.report_kv.strip().split("\n")
-        )
-    combined_kv = "\n".join(kv_lines) + "\n"
-
-    if report_path is not None:
-        for suffix, content in zip(_REPORT_SUFFIXES, (combined, combined_kv)):
-            _atomic_write(report_path + suffix, content)
+    _write_report(report_path, combined, combined_kv)
     return results, combined
 
 

@@ -6,6 +6,7 @@ import itertools
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -643,6 +644,42 @@ def test_output_path_naming_a_directory_exits_2_before_training(
     )
 
 
+@pytest.mark.parametrize("what, argv", [
+    ("output", ["tag", "--model", "{file}", "--input", "{file}",
+                "--output", "{path}"]),
+    ("model", ["truecase", "--model", "{path}", "--fit", "{file}"]),
+    ("output", ["truecase", "--model", "{file}", "--input", "{file}",
+                "--output", "{path}"]),
+    ("output", ["augment", "--input", "{file}", "--output", "{path}"]),
+    ("train output", ["synth", "--out-train", "{path}",
+                      "--out-test", "{other}"]),
+    ("test output", ["synth", "--out-train", "{other}",
+                     "--out-test", "{path}"]),
+], ids=["tag", "truecase-fit", "truecase-input", "augment", "synth-train",
+        "synth-test"])
+@pytest.mark.parametrize("missing", [True, False],
+                         ids=["missing-directory", "directory"])
+def test_bad_output_path_exits_2_before_any_work(
+        data_files, tmp_path, capsys, monkeypatch, what, argv, missing):
+    for name in ("load_file", "read_conll_file", "_read_tokens_file",
+                 "_load_truecaser", "tag_corpus", "train_truecaser",
+                 "truecase", "augment", "generate"):
+        monkeypatch.setattr(cli, name, _no_run)
+    directory = str(tmp_path / "missing" / "dir")
+    path = os.path.join(directory, "out") if missing else str(tmp_path / "out")
+    if not missing:
+        os.mkdir(path)
+    other = tmp_path / "other.conll"
+    fill = dict(file=data_files[1], path=path, other=other)
+    assert main([arg.format(**fill) for arg in argv]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {what} path {path!r}: directory {directory!r} does "
+        "not exist\n" if missing else
+        f"data error: {what} path {path!r} is a directory\n"
+    )
+    assert not other.exists()
+
+
 def test_experiment_and_grid_read_conll_files(data_files, capsys):
     root, train, test = data_files
     flags = ["--train", train, "--test", test, "--max-epochs", "5"]
@@ -659,6 +696,39 @@ def test_experiment_and_grid_read_conll_files(data_files, capsys):
         for strategy in (harness.Strategy.BASELINE, harness.Strategy.CASELESS)
     ])
     assert capsys.readouterr().out == combined
+
+
+def test_file_source_report_lines(data_files, tmp_path, capsys):
+    """The data lines of file-source reports, byte for byte.  The paths hold
+    characters `str.splitlines` splits at, so a line break is only "\\n"."""
+    root, train, test = data_files
+    directory = tmp_path / "data \x1c\u2028 dir"
+    directory.mkdir()
+    train_path = str(directory / "train.conll")
+    test_path = str(directory / "test.conll")
+    shutil.copy(train, train_path)
+    shutil.copy(test, test_path)
+    flags = ["--data", "files", "--train", train_path, "--test", test_path,
+             "--max-epochs", "5"]
+
+    def report(argv: list[str], base: str) -> tuple[list[bytes], list[bytes]]:
+        assert main([*argv, *flags, "--report", base]) == EXIT_OK
+        text = Path(base + ".txt").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == text
+        return text.split(b"\n"), Path(base + ".kv").read_bytes().split(b"\n")
+
+    text, kv = report(["experiment", "--strategy", "baseline"],
+                      str(tmp_path / "experiment"))
+    assert text[3] == f"data: train={train_path} test={test_path}".encode()
+    assert kv[11:13] == [f"data.train={train_path}".encode(),
+                         f"data.test={test_path}".encode()]
+
+    text, kv = report(["grid", "--strategies", "baseline,caseless"],
+                      str(tmp_path / "grid"))
+    assert text[2] == f"data: test={test_path}".encode()
+    for strategy in ("baseline", "caseless"):
+        assert kv.count(f"{strategy}.data.train={train_path}".encode()) == 1
+        assert kv.count(f"{strategy}.data.test={test_path}".encode()) == 1
 
 
 @pytest.mark.parametrize("command, selector", [

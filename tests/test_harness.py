@@ -208,6 +208,18 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="same train and test data"):
             run_grid(configs)
 
+    def test_synth_next_to_files_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_load_corpora", lambda cfg: pytest.fail(
+            "mixed data sources must be rejected before data loads"))
+        files = ExperimentConfig(
+            strategy=Strategy.CASELESS,
+            train_path=str(tmp_path / "train"),
+            test_path=str(tmp_path / "test"),
+        )
+        for configs in ([small_config(), files], [files, small_config()]):
+            with pytest.raises(ValueError, match="same train and test data"):
+                run_grid(configs)
+
     @pytest.mark.parametrize("what, field", [
         ("report", None), ("report", "report_path"), ("model", "model_path"),
     ])
