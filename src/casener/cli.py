@@ -10,6 +10,7 @@ fails its flag's cast or lies outside its choices, is a data error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -282,9 +283,9 @@ def _load_truecaser(path: str) -> Truecaser:
 
 def _write_tagged(sentences: list[Sentence], tags: list[TagSequence],
                   path: str | None) -> None:
-    """Write sentences with their tags as CoNLL to `path`, else to stdout."""
+    """Write sentences with their tags as CoNLL to `path` (None: stdout)."""
     output = write_conll(Corpus(tuple(map(AnnotatedSentence, sentences, tags))))
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(output)
     else:
@@ -348,6 +349,8 @@ def _cmd_truecase(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     harness.check_output_path("train output", args.out_train)
     harness.check_output_path("test output", args.out_test)
+    if os.path.realpath(args.out_train) == os.path.realpath(args.out_test):
+        raise UsageError("--out-train and --out-test name the same file")
     dests = [flag[2:].replace("-", "_") for flag, _ in _SYNTH_FLAGS]
     train_corpus, test_corpus = generate(default_config(**{
         dest: getattr(args, dest) for dest in dests

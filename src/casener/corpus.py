@@ -31,6 +31,19 @@ DOCSTART = "-DOCSTART-"
 #: Type alias: a token is a non-empty string without whitespace.
 Token = str
 
+#: A token's case-free key, the one case-insensitive lookup: caseless
+#: features, `tag_corpus`'s memo and the truecaser read tokens through it.
+#: An alias, so `map(case_key, tokens)` runs in C.
+case_key = str.lower
+
+
+def init_cap_form(word: str) -> str:
+    """Uppercase the first cased character of `word`."""
+    for i, c in enumerate(word):
+        if c.isupper() or c.islower():
+            return word[:i] + c.upper() + word[i + 1 :]
+    return word
+
 #: Matches exactly the characters for which `str.isspace` is true.
 _WHITESPACE = re.compile(r"\s")
 

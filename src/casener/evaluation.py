@@ -7,8 +7,9 @@ conlleval.
 
 Test-time tagging lives here too: `tag_corpus` is the one place a test
 sentence is preprocessed (truecased) and decoded.  A caseless model needs no
-test-time lowercasing: its `CASE_AGNOSTIC` templates lowercase every
-feature, so it tags a sentence and its lowercased copy alike.
+test-time lowercasing: its `CASE_AGNOSTIC` templates read every token
+through `corpus.case_key`, so it tags a sentence and its lowercased copy
+alike.  The memo in `tag_corpus` keys sentences on that same function.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, TagSequence, extract_spans, spans_to_tags
+from .corpus import Corpus, TagSequence, case_key, extract_spans, spans_to_tags
 from .crf import CrfModel, decode
 from .features import TemplateSet
 from .transforms import CaseVariant, make_variant
@@ -98,8 +99,8 @@ def tag_corpus(
 
     Decoding is deterministic, so each distinct sentence is truecased and
     decoded once and its tags reused for every repeat.  A caseless model's
-    features read only the lowercased tokens, and truecasing reads only
-    those too, so for either, sentences that lowercase alike are repeats.
+    features read only the tokens' `case_key`s, and truecasing reads only
+    those too, so for either, sentences with equal keys are repeats.
     """
     case_free = (truecaser is not None
                  or model.template_set is TemplateSet.CASE_AGNOSTIC)
@@ -109,7 +110,7 @@ def tag_corpus(
         sentence = ann.sentence
         key = sentence.tokens
         if case_free:
-            key = tuple(map(str.lower, key))
+            key = tuple(map(case_key, key))
         tags = tagged.get(key)
         if tags is None:
             if truecaser is not None:

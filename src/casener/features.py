@@ -3,12 +3,12 @@
 Two template sets over a +/-2 token window.  CASE_AWARE adds word-shape and
 capitalization-pattern features on top of case-free ones; CASE_AGNOSTIC
 emits only features that cannot distinguish a sentence from its lowercased
-form.  Word identities are stored lowercased in both sets, so casing is
-carried exclusively by the shape/pattern features.
+form.  Both sets read word identities and affixes off each token's
+`corpus.case_key`, so casing is carried only by the shape/pattern features.
 
 There is one featurizer, `feature_factors`, and training, decoding and
 `extract` all read its output.  It computes each distinct token's
-attributes (lowercase form, shape, case class, affixes) once and lays out
+attributes (case-free key, shape, case class, affixes) once and lays out
 every template slot's feature-name ID per token type (`by_type`), next to
 the token type at each window offset of every position (`window`).  Every
 template reads one token at one offset, so these two factors determine
@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, split_tag
+from .corpus import Corpus, Sentence, case_key, split_tag
 from .truecase import CaseClass, classify_case
 
 #: Offsets considered around the current position.
@@ -119,7 +119,7 @@ def feature_factors(
         padded += [type_ids.setdefault(t, len(type_ids)) for t in sentence.tokens]
         padded += end
     words = list(type_ids)
-    lower = [w.lower() for w in words]
+    keys = list(map(case_key, words))
     types = np.array(padded, dtype=np.int32) % (len(words) + 2)
 
     # Each template: its value for every type and the two sentinels (None
@@ -127,7 +127,7 @@ def feature_factors(
     # of its slots.  The affixes are those of the position's own token.
     window = range(-WINDOW, WINDOW + 1)
     sentinels = [_BOS, _EOS]
-    templates = [(lower + sentinels, [(f"w{d}=", d) for d in window])]
+    templates = [(keys + sentinels, [(f"w{d}=", d) for d in window])]
     if template_set is TemplateSet.CASE_AWARE:
         templates += [
             ([word_shape(w) for w in words] + sentinels,
@@ -138,7 +138,7 @@ def feature_factors(
     for length in range(1, _MAX_AFFIX + 1):
         for template, cut in (("pre", slice(length)), ("suf", slice(-length, None))):
             templates.append((
-                [w[cut] if len(w) >= length else None for w in lower]
+                [w[cut] if len(w) >= length else None for w in keys]
                 + [None, None],
                 [(f"{template}{length}=", 0)],
             ))

@@ -154,10 +154,12 @@ def check_output_path(what: str, path: str | None,
                       suffixes: Sequence[str] = ("",)) -> None:
     """Fail, naming the path, unless `path` plus each of `suffixes` can be
     written as a file, so a bad output path fails before training:
-    FileNotFoundError if the directory `path` is written into does not
-    exist, IsADirectoryError if one of those paths is a directory."""
+    ValueError if `path` is empty, FileNotFoundError if its directory does
+    not exist, IsADirectoryError if one of those paths is a directory."""
     if path is None:
         return
+    if not path:
+        raise ValueError(f"{what} path is empty")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise FileNotFoundError(

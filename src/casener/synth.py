@@ -29,7 +29,9 @@ from .corpus import (
     Corpus,
     EntitySpan,
     Sentence,
+    case_key,
     extract_spans,
+    init_cap_form,
     spans_to_tags,
 )
 
@@ -134,8 +136,7 @@ def _make_sentence(
         spans.append((start, start + len(parts) - 1, etype))
 
     if 0 not in entity_positions:
-        first = tokens[0]
-        tokens[0] = first[0].upper() + first[1:]
+        tokens[0] = init_cap_form(tokens[0])
 
     key = (tuple(tokens), tuple(spans))
     ann = built.get(key)
@@ -180,26 +181,19 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
 
 
 def vocabulary_overlap(train: Corpus, test: Corpus) -> dict[str, float]:
-    """How much of the test data was seen in training (lowercased).
+    """How much of the test data was seen in training, by `case_key`.
 
     Needed to interpret robustness numbers: unseen entities are exactly the
     ones whose recognition must rest on orthographic or contextual cues.
     """
     def token_vocab(corpus: Corpus) -> set[str]:
-        return {
-            token.lower() for ann in corpus for token in ann.sentence.tokens
-        }
+        return {case_key(t) for ann in corpus for t in ann.sentence.tokens}
 
     def entity_vocab(corpus: Corpus) -> set[tuple[str, ...]]:
-        out = set()
-        for ann in corpus:
-            for span in extract_spans(ann.gold):
-                surface = tuple(
-                    ann.sentence.tokens[i].lower()
-                    for i in range(span.start, span.end + 1)
-                )
-                out.add(surface)
-        return out
+        return {
+            tuple(map(case_key, ann.sentence.tokens[span.start : span.end + 1]))
+            for ann in corpus for span in extract_spans(ann.gold)
+        }
 
     train_tokens = token_vocab(train)
     test_tokens = token_vocab(test)

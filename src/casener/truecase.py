@@ -5,8 +5,8 @@ case-aware model sees well-formed text regardless of how the input was
 cased.  Training takes a per-word majority vote over case classes, with
 sentence-initial capitalization discounted because it says little about a
 word's lexical case, and keeps one decision per word: the spelling it is
-restored to (format version 3).  Restoring is a lookup on the lowercased
-token, so the output depends only on the lowercased sentence.
+restored to (format version 3).  Words are keyed on `corpus.case_key`, so
+a sentence is restored from, and only from, its tokens' keys.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import container
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, case_key, init_cap_form
 
 #: Weight a sentence-initial InitCap occurrence contributes to INIT_CAP;
 #: the remaining 0.9 is credited to LOWER (the uncapitalized reading).
@@ -70,20 +70,12 @@ def classify_case(word: str) -> CaseClass:
     return CaseClass.MIXED
 
 
-def _init_cap_form(word: str) -> str:
-    """Uppercase the first cased character of `word`."""
-    for i, c in enumerate(word):
-        if c.isupper() or c.islower():
-            return word[:i] + c.upper() + word[i + 1 :]
-    return word
-
-
 class Truecaser:
-    """The spelling each lowercased word is restored to.
+    """The spelling each word is restored to.
 
-    `surfaces` maps a lowercased word to its restored spelling, which
-    lowercases back to it; a word it does not hold (unseen, or usually
-    lowercase) is restored as itself.
+    `surfaces` maps a word (a `case_key`) to its restored spelling, whose
+    key it is; a word it does not hold (unseen, or usually lowercase) is
+    restored as itself.
     """
 
     def __init__(self, surfaces: Mapping[str, str]) -> None:
@@ -96,10 +88,10 @@ class Truecaser:
     def from_bytes(cls, data: bytes) -> "Truecaser":
         doc = container.load(data, _KIND, _VERSION, TruecaserFormatError)
         surfaces = doc.get("surfaces")
-        # A surface spells its lowercased word, as `train_truecaser` builds
+        # A surface spells its word (its key), as `train_truecaser` builds
         # it; so restoring one always gives a valid token.
         if not isinstance(surfaces, dict) or not all(
-            isinstance(v, str) and v.lower() == w for w, v in surfaces.items()
+            isinstance(v, str) and case_key(v) == w for w, v in surfaces.items()
         ):
             raise TruecaserFormatError(
                 "malformed truecaser surfaces: each must spell its word"
@@ -129,7 +121,7 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     classes = {}
     for token, n in occurrences.items():
         cls = classes[token] = classify_case(token)
-        row = units[token.lower()]
+        row = units[case_key(token)]
         k = initial[token] if cls is CaseClass.INIT_CAP else 0
         row[cls] += d * n - (d - m) * k
         if k:
@@ -140,7 +132,7 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     }
     spellings: dict[str, list[tuple[int, str]]] = defaultdict(list)
     for token, cls in classes.items():
-        word = token.lower()
+        word = case_key(token)
         if cls is majority[word] and cls is not CaseClass.LOWER:
             spellings[word].append((-occurrences[token], token))
     surfaces = {word: min(found)[1] for word, found in spellings.items()}
@@ -152,13 +144,12 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
 def truecase(truecaser: Truecaser, sentence: Sentence) -> Sentence:
     """Restore each token's usual spelling.
 
-    Tokens are looked up by their lowercased form, so the output is a
-    function of the lowercased sentence.  A sentence-initial token restored
-    as its lowercased form is emitted in InitCap form, mimicking
-    well-formed text.
+    Tokens are looked up by their `case_key`, so the output is a function
+    of the keys.  A sentence-initial token restored as its key is emitted
+    in InitCap form, mimicking well-formed text.
     """
-    words = [token.lower() for token in sentence.tokens]
+    words = list(map(case_key, sentence.tokens))
     out = [truecaser.surfaces.get(word, word) for word in words]
     if out[0] == words[0]:
-        out[0] = _init_cap_form(words[0])
+        out[0] = init_cap_form(words[0])
     return Sentence(tuple(out))

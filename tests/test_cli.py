@@ -592,16 +592,24 @@ def test_type_map_target_checked_before_data_loads(tmp_path, capsys,
             "be non-empty, with no whitespace" in capsys.readouterr().err)
 
 
+#: Each command that trains before it writes: (test ID, what the path is,
+#: argv).
+_TRAINING_OUTPUT_COMMANDS = [
+    ("train", "model", ["train", "--train", "{file}", "--model", "{path}"]),
+    ("experiment-model", "model", ["experiment", "--strategy", "baseline",
+                                   "--data", "synth", "--model", "{path}"]),
+    ("experiment-report", "report", ["experiment", "--strategy", "baseline",
+                                     "--data", "synth", "--report", "{path}"]),
+    ("grid-report", "report", ["grid", "--data", "synth", "--report",
+                               "{path}"]),
+    ("grid-config", "report", ["grid", "--config", "{config}"]),
+]
+
+
 @pytest.mark.parametrize("what, argv", [
-    ("model", ["train", "--train", "{train}", "--model", "{path}"]),
-    ("model", ["experiment", "--strategy", "baseline", "--data", "synth",
-               "--model", "{path}"]),
-    ("report", ["experiment", "--strategy", "baseline", "--data", "synth",
-                "--report", "{path}"]),
-    ("report", ["grid", "--data", "synth", "--report", "{path}"]),
-    ("report", ["grid", "--config", "{config}"]),
-], ids=["train", "experiment-model", "experiment-report", "grid-report",
-        "grid-config"])
+    pytest.param(what, argv, id=name)
+    for name, what, argv in _TRAINING_OUTPUT_COMMANDS
+])
 def test_missing_output_directory_exits_2_before_training(
         data_files, tmp_path, capsys, monkeypatch, what, argv):
     for name in ("train", "read_conll_file"):
@@ -611,7 +619,7 @@ def test_missing_output_directory_exits_2_before_training(
     path = os.path.join(directory, "out")
     config = tmp_path / "grid.cfg"
     config.write_text(f"data = synth\nreport = {path}\n")
-    fill = dict(train=data_files[1], path=path, config=config)
+    fill = dict(file=data_files[1], path=path, config=config)
     assert main([arg.format(**fill) for arg in argv]) == EXIT_DATA
     assert capsys.readouterr().err == (
         f"data error: {what} path {path!r}: directory {directory!r} does "
@@ -620,15 +628,10 @@ def test_missing_output_directory_exits_2_before_training(
 
 
 @pytest.mark.parametrize("what, suffix, argv", [
-    ("model", "", ["train", "--train", "{train}", "--model", "{path}"]),
-    ("model", "", ["experiment", "--strategy", "baseline", "--data", "synth",
-                   "--model", "{path}"]),
-    ("report", ".txt", ["experiment", "--strategy", "baseline", "--data",
-                        "synth", "--report", "{path}"]),
-    ("report", ".kv", ["grid", "--data", "synth", "--report", "{path}"]),
-    ("report", ".txt", ["grid", "--config", "{config}"]),
-], ids=["train", "experiment-model", "experiment-report", "grid-report",
-        "grid-config"])
+    pytest.param(what, suffix, argv, id=name)
+    for (name, what, argv), suffix in zip(_TRAINING_OUTPUT_COMMANDS,
+                                          ["", "", ".txt", ".kv", ".txt"])
+])
 def test_output_path_naming_a_directory_exits_2_before_training(
         data_files, tmp_path, capsys, monkeypatch, what, suffix, argv):
     monkeypatch.setattr(cli, "train", _no_run)
@@ -637,47 +640,85 @@ def test_output_path_naming_a_directory_exits_2_before_training(
     os.mkdir(path + suffix)
     config = tmp_path / "grid.cfg"
     config.write_text(f"data = synth\nreport = {path}\n")
-    fill = dict(train=data_files[1], path=path, config=config)
+    fill = dict(file=data_files[1], path=path, config=config)
     assert main([arg.format(**fill) for arg in argv]) == EXIT_DATA
     assert capsys.readouterr().err == (
         f"data error: {what} path {path + suffix!r} is a directory\n"
     )
 
 
-@pytest.mark.parametrize("what, argv", [
-    ("output", ["tag", "--model", "{file}", "--input", "{file}",
-                "--output", "{path}"]),
-    ("model", ["truecase", "--model", "{path}", "--fit", "{file}"]),
-    ("output", ["truecase", "--model", "{file}", "--input", "{file}",
-                "--output", "{path}"]),
-    ("output", ["augment", "--input", "{file}", "--output", "{path}"]),
-    ("train output", ["synth", "--out-train", "{path}",
-                      "--out-test", "{other}"]),
-    ("test output", ["synth", "--out-train", "{other}",
-                     "--out-test", "{path}"]),
-], ids=["tag", "truecase-fit", "truecase-input", "augment", "synth-train",
-        "synth-test"])
-@pytest.mark.parametrize("missing", [True, False],
-                         ids=["missing-directory", "directory"])
+#: Each command that writes a file and does no training: (test ID, what
+#: the path is, argv).
+_OUTPUT_COMMANDS = [
+    ("tag", "output", ["tag", "--model", "{file}", "--input", "{file}",
+                       "--output", "{path}"]),
+    ("truecase-fit", "model", ["truecase", "--model", "{path}",
+                               "--fit", "{file}"]),
+    ("truecase-input", "output", ["truecase", "--model", "{file}",
+                                  "--input", "{file}", "--output", "{path}"]),
+    ("augment", "output", ["augment", "--input", "{file}",
+                           "--output", "{path}"]),
+    ("synth-train", "train output", ["synth", "--out-train", "{path}",
+                                     "--out-test", "{other}"]),
+    ("synth-test", "test output", ["synth", "--out-train", "{other}",
+                                   "--out-test", "{path}"]),
+]
+@pytest.mark.parametrize("what, argv, case", [
+    pytest.param(what, argv, case, id=f"{case}-{name}")
+    for case in ("missing-directory", "directory", "empty")
+    for name, what, argv in _OUTPUT_COMMANDS
+] + [
+    pytest.param(what, argv, "empty", id=f"empty-{name}")
+    for name, what, argv in _TRAINING_OUTPUT_COMMANDS
+])
 def test_bad_output_path_exits_2_before_any_work(
-        data_files, tmp_path, capsys, monkeypatch, what, argv, missing):
+        data_files, tmp_path, capsys, monkeypatch, what, argv, case):
     for name in ("load_file", "read_conll_file", "_read_tokens_file",
                  "_load_truecaser", "tag_corpus", "train_truecaser",
-                 "truecase", "augment", "generate"):
+                 "truecase", "augment", "generate", "train"):
         monkeypatch.setattr(cli, name, _no_run)
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
     directory = str(tmp_path / "missing" / "dir")
-    path = os.path.join(directory, "out") if missing else str(tmp_path / "out")
-    if not missing:
+    path = {"missing-directory": os.path.join(directory, "out"),
+            "directory": str(tmp_path / "out"), "empty": ""}[case]
+    if case == "directory":
         os.mkdir(path)
     other = tmp_path / "other.conll"
-    fill = dict(file=data_files[1], path=path, other=other)
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"data = synth\nreport = {path}\n")
+    # An empty path must not stand for the working directory or stdout.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    fill = dict(file=data_files[1], path=path, other=other, config=config)
     assert main([arg.format(**fill) for arg in argv]) == EXIT_DATA
-    assert capsys.readouterr().err == (
-        f"data error: {what} path {path!r}: directory {directory!r} does "
-        "not exist\n" if missing else
-        f"data error: {what} path {path!r} is a directory\n"
-    )
+    assert capsys.readouterr() == ("", {
+        "missing-directory": f"data error: {what} path {path!r}: directory "
+                             f"{directory!r} does not exist\n",
+        "directory": f"data error: {what} path {path!r} is a directory\n",
+        "empty": f"data error: {what} path is empty\n",
+    }[case])
     assert not other.exists()
+    assert os.listdir(cwd) == []
+
+
+@pytest.mark.parametrize("out_train, out_test", [
+    ("same.conll", "same.conll"),
+    ("same.conll", "./sub/../same.conll"),
+    ("link.conll", "same.conll"),
+], ids=["same", "alias", "symlink"])
+def test_synth_to_one_file_exits_1_before_any_work(
+        tmp_path, capsys, monkeypatch, out_train, out_test):
+    monkeypatch.setattr(cli, "generate", _no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.conll").symlink_to(tmp_path / "same.conll")
+    assert main(["synth", "--out-train", out_train,
+                 "--out-test", out_test]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "usage error: --out-train and --out-test name the same file\n"
+    )
+    assert not (tmp_path / "same.conll").exists()
 
 
 def test_experiment_and_grid_read_conll_files(data_files, capsys):

@@ -1,8 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 import casener.evaluation
 from casener.corpus import (
-    Corpus, EntitySpan, Scheme, TagSequence, spans_to_tags,
+    AnnotatedSentence, Corpus, EntitySpan, Scheme, Sentence, TagSequence,
+    case_key, spans_to_tags,
 )
 from casener.crf import TrainConfig, decode, train
 from casener.evaluation import (
@@ -18,7 +22,7 @@ from casener.harness import Strategy, training_view
 from casener.transforms import CaseVariant, make_variant, to_lower
 from casener.truecase import train_truecaser, truecase
 from casener.synth import default_config, generate
-from conftest import random_tagging
+from conftest import random_model, random_tagging
 from oracles import conlleval_counts
 
 
@@ -239,3 +243,68 @@ class TestTagCorpus:
         assert len(truecased) == len(
             {to_lower(ann.sentence) for ann in variants}
         ) < len(variants)
+
+
+#: Words whose case mappings leave ASCII: "ΟΔΟΣ" lowercases to a final
+#: sigma, "Straße" uppercases and casefolds to "ss", "ﬁ" uppercases to "FI",
+#: "İ" lowercases to two code points, "ı" uppercases to "I", and "<s>" spells
+#: the start sentinel.
+_MEMO_WORDS = ("new", "york", "ΟΔΟΣ", "Straße", "ﬁ", "İ", "ı", "<s>")
+_RECASINGS = (str, str.lower, str.upper, str.capitalize, str.casefold)
+
+
+@pytest.fixture(scope="module")
+def memo_models():
+    """A random-weight model of each template set whose feature map holds
+    every recasing of `_MEMO_WORDS`, so recasings that key apart tag apart."""
+    rng = random.Random(23)
+    sentences = [Sentence(tuple(map(f, _MEMO_WORDS))) for f in _RECASINGS]
+    corpus = Corpus(tuple(
+        AnnotatedSentence(s, random_tagging(rng, len(s))) for s in sentences
+    ))
+    return {ts: random_model(rng, corpus, ts) for ts in TemplateSet}
+
+
+@st.composite
+def _recased_corpora(draw) -> Corpus:
+    """Sentences drawn from a few word sequences, each token recased on
+    its own, so one sequence recurs under several casings."""
+    words = st.lists(st.sampled_from(_MEMO_WORDS), min_size=1, max_size=4)
+    bases = draw(st.lists(words, min_size=1, max_size=3))
+    annotated = []
+    for _ in range(draw(st.integers(1, 8))):
+        base = draw(st.sampled_from(bases))
+        tokens = tuple(draw(st.sampled_from(_RECASINGS))(w) for w in base)
+        annotated.append(AnnotatedSentence(
+            Sentence(tokens), spans_to_tags((), len(tokens))
+        ))
+    return Corpus(tuple(annotated))
+
+
+@pytest.mark.parametrize("truecasing", [False, True],
+                         ids=["caseless", "case-aware-truecased"])
+@given(corpus=_recased_corpora())
+def test_tag_corpus_memo_matches_decoding_each_sentence(
+        memo_models, truecasing, corpus):
+    """The memo oracle: `tag_corpus` tags every sentence as decoding it on
+    its own would, and decodes once per distinct `case_key` tuple."""
+    if truecasing:
+        model = memo_models[TemplateSet.CASE_AWARE]
+        caser = train_truecaser(corpus)
+        expected = [decode(model, truecase(caser, ann.sentence))
+                    for ann in corpus]
+    else:
+        model, caser = memo_models[TemplateSet.CASE_AGNOSTIC], None
+        expected = [decode(model, ann.sentence) for ann in corpus]
+    decoded = []
+
+    def counting(model, sentence):
+        decoded.append(sentence)
+        return decode(model, sentence)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(casener.evaluation, "decode", counting)
+        assert tag_corpus(model, corpus, truecaser=caser) == expected
+    assert len(decoded) == len(
+        {tuple(map(case_key, ann.sentence.tokens)) for ann in corpus}
+    )

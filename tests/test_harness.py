@@ -239,6 +239,19 @@ class TestRunGrid:
             f"{str(tmp_path / 'missing')!r} does not exist"
         )
 
+    @pytest.mark.parametrize("what, field", [
+        ("report", None), ("report", "report_path"), ("model", "model_path"),
+    ])
+    def test_empty_output_path_fails_before_data_loads(
+            self, tmp_path, monkeypatch, what, field):
+        monkeypatch.setattr(harness, "_load_corpora", lambda cfg: pytest.fail(
+            "an empty output path must stop the grid first"))
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(**({field: ""} if field else {}))
+        with pytest.raises(ValueError, match=f"^{what} path is empty$"):
+            run_grid([cfg], report_path=None if field else "")
+        assert os.listdir(tmp_path) == []
+
     def test_data_loaded_once_and_each_model_trained_once(self, monkeypatch):
         calls = {"train": 0, "generate": 0}
 
