@@ -10,40 +10,24 @@ fails its flag's cast or lies outside its choices, is a data error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields, replace
 
-from . import harness
+from . import container, harness
 from .corpus import (
     AnnotatedSentence,
     Corpus,
-    CorpusError,
-    Sentence,
-    TagSequence,
     parse_conll,
     read_conll_file,
     write_conll,
     write_conll_file,
 )
-from .crf import (
-    ModelFormatError,
-    TrainConfig,
-    TrainingError,
-    load_file,
-    save_file,
-    train,
-)
+from .crf import TrainConfig, TrainingError, load_file, save_file, train
 from .evaluation import evaluate, metrics_lines, tag_corpus
 from .harness import ExperimentConfig, Strategy, read_config_file
 from .synth import default_config, generate, vocabulary_overlap_lines
 from .transforms import augment
-from .truecase import (
-    Truecaser,
-    TruecaserFormatError,
-    train_truecaser,
-    truecase,
-)
+from .truecase import Truecaser, train_truecaser, truecase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,11 +115,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model under a strategy")
     p.add_argument("--train", required=True, help="training CoNLL file")
-    p.add_argument(
-        "--strategy",
-        choices=[s.value for s in Strategy],
-        default=Strategy.BASELINE.value,
-    )
+    p.add_argument("--strategy", choices=[s.value for s in Strategy],
+                   default=Strategy.BASELINE.value)
     p.add_argument("--model", required=True, help="output model file")
     add_flags(p, _TRAIN_FLAGS)
 
@@ -181,7 +162,7 @@ def _build_parser() -> _Parser:
 def _read_tokens_file(path: str) -> Corpus:
     """Read tagging input: the first column of each line is a token, any
     other column is ignored, and a blank line ends a sentence."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         lines = handle.read().split("\n")
     return parse_conll("\n".join(
         f"{line.split()[0]} O" if line.strip() else "" for line in lines
@@ -226,23 +207,30 @@ def _train_config(settings: dict[str, object]) -> TrainConfig:
     })
 
 
-def _experiment_config(settings: dict[str, object],
-                       strategy: Strategy) -> ExperimentConfig:
-    data = settings["data"]
+def _experiment_config(settings: dict[str, object], strategy: Strategy,
+                       config_path: str | None) -> ExperimentConfig:
+    """The run `settings` describe, its paths checked.  A synthetic source
+    with files, or files with a synth setting, is a usage error."""
     train_path, test_path = settings["train"], settings["test"]
-    if data is None:
-        data = "files" if train_path else "synth"
-    if data == "synth":
-        synth_cfg = default_config(**{
-            key.removeprefix("synth_"): value for key, value in settings.items()
-            if key.startswith("synth_") and value is not None
-        })
-        train_path = test_path = None
-    else:
-        synth_cfg = None
-        if not train_path or not test_path:
-            raise UsageError("file data source needs --train and --test")
+    files = train_path is not None or test_path is not None
+    synth = {key.removeprefix("synth_"): value for key, value in settings.items()
+             if key.startswith("synth_") and value is not None}
+    synth_cfg = None
+    if (settings["data"] or ("files" if files else "synth")) == "synth":
+        if files:
+            raise UsageError("synthetic data source takes no --train or --test")
+        synth_cfg = default_config(**synth)
+    elif synth:
+        raise UsageError("file data source takes no --synth-* settings")
+    elif not train_path or not test_path:
+        raise UsageError("file data source needs --train and --test")
     type_map_path = settings["type_map"]
+    harness.check_output_paths(
+        [("--report", "report", settings["report"]),
+         ("--model", "model", settings.get("model"))],
+        [("--train", train_path), ("--test", test_path),
+         ("--type-map", type_map_path), ("--config", config_path)],
+    )
     return ExperimentConfig(
         strategy=strategy,
         train_path=train_path,
@@ -257,7 +245,8 @@ def _experiment_config(settings: dict[str, object],
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    harness.check_output_path("model", args.model)
+    harness.check_output_paths([("--model", "model", args.model)],
+                               [("--train", args.train)])
     corpus = read_conll_file(args.train)
     strategy = Strategy(args.strategy)
     train_view, template_set = harness.training_view(corpus, strategy)
@@ -281,24 +270,26 @@ def _load_truecaser(path: str) -> Truecaser:
         return Truecaser.from_bytes(handle.read())
 
 
-def _write_tagged(sentences: list[Sentence], tags: list[TagSequence],
-                  path: str | None) -> None:
-    """Write sentences with their tags as CoNLL to `path` (None: stdout)."""
-    output = write_conll(Corpus(tuple(map(AnnotatedSentence, sentences, tags))))
+def _write_tagged(corpus: Corpus, path: str | None) -> None:
+    """Write `corpus` as CoNLL to `path` (None: stdout)."""
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(output)
+        write_conll_file(corpus, path)
     else:
-        sys.stdout.write(output)
+        sys.stdout.write(write_conll(corpus))
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
-    harness.check_output_path("output", args.output)
+    harness.check_output_paths(
+        [("--output", "output", args.output)],
+        [("--model", args.model), ("--input", args.input),
+         ("--truecaser", args.truecaser)],
+    )
     model = load_file(args.model)
     corpus = _read_tokens_file(args.input)
     truecaser = _load_truecaser(args.truecaser) if args.truecaser else None
     predictions = tag_corpus(model, corpus, truecaser=truecaser)
-    _write_tagged([ann.sentence for ann in corpus], predictions, args.output)
+    _write_tagged(Corpus(tuple(map(AnnotatedSentence, (
+        ann.sentence for ann in corpus), predictions))), args.output)
     return EXIT_OK
 
 
@@ -314,7 +305,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
-    harness.check_output_path("output", args.output)
+    harness.check_output_paths([("--output", "output", args.output)],
+                               [("--input", args.input)])
     corpus = read_conll_file(args.input)
     augmented = augment(corpus)
     write_conll_file(augmented, args.output)
@@ -325,32 +317,30 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 def _cmd_truecase(args: argparse.Namespace) -> int:
     if args.fit is None and args.input is None:
         raise UsageError("truecase needs --fit and/or --input")
-    if args.fit is not None:
-        harness.check_output_path("model", args.model)
-    if args.input is not None:
-        harness.check_output_path("output", args.output)
-    if args.fit is not None:
+    fit = args.fit is not None
+    harness.check_output_paths(
+        [("--model", "model", args.model if fit else None),
+         ("--output", "output", None if args.input is None else args.output)],
+        [("--fit", args.fit), ("--input", args.input),
+         ("--model", None if fit else args.model)],
+    )
+    if fit:
         corpus = read_conll_file(args.fit)
         truecaser = train_truecaser(corpus)
-        with open(args.model, "wb") as handle:
-            handle.write(truecaser.to_bytes())
+        container.write_file(args.model, truecaser.to_bytes())
         print(f"fitted truecaser on {len(corpus)} sentence(s) -> {args.model}")
     if args.input is not None:
         truecaser = _load_truecaser(args.model)
         corpus = read_conll_file(args.input)
-        _write_tagged(
-            [truecase(truecaser, ann.sentence) for ann in corpus],
-            [ann.gold for ann in corpus],
-            args.output,
-        )
+        _write_tagged(Corpus(tuple(
+            AnnotatedSentence(truecase(truecaser, ann.sentence), ann.gold)
+            for ann in corpus)), args.output)
     return EXIT_OK
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    harness.check_output_path("train output", args.out_train)
-    harness.check_output_path("test output", args.out_test)
-    if os.path.realpath(args.out_train) == os.path.realpath(args.out_test):
-        raise UsageError("--out-train and --out-test name the same file")
+    harness.check_output_paths([("--out-train", "train output", args.out_train),
+                                ("--out-test", "test output", args.out_test)])
     dests = [flag[2:].replace("-", "_") for flag, _ in _SYNTH_FLAGS]
     train_corpus, test_corpus = generate(default_config(**{
         dest: getattr(args, dest) for dest in dests
@@ -369,7 +359,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     settings = _settings(args, _EXPERIMENT_FLAGS)
     if settings["strategy"] is None:
         raise UsageError("a strategy is required (flag or config file)")
-    cfg = _experiment_config(settings, Strategy(settings["strategy"]))
+    cfg = _experiment_config(settings, Strategy(settings["strategy"]),
+                             args.config)
     result = harness.run_experiment(cfg)
     sys.stdout.write(result.report_text)
     return EXIT_OK
@@ -378,7 +369,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     settings = _settings(args, _GRID_FLAGS)
     strategies = settings["strategies"] or list(Strategy)
-    cfg = _experiment_config(settings, strategies[0])
+    cfg = _experiment_config(settings, strategies[0], args.config)
     configs = [replace(cfg, strategy=s, report_path=None) for s in strategies]
     _, combined = harness.run_grid(configs, report_path=cfg.report_path)
     sys.stdout.write(combined)
@@ -402,17 +393,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, harness.PathCollisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, ModelFormatError, TruecaserFormatError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (TrainingError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    # CorpusError and the package's format errors are ValueErrors.
+    except (ValueError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

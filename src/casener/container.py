@@ -1,14 +1,38 @@
-"""The versioned gzip + JSON container of saved models and truecasers.
+"""Saved files: `write_file`, which writes every file the package writes,
+and the versioned gzip + JSON container of models and truecasers.
 
-One JSON object (sorted keys, no spaces, UTF-8): "format" is
-"casener-<kind>", "version" the kind's integer format version, and the
+A container is one JSON object (sorted keys, no spaces, UTF-8): "format"
+is "casener-<kind>", "version" the kind's integer format version, and the
 other keys are the kind's own fields.  gzip's mtime is 0, so equal fields
 save to equal bytes.
 """
 
 import gzip
 import json
+import os
+import tempfile
 import zlib
+
+
+def write_file(path: str, data: bytes) -> None:
+    """Replace the regular file `path` resolves to with `data` through a
+    temporary file in its directory, so a failed write changes nothing and
+    a symlink keeps its link; the mode is that of a new file (0o666 & ~umask)."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise ValueError(f"{path!r} is not a regular file")
+    umask = os.umask(0)  # the only way to read it; restored at once
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".casener-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def dump(kind: str, version: int, fields: dict) -> bytes:

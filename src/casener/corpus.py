@@ -26,6 +26,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from . import container
+
 DOCSTART = "-DOCSTART-"
 
 #: Type alias: a token is a non-empty string without whitespace.
@@ -435,12 +437,11 @@ def write_conll(corpus: Corpus) -> str:
 
 
 def read_conll_file(path: str) -> Corpus:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     corpus = parse_conll(text)
     return Corpus(corpus.sentences, f"{path}: {corpus.provenance}")
 
 
 def write_conll_file(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(write_conll(corpus))
+    container.write_file(path, write_conll(corpus).encode("utf-8"))

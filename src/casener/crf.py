@@ -768,8 +768,7 @@ def load(data: bytes) -> CrfModel:
 
 
 def save_file(model: CrfModel, path: str) -> None:
-    with open(path, "wb") as handle:
-        handle.write(save(model))
+    container.write_file(path, save(model))
 
 
 def load_file(path: str) -> CrfModel:

@@ -16,17 +16,18 @@ distinct model once, so TRUECASING scores the model BASELINE trained.
 `run_experiment` is its one-strategy case.
 
 Reports are a fixed-layout text table plus a machine-readable key-value
-file; both are deterministic for a fixed config (no timestamps).
+file, deterministic for a fixed config (no timestamps).  A run's output
+paths are checked before its data loads (`check_output_paths`).
 """
 
 from __future__ import annotations
 
 import enum
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
+from .container import write_file
 from .corpus import Corpus, read_conll_file
 from .crf import CrfModel, TrainConfig, save_file, train
 from .evaluation import Metrics, metrics_lines, variant_grid
@@ -150,46 +151,47 @@ def _format_f1_table(rows: Sequence[tuple[str, dict[CaseVariant, Metrics]]]) -> 
 _REPORT_SUFFIXES = (".txt", ".kv")
 
 
-def check_output_path(what: str, path: str | None,
-                      suffixes: Sequence[str] = ("",)) -> None:
-    """Fail, naming the path, unless `path` plus each of `suffixes` can be
-    written as a file, so a bad output path fails before training:
-    ValueError if `path` is empty, FileNotFoundError if its directory does
-    not exist, IsADirectoryError if one of those paths is a directory."""
-    if path is None:
-        return
-    if not path:
-        raise ValueError(f"{what} path is empty")
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(
-            f"{what} path {path!r}: directory {directory!r} does not exist"
-        )
-    for target in [path + suffix for suffix in suffixes]:
-        if os.path.isdir(target):
-            raise IsADirectoryError(f"{what} path {target!r} is a directory")
+class PathCollisionError(ValueError):
+    """Two files a run writes, or one it writes and one it reads, are one."""
+
+
+def check_output_paths(outputs: Sequence[tuple[str, str, str | None]],
+                       reads: Sequence[tuple[str, str | None]] = ()) -> None:
+    """Fail, before any work, unless each output (name, what, path) can be
+    written, and no two outputs, nor an output and a read (name, path),
+    resolve to one file (PathCollisionError).  None paths are skipped, and
+    a "report" path stands for its `.txt` and `.kv` files."""
+    files = []
+    for name, what, path in outputs:
+        if path is None:
+            continue
+        if not path:
+            raise ValueError(f"{what} path is empty")
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(
+                f"{what} path {path!r}: directory {directory!r} does not exist"
+            )
+        for suffix in _REPORT_SUFFIXES if what == "report" else ("",):
+            if os.path.isdir(path + suffix):
+                raise IsADirectoryError(
+                    f"{what} path {path + suffix!r} is a directory")
+            files.append((name, path + suffix))
+    written: dict[str, str] = {}  # resolved file -> name of its output
+    for i, (name, path) in enumerate(files + [(n, p) for n, p in reads if p]):
+        key = os.path.realpath(path)
+        if key in written:
+            raise PathCollisionError(
+                f"{written[key]} and {name} name the same file")
+        if i < len(files):  # two reads may name one file
+            written[key] = name
 
 
 def _write_report(path: str | None, text: str, kv: str) -> None:
-    """Unless `path` is None, write `text` and `kv` to it plus
-    `_REPORT_SUFFIXES`, each through a temporary file in its directory,
-    which gets the mode `open` gives a new file: 0o666 less the umask."""
-    if path is None:
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)  # the only way to read it; restored at once
-    os.umask(umask)
-    for suffix, content in zip(_REPORT_SUFFIXES, (text, kv)):
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(content)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, path + suffix)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    """Unless `path` is None, write `text` and `kv` to its two files."""
+    if path is not None:
+        for suffix, content in zip(_REPORT_SUFFIXES, (text, kv)):
+            write_file(path + suffix, content.encode("utf-8"))
 
 
 def _run_strategy(cfg: ExperimentConfig, data: _Data,
@@ -305,10 +307,10 @@ def run_grid(
         raise ValueError(
             "all grid experiments must share the same train and test data"
         )
-    check_output_path("report", report_path, _REPORT_SUFFIXES)
-    for cfg in configs:
-        check_output_path("report", cfg.report_path, _REPORT_SUFFIXES)
-        check_output_path("model", cfg.model_path)
+    check_output_paths([("report_path", "report", report_path)] + [
+        (f"configs[{i}].{field}", field.removesuffix("_path"), getattr(cfg, field))
+        for i, cfg in enumerate(configs) for field in ("report_path", "model_path")
+    ], [("train_path", configs[0].train_path), ("test_path", configs[0].test_path)])
     data = _load_corpora(configs[0])
     if len(data.train) == 0:
         raise ValueError("training corpus is empty")
@@ -342,7 +344,7 @@ def read_config_file(path: str) -> dict[str, str]:
     A key given twice is an error."""
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -47,10 +47,13 @@ _TEST_POOL_START = 0.30
 
 @dataclass(frozen=True)
 class SynthConfig:
-    seed: int
-    train_sentences: int
-    test_sentences: int
-    noise_rate: float
+    """A synthetic setup; the defaults are the standard one, which the
+    experiment harness uses."""
+
+    seed: int = 42
+    train_sentences: int = 2000
+    test_sentences: int = 500
+    noise_rate: float = 0.05
 
     def __post_init__(self) -> None:
         if self.train_sentences < 1 or self.test_sentences < 1:
@@ -302,17 +305,5 @@ _DECOYS: Mapping[str, tuple[str, ...]] = {
     "LOC": tuple(w.lower() for w in _LOC_AMBIGUOUS),
 }
 
-
-def default_config(
-    seed: int = 42,
-    train_sentences: int = 2000,
-    test_sentences: int = 500,
-    noise_rate: float = 0.05,
-) -> SynthConfig:
-    """The standard synthetic setup used by the experiment harness."""
-    return SynthConfig(
-        seed=seed,
-        train_sentences=train_sentences,
-        test_sentences=test_sentences,
-        noise_rate=noise_rate,
-    )
+#: The standard synthetic setup, with any of its fields given by keyword.
+default_config = SynthConfig

@@ -39,14 +39,8 @@ class CaseClass(enum.Enum):
     NO_CASE = "no_case"
 
 
-#: Tie-break preference when two classes have equal counts.
-_CLASS_PRIORITY = [
-    CaseClass.LOWER,
-    CaseClass.INIT_CAP,
-    CaseClass.ALL_CAP,
-    CaseClass.MIXED,
-    CaseClass.NO_CASE,
-]
+#: Tie-break preference when two classes have equal counts: enum order.
+_CLASS_PRIORITY = list(CaseClass)
 
 
 def classify_case(word: str) -> CaseClass:

@@ -1,20 +1,29 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import functools
 import gzip
+import io
 import json
 import random
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
+from casener import crf, harness
+from casener.cli import EXIT_OK, main
 from casener.corpus import (
     AnnotatedSentence,
     Corpus,
     EntitySpan,
     Sentence,
     spans_to_tags,
+    write_conll,
+    write_conll_file,
 )
 from casener.crf import CrfModel, _encode
 from casener.features import (
@@ -23,6 +32,7 @@ from casener.features import (
     feature_factors,
     fit_feature_map,
 )
+from casener.synth import default_config, generate
 from casener.truecase import CaseClass, classify_case
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
@@ -204,3 +214,68 @@ _conll_line = st.one_of(
 #: CoNLL-like text: lines of a token, extra columns and a tag (legal or
 #: not), blank lines, -DOCSTART- lines and arbitrary lines; or any text.
 conll_texts = st.lists(_conll_line, max_size=12).map("\n".join) | st.text()
+
+
+_TINY_SYNTH = default_config(seed=7, train_sentences=20, test_sentences=5)
+
+
+@functools.cache
+def _writer_inputs() -> tuple[bytes, bytes, CrfModel]:
+    """The CoNLL bytes of a tiny training corpus, the saved bytes of a model
+    trained on it, and the model."""
+    train, _ = generate(_TINY_SYNTH)
+    model = crf.train(train, TemplateSet.CASE_AWARE, crf.TrainConfig(max_epochs=2))
+    return write_conll(train).encode(), crf.save(model), model
+
+
+def _run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+
+
+def _write_model(directory: Path) -> list[Path]:
+    crf.save_file(_writer_inputs()[2], str(directory / "out.crf"))
+    return [directory / "out.crf"]
+
+
+def _write_truecaser(directory: Path) -> list[Path]:
+    (directory / "train.conll").write_bytes(_writer_inputs()[0])
+    _run_cli(["truecase", "--model", str(directory / "out.bin"),
+              "--fit", str(directory / "train.conll")])
+    return [directory / "out.bin"]
+
+
+def _write_conll(directory: Path) -> list[Path]:
+    write_conll_file(generate(_TINY_SYNTH)[1], str(directory / "out.conll"))
+    return [directory / "out.conll"]
+
+
+def _write_tagged(directory: Path) -> list[Path]:
+    train, model, _ = _writer_inputs()
+    (directory / "train.conll").write_bytes(train)
+    (directory / "model.crf").write_bytes(model)
+    _run_cli(["tag", "--model", str(directory / "model.crf"),
+              "--input", str(directory / "train.conll"),
+              "--output", str(directory / "out.conll")])
+    return [directory / "out.conll"]
+
+
+def _write_report(directory: Path) -> list[Path]:
+    harness.run_experiment(harness.ExperimentConfig(
+        harness.Strategy.BASELINE, synth=_TINY_SYNTH,
+        train_config=crf.TrainConfig(max_epochs=2),
+        report_path=str(directory / "rep"),
+    ))
+    return [directory / "rep.txt", directory / "rep.kv"]
+
+
+#: Each way the package writes a file: `write(directory)` writes inputs it
+#: needs with plain `Path.write_bytes`, then writes through the package's
+#: own route and returns the paths written, in order.
+WRITERS: dict[str, Callable[[Path], list[Path]]] = {
+    "model": _write_model,
+    "truecaser": _write_truecaser,
+    "conll": _write_conll,
+    "tagged": _write_tagged,
+    "report": _write_report,
+}

@@ -721,6 +721,76 @@ def test_synth_to_one_file_exits_1_before_any_work(
     assert not (tmp_path / "same.conll").exists()
 
 
+def _roles(argv: list[str]) -> list[tuple[str, bool]]:
+    """Each (flag, whether it names an output) of an argv template of the
+    tables above; a config file holds a report path."""
+    roles = [(flag, value in ("{path}", "{other}"))
+             for flag, value in zip(argv, argv[1:])
+             if value in ("{path}", "{other}", "{file}", "{config}")]
+    return roles + [("--report", True)] * ("{config}" in argv)
+
+
+_TABLE_ROWS = {name: argv for name, _, argv in
+               _OUTPUT_COMMANDS + _TRAINING_OUTPUT_COMMANDS}
+#: The tables' rows, plus rows that write two files or read more: each
+#: names every file in its own flag, so that any two can be made one.
+_COLLIDING_COMMANDS = {
+    **_TABLE_ROWS,
+    "experiment-both": _TABLE_ROWS["experiment-report"]
+    + ["--model", "{other}", "--type-map", "{file}"],
+    "experiment-files": ["experiment", "--strategy", "baseline", "--train",
+                         "{file}", "--test", "{file}", "--model", "{path}"],
+    "truecase-both": _TABLE_ROWS["truecase-fit"]
+    + ["--input", "{file}", "--output", "{other}"],
+    "tag-truecaser": _TABLE_ROWS["tag"] + ["--truecaser", "{file}"],
+}
+_COLLISIONS = {
+    (argv[0], frozenset(_roles(argv)), output, other): pytest.param(
+        argv, output, other, id=f"{name}:{output}={other}")
+    for name, argv in _COLLIDING_COMMANDS.items()
+    for output, writes in _roles(argv) if writes
+    for other, _ in _roles(argv) if other != output
+}
+
+
+@pytest.mark.parametrize("argv, output, other", _COLLISIONS.values())
+def test_colliding_paths_exit_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                               argv, output, other):
+    """An output that names the file of another output or of an input of
+    its command, here `other`'s, is a usage error naming both flags.  It
+    ends the command before it reads input or trains, and every file that
+    existed stays as it was."""
+    for name in ("load_file", "read_conll_file", "_read_tokens_file",
+                 "_load_truecaser", "tag_corpus", "train_truecaser",
+                 "truecase", "augment", "generate", "train"):
+        monkeypatch.setattr(cli, name, _no_run)
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
+    monkeypatch.chdir(tmp_path)
+    # Each flag's file is named after it, and `output` takes `other`'s; a
+    # report's path is its .txt file's without the suffix.
+    files = {flag: f"{flag[2:]}.txt" for flag, _ in _roles(argv)}
+    files[output] = files[other]
+    paths = {flag: name[:-4] if flag == "--report" else name
+             for flag, name in files.items()}
+    for flag, name in files.items():
+        Path(name).write_text(f"old {flag}\n")
+    if "--report" in paths:
+        Path(paths["--report"] + ".kv").write_text("old --report\n")
+    if "--config" in paths:
+        Path(paths["--config"]).write_text(
+            f"data = synth\nreport = {paths['--report']}\n")
+    before = {name: Path(name).read_bytes() for name in os.listdir()}
+    command = [paths[argv[i - 1]] if arg.startswith("{") else arg
+               for i, arg in enumerate(argv)]
+    assert main(command) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err in (
+        f"usage error: {output} and {other} name the same file\n",
+        f"usage error: {other} and {output} name the same file\n",
+    )
+    assert {name: Path(name).read_bytes() for name in os.listdir()} == before
+
+
 def test_experiment_and_grid_read_conll_files(data_files, capsys):
     root, train, test = data_files
     flags = ["--train", train, "--test", test, "--max-epochs", "5"]
@@ -781,6 +851,48 @@ def test_train_without_test_is_a_usage_error(data_files, capsys, command,
     assert main([command, *selector, "--train", train]) == EXIT_USAGE
     assert ("usage error: file data source needs --train and --test"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["experiment", "--strategy", "baseline"],
+                                     ["grid"]], ids=["experiment", "grid"])
+@pytest.mark.parametrize("config, flags, problem", [
+    pytest.param("data = synth\n", ["--train", "{train}", "--test", "{test}"],
+                 "synthetic data source takes no --train or --test",
+                 id="synth-in-config-with-files"),
+    pytest.param("", ["--data", "synth", "--test", "{test}"],
+                 "synthetic data source takes no --train or --test",
+                 id="synth-with-test"),
+    pytest.param("", ["--test", "{test}"],
+                 "file data source needs --train and --test",
+                 id="test-alone"),
+    pytest.param("", ["--data", "files", "--train", "{train}", "--test",
+                      "{test}", "--synth-seed", "9"],
+                 "file data source takes no --synth-* settings",
+                 id="files-with-synth-seed"),
+    pytest.param("synth-noise-rate = 0.1\n",
+                 ["--train", "{train}", "--test", "{test}"],
+                 "file data source takes no --synth-* settings",
+                 id="files-with-synth-setting-in-config"),
+])
+def test_contradictory_data_source_is_a_usage_error(
+        data_files, tmp_path, capsys, monkeypatch, command, config, flags,
+        problem):
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
+    root, train, test = data_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = [*command, "--config", str(cfg),
+            *(flag.format(train=train, test=test) for flag in flags)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: {problem}\n")
+
+
+def test_tokens_file_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "tokens.txt"
+    path.write_text("\ufeffEU\nrejects\n\nGerman\n", encoding="utf-8")
+    corpus = cli._read_tokens_file(str(path))
+    assert [ann.sentence.tokens for ann in corpus] == [("EU", "rejects"),
+                                                      ("German",)]
 
 
 def test_experiment_on_empty_training_file_exits_2(data_files, tmp_path,

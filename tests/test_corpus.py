@@ -23,6 +23,7 @@ from casener.corpus import (
     _to_iobes,
     extract_spans,
     parse_conll,
+    read_conll_file,
     spans_to_tags,
     validate_tags,
     write_conll,
@@ -178,6 +179,12 @@ class TestParse:
         corpus = parse_conll(text)
         assert corpus.sentences[0].sentence.tokens == ("Alpha", "beta")
         assert corpus.sentences[0].gold.tags == ("S-LOC", "O")
+
+    def test_file_drops_a_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.conll"
+        path.write_text("\ufeffEU S-ORG\nrejects O\n\n", encoding="utf-8")
+        [ann] = read_conll_file(str(path))
+        assert ann.sentence.tokens == ("EU", "rejects")
 
     def test_one_column_line_is_malformed(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -18,7 +18,7 @@ from casener.evaluation import map_prediction_types
 from casener.features import TemplateSet
 from casener.synth import default_config, generate
 from casener.transforms import CaseVariant
-from conftest import random_corpus
+from conftest import WRITERS, random_corpus
 
 SMALL_SYNTH = default_config(seed=7, train_sentences=150, test_sentences=40)
 
@@ -97,23 +97,26 @@ class TestRunExperiment:
         assert open(base + ".txt").read() == result.report_text
         assert open(base + ".kv").read() == result.report_kv
         assert load_file(model_path).feature_map == result.model.feature_map
-        leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".report-")]
-        assert leftovers == []
+        # No temporary file (".casener-*") is left beside the outputs.
+        assert sorted(os.listdir(tmp_path)) == ["model.crf", "rep.kv", "rep.txt"]
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
     def test_output_files_honour_the_umask(self, tmp_path, umask, mode):
-        base = str(tmp_path / "rep")
-        model_path = str(tmp_path / "model.crf")
-        old = os.umask(umask)
-        try:
-            run_experiment(small_config(
-                report_path=base, model_path=model_path,
-                train_config=TrainConfig(max_epochs=3),
-            ))
-        finally:
-            os.umask(old)
-        for path in (base + ".txt", base + ".kv", model_path):
-            assert os.stat(path).st_mode & 0o777 == mode, path
+        """Every writer gives a new file, and a replaced one, the mode a new
+        file gets: 0o666 less the umask."""
+        for name, write in WRITERS.items():
+            directory = tmp_path / name
+            directory.mkdir()
+            old = os.umask(umask)
+            try:
+                paths = write(directory)
+                for path in paths:
+                    path.chmod(0o600)
+                paths = write(directory)
+            finally:
+                os.umask(old)
+            for path in paths:
+                assert path.stat().st_mode & 0o777 == mode, path
 
     def test_determinism_byte_identical(self, tmp_path):
         outputs = []
@@ -252,6 +255,25 @@ class TestRunGrid:
             run_grid([cfg], report_path=None if field else "")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("first, second", [
+        (("report_path", "out"), ("report_path", "out")),
+        (("model_path", "out.crf"), ("model_path", "out.crf")),
+        (("model_path", "out.txt"), ("report_path", "out")),
+    ], ids=["reports", "models", "model-and-report"])
+    def test_shared_output_path_fails_before_training(
+            self, tmp_path, monkeypatch, first, second):
+        monkeypatch.setattr(harness, "_load_corpora", lambda cfg: pytest.fail(
+            "a shared output path must stop the grid first"))
+        configs = [
+            small_config(Strategy.BASELINE, **{first[0]: str(tmp_path / first[1])}),
+            small_config(Strategy.CASELESS, **{second[0]: str(tmp_path / second[1])}),
+        ]
+        with pytest.raises(harness.PathCollisionError, match=(
+                rf"^configs\[0\]\.{first[0]} and configs\[1\]\.{second[0]} "
+                "name the same file$")):
+            run_grid(configs)
+        assert os.listdir(tmp_path) == []
+
     def test_data_loaded_once_and_each_model_trained_once(self, monkeypatch):
         calls = {"train": 0, "generate": 0}
 
@@ -314,6 +336,11 @@ class TestConfigFile:
         assert read_config_file(str(path)) == {
             "strategy": "augment", "seed": "3", "report": "out/rep",
         }
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("\ufeffstrategy = augment\n", encoding="utf-8")
+        assert read_config_file(str(path)) == {"strategy": "augment"}
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "cfg"
