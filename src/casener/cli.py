@@ -399,9 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # CorpusError and the package's format errors are ValueErrors.
-    except (ValueError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+    # CorpusError and the package's format errors are ValueErrors; a file
+    # that cannot be read or written (missing, a full disk) is an OSError.
+    except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -228,9 +228,18 @@ def _writer_inputs() -> tuple[bytes, bytes, CrfModel]:
     return write_conll(train).encode(), crf.save(model), model
 
 
+class CliFailed(Exception):
+    """`cli.main` returned a nonzero exit code.  The message is the code
+    after "exit ", a colon, and what the command wrote to stderr."""
+
+
 def _run_cli(argv: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == EXIT_OK
+    stderr = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(stderr)):
+        code = main(argv)
+    if code != EXIT_OK:
+        raise CliFailed(f"exit {code}: {stderr.getvalue()}")
 
 
 def _write_model(directory: Path) -> list[Path]:
@@ -279,3 +288,6 @@ WRITERS: dict[str, Callable[[Path], list[Path]]] = {
     "tagged": _write_tagged,
     "report": _write_report,
 }
+#: The writers that run a command through `cli.main`, which turns a failed
+#: write into an exit code (`CliFailed`) rather than an exception.
+CLI_WRITERS = frozenset({"truecaser", "tagged"})

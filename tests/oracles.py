@@ -7,7 +7,9 @@ position, sequence scores are re-summed term by term, partition functions
 and argmax paths are found by enumerating all taggings, span counting
 re-implements conlleval's chunk-boundary logic, gradients come from
 central finite differences, token and tag checks walk every position, and
-the truecaser classifies every occurrence.
+the truecaser classifies every occurrence.  Feature groups are found by
+listing every feature's positions, and the full-space trainer minimizes
+the package's objective over one weight per feature and tag.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
+import scipy.optimize
 
+from casener import crf
 from casener.corpus import (
     CorpusError,
     Scheme,
@@ -30,7 +34,13 @@ from casener.corpus import (
     split_tag,
 )
 from casener.crf import CrfModel, log_likelihood_and_gradient
-from casener.features import FeatureMap, TemplateSet, word_shape
+from casener.features import (
+    FeatureMap,
+    TemplateSet,
+    feature_factors,
+    feature_map_from_factors,
+    word_shape,
+)
 from casener.truecase import (
     INITIAL_INIT_CAP_WEIGHT,
     CaseClass,
@@ -167,6 +177,37 @@ def observed_reference(corpus, fmap: FeatureMap, template_set, counts):
         [v for row in emission for v in row] + begin + end
         + [v for row in trans for v in row],
         dtype=np.float64,
+    )
+
+
+def column_groups_reference(corpus, fmap: FeatureMap, template_set) -> list[int]:
+    """Each feature's group: features that fire at the same positions of
+    `corpus` (by `feature_rows_reference`) share one, and groups are
+    numbered in the order of their first features."""
+    indices, indptr = feature_rows_reference(corpus, fmap, template_set)
+    positions: list[list[int]] = [[] for _ in range(fmap.num_features)]
+    for position in range(len(indptr) - 1):
+        for f in indices[indptr[position]:indptr[position + 1]]:
+            positions[f].append(position)
+    groups: dict[tuple[int, ...], int] = {}
+    return [groups.setdefault(tuple(p), len(groups)) for p in positions]
+
+
+def train_full_space_reference(corpus, template_set, cfg):
+    """`crf.train` with one L-BFGS-B weight per feature and tag: the
+    package's encoding and objective, minimized over the full weight
+    layout.  Returns the feature map and scipy's result."""
+    distinct, counts = crf._distinct(corpus)
+    factors = feature_factors([ann.sentence for ann in distinct], template_set)
+    fmap = feature_map_from_factors(distinct, factors)
+    enc = crf._encode(distinct, fmap, counts, factors)
+    return fmap, scipy.optimize.minimize(
+        crf._neg_ll_and_grad,
+        np.zeros_like(enc.observed),
+        args=(enc, cfg.l2_sigma),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": cfg.max_epochs, "ftol": cfg.tolerance},
     )
 
 

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
 from casener.corpus import (
@@ -41,6 +42,7 @@ from casener.features import (
     feature_factors,
     fit_feature_map,
 )
+from casener.synth import default_config, generate
 from conftest import (
     encode,
     garbage_containers,
@@ -51,6 +53,7 @@ from conftest import (
     random_sentence,
 )
 from oracles import (
+    column_groups_reference,
     emission_table,
     enumerate_best_legal_path,
     enumerate_log_partition,
@@ -58,6 +61,7 @@ from oracles import (
     finite_difference_gradient,
     packed_positions,
     path_score,
+    train_full_space_reference,
 )
 
 TABLE_CORPUS = parse_conll(
@@ -761,6 +765,112 @@ class TestDistinctTraining:
         assert first == second
         distinct, total, _ = first.split()
         assert int(distinct) < int(total)
+
+
+def _groups_of(corpus: Corpus, template_set: TemplateSet):
+    """The feature map of `corpus`, the `_encode` of its distinct sentences
+    and `_column_groups` of their features."""
+    distinct, counts = crf._distinct(corpus)
+    fmap = fit_feature_map(corpus, template_set)
+    enc = encode(distinct, fmap, template_set, counts)
+    x = (enc.offset_types @ enc.type_features).tocsc()
+    return fmap, enc, crf._column_groups(x)
+
+
+_ONE_TOKEN_CORPUS = Corpus((
+    _one_token("x9", "S-PER"), _one_token("x9", "O"),
+    _one_token("x9", "S-PER"), _one_token("the", "O"),
+    _one_token("Baker", "S-LOC"),
+))
+
+
+class TestMergedColumns:
+    """Training optimizes one weight row per group of features with equal
+    columns, scaled by the square root of the group's size; that is the
+    full-space problem in other coordinates."""
+
+    @given(corpus=_corpus_with_repeats(),
+           template_set=st.sampled_from(list(TemplateSet)))
+    @example(corpus=_ONE_TOKEN_CORPUS, template_set=TemplateSet.CASE_AWARE)
+    def test_groups_match_reference(self, corpus, template_set):
+        fmap, _, group = _groups_of(corpus, template_set)
+        distinct, _ = crf._distinct(corpus)
+        assert group.tolist() == column_groups_reference(
+            distinct, fmap, template_set
+        )
+
+    def test_colliding_keys_keep_columns_apart(self):
+        # Columns 0 and 1 differ, but their keys are r[1] * r[0] and
+        # r[0] * r[1], which are bitwise equal.
+        r = np.random.default_rng(0).random(2)
+        x = scipy.sparse.csc_matrix(np.array([[r[1], 0.0, r[1]],
+                                              [0.0, r[0], 0.0]]))
+        keys = x.T @ r
+        assert keys[0] == keys[1]
+        assert crf._column_groups(x).tolist() == [0, 1, 0]
+
+    @settings(deadline=None)
+    @given(
+        corpus=_corpus_with_repeats(),
+        template_set=st.sampled_from(list(TemplateSet)),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.sampled_from([0.5, 1.0, 10.0]),
+    )
+    @example(corpus=_ONE_TOKEN_CORPUS, template_set=TemplateSet.CASE_AWARE,
+             seed=0, sigma=1.0)
+    def test_merged_objective_is_the_full_objective(self, corpus,
+                                                    template_set, seed, sigma):
+        fmap, enc, group = _groups_of(corpus, template_set)
+        merged = crf._merged(enc, group)
+        k, size = fmap.num_tags, np.bincount(group)
+        scale = np.sqrt(size)[:, None]
+        u = np.random.default_rng(seed).uniform(-1, 1, merged.observed.shape)
+        rows, *rest = crf._unpack(u, len(size), k)
+        w = crf._pack((rows / scale)[group], *rest)
+        merged_ll, merged_grad = crf._neg_ll_and_grad(u, merged, sigma)
+        full_ll, full_grad = crf._neg_ll_and_grad(w, enc, sigma)
+        assert merged_ll == pytest.approx(full_ll, rel=1e-12)
+        full_rows, *full_rest = crf._unpack(full_grad, fmap.num_features, k)
+        summed = np.zeros((len(size), k))
+        np.add.at(summed, group, full_rows)
+        expected = crf._pack(summed / scale, *full_rest)
+        np.testing.assert_allclose(merged_grad, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    @settings(deadline=None, max_examples=30)
+    @given(corpus=_corpus_with_repeats(),
+           template_set=st.sampled_from(list(TemplateSet)))
+    @example(corpus=_ONE_TOKEN_CORPUS, template_set=TemplateSet.CASE_AWARE)
+    def test_trained_group_rows_are_bitwise_equal(self, corpus, template_set):
+        model = train(corpus, template_set, TrainConfig(max_epochs=10))
+        distinct, _ = crf._distinct(corpus)
+        group = np.array(column_groups_reference(
+            distinct, model.feature_map, template_set
+        ))
+        first = np.unique(group, return_index=True)[1]
+        assert np.array_equal(model.emission, model.emission[first[group]])
+
+    @pytest.mark.parametrize("corpus, template_set", [
+        *[pytest.param(random_corpus(random.Random(seed), sentences=12), ts,
+                       id=f"random{seed}-{ts.value}")
+          for seed, ts in itertools.product(range(3), TemplateSet)],
+        pytest.param(Corpus(tuple(_ONE_TOKEN_CORPUS) * 2),
+                     TemplateSet.CASE_AWARE, id="one-token"),
+        pytest.param(generate(default_config(
+            seed=7, train_sentences=150, test_sentences=1))[0],
+            TemplateSet.CASE_AWARE, id="synth7"),
+    ])
+    def test_train_matches_full_space_reference(self, corpus, template_set):
+        cfg = TrainConfig()
+        model = train(corpus, template_set, cfg)
+        fmap, result = train_full_space_reference(corpus, template_set, cfg)
+        assert model.feature_map == fmap
+        assert (model.metadata["iterations"], model.metadata[
+            "function_evaluations"]) == (result.nit, result.nfev)
+        w = crf._pack(model.emission, model.begin, model.end,
+                      model.transition)
+        np.testing.assert_allclose(w, result.x, rtol=1e-6,
+                                   atol=1e-6 * np.abs(result.x).max())
 
 
 class TestPersistence:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from casener.container import write_file
-from conftest import WRITERS
+from conftest import CLI_WRITERS, WRITERS, CliFailed
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "casener"
 #: What writes or replaces a file: these functions of these modules, any
@@ -110,14 +110,19 @@ class _FailingFile:
 @pytest.mark.parametrize("writer", WRITERS)
 def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
     """A write that fails partway leaves each old output byte-identical and
-    no temporary file."""
+    no temporary file.  The package's functions raise the OSError; a
+    command reports it as a data error and exits 2."""
     for path in WRITERS[writer](tmp_path):
         path.write_bytes(f"old {path.name}\n".encode())
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     real_fdopen = os.fdopen
     monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: _FailingFile(
         real_fdopen(*args, **kwargs)))
-    with pytest.raises(OSError, match="No space left on device"):
+    if writer in CLI_WRITERS:
+        failure = CliFailed, r"^exit 2: data error: .*No space left on device"
+    else:
+        failure = OSError, "No space left on device"
+    with pytest.raises(failure[0], match=failure[1]):
         WRITERS[writer](tmp_path)
     monkeypatch.undo()
     assert {path.name: path.read_bytes()
