@@ -1,22 +1,8 @@
 """CoNLL-style corpus handling: parsing, writing, tagging schemes, entity spans.
 
 Tokens are plain strings; a sentence is an ordered tuple of them.  Tags in
-memory are IOBES: a ``TagSequence`` holds no other scheme and is validated
-on construction, and ``spans_to_tags`` writes IOBES.  The legality rules
-(``validate_tags``, ``is_legal_*``) are IOBES's.  IOB1 and IOB2 exist only
-at parse time: ``parse_conll`` detects the input's scheme, and ``_to_iobes``
-checks each IOB1 or IOB2 sentence while it rewrites the tags as IOBES.
-
-The construction checks do their work once per distinct value: a
-``Sentence`` searches its joined tokens for whitespace in one pass, and
-``validate_tags`` parses each distinct tag and checks each distinct
-transition once.  Errors still name the first offending token or position.
-The value types are frozen and slotted: they carry no instance
-``__dict__``, which keeps the many per-sentence objects of a corpus, its
-case variants and its predictions small.  Being frozen, a corpus may hold
-one object many times: ``synth.generate`` and the case transforms build
-one ``AnnotatedSentence`` per distinct value and share it among the
-repeats, while ``parse_conll`` builds one per sentence it reads.
+memory are IOBES (``TagSequence``, ``validate_tags``, ``is_legal_*``); IOB1
+and IOB2 exist only inside ``parse_conll``.
 """
 
 from __future__ import annotations
@@ -33,10 +19,14 @@ DOCSTART = "-DOCSTART-"
 #: Type alias: a token is a non-empty string without whitespace.
 Token = str
 
-#: A token's case-free key, the one case-insensitive lookup: caseless
-#: features, `tag_corpus`'s memo and the truecaser read tokens through it.
-#: An alias, so `map(case_key, tokens)` runs in C.
-case_key = str.lower
+
+def case_key(token: str) -> str:
+    """A token's case-free key, the one case-insensitive lookup: caseless
+    features, `tag_corpus`'s memo and the truecaser read tokens through it.
+    Unlike `str.lower`, which it equals on ASCII, it gives a token and its
+    lowercased and uppercased forms one key in all of Unicode ("Straße",
+    "straße" and "STRASSE" key "strasse")."""
+    return token.upper().casefold()
 
 
 def init_cap_form(word: str) -> str:
@@ -111,26 +101,35 @@ def is_legal_end(tag: str) -> bool:
     return _legal_end(split_tag(tag)[0])
 
 
+def _parsed_tags(
+    tags: Sequence[str], scheme: Scheme
+) -> dict[str, tuple[str, str | None]]:
+    """`split_tag` of each distinct tag of `tags`, in first-occurrence
+    order; an error names the first position whose prefix `scheme` lacks."""
+    allowed = "OBIES" if scheme is Scheme.IOBES else "OBI"
+    parsed = {}
+    for tag in dict.fromkeys(tags):
+        prefix, _ = parsed[tag] = split_tag(tag)
+        if prefix not in allowed:
+            raise TagValidationError(
+                f"position {tags.index(tag)}: prefix {prefix!r} of "
+                f"tag {tag!r} is not part of scheme {scheme.value}"
+            )
+    return parsed
+
+
 def validate_tags(tags: Sequence[str], scheme: Scheme = Scheme.IOBES) -> None:
     """Raise :class:`TagValidationError` unless `tags` is legal IOBES.
 
     Any other `scheme` is an error: `parse_conll` checks other schemes'
-    tags while it rewrites them.  Each distinct tag is parsed once and each
-    distinct transition checked once, in first-occurrence order, so an
-    error names the first offending position.
+    tags while it rewrites them.  Each distinct tag (`_parsed_tags`) and
+    transition is checked once, in first-occurrence order.
     """
     if scheme is not Scheme.IOBES:
         raise TagValidationError(f"tags are IOBES, not {scheme}")
     if not tags:
         raise TagValidationError("empty tag sequence")
-    parsed: dict[str, tuple[str, str | None]] = {}
-    for tag in dict.fromkeys(tags):
-        prefix, _ = parsed[tag] = split_tag(tag)
-        if prefix not in ("O", "B", "I", "E", "S"):
-            raise TagValidationError(
-                f"position {tags.index(tag)}: prefix {prefix!r} of "
-                f"tag {tag!r} is not part of scheme IOBES"
-            )
+    parsed = _parsed_tags(tags, scheme)
     if not _legal_start(parsed[tags[0]][0]):
         raise TagValidationError(
             f"position 0: tag {tags[0]!r} cannot open a sentence "
@@ -211,10 +210,14 @@ class AnnotatedSentence:
 
 @dataclass(frozen=True, slots=True)
 class Corpus:
-    """An ordered collection of annotated sentences.
+    """An ordered collection of annotated sentences.  `provenance` is a
+    free-text note about where the data came from; equality ignores it.
 
-    `provenance` is a free-text note about where the data came from; it is
-    ignored by equality comparisons.
+    The value types are frozen and slotted: they carry no instance
+    `__dict__`, which keeps the many per-sentence objects of a corpus, its
+    case variants and its predictions small.  Being frozen, a corpus may
+    hold one object many times, as `synth.generate` and `make_variant`
+    build one per distinct value; `parse_conll` builds one per sentence.
     """
 
     sentences: tuple[AnnotatedSentence, ...]
@@ -320,13 +323,7 @@ def _to_iobes(tags: Sequence[str], scheme: Scheme) -> tuple[str, ...]:
     at a B, or at an I that continues no chunk of its type, and runs over
     the I's of its type that follow.
     """
-    for tag in dict.fromkeys(tags):
-        prefix = split_tag(tag)[0]
-        if prefix not in ("O", "B", "I"):
-            raise TagValidationError(
-                f"position {tags.index(tag)}: prefix {prefix!r} of tag "
-                f"{tag!r} is not part of scheme {scheme.value}"
-            )
+    _parsed_tags(tags, scheme)
     must_continue = "B" if scheme is Scheme.IOB1 else "I"
     out = []
     for i, tag in enumerate(tags):
@@ -354,9 +351,8 @@ def parse_conll(text: str) -> Corpus:
     Columns are separated by runs of spaces/tabs; the token is the first
     column and the tag the last.  A blank line ends a sentence; lines whose
     first column is ``-DOCSTART-`` are document markers and are dropped.
-    The tagging scheme is detected over the whole input; IOB1 and IOB2
-    sentences are checked as they are rewritten as IOBES, and IOBES ones
-    by `TagSequence`.
+    The scheme is detected over the whole input (`_detect`); IOB1 and IOB2
+    tags are checked by `_to_iobes`, and IOBES ones by `TagSequence`.
     """
     raw_sentences: list[tuple[int, list[str], list[str]]] = []
     tokens: list[str] = []

@@ -8,40 +8,9 @@ legal IOBES transitions.  One batched forward-backward recursion
 log-space recursion when the weights spread too widely for that; scores and
 Viterbi decoding are in log space.  All computation is double precision.
 
-Training encodes each distinct (tokens, tags) pair of the corpus once and
-weights it by how often it occurs; the feature map holds every feature some
-position of the corpus has.  The log-likelihood is `observed @ w` minus the
-summed logZ and its gradient is observed minus expected feature counts
-(Lafferty et al., 2001), where `_encode` builds `observed`, the gold feature
-counts laid out like the weights, once.  Those are sums of whole counts, so
-the gold score is bitwise that of encoding every sentence.  The objective
-runs one forward-backward pass over all the distinct pairs, packed time-major
-with the longest first (`_packed`), so the expected counts and logZ sum in
-another order than sentence by sentence: the trained weights agree with
-per-sentence training only to the last bits (the iteration counts and
-decoded tags were the same on the synthetic data).
-
-L-BFGS-B optimizes one weight row per group of features with equal
-columns in the per-position feature matrix (`_column_groups`), not one per
-feature; on the synthetic data about half the features fire exactly where
-another does.  A group of c features trains u = sqrt(c) * v, where v is
-the row each member gets, which keeps the objective, the L2 norm and every
-inner product L-BFGS-B takes equal to the full problem's (`_EncodedCorpus`
-says why), so it takes the same steps in exact arithmetic and the weights
-agree with full-space training to the last bits.  Only its infinity-norm
-projected-gradient test (`gtol`) sees the change: a group's gradient is
-sqrt(c) times a member's, so that test can pass later, never earlier.
-
-Training and decoding featurize with the one featurizer,
-`features.feature_factors`, and map its names onto the model's features
-the same way (`_mapped_types`), but sum a position's emission weight rows
-in different orders.  Decoding gathers each position's rows from the
-mapped factors and sums them in ascending index order (`_emissions`).
-Training keeps the two factors apart as sparse matrices, whose product is
-the per-position feature matrix (`_EncodedCorpus`), so it sums per window
-offset: the rows each offset's token type gives, in ascending index order,
-then the offsets from left to right.  Training's emission scores can thus
-differ from decoding's in the last bits.
+Training's design is argued where it is built: `_EncodedCorpus` (each
+distinct pair once, packed), `_merged` (one weight row per group of equal
+feature columns) and `_emissions` (the order emission rows are summed in).
 
 Training normalizes over the full tag alphabet (no transition masking);
 the IOBES constraints are applied only at decode time, which guarantees
@@ -81,7 +50,7 @@ from .features import (
 )
 
 _KIND = "crf"
-_VERSION = 1
+_VERSION = 2
 
 
 class TrainingError(RuntimeError):
@@ -109,7 +78,6 @@ class TrainConfig:
     `l2_sigma` is the sigma of the Gaussian prior: the penalty is
     ||w||^2 / (2 sigma^2).  `max_epochs` caps L-BFGS iterations.
     `tolerance` is the relative-objective-change stopping criterion.
-    Training is deterministic.
     """
 
     l2_sigma: float = 1.0
@@ -204,7 +172,11 @@ def _emissions(model: CrfModel, sentence: Sentence) -> np.ndarray:
     position's `model.emission` rows summed in ascending index order.  The
     mapped factors give the rows in template-slot order, which does not
     depend on the string hash seed; the sort fixes the ascending order that
-    `test_emissions_sum_the_reference_rows` pins."""
+    `test_emissions_sum_the_reference_rows` pins.  Training keeps the two
+    factors apart (`_EncodedCorpus`), so it sums per window offset: the
+    rows each offset's token type gives, in ascending index order, then the
+    offsets from left to right.  Its emission scores can thus differ from
+    these in the last bits."""
     factors = feature_factors([sentence], model.template_set)
     slot_offsets = factors.slot_offsets
     rows = _mapped_types(model.feature_map, factors)[
@@ -310,8 +282,7 @@ def _forward_backward(
     McCallum, 2012, section 4): every factor is exponentiated relative to
     its maximum, the forward rows are normalized at each step, and the logs
     of those scales sum to logZ; the backward pass reuses the forward
-    scales and starts each sentence at its own last step.  Each step is one
-    matmul over the sentences still running.
+    scales and starts each sentence at its own last step (`_Packed`).
 
     Every exponentiated factor lies in [exp(-d), 1], where d is the spread
     (max - min) of the transition weights plus that of the begin weights,
@@ -435,35 +406,30 @@ def _forward_backward_log(
 class _EncodedCorpus:
     """Corpus pre-digested for repeated objective evaluations.
 
-    The sentences are ordered longest first (a stable sort); `packed` is
-    their layout and `counts` how often each counts, in that order;
-    `row_counts` is each packed row's sentence count, shape (rows, 1).
+    The sentences are the distinct (tokens, tags) pairs of the corpus
+    (`_distinct`), ordered longest first (a stable sort); `packed` is their
+    layout and `counts` how often each counts, in that order; `row_counts`
+    is each packed row's sentence count, shape (rows, 1).  One
+    forward-backward pass covers them all, so the expected counts and logZ
+    sum in another order than sentence by sentence: the trained weights
+    agree with per-sentence training only to the last bits (the iteration
+    counts and decoded tags were the same on the synthetic data).
 
     The positions' features are kept as the featurizer's two factors, whose
     product is the (positions, num_features) 0/1 feature matrix.
-    `offset_types` has one row per position, laid out time-major as
-    `packed` describes so that one forward-backward pass covers the corpus
-    without padding, and one column per (window offset, token type): a row
-    holds a 1 for the type at each of its offsets.  `type_features` has a
-    row per such column, holding a 1 for each feature index that the slots
-    at that offset give that type.  Each is stored with its transpose (a
-    CSC view of the same arrays) for the gradient's products.
+    `offset_types` has one row per packed position and one column per
+    (window offset, token type): a row holds a 1 for the type at each of
+    its offsets.  `type_features` has a row per such column, holding a 1
+    for each feature index that the slots at that offset give that type.
+    Each is stored with its transpose (a CSC view of the same arrays) for
+    the gradient's products.
 
     `observed` holds the count-weighted gold feature counts, laid out like
     the weights (`_pack` order): the log-likelihood is `observed @ w` minus
     the summed logZ, and its gradient is `observed` minus the expected
-    counts.
-
-    `_encode` gives one emission row per feature.  Training optimizes a
-    merged copy (`_merged`) whose "features" are the groups of features
-    with equal columns of `offset_types @ type_features`: a group of c
-    features keeps its first feature's column of `type_features` and row of
-    `observed`, both times sqrt(c).  Its weight row u is sqrt(c) times the
-    row v each member gets, so the emission scores (c * v summed per
-    position), the gold score, the L2 norm and every inner product of
-    weights or gradients equal those of the full problem; the gradient of u
-    is sqrt(c) times that of each member, which only L-BFGS-B's
-    infinity-norm `gtol` test sees.
+    counts (Lafferty et al., 2001).  Those are sums of whole counts, so the
+    gold score is bitwise that of encoding every sentence.  `row_scale` is
+    set only on `_merged` copies.
     """
 
     offset_types: scipy.sparse.csr_matrix
@@ -475,6 +441,7 @@ class _EncodedCorpus:
     row_counts: np.ndarray
     observed: np.ndarray
     num_tags: int
+    row_scale: np.ndarray | None = None
 
 
 def _distinct(corpus: Corpus) -> tuple[Corpus, np.ndarray]:
@@ -578,9 +545,7 @@ def _unpack(w: np.ndarray, num_features: int, k: int):
 
 
 def _pack(emission, begin, end, trans) -> np.ndarray:
-    return np.concatenate(
-        [emission.ravel(), begin, end, trans.ravel()]
-    )
+    return np.concatenate([emission.ravel(), begin, end, trans.ravel()])
 
 
 def _neg_ll_and_grad(
@@ -617,6 +582,18 @@ def _neg_ll_and_grad(
     return -float(ll), -grad
 
 
+def _encoded(
+    corpus: Corpus, template_set: TemplateSet, fmap: FeatureMap | None = None
+) -> tuple[FeatureMap, _EncodedCorpus]:
+    """`fmap` and the `_encode` of the distinct sentences of `corpus`, each
+    counted as often as it occurs; with no `fmap`, the map fitted on them."""
+    distinct, counts = _distinct(corpus)
+    factors = feature_factors([ann.sentence for ann in distinct], template_set)
+    if fmap is None:
+        fmap = feature_map_from_factors(distinct, factors)
+    return fmap, _encode(distinct, fmap, counts, factors)
+
+
 def log_likelihood_and_gradient(
     model: CrfModel, corpus: Corpus, l2_sigma: float
 ) -> tuple[float, np.ndarray]:
@@ -626,11 +603,7 @@ def log_likelihood_and_gradient(
     begin, end, and transition weights (row-major).
     """
     _check_l2_sigma(l2_sigma)
-    distinct, counts = _distinct(corpus)
-    factors = feature_factors(
-        [ann.sentence for ann in distinct], model.template_set
-    )
-    enc = _encode(distinct, model.feature_map, counts, factors)
+    _, enc = _encoded(corpus, model.template_set, model.feature_map)
     w = _pack(model.emission, model.begin, model.end, model.transition)
     neg_ll, neg_grad = _neg_ll_and_grad(w, enc, l2_sigma)
     return -neg_ll, -neg_grad
@@ -658,10 +631,19 @@ def _column_groups(x: scipy.sparse.csc_matrix) -> np.ndarray:
 
 
 def _merged(enc: _EncodedCorpus, group: np.ndarray) -> _EncodedCorpus:
-    """`enc` with one emission row per feature group: see `_EncodedCorpus`.
+    """`enc` with one emission row per group of features with equal columns
+    of `offset_types @ type_features` (`_column_groups`).
 
-    Each group's first feature stands for it, scaled by the square root of
-    the group's size both in `type_features` and in `observed`."""
+    A group of c features keeps its first feature's column of
+    `type_features` and row of `observed`, both times sqrt(c), which
+    `row_scale` holds.  Its weight row u is sqrt(c) times the row v each
+    member gets, so the emission scores (c * v summed per position), the
+    gold score, the L2 norm and every inner product of weights or gradients
+    equal those of the full problem: L-BFGS-B takes the same steps in exact
+    arithmetic.  Only its infinity-norm `gtol` test sees the change: the
+    gradient of u is sqrt(c) times that of each member, so that test can
+    pass later, never earlier.
+    """
     k = enc.num_tags
     first = np.unique(group, return_index=True)[1]
     scale = np.sqrt(np.bincount(group))
@@ -677,6 +659,7 @@ def _merged(enc: _EncodedCorpus, group: np.ndarray) -> _EncodedCorpus:
             (gold_rows[first] * scale[:, None]).ravel(),
             enc.observed[len(group) * k :],
         ]),
+        row_scale=scale,
     )
 
 
@@ -685,23 +668,17 @@ def train(
     template_set: TemplateSet,
     cfg: TrainConfig | None = None,
 ) -> CrfModel:
-    """Fit a CRF on `corpus`; deterministic given the config.
-
-    L-BFGS runs on one weight row per group of features with equal columns
-    (`_merged`), and every feature of a group gets the group's row.
-
-    The model metadata records the config, the iteration count, the number
-    of objective evaluations, and whether L-BFGS met its stopping criterion
-    (`converged`) rather than hitting `max_epochs` or a failed line search.
+    """Fit a CRF on `corpus`; deterministic given the config.  L-BFGS runs
+    on one weight row per feature group (`_merged`), and every feature of a
+    group gets the group's row.  The model metadata records the config,
+    the iteration count, the number of objective evaluations, and whether
+    L-BFGS met its stopping criterion (`converged`) rather than hitting
+    `max_epochs` or a failed line search.
     """
     cfg = cfg or TrainConfig()
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
-    distinct, counts = _distinct(corpus)
-    factors = feature_factors([ann.sentence for ann in distinct], template_set)
-    fmap = feature_map_from_factors(distinct, factors)
-    enc = _encode(distinct, fmap, counts, factors)
-    del factors  # nothing per position outlives the encoding
+    fmap, enc = _encoded(corpus, template_set)
     group = _column_groups((enc.offset_types @ enc.type_features).tocsc())
     enc = _merged(enc, group)
     result = scipy.optimize.minimize(
@@ -716,7 +693,7 @@ def train(
     rows, begin, end, trans = _unpack(
         result.x, enc.type_features.shape[1], fmap.num_tags
     )
-    emission = (rows / np.sqrt(np.bincount(group))[:, None])[group]
+    emission = (rows / enc.row_scale[:, None])[group]
     metadata = {
         "l2_sigma": cfg.l2_sigma,
         "max_epochs": cfg.max_epochs,
@@ -741,18 +718,20 @@ def decode(model: CrfModel, sentence: Sentence) -> TagSequence:
 
     Illegal transitions are masked to -inf; ties break toward the lowest
     tag index at each backtrace step.  The all-"O" path is always legal, so
-    decoding always succeeds.
+    the best path is, unless a score overflows: then inf plus the -inf mask
+    is NaN, and FloatingPointError is raised instead.
     """
-    emit = _emissions(model, sentence)
-    n, k = emit.shape
-    trans = model.transition + model._trans_mask
-    delta = model.begin + emit[0] + model._start_mask
-    back = np.zeros((n, k), dtype=np.int64)
-    for t in range(1, n):
-        scores = delta[:, None] + trans
-        back[t] = scores.argmax(axis=0)
-        delta = scores.max(axis=0) + emit[t]
-    final = delta + model.end + model._end_mask
+    with np.errstate(over="raise", invalid="raise"):
+        emit = _emissions(model, sentence)
+        n, k = emit.shape
+        trans = model.transition + model._trans_mask
+        delta = model.begin + emit[0] + model._start_mask
+        back = np.zeros((n, k), dtype=np.int64)
+        for t in range(1, n):
+            scores = delta[:, None] + trans
+            back[t] = scores.argmax(axis=0)
+            delta = scores.max(axis=0) + emit[t]
+        final = delta + model.end + model._end_mask
     best = int(np.argmax(final))
     path = [best]
     for t in range(n - 1, 0, -1):

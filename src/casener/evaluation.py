@@ -2,14 +2,10 @@
 
 A predicted span counts as a true positive only when a gold span matches it
 exactly in (start, end, type).  Counts are pooled over all sentences before
-ratios are taken (micro-averaging); zero denominators yield 0, matching
-conlleval.
+ratios are taken (micro-averaging).
 
 Test-time tagging lives here too: `tag_corpus` is the one place a test
-sentence is preprocessed (truecased) and decoded.  A caseless model needs no
-test-time lowercasing: its `CASE_AGNOSTIC` templates read every token
-through `corpus.case_key`, so it tags a sentence and its lowercased copy
-alike.  The memo in `tag_corpus` keys sentences on that same function.
+sentence is preprocessed (truecased) and decoded.
 """
 
 from __future__ import annotations
@@ -100,7 +96,8 @@ def tag_corpus(
     Decoding is deterministic, so each distinct sentence is truecased and
     decoded once and its tags reused for every repeat.  A caseless model's
     features read only the tokens' `case_key`s, and truecasing reads only
-    those too, so for either, sentences with equal keys are repeats.
+    those too, so for either, sentences with equal keys are repeats: a
+    caseless model needs no test-time lowercasing.
     """
     case_free = (truecaser is not None
                  or model.template_set is TemplateSet.CASE_AGNOSTIC)

@@ -3,19 +3,12 @@
 Two template sets over a +/-2 token window.  CASE_AWARE adds word-shape and
 capitalization-pattern features on top of case-free ones; CASE_AGNOSTIC
 emits only features that cannot distinguish a sentence from its lowercased
-form.  Both sets read word identities and affixes off each token's
-`corpus.case_key`, so casing is carried only by the shape/pattern features.
+or uppercased form.  Both sets read word identities and affixes off each
+token's `corpus.case_key`, so casing is carried only by the shape/pattern
+features.
 
-There is one featurizer, `feature_factors`, and training, decoding and
-`extract` all read its output.  It computes each distinct token's
-attributes (case-free key, shape, case class, affixes) once and lays out
-every template slot's feature-name ID per token type (`by_type`), next to
-the token type at each window offset of every position (`window`).  Every
-template reads one token at one offset, so these two factors determine
-every position's features: position p's name in slot s is
-`by_type[s, window[p, slot_offsets[s] + WINDOW]]`.  `extract` spells out
-one position's names that way.  A fitted `FeatureMap` holds, in sorted
-order, every feature that some position of the training corpus has.
+There is one featurizer, `feature_factors`; training, decoding and
+`extract` all read its `FeatureFactors`.
 """
 
 from __future__ import annotations
@@ -84,13 +77,13 @@ class FeatureFactors(NamedTuple):
     """The featurizer's output for a list of sentences, by token type.
 
     `by_type[s, t]` is the index into `names` that slot s (one per
-    template and window offset) gives a position whose token at the slot's
-    offset has type t, or -1 where the template emits nothing.  The types
-    are the distinct tokens, then the start and the end sentinel.
-    `slot_offsets[s]` is slot s's window offset, and `window[p, d + WINDOW]`
-    the type of the token at offset d from position p, for every token
-    position p in order.  `names` are distinct and may include names that
-    occur at no position (such as "w0=<s>").
+    template and window offset) gives token type t, or -1 where the
+    template emits nothing; the types are the distinct tokens, then the
+    start and the end sentinel.  `window[p, d + WINDOW]` is the type at
+    offset d from token position p, and `slot_offsets[s]` slot s's offset.
+    Every template reads one token at one offset, so position p's name in
+    slot s is `by_type[s, window[p, slot_offsets[s] + WINDOW]]`.  `names`
+    are distinct and may include names no position has (such as "w0=<s>").
     """
 
     names: list[str]
@@ -102,7 +95,9 @@ class FeatureFactors(NamedTuple):
 def feature_factors(
     sentences: Sequence[Sentence], template_set: TemplateSet
 ) -> FeatureFactors:
-    """The `FeatureFactors` of every token position of `sentences`.
+    """The `FeatureFactors` of every token position of `sentences`, with
+    each distinct token's attributes (case-free key, shape, case class,
+    affixes) computed once.
 
     Out-of-range window offsets read boundary sentinels instead of being
     skipped, so models can learn sentence-edge behavior.

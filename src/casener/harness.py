@@ -11,13 +11,10 @@ prepared:
 * AUGMENT     - train on the corpus plus its all-lower and all-upper
                 copies (3x size), case-aware templates.
 
-`run_grid` is the one runner: it loads the data once and trains each
-distinct model once, so TRUECASING scores the model BASELINE trained.
-`run_experiment` is its one-strategy case.
+`run_grid` is the one runner, and `run_experiment` its one-strategy case.
 
 Reports are a fixed-layout text table plus a machine-readable key-value
-file, deterministic for a fixed config (no timestamps).  A run's output
-paths are checked before its data loads (`check_output_paths`).
+file, deterministic for a fixed config (no timestamps).
 """
 
 from __future__ import annotations
@@ -298,7 +295,8 @@ def run_grid(
     """Run several strategies on one shared data source; combined table.
 
     The data is generated or read once, and each distinct model is trained
-    once.  Returns the individual results plus the combined report text.
+    once, so TRUECASING scores the model BASELINE trained.  Returns the
+    individual results plus the combined report text.
     """
     if not configs:
         raise ValueError("at least one experiment config is required")

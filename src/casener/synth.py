@@ -6,9 +6,6 @@ carries real signal: some gazetteer entries double as common nouns and are
 only entities when capitalized, acronym organizations are all-caps, and a
 slice of test entities never occurs in training.  Gold tags are derived
 from the slot positions, so annotations are scheme-valid by construction.
-The split repeats itself (seed 42's 2,000 training sentences hold 456
-distinct ones), so each split builds and checks one immutable
-`AnnotatedSentence` per distinct draw and shares it among the repeats.
 
 The vocabulary (gazetteers, templates and decoy nouns) is fixed in this
 module; a `SynthConfig` chooses only the seed, the split sizes and the

@@ -3,13 +3,6 @@
 Lowercasing or uppercasing every word of a sentence leaves its entity
 annotation valid, so these transforms copy gold tags through unchanged.
 Case mappings are the default Unicode ones (no locale tailoring).
-
-Within one `make_variant` call each distinct (tokens, tags) pair is
-transformed and checked once, and its repeats share that immutable
-object.  Each distinct token is cased once, and equal cased tokens
-("New" and "new" both lowercase to "new") are one string, shared by every
-sentence that holds it.  `augment` inherits this from it.  Nothing is
-cached across calls.
 """
 
 from __future__ import annotations
@@ -38,8 +31,9 @@ def to_upper(sentence: Sentence) -> Sentence:
 
 class _Cased(dict):
     """Token -> its cased string, cased on the token's first lookup.  Equal
-    cased strings are one object.  Lookups of known tokens stay in C; a
-    per-sentence pass in Python made `make_variant` about a quarter slower."""
+    cased strings ("New" and "new" both lowercase to "new") are one object.
+    Lookups of known tokens stay in C; a per-sentence pass in Python made
+    `make_variant` about a quarter slower."""
 
     def __init__(self, case: Callable[[str], str]) -> None:
         super().__init__()
@@ -54,8 +48,9 @@ class _Cased(dict):
 
 def make_variant(corpus: Corpus, variant: CaseVariant) -> Corpus:
     """Apply `variant` to every sentence of `corpus`; gold tags are carried
-    over as-is.  Equal annotated sentences share one transformed object,
-    and equal tokens one cased string."""
+    over as-is.  Each distinct (tokens, tags) pair is transformed and
+    checked once, and its repeats share that immutable object; equal tokens
+    share one cased string (`_Cased`).  Nothing is cached across calls."""
     if variant is CaseVariant.ORIGINAL:
         return corpus
     cased = _Cased(str.lower if variant is CaseVariant.LOWER else str.upper)

@@ -2,11 +2,8 @@
 
 Restores the usual spelling of each word before tagging, so a downstream
 case-aware model sees well-formed text regardless of how the input was
-cased.  Training takes a per-word majority vote over case classes, with
-sentence-initial capitalization discounted because it says little about a
-word's lexical case, and keeps one decision per word: the spelling it is
-restored to (format version 3).  Words are keyed on `corpus.case_key`, so
-a sentence is restored from, and only from, its tokens' keys.
+cased: `train_truecaser` learns one spelling per word, and `truecase`
+restores it.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from .corpus import Corpus, Sentence, case_key, init_cap_form
 INITIAL_INIT_CAP_WEIGHT = Fraction(1, 10)
 
 _KIND = "truecaser"
-_VERSION = 3
+_VERSION = 4
 
 
 class TruecaserFormatError(ValueError):
@@ -97,11 +94,11 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     """Build a truecaser from token occurrences; annotations are ignored.
 
     Each word is restored to its majority case class (Lita et al., 2003).
-    Sentence-initial InitCap occurrences are discounted (weight 0.1 to
-    INIT_CAP, 0.9 to LOWER); all other occurrences count fully, and
-    `_CLASS_PRIORITY` breaks ties.  A word whose class is not LOWER keeps
-    the most frequent spelling of that class, ties going to the smallest
-    string.
+    Sentence-initial InitCap occurrences, which say little about a word's
+    lexical case, are discounted (weight 0.1 to INIT_CAP, 0.9 to LOWER);
+    all other occurrences count fully, and `_CLASS_PRIORITY` breaks ties.
+    A word whose class is not LOWER keeps the most frequent spelling of
+    that class, ties going to the smallest string.
     """
     if len(corpus) == 0:
         raise ValueError("cannot train a truecaser on an empty corpus")

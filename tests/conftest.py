@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from casener import crf, harness
+from casener import container, crf, harness
 from casener.cli import EXIT_OK, main
 from casener.corpus import (
     AnnotatedSentence,
@@ -167,10 +167,13 @@ def mutated_container(draw, doc: dict) -> bytes:
 
 
 def old_version_blob(caser, version: int) -> bytes:
-    """`caser` in truecaser format version 1 or 2, which held per-word case
-    class counts and the spellings of mixed-case words instead of one
-    spelling per word; version 1 also held the sentence-initial class
-    counts and the fallback class."""
+    """`caser` in truecaser format version 1, 2 or 3.  Version 3 held the
+    same word -> spelling map as today, keyed on `str.lower`.  Versions 1
+    and 2 held per-word case class counts and the spellings of mixed-case
+    words instead of one spelling per word; version 1 also held the
+    sentence-initial class counts and the fallback class."""
+    if version == 3:
+        return container.dump("truecaser", 3, {"surfaces": caser.surfaces})
     classes = {w: classify_case(s) for w, s in caser.surfaces.items()}
     doc = {
         "format": "casener-truecaser", "version": version,

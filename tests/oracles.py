@@ -60,10 +60,11 @@ _CAP_NAMES = {
 
 def extract_reference(sentence, i: int, template_set) -> set[str]:
     """The feature strings of position `i`, template by template: the
-    lowercased word (w) and, case-aware, its shape (sh) at offsets -2..2,
-    case-aware its case class (cap) at -1..1, the lowercased word's
-    prefixes and suffixes of one to four characters, and "bos" at i == 0.
-    Offsets outside the sentence give the "<s>" and "</s>" sentinels."""
+    word's key (w) and, case-aware, its shape (sh) at offsets -2..2,
+    case-aware its case class (cap) at -1..1, the key's prefixes and
+    suffixes of one to four characters, and "bos" at i == 0.  A word's key
+    is the word uppercased, then casefolded.  Offsets outside the sentence
+    give the "<s>" and "</s>" sentinels."""
     n = len(sentence)
     if not 0 <= i < n:
         raise ValueError(f"position {i} out of range for a {n}-token sentence")
@@ -82,11 +83,11 @@ def extract_reference(sentence, i: int, template_set) -> set[str]:
                 feats.add(f"sh{d}=</s>")
         else:
             token = sentence.tokens[j]
-            feats.add(f"w{d}={token.lower()}")
+            feats.add(f"w{d}={token.upper().casefold()}")
             if case_aware:
                 feats.add(f"sh{d}={word_shape(token)}")
 
-    word = sentence.tokens[i].lower()
+    word = sentence.tokens[i].upper().casefold()
     for length in range(1, min(4, len(word)) + 1):
         feats.add(f"pre{length}={word[:length]}")
         feats.add(f"suf{length}={word[-length:]}")
@@ -575,7 +576,8 @@ def iob_tags_reference(spans, length: int, scheme: Scheme) -> tuple[str, ...]:
 def train_truecaser_reference(corpus) -> Truecaser:
     """`train_truecaser`, classifying every occurrence anew.
 
-    Each occurrence adds its weight, an exact fraction, to its word's class
+    A token's word is the token uppercased, then casefolded.  Each
+    occurrence adds its weight, an exact fraction, to its word's class
     and one to its own spelling; a word then takes its majority class, ties
     going to the earlier class in `CaseClass` order, and unless that is
     LOWER keeps the class's most frequent spelling, ties going to the
@@ -586,16 +588,16 @@ def train_truecaser_reference(corpus) -> Truecaser:
     for ann in corpus:
         for pos, token in enumerate(ann.sentence.tokens):
             cls = classify_case(token)
-            lowered = token.lower()
+            folded = token.upper().casefold()
             if pos == 0:
                 if cls is CaseClass.INIT_CAP:
-                    case_counts[lowered][CaseClass.INIT_CAP] += weight
-                    case_counts[lowered][CaseClass.LOWER] += 1 - weight
+                    case_counts[folded][CaseClass.INIT_CAP] += weight
+                    case_counts[folded][CaseClass.LOWER] += 1 - weight
                 else:
-                    case_counts[lowered][cls] += 1
+                    case_counts[folded][cls] += 1
             else:
-                case_counts[lowered][cls] += 1
-            spellings[lowered][cls][token] += 1
+                case_counts[folded][cls] += 1
+            spellings[folded][cls][token] += 1
     order = list(CaseClass)
     surfaces = {}
     for word, counts in case_counts.items():

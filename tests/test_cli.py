@@ -12,10 +12,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casener import cli, harness
+from casener import cli, crf, harness
 from casener.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from casener.corpus import (
     parse_conll, read_conll_file, write_conll, write_conll_file,
@@ -180,6 +181,24 @@ def test_tag_reads_only_the_token_column(fuzz_inputs, tmp_path, capsys,
     ]
 
 
+def test_tag_with_overflowing_scores_exits_3(fuzz_inputs, data_files,
+                                            tmp_path, capsys):
+    # Weights of 1e308 are finite, so the model loads; their sums are not.
+    model = crf.load(fuzz_inputs["model"])
+    huge = crf.CrfModel(
+        model.feature_map, model.template_set,
+        np.full_like(model.emission, 1e308), model.begin, model.end,
+        model.transition,
+    )
+    path = str(tmp_path / "huge.crf")
+    crf.save_file(huge, path)
+    out = tmp_path / "out.conll"
+    assert main(["tag", "--model", path, "--input", data_files[2],
+                 "--output", str(out)]) == EXIT_NUMERICAL
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_python_m_casener_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": "src"}
     result = subprocess.run([sys.executable, "-m", "casener", "--help"],
@@ -256,7 +275,7 @@ def test_truecase_fit_and_apply(data_files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["truecase", "tag"])
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_truecaser_version_exits_2(data_files, fuzz_inputs, tmp_path,
                                        capsys, version, command):
     root, train, test = data_files

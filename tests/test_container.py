@@ -52,7 +52,7 @@ MALFORMED = {
 def _crf_container(tags: list[str], weight: float = 0.0) -> bytes:
     """A two-tag CRF container whose emission weights all equal `weight`."""
     encode = crf._encode_array
-    return container.dump("crf", 1, {
+    return container.dump("crf", crf._VERSION, {
         "template_set": TemplateSet.CASE_AWARE.value,
         "tags": tags, "features": ["w0=a"],
         "emission": encode(np.full((1, 2), weight)),

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -521,6 +522,47 @@ class TestDecode:
             tags = decode(model, sentence)
             validate_tags(tags.tags, Scheme.IOBES)  # raises on violation
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(
+            [1.0, 1e154, 1e300, 1e306, 1e307, 1e308, sys.float_info.max]
+        ),
+        max_len=st.sampled_from([1, 8]),
+    )
+    def test_legal_or_floating_point_error_at_any_finite_scale(
+        self, seed, scale, max_len
+    ):
+        # Weights up to the largest finite double load, but their sums can
+        # overflow; then decoding must say so rather than return, or choke
+        # on, an illegal path.
+        rng = random.Random(seed)
+        shape = random_model(rng)
+        draw = np.random.default_rng(seed)
+        model = CrfModel(
+            shape.feature_map, shape.template_set,
+            *(scale * draw.uniform(-1.0, 1.0, w.shape) for w in (
+                shape.emission, shape.begin, shape.end, shape.transition,
+            )),
+        )
+        sentence = random_sentence(rng, max_len=max_len)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                tags = decode(model, sentence)
+            except FloatingPointError:
+                return
+        validate_tags(tags.tags, Scheme.IOBES)
+        assert len(tags) == len(sentence)
+
+    def test_overflowing_scores_raise(self, rng):
+        model = random_model(rng)
+        huge = np.full_like(model.emission, 1e308)
+        model = CrfModel(model.feature_map, model.template_set, huge,
+                         model.begin, model.end, model.transition)
+        with pytest.raises(FloatingPointError):
+            decode(model, random_sentence(rng))
+
     def test_shift_invariance_at_one_position(self, rng):
         # the "bos" feature fires at exactly position 0, so shifting its
         # weight row adds a constant to that position's emissions only
@@ -902,6 +944,15 @@ class TestPersistence:
         doc["version"] = 999
         blob = gzip.compress(json.dumps(doc).encode("utf-8"), mtime=0)
         with pytest.raises(ModelFormatError, match="version"):
+            load(blob)
+
+    def test_version_1_rejected(self, rng):
+        # Version 1 keyed word and affix features on `str.lower`, so on
+        # non-ASCII text its feature names are not today's.
+        doc = json.loads(gzip.decompress(save(random_model(rng))))
+        doc["version"] = 1
+        blob = gzip.compress(json.dumps(doc).encode("utf-8"), mtime=0)
+        with pytest.raises(ModelFormatError, match="unsupported crf version 1"):
             load(blob)
 
     def test_wrong_format_rejected(self, rng):
