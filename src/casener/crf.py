@@ -1,12 +1,13 @@
 """First-order linear-chain CRF over sparse binary features.
 
 Scoring, exact log-partition and marginals, L2-regularized
-maximum-likelihood training with L-BFGS, and Viterbi decoding constrained to
-legal IOBES transitions.  One batched forward-backward recursion
-(`_forward_backward`) serves the training objective, `posteriors` and
-`log_partition`.  It runs in scaled probability space and falls back to a
-log-space recursion when the weights spread too widely for that; scores and
-Viterbi decoding are in log space.  All computation is double precision.
+maximum-likelihood training with L-BFGS-B (`lbfgs.minimize`), and Viterbi
+decoding constrained to legal IOBES transitions.  One batched
+forward-backward recursion (`_forward_backward`) serves the training
+objective, `posteriors` and `log_partition`.  It runs in scaled probability
+space and falls back to a log-space recursion when the weights spread too
+widely for that; scores and Viterbi decoding are in log space.  All
+computation is double precision.
 
 Training's design is argued where it is built: `_EncodedCorpus` (each
 distinct pair once, packed), `_merged` (one weight row per group of equal
@@ -25,10 +26,9 @@ from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 
-from . import container
+from . import container, lbfgs
 from .corpus import (
     Corpus,
     Sentence,
@@ -188,6 +188,14 @@ def _emissions(model: CrfModel, sentence: Sentence) -> np.ndarray:
     return scores.sum(axis=1)
 
 
+def _overflow_raises() -> np.errstate:
+    """The floating-point state of the one-sentence entry points
+    (`score_sequence`, `posteriors`, `log_partition`, `decode`): weights
+    up to the largest finite double load, and a score that overflows
+    raises FloatingPointError instead of returning inf or NaN."""
+    return np.errstate(over="raise", invalid="raise")
+
+
 def score_sequence(model: CrfModel, sentence: Sentence, tags: TagSequence) -> float:
     """Unnormalized log-space score of tagging `sentence` with `tags`."""
     if len(tags) != len(sentence):
@@ -195,12 +203,13 @@ def score_sequence(model: CrfModel, sentence: Sentence, tags: TagSequence) -> fl
             f"tag sequence length {len(tags)} != sentence length {len(sentence)}"
         )
     idx = [model.feature_map.tag_index(t) for t in tags.tags]
-    emit = _emissions(model, sentence)
-    score = model.begin[idx[0]] + model.end[idx[-1]]
-    for i, k in enumerate(idx):
-        score += emit[i, k]
-    for prev, cur in zip(idx, idx[1:]):
-        score += model.transition[prev, cur]
+    with _overflow_raises():
+        emit = _emissions(model, sentence)
+        score = model.begin[idx[0]] + model.end[idx[-1]]
+        for i, k in enumerate(idx):
+            score += emit[i, k]
+        for prev, cur in zip(idx, idx[1:]):
+            score += model.transition[prev, cur]
     return float(score)
 
 
@@ -218,10 +227,11 @@ def posteriors(
     Node marginals sum to 1 per position; edge marginals marginalize to the
     node marginals on both sides.
     """
-    logz, node, edge = _forward_backward(
-        _emissions(model, sentence), _packed(np.array([len(sentence)])),
-        np.ones(1), model.begin, model.end, model.transition,
-    )
+    with _overflow_raises():
+        logz, node, edge = _forward_backward(
+            _emissions(model, sentence), _packed(np.array([len(sentence)])),
+            np.ones(1), model.begin, model.end, model.transition,
+        )
     return float(logz[0]), node, edge
 
 
@@ -681,13 +691,11 @@ def train(
     fmap, enc = _encoded(corpus, template_set)
     group = _column_groups((enc.offset_types @ enc.type_features).tocsc())
     enc = _merged(enc, group)
-    result = scipy.optimize.minimize(
-        _neg_ll_and_grad,
+    result = lbfgs.minimize(
+        lambda w: _neg_ll_and_grad(w, enc, cfg.l2_sigma),
         np.zeros_like(enc.observed),
-        args=(enc, cfg.l2_sigma),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": cfg.max_epochs, "ftol": cfg.tolerance},
+        cfg.max_epochs,
+        cfg.tolerance,
     )
 
     rows, begin, end, trans = _unpack(
@@ -699,9 +707,9 @@ def train(
         "max_epochs": cfg.max_epochs,
         "tolerance": cfg.tolerance,
         "training_sentences": len(corpus),
-        "iterations": int(result.nit),
-        "function_evaluations": int(result.nfev),
-        "converged": bool(result.success),
+        "iterations": result.nit,
+        "function_evaluations": result.nfev,
+        "converged": result.converged,
     }
     return CrfModel(
         fmap, template_set, emission, begin.copy(), end.copy(), trans.copy(),
@@ -719,9 +727,9 @@ def decode(model: CrfModel, sentence: Sentence) -> TagSequence:
     Illegal transitions are masked to -inf; ties break toward the lowest
     tag index at each backtrace step.  The all-"O" path is always legal, so
     the best path is, unless a score overflows: then inf plus the -inf mask
-    is NaN, and FloatingPointError is raised instead.
+    would be NaN, and FloatingPointError is raised instead.
     """
-    with np.errstate(over="raise", invalid="raise"):
+    with _overflow_raises():
         emit = _emissions(model, sentence)
         n, k = emit.shape
         trans = model.transition + model._trans_mask

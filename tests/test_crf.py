@@ -563,6 +563,23 @@ class TestDecode:
         with pytest.raises(FloatingPointError):
             decode(model, random_sentence(rng))
 
+    @pytest.mark.parametrize("entry_point", [
+        posteriors,
+        log_partition,
+        lambda model, sentence: score_sequence(
+            model, sentence, TagSequence(("O",) * len(sentence))
+        ),
+    ], ids=["posteriors", "log_partition", "score_sequence"])
+    def test_other_entry_points_raise_on_overflow(self, entry_point):
+        # Before, these returned NaN (with RuntimeWarnings) or inf.
+        rng = random.Random(1)
+        model = random_model(rng)
+        huge = np.full_like(model.emission, 1e308)
+        model = CrfModel(model.feature_map, model.template_set, huge,
+                         model.begin, model.end, model.transition)
+        with pytest.raises(FloatingPointError):
+            entry_point(model, random_sentence(rng))
+
     def test_shift_invariance_at_one_position(self, rng):
         # the "bos" feature fires at exactly position 0, so shifting its
         # weight row adds a constant to that position's emissions only
