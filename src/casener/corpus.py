@@ -1,8 +1,10 @@
 """CoNLL-style corpus handling: parsing, writing, tagging schemes, entity spans.
 
 Tokens are plain strings; a sentence is an ordered tuple of them.  Tags in
-memory are IOBES (``TagSequence``, ``validate_tags``, ``is_legal_*``); IOB1
-and IOB2 exist only inside ``parse_conll``.
+memory are IOBES.  Only this module parses tags or knows IOBES: one rule
+table (`_legal_*`) serves `validate_tags` and `label_space_rules`, and
+`label_space` builds a model's tag set.  IOB1 and IOB2 exist only inside
+``parse_conll``.
 """
 
 from __future__ import annotations
@@ -86,21 +88,6 @@ def _legal_end(prefix: str) -> bool:
     return prefix in ("O", "E", "S")
 
 
-def is_legal_start(tag: str) -> bool:
-    """True if `tag` may open an IOBES sentence."""
-    return _legal_start(split_tag(tag)[0])
-
-
-def is_legal_transition(prev: str, cur: str) -> bool:
-    """True if `cur` may directly follow `prev` in IOBES."""
-    return _legal_transition(split_tag(prev), split_tag(cur))
-
-
-def is_legal_end(tag: str) -> bool:
-    """True if `tag` may close an IOBES sentence."""
-    return _legal_end(split_tag(tag)[0])
-
-
 def _parsed_tags(
     tags: Sequence[str], scheme: Scheme
 ) -> dict[str, tuple[str, str | None]]:
@@ -147,6 +134,29 @@ def validate_tags(tags: Sequence[str], scheme: Scheme = Scheme.IOBES) -> None:
             f"position {len(tags) - 1}: tag {tags[-1]!r} cannot close "
             "a sentence in scheme IOBES"
         )
+
+
+def label_space(tags: Iterable[str]) -> tuple[str, ...]:
+    """The IOBES label space of the entity types among `tags`: "O", then
+    all of B/I/E/S for each type, sorted."""
+    types = {split_tag(tag)[1] for tag in set(tags)} - {None}
+    return ("O",) + tuple(sorted(f"{p}-{t}" for t in types for p in "BIES"))
+
+
+def label_space_rules(
+    tags: Sequence[str],
+) -> tuple[list[bool], list[list[bool]], list[bool]]:
+    """Which of the distinct `tags` may open a sentence, follow each tag
+    (row: previous, column: next) and close one; `TagValidationError`
+    unless every tag is IOBES and "O", which keeps a path legal, is one."""
+    parsed = list(_parsed_tags(tags, Scheme.IOBES).values())
+    if "O" not in tags:
+        raise TagValidationError('the tag set lacks "O"')
+    return (
+        [_legal_start(prefix) for prefix, _ in parsed],
+        [[_legal_transition(prev, cur) for cur in parsed] for prev in parsed],
+        [_legal_end(prefix) for prefix, _ in parsed],
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,7 +323,7 @@ def _continues(tags: Sequence[str], i: int) -> bool:
     return i > 0 and tags[i - 1] != "O" and tags[i - 1][1:] == tags[i][1:]
 
 
-def _to_iobes(tags: Sequence[str], scheme: Scheme) -> tuple[str, ...]:
+def _to_iobes(tags: Sequence[str], scheme: Scheme) -> TagSequence:
     """Check IOB1 or IOB2 `tags` and rewrite them as IOBES.
 
     Every prefix must be O, B or I, and a tag that continues no chunk must
@@ -321,14 +331,14 @@ def _to_iobes(tags: Sequence[str], scheme: Scheme) -> tuple[str, ...]:
     or an I in IOB2 (where every chunk opens with B).  Errors name the
     first offending position, a bad prefix before all else.  A chunk starts
     at a B, or at an I that continues no chunk of its type, and runs over
-    the I's of its type that follow.
+    the I's of its type that follow; `spans_to_tags` writes the chunks.
     """
     _parsed_tags(tags, scheme)
     must_continue = "B" if scheme is Scheme.IOB1 else "I"
-    out = []
+    spans = []
+    start = 0
     for i, tag in enumerate(tags):
         if tag != "O":
-            rest = tag[1:]  # "-TYPE"
             continues = _continues(tags, i)
             if not continues and tag[0] == must_continue:
                 where = (f"transition {tags[i - 1]!r} -> {tag!r} is illegal"
@@ -336,13 +346,11 @@ def _to_iobes(tags: Sequence[str], scheme: Scheme) -> tuple[str, ...]:
                 raise TagValidationError(
                     f"position {i}: {where} in scheme {scheme.value}"
                 )
-            closes = i + 1 == len(tags) or tags[i + 1] != "I" + rest
             if tag[0] == "B" or not continues:
-                tag = ("S" if closes else "B") + rest
-            else:
-                tag = ("E" if closes else "I") + rest
-        out.append(tag)
-    return tuple(out)
+                start = i
+            if i + 1 == len(tags) or tags[i + 1] != "I" + tag[1:]:
+                spans.append(EntitySpan(start, i, tag[2:]))
+    return spans_to_tags(spans, len(tags))
 
 
 def parse_conll(text: str) -> Corpus:
@@ -402,9 +410,8 @@ def parse_conll(text: str) -> Corpus:
     annotated: list[AnnotatedSentence] = []
     for index, (start_line, sent_tokens, sent_tags) in enumerate(raw_sentences):
         try:
-            if detected is not Scheme.IOBES:
-                sent_tags = _to_iobes(sent_tags, detected)
-            gold = TagSequence(tuple(sent_tags))
+            gold = (TagSequence(tuple(sent_tags)) if detected is Scheme.IOBES
+                    else _to_iobes(sent_tags, detected))
         except TagValidationError as exc:
             raise TagValidationError(
                 f"sentence {index + 1} (starting at line {start_line}): "

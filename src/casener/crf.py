@@ -29,15 +29,7 @@ import numpy as np
 import scipy.sparse
 
 from . import container, lbfgs
-from .corpus import (
-    Corpus,
-    Sentence,
-    TagSequence,
-    is_legal_end,
-    is_legal_start,
-    is_legal_transition,
-    split_tag,
-)
+from .corpus import Corpus, Sentence, TagSequence, label_space_rules
 from .features import (
     WINDOW,
     FeatureFactors,
@@ -97,8 +89,8 @@ class CrfModel:
 
     `emission` has shape (num_features, num_tags); `begin`, `end` have shape
     (num_tags,); `transition` has shape (num_tags, num_tags).  All weights
-    must be finite.  Tags must form an IOBES label space ("O" or
-    "<B|I|E|S>-<TYPE>") holding "O"; decoding constraints are derived from it.
+    must be finite.  The tags must be IOBES and hold "O"; they are checked,
+    and decoding's constraints derived, by `corpus.label_space_rules`.
     """
 
     def __init__(
@@ -125,12 +117,7 @@ class CrfModel:
         ):
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite values in {name} weights")
-        for tag in feature_map.tags:
-            prefix, _ = split_tag(tag)
-            if prefix != "O" and prefix not in "BIES":
-                raise ValueError(f"tag {tag!r} is not an IOBES label")
-        if "O" not in feature_map.tags:
-            raise ValueError('the tag set lacks "O"')
+        start_ok, trans_ok, end_ok = label_space_rules(feature_map.tags)
 
         self.feature_map = feature_map
         self.template_set = template_set
@@ -139,15 +126,8 @@ class CrfModel:
         self.end = end
         self.transition = transition
         self.metadata: dict[str, object] = dict(metadata or {})
-
-        tags = feature_map.tags
-        self._start_mask = np.where(
-            [is_legal_start(t) for t in tags], 0.0, -np.inf
-        )
-        self._end_mask = np.where(
-            [is_legal_end(t) for t in tags], 0.0, -np.inf
-        )
-        trans_ok = [[is_legal_transition(a, b) for b in tags] for a in tags]
+        self._start_mask = np.where(start_ok, 0.0, -np.inf)
+        self._end_mask = np.where(end_ok, 0.0, -np.inf)
         self._trans_mask = np.where(trans_ok, 0.0, -np.inf)
 
     @property
@@ -640,9 +620,10 @@ def _column_groups(x: scipy.sparse.csc_matrix) -> np.ndarray:
     return np.unique(label, return_inverse=True)[1]
 
 
-def _merged(enc: _EncodedCorpus, group: np.ndarray) -> _EncodedCorpus:
+def _merged(enc: _EncodedCorpus) -> tuple[_EncodedCorpus, np.ndarray]:
     """`enc` with one emission row per group of features with equal columns
-    of `offset_types @ type_features` (`_column_groups`).
+    of `offset_types @ type_features`, and the group of every feature
+    (`_column_groups`).
 
     A group of c features keeps its first feature's column of
     `type_features` and row of `observed`, both times sqrt(c), which
@@ -655,6 +636,7 @@ def _merged(enc: _EncodedCorpus, group: np.ndarray) -> _EncodedCorpus:
     pass later, never earlier.
     """
     k = enc.num_tags
+    group = _column_groups((enc.offset_types @ enc.type_features).tocsc())
     first = np.unique(group, return_index=True)[1]
     scale = np.sqrt(np.bincount(group))
     gold_rows = enc.observed[: len(group) * k].reshape(-1, k)
@@ -670,7 +652,7 @@ def _merged(enc: _EncodedCorpus, group: np.ndarray) -> _EncodedCorpus:
             enc.observed[len(group) * k :],
         ]),
         row_scale=scale,
-    )
+    ), group
 
 
 def train(
@@ -689,8 +671,7 @@ def train(
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
     fmap, enc = _encoded(corpus, template_set)
-    group = _column_groups((enc.offset_types @ enc.type_features).tocsc())
-    enc = _merged(enc, group)
+    enc, group = _merged(enc)
     result = lbfgs.minimize(
         lambda w: _neg_ll_and_grad(w, enc, cfg.l2_sigma),
         np.zeros_like(enc.observed),

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, case_key, split_tag
+from .corpus import Corpus, Sentence, case_key, label_space
 from .truecase import CaseClass, classify_case
 
 #: Offsets considered around the current position.
@@ -229,9 +229,9 @@ class FeatureMap:
 def fit_feature_map(corpus: Corpus, template_set: TemplateSet) -> FeatureMap:
     """Collect every feature that occurs in `corpus`, plus its tag set.
 
-    Feature indices are assigned lexicographically; the tag list puts "O"
-    first and closes the IOBES label space over every entity type seen (all
-    of B/I/E/S per type), so decoding constraints are always well-formed.
+    Feature indices are assigned lexicographically; the tags are
+    `corpus.label_space` of the tags seen (all of B/I/E/S for every entity
+    type seen, after "O"), so decoding constraints are always well-formed.
     """
     if len(corpus) == 0:
         raise ValueError("cannot fit a feature map on an empty corpus")
@@ -252,11 +252,5 @@ def feature_map_from_factors(
     occurs[np.arange(window.shape[1]), window] = True
     held = by_type[occurs[slot_offsets + WINDOW] & (by_type >= 0)]
     kept = sorted(names[i] for i in np.unique(held))
-    # A validated tag sequence puts every non-O tag in a span of its own
-    # type, so the distinct tags name every entity type.
-    distinct = {tag for ann in corpus for tag in ann.gold.tags} - {"O"}
-    types = {split_tag(tag)[1] for tag in distinct}
-    tags = ("O",) + tuple(
-        sorted(f"{p}-{t}" for t in types for p in ("B", "I", "E", "S"))
-    )
+    tags = label_space(tag for ann in corpus for tag in ann.gold.tags)
     return FeatureMap(tuple(kept), tags)

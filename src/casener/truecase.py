@@ -65,8 +65,8 @@ class Truecaser:
     """The spelling each word is restored to.
 
     `surfaces` maps a word (a `case_key`) to its restored spelling, whose
-    key it is; a word it does not hold (unseen, or usually lowercase) is
-    restored as itself.
+    key it is; a word it does not hold (unseen, spelled as its key, or with
+    no spelling of its majority class) is restored as itself.
     """
 
     def __init__(self, surfaces: Mapping[str, str]) -> None:
@@ -97,8 +97,9 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     Sentence-initial InitCap occurrences, which say little about a word's
     lexical case, are discounted (weight 0.1 to INIT_CAP, 0.9 to LOWER);
     all other occurrences count fully, and `_CLASS_PRIORITY` breaks ties.
-    A word whose class is not LOWER keeps the most frequent spelling of
-    that class, ties going to the smallest string.
+    A word keeps the most frequent spelling of its class, ties going to the
+    smallest string; one with no spelling of that class, such as a word
+    seen only sentence-initially in InitCap, keeps none.
     """
     if len(corpus) == 0:
         raise ValueError("cannot train a truecaser on an empty corpus")
@@ -124,7 +125,7 @@ def train_truecaser(corpus: Corpus) -> Truecaser:
     spellings: dict[str, list[tuple[int, str]]] = defaultdict(list)
     for token, cls in classes.items():
         word = case_key(token)
-        if cls is majority[word] and cls is not CaseClass.LOWER:
+        if cls is majority[word]:
             spellings[word].append((-occurrences[token], token))
     surfaces = {word: min(found)[1] for word, found in spellings.items()}
     return Truecaser(
@@ -136,11 +137,12 @@ def truecase(truecaser: Truecaser, sentence: Sentence) -> Sentence:
     """Restore each token's usual spelling.
 
     Tokens are looked up by their `case_key`, so the output is a function
-    of the keys.  A sentence-initial token restored as its key is emitted
-    in InitCap form, mimicking well-formed text.
+    of the keys.  A sentence-initial token restored as its key (not always
+    lowercase: "ϒ" keys to itself) or to a lowercase spelling is emitted in
+    InitCap form, mimicking well-formed text.
     """
     words = list(map(case_key, sentence.tokens))
     out = [truecaser.surfaces.get(word, word) for word in words]
-    if out[0] == words[0]:
-        out[0] = init_cap_form(words[0])
+    if out[0] == words[0] or classify_case(out[0]) is CaseClass.LOWER:
+        out[0] = init_cap_form(out[0])
     return Sentence(tuple(out))

@@ -28,9 +28,6 @@ from casener.corpus import (
     Scheme,
     TagValidationError,
     extract_spans,
-    is_legal_end,
-    is_legal_start,
-    is_legal_transition,
     split_tag,
 )
 from casener.crf import CrfModel, log_likelihood_and_gradient
@@ -278,12 +275,12 @@ def enumerate_best_legal_path(
     best_path: tuple[int, ...] | None = None
     best_score = -math.inf
     for path in itertools.product(range(k), repeat=n):
-        if not is_legal_start(tags[path[0]]):
+        if not _legal_start_reference(tags[path[0]], Scheme.IOBES):
             continue
-        if not is_legal_end(tags[path[-1]]):
+        if not _legal_end_reference(tags[path[-1]], Scheme.IOBES):
             continue
         if any(
-            not is_legal_transition(tags[a], tags[b])
+            not _legal_transition_reference(tags[a], tags[b], Scheme.IOBES)
             for a, b in zip(path, path[1:])
         ):
             continue
@@ -448,11 +445,14 @@ def enumerate_best_legal_path_fast(
 ) -> tuple[tuple[str, ...], float]:
     paths, scores = _all_path_scores(model, sentence)
     tags = model.feature_map.tags
-    start_ok = np.array([is_legal_start(t) for t in tags])
-    end_ok = np.array([is_legal_end(t) for t in tags])
-    trans_ok = np.array(
-        [[is_legal_transition(a, b) for b in tags] for a in tags]
+    start_ok = np.array(
+        [_legal_start_reference(t, Scheme.IOBES) for t in tags]
     )
+    end_ok = np.array([_legal_end_reference(t, Scheme.IOBES) for t in tags])
+    trans_ok = np.array([
+        [_legal_transition_reference(a, b, Scheme.IOBES) for b in tags]
+        for a in tags
+    ])
     legal = start_ok[paths[:, 0]] & end_ok[paths[:, -1]]
     for pos in range(1, paths.shape[1]):
         legal &= trans_ok[paths[:, pos - 1], paths[:, pos]]
@@ -579,9 +579,9 @@ def train_truecaser_reference(corpus) -> Truecaser:
     A token's word is the token uppercased, then casefolded.  Each
     occurrence adds its weight, an exact fraction, to its word's class
     and one to its own spelling; a word then takes its majority class, ties
-    going to the earlier class in `CaseClass` order, and unless that is
-    LOWER keeps the class's most frequent spelling, ties going to the
-    smallest string."""
+    going to the earlier class in `CaseClass` order, and keeps the class's
+    most frequent spelling, ties going to the smallest string, unless no
+    occurrence has that class."""
     weight = INITIAL_INIT_CAP_WEIGHT  # a Fraction
     case_counts: dict = defaultdict(lambda: defaultdict(Fraction))
     spellings: dict = defaultdict(lambda: defaultdict(Counter))
@@ -602,7 +602,7 @@ def train_truecaser_reference(corpus) -> Truecaser:
     surfaces = {}
     for word, counts in case_counts.items():
         cls = min(counts, key=lambda c: (-counts[c], order.index(c)))
-        if cls is CaseClass.LOWER:
+        if not spellings[word][cls]:
             continue
         surface = min(spellings[word][cls].items(),
                       key=lambda kv: (-kv[1], kv[0]))[0]

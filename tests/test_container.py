@@ -105,7 +105,8 @@ def test_model_without_o_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("data, message", [
     (_crf_container(["O", "S-A"], float("nan")),
      "non-finite values in emission weights"),
-    (_crf_container(["O", "X-A"]), "tag 'X-A' is not an IOBES label"),
+    (_crf_container(["O", "X-A"]),
+     "position 1: prefix 'X' of tag 'X-A' is not part of scheme IOBES"),
 ])
 def test_model_with_nan_weight_or_non_iobes_tag_rejected(tmp_path, capsys,
                                                          data, message):

@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import itertools
 import random
 import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +24,7 @@ from casener.corpus import (
     _detect,
     _to_iobes,
     extract_spans,
+    label_space_rules,
     parse_conll,
     read_conll_file,
     spans_to_tags,
@@ -30,6 +33,9 @@ from casener.corpus import (
 )
 from conftest import conll_texts, random_corpus, random_tagging
 from oracles import (
+    _legal_end_reference,
+    _legal_start_reference,
+    _legal_transition_reference,
     check_tokens_reference,
     conlleval_spans,
     iob_tags_reference,
@@ -431,13 +437,16 @@ def test_validate_tags_matches_reference(tags):
 def test_to_iobes_checks_like_reference(scheme):
     """`_to_iobes` raises the reference validator's error, or none, on
     every non-empty sequence of up to 4 tags (a parse yields no empty
-    one), and what it accepts it rewrites as legal IOBES."""
+    one), and what it accepts it rewrites as the IOBES tag sequence of the
+    chunks conlleval reads."""
     for length in range(1, 5):
         for tags in itertools.product(_TAG_PIECES, repeat=length):
             expected = _outcome(validate_tags_reference, tags, scheme)
             assert _outcome(_to_iobes, tags, scheme) == expected, tags
             if expected is None:
-                TagSequence(_to_iobes(tags, scheme))
+                spans = extract_spans(_to_iobes(tags, scheme))
+                assert [(s.start, s.end, s.entity_type)
+                        for s in spans] == conlleval_spans(tags), tags
 
 
 def test_validate_tags_parses_each_distinct_tag_once(monkeypatch):
@@ -452,3 +461,56 @@ def test_validate_tags_parses_each_distinct_tag_once(monkeypatch):
     tags = ("O", "B-PER", "E-PER", "O", "S-LOC", "O") * 50
     validate_tags(tags, Scheme.IOBES)
     assert parsed == Counter(set(tags))
+    parsed.clear()
+    space = ("O", "B-PER", "I-PER", "E-PER", "S-PER")
+    label_space_rules(space)
+    assert parsed == Counter(space)
+
+
+@given(st.lists(st.text("ABC-", min_size=1, max_size=3), min_size=1,
+                max_size=3, unique=True)
+       .map(lambda types: ["O"] + [f"{p}-{t}" for t in types for p in "BIES"])
+       .flatmap(st.permutations))
+def test_label_space_rules_match_reference(tags):
+    """The decoding constraints of a label space of 1-3 entity types, in
+    any order, are the reference's rules for every tag and pair."""
+    start, trans, end = label_space_rules(tags)
+    assert start == [_legal_start_reference(t, Scheme.IOBES) for t in tags]
+    assert end == [_legal_end_reference(t, Scheme.IOBES) for t in tags]
+    assert trans == [
+        [_legal_transition_reference(a, b, Scheme.IOBES) for b in tags]
+        for a in tags
+    ]
+
+
+@pytest.mark.parametrize("tags, message", [
+    (("O", "X-A"),
+     "position 1: prefix 'X' of tag 'X-A' is not part of scheme IOBES"),
+    (("B-A", "E-A"), 'the tag set lacks "O"'),
+])
+def test_label_space_rules_reject_a_non_iobes_tag_or_no_o(tags, message):
+    # `crf.load` and `casener tag` report these texts (test_container.py).
+    with pytest.raises(TagValidationError) as caught:
+        label_space_rules(tags)
+    assert str(caught.value) == message
+
+
+def _split_tag_references(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "split_tag"
+            or isinstance(node, ast.Attribute) and node.attr == "split_tag"
+            or isinstance(node, ast.alias) and node.name == "split_tag"]
+
+
+def test_only_corpus_parses_tags():
+    """`corpus` is the one module that parses a tag or knows the IOBES
+    rules, so no other module of the package names `split_tag`."""
+    package = Path(casener.corpus.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        lines = _split_tag_references(ast.parse(path.read_text("utf-8")))
+        if path.name == "corpus.py":
+            assert lines, "corpus.py no longer parses tags with split_tag"
+        else:
+            found += [f"{path.name}:{line}" for line in lines]
+    assert found == []

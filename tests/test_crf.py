@@ -827,13 +827,12 @@ class TestDistinctTraining:
 
 
 def _groups_of(corpus: Corpus, template_set: TemplateSet):
-    """The feature map of `corpus`, the `_encode` of its distinct sentences
-    and `_column_groups` of their features."""
+    """The feature map of `corpus`, the `_encode` of its distinct sentences,
+    and its `_merged` copy with the group of each feature."""
     distinct, counts = crf._distinct(corpus)
     fmap = fit_feature_map(corpus, template_set)
     enc = encode(distinct, fmap, template_set, counts)
-    x = (enc.offset_types @ enc.type_features).tocsc()
-    return fmap, enc, crf._column_groups(x)
+    return fmap, enc, *crf._merged(enc)
 
 
 _ONE_TOKEN_CORPUS = Corpus((
@@ -852,7 +851,7 @@ class TestMergedColumns:
            template_set=st.sampled_from(list(TemplateSet)))
     @example(corpus=_ONE_TOKEN_CORPUS, template_set=TemplateSet.CASE_AWARE)
     def test_groups_match_reference(self, corpus, template_set):
-        fmap, _, group = _groups_of(corpus, template_set)
+        fmap, _, _, group = _groups_of(corpus, template_set)
         distinct, _ = crf._distinct(corpus)
         assert group.tolist() == column_groups_reference(
             distinct, fmap, template_set
@@ -879,8 +878,7 @@ class TestMergedColumns:
              seed=0, sigma=1.0)
     def test_merged_objective_is_the_full_objective(self, corpus,
                                                     template_set, seed, sigma):
-        fmap, enc, group = _groups_of(corpus, template_set)
-        merged = crf._merged(enc, group)
+        fmap, enc, merged, group = _groups_of(corpus, template_set)
         k, size = fmap.num_tags, np.bincount(group)
         scale = np.sqrt(size)[:, None]
         u = np.random.default_rng(seed).uniform(-1, 1, merged.observed.shape)

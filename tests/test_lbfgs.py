@@ -58,10 +58,7 @@ def test_seed_42_training_problems(strategy, nit, nfev):
     # defaults; the counts are the ones the seed-42 reports print.
     train, _ = generate(default_config(seed=42))
     corpus, template_set = training_view(train, strategy)
-    _, enc = crf._encoded(corpus, template_set)
-    enc = crf._merged(
-        enc, crf._column_groups((enc.offset_types @ enc.type_features).tocsc())
-    )
+    enc, _ = crf._merged(crf._encoded(corpus, template_set)[1])
     cfg = crf.TrainConfig()
     got = _assert_same_as_scipy(
         lambda w: crf._neg_ll_and_grad(w, enc, cfg.l2_sigma),

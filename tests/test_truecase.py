@@ -98,6 +98,20 @@ class TestTraining:
         assert restored(caser, "ipod") == "IPod"  # a tie: the smaller string
         assert restored(caser, "ebay") == "ebay"  # LOWER outvotes MIXED
 
+    def test_lowercase_word_keeps_a_spelling_that_is_not_its_key(self):
+        # "straße" keys "strasse", so its lowercase spelling must be kept.
+        caser = train_truecaser(Corpus(tuple(
+            ann("Die straße ist lang") for _ in range(3)
+        )))
+        assert restored(caser, "STRASSE") == "straße"
+        assert restored(caser, "strasse") == "straße"
+        assert truecase(caser, Sentence(("straße", "ist"))).tokens == (
+            "Straße", "ist"
+        )
+        # A word restored as its key is capitalized even when the key is
+        # not lowercase: "ϒ" keys to itself, an uppercase letter.
+        assert truecase(caser, Sentence(("aϒ",))).tokens == ("Aϒ",)
+
     def test_exact_tie_goes_to_lower(self):
         # INIT_CAP 25 * 0.1 + 20 = 22.5 against LOWER 25 * 0.9 = 22.5, a tie;
         # float sums give LOWER 22.499999999999993.
