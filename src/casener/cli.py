@@ -25,7 +25,7 @@ from .corpus import (
 from .crf import TrainConfig, TrainingError, load_file, save_file, train
 from .evaluation import evaluate, metrics_lines, tag_corpus
 from .harness import ExperimentConfig, Strategy, read_config_file
-from .synth import default_config, generate, vocabulary_overlap_lines
+from .synth import SynthConfig, generate, vocabulary_overlap_lines
 from .transforms import augment
 from .truecase import Truecaser, train_truecaser, truecase
 
@@ -39,22 +39,22 @@ class UsageError(Exception):
     pass
 
 
-_SEED_HELP = "run label printed in the reports; training does not read it"
+def _config_flags(config: type) -> tuple:
+    """(flag, add_argument keywords) per field of the dataclass `config`:
+    `--` and the name with `-` for `_`, cast to the type of the default,
+    which a flag not given leaves."""
+    return tuple((f"--{f.name.replace('_', '-')}", {"type": type(f.default)})
+                 for f in fields(config))
 
-#: Training settings: (flag, add_argument keywords).
-_TRAIN_FLAGS = (
-    ("--l2-sigma", {"type": float}),
-    ("--max-epochs", {"type": int}),
-    ("--tolerance", {"type": float}),
-)
-#: `synth` settings: `default_config`'s keywords, which a flag not given
-#: leaves at their defaults.
-_SYNTH_FLAGS = (
-    ("--seed", {"type": int}),
-    ("--train-sentences", {"type": int}),
-    ("--test-sentences", {"type": int}),
-    ("--noise-rate", {"type": float}),
-)
+
+def _given(config: type, settings: dict, prefix: str = "") -> dict:
+    """`config`'s fields that `settings` sets (not None), at prefix + name."""
+    return {f.name: settings[prefix + f.name] for f in fields(config)
+            if settings[prefix + f.name] is not None}
+
+
+_TRAIN_FLAGS = _config_flags(TrainConfig)
+_SYNTH_FLAGS = _config_flags(SynthConfig)
 #: Settings `experiment` and `grid` share.  Every flag of those two commands
 #: but --config is also a config-file key: the flag without its dashes.
 _SHARED_FLAGS = (
@@ -66,7 +66,8 @@ _SHARED_FLAGS = (
     ("--type-map", {"help": "key=value file mapping predicted entity types "
                             "onto the gold inventory"}),
     *_TRAIN_FLAGS,
-    ("--seed", {"type": int, "help": _SEED_HELP}),
+    ("--seed", {"type": int, "help": "run label printed in the reports; "
+                                     "training does not read it"}),
 )
 _EXPERIMENT_FLAGS = (
     ("--strategy", {"choices": [s.value for s in Strategy]}),
@@ -199,27 +200,18 @@ def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
     return settings
 
 
-def _train_config(settings: dict[str, object]) -> TrainConfig:
-    """TrainConfig from the settings named like its fields that are given."""
-    return TrainConfig(**{
-        f.name: settings[f.name] for f in fields(TrainConfig)
-        if settings[f.name] is not None
-    })
-
-
 def _experiment_config(settings: dict[str, object], strategy: Strategy,
                        config_path: str | None) -> ExperimentConfig:
     """The run `settings` describe, its paths checked.  A synthetic source
     with files, or files with a synth setting, is a usage error."""
     train_path, test_path = settings["train"], settings["test"]
     files = train_path is not None or test_path is not None
-    synth = {key.removeprefix("synth_"): value for key, value in settings.items()
-             if key.startswith("synth_") and value is not None}
+    synth = _given(SynthConfig, settings, "synth_")
     synth_cfg = None
     if (settings["data"] or ("files" if files else "synth")) == "synth":
         if files:
             raise UsageError("synthetic data source takes no --train or --test")
-        synth_cfg = default_config(**synth)
+        synth_cfg = SynthConfig(**synth)
     elif synth:
         raise UsageError("file data source takes no --synth-* settings")
     elif not train_path or not test_path:
@@ -236,7 +228,7 @@ def _experiment_config(settings: dict[str, object], strategy: Strategy,
         train_path=train_path,
         test_path=test_path,
         synth=synth_cfg,
-        train_config=_train_config(settings),
+        train_config=TrainConfig(**_given(TrainConfig, settings)),
         seed=settings["seed"] or 0,
         report_path=settings["report"],
         model_path=settings.get("model"),
@@ -250,7 +242,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     corpus = read_conll_file(args.train)
     strategy = Strategy(args.strategy)
     train_view, template_set = harness.training_view(corpus, strategy)
-    model = train(train_view, template_set, _train_config(vars(args)))
+    model = train(train_view, template_set,
+                  TrainConfig(**_given(TrainConfig, vars(args))))
     save_file(model, args.model)
     if not model.metadata["converged"]:
         print(
@@ -341,11 +334,8 @@ def _cmd_truecase(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     harness.check_output_paths([("--out-train", "train output", args.out_train),
                                 ("--out-test", "test output", args.out_test)])
-    dests = [flag[2:].replace("-", "_") for flag, _ in _SYNTH_FLAGS]
-    train_corpus, test_corpus = generate(default_config(**{
-        dest: getattr(args, dest) for dest in dests
-        if getattr(args, dest) is not None
-    }))
+    train_corpus, test_corpus = generate(
+        SynthConfig(**_given(SynthConfig, vars(args))))
     write_conll_file(train_corpus, args.out_train)
     write_conll_file(test_corpus, args.out_test)
     print(f"train: {len(train_corpus)} sentence(s) -> {args.out_train}")
@@ -400,9 +390,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # CorpusError and the package's format errors are ValueErrors; a file
-    # that cannot be read or written (missing, a full disk) is an OSError.
-    except (ValueError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    # that cannot be read or written (missing, a full disk) is an OSError;
+    # input too large to hold is a MemoryError, often with no message.
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"data error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import base64
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -604,26 +604,28 @@ def log_likelihood_and_gradient(
 
 
 def _column_groups(x: scipy.sparse.csc_matrix) -> np.ndarray:
-    """The group of every column of `x`: equal columns share a group, and
-    groups are numbered in the order of their first columns.
+    """The group of every column of `x`, a CSC matrix with sorted row
+    indices: equal columns share a group, and groups are numbered in the
+    order of their first columns.
 
-    Columns are keyed by their dot product with a fixed random vector, so
-    equal columns get bitwise-equal keys.  A column that differs from the
-    first column of its key is kept apart, so a collision of keys costs a
-    merge, never exactness.
+    A column is keyed by the bytes of its (row index, value) pairs, so
+    columns share a key exactly when they are bitwise equal.
     """
-    keys = x.T @ np.random.default_rng(0).random(x.shape[0])
-    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
-    label = first[label]
-    differs = (x != x[:, label]).getnnz(axis=0) > 0
-    label[differs] = np.flatnonzero(differs)
-    return np.unique(label, return_inverse=True)[1]
+    pairs = np.empty(x.nnz, [("row", x.indices.dtype), ("value", x.data.dtype)])
+    pairs["row"], pairs["value"] = x.indices, x.data
+    data = memoryview(pairs).cast("B")
+    bounds = (x.indptr * pairs.itemsize).tolist()
+    groups: dict[bytes, int] = {}
+    return np.array([
+        groups.setdefault(bytes(data[start:stop]), len(groups))
+        for start, stop in zip(bounds, bounds[1:])
+    ], dtype=np.intp)
 
 
 def _merged(enc: _EncodedCorpus) -> tuple[_EncodedCorpus, np.ndarray]:
-    """`enc` with one emission row per group of features with equal columns
-    of `offset_types @ type_features`, and the group of every feature
-    (`_column_groups`).
+    """`enc` with one emission row per group of features with exactly equal
+    columns of `offset_types @ type_features`, and the group of every
+    feature (`_column_groups`).
 
     A group of c features keeps its first feature's column of
     `type_features` and row of `observed`, both times sqrt(c), which
@@ -684,9 +686,7 @@ def train(
     )
     emission = (rows / enc.row_scale[:, None])[group]
     metadata = {
-        "l2_sigma": cfg.l2_sigma,
-        "max_epochs": cfg.max_epochs,
-        "tolerance": cfg.tolerance,
+        **asdict(cfg),
         "training_sentences": len(corpus),
         "iterations": result.nit,
         "function_evaluations": result.nfev,

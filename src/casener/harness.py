@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .container import write_file
@@ -205,6 +205,7 @@ def _run_strategy(cfg: ExperimentConfig, data: _Data,
     model = models[key]
     template_set = model.template_set
     effective_sentences = model.metadata["training_sentences"]
+    settings = asdict(train_cfg)
 
     truecaser = None
     if cfg.strategy is Strategy.TRUECASING:
@@ -219,8 +220,7 @@ def _run_strategy(cfg: ExperimentConfig, data: _Data,
         f"strategy: {cfg.strategy.value}",
         *data.header_lines,
         f"seed: {cfg.seed}",
-        f"l2_sigma: {train_cfg.l2_sigma}  max_epochs: {train_cfg.max_epochs}"
-        f"  tolerance: {train_cfg.tolerance}",
+        "  ".join(f"{name}: {value}" for name, value in settings.items()),
         f"feature templates: {template_set.value}",
         f"training sentences: {len(data.train)}"
         f" (effective {effective_sentences})",
@@ -259,9 +259,7 @@ def _run_strategy(cfg: ExperimentConfig, data: _Data,
     kv_lines = [
         f"strategy={cfg.strategy.value}",
         f"seed={cfg.seed}",
-        f"l2_sigma={train_cfg.l2_sigma!r}",
-        f"max_epochs={train_cfg.max_epochs}",
-        f"tolerance={train_cfg.tolerance!r}",
+        *(f"{name}={value!r}" for name, value in settings.items()),
         f"template_set={template_set.value}",
         f"train.sentences={len(data.train)}",
         f"train.effective_sentences={effective_sentences}",

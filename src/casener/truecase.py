@@ -15,9 +15,10 @@ from typing import Mapping
 
 from . import container
 from .corpus import Corpus, Sentence, case_key, init_cap_form
+from .transforms import to_lower
 
-#: Weight a sentence-initial InitCap occurrence contributes to INIT_CAP;
-#: the remaining 0.9 is credited to LOWER (the uncapitalized reading).
+#: Share of its votes a sentence-initial InitCap occurrence casts for
+#: INIT_CAP; the rest go to LOWER (the uncapitalized reading).
 INITIAL_INIT_CAP_WEIGHT = Fraction(1, 10)
 
 _KIND = "truecaser"
@@ -36,7 +37,7 @@ class CaseClass(enum.Enum):
     NO_CASE = "no_case"
 
 
-#: Tie-break preference when two classes have equal counts: enum order.
+#: Tie-break preference when two classes have equal votes: enum order.
 _CLASS_PRIORITY = list(CaseClass)
 
 
@@ -65,8 +66,8 @@ class Truecaser:
     """The spelling each word is restored to.
 
     `surfaces` maps a word (a `case_key`) to its restored spelling, whose
-    key it is; a word it does not hold (unseen, spelled as its key, or with
-    no spelling of its majority class) is restored as itself.
+    key it is; a word it does not hold (unseen, or spelled as its key) is
+    restored as itself.
     """
 
     def __init__(self, surfaces: Mapping[str, str]) -> None:
@@ -93,44 +94,40 @@ class Truecaser:
 def train_truecaser(corpus: Corpus) -> Truecaser:
     """Build a truecaser from token occurrences; annotations are ignored.
 
-    Each word is restored to its majority case class (Lita et al., 2003).
-    Sentence-initial InitCap occurrences, which say little about a word's
-    lexical case, are discounted (weight 0.1 to INIT_CAP, 0.9 to LOWER);
-    all other occurrences count fully, and `_CLASS_PRIORITY` breaks ties.
-    A word keeps the most frequent spelling of its class, ties going to the
-    smallest string; one with no spelling of that class, such as a word
-    seen only sentence-initially in InitCap, keeps none.
+    Each word is restored to a spelling of its majority case class (Lita
+    et al., 2003), from one table of votes per word, in tenths, keyed by
+    (class, spelling).  An occurrence votes 10 for (its class, itself); a
+    sentence-initial InitCap one, whose capital says little, votes 1 for
+    (INIT_CAP, itself) and 9 for (LOWER, itself after `to_lower`, or its
+    word if that changes its `case_key`).  A word takes the class with the
+    most votes, ties going to the earlier `CaseClass`, then that class's
+    spelling with the most votes, ties going to the smallest string.
     """
     if len(corpus) == 0:
         raise ValueError("cannot train a truecaser on an empty corpus")
     occurrences = Counter(t for ann in corpus for t in ann.sentence.tokens)
     initial = Counter(ann.sentence.tokens[0] for ann in corpus)
-    # Weights are summed exactly, in units of 1/d where the discount weight
-    # is m/d (tenths): a token seen n times, k of them sentence-initial in
-    # InitCap, gives its class d*n - (d-m)*k units and LOWER (d-m)*k.
+    lowered = dict(zip(initial, to_lower(Sentence(tuple(initial))).tokens))
     m, d = INITIAL_INIT_CAP_WEIGHT.as_integer_ratio()
-    units: dict[str, Counter[CaseClass]] = defaultdict(Counter)
-    classes = {}
+    votes: dict[str, Counter[tuple[CaseClass, str]]] = defaultdict(Counter)
     for token, n in occurrences.items():
-        cls = classes[token] = classify_case(token)
-        row = units[case_key(token)]
+        cls, word = classify_case(token), case_key(token)
         k = initial[token] if cls is CaseClass.INIT_CAP else 0
-        row[cls] += d * n - (d - m) * k
+        votes[word][cls, token] += d * n - (d - m) * k
         if k:
-            row[CaseClass.LOWER] += (d - m) * k
-    majority = {
-        word: min(row, key=lambda c: (-row[c], _CLASS_PRIORITY.index(c)))
-        for word, row in units.items()
-    }
-    spellings: dict[str, list[tuple[int, str]]] = defaultdict(list)
-    for token, cls in classes.items():
-        word = case_key(token)
-        if cls is majority[word]:
-            spellings[word].append((-occurrences[token], token))
-    surfaces = {word: min(found)[1] for word, found in spellings.items()}
-    return Truecaser(
-        {word: token for word, token in surfaces.items() if token != word}
-    )
+            lower = lowered[token] if case_key(lowered[token]) == word else word
+            votes[word][CaseClass.LOWER, lower] += (d - m) * k
+    surfaces = {}
+    for word, row in votes.items():
+        totals: Counter[CaseClass] = Counter()
+        for (cls, _), n in row.items():
+            totals[cls] += n
+        _, spelling = min(row, key=lambda key: (
+            -totals[key[0]], _CLASS_PRIORITY.index(key[0]), -row[key], key[1]
+        ))
+        if spelling != word:
+            surfaces[word] = spelling
+    return Truecaser(surfaces)
 
 
 def truecase(truecaser: Truecaser, sentence: Sentence) -> Sentence:

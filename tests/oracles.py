@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -577,35 +577,37 @@ def train_truecaser_reference(corpus) -> Truecaser:
     """`train_truecaser`, classifying every occurrence anew.
 
     A token's word is the token uppercased, then casefolded.  Each
-    occurrence adds its weight, an exact fraction, to its word's class
-    and one to its own spelling; a word then takes its majority class, ties
-    going to the earlier class in `CaseClass` order, and keeps the class's
-    most frequent spelling, ties going to the smallest string, unless no
-    occurrence has that class."""
+    occurrence adds one vote, an exact fraction, to its word's
+    (class, spelling) tally: all of it to (its class, itself), unless it
+    opens its sentence in InitCap.  Then the discount weight goes to
+    (INIT_CAP, itself) and the rest to (LOWER, the token lowercased), or
+    to (LOWER, the word) if lowercasing changes the word.  A word takes
+    the class whose tallies sum highest, ties going to the earlier class
+    in `CaseClass` order, and that class's spelling with the highest
+    tally, ties going to the smallest string."""
     weight = INITIAL_INIT_CAP_WEIGHT  # a Fraction
-    case_counts: dict = defaultdict(lambda: defaultdict(Fraction))
-    spellings: dict = defaultdict(lambda: defaultdict(Counter))
+    tallies: dict = defaultdict(lambda: defaultdict(Fraction))
     for ann in corpus:
         for pos, token in enumerate(ann.sentence.tokens):
             cls = classify_case(token)
             folded = token.upper().casefold()
-            if pos == 0:
-                if cls is CaseClass.INIT_CAP:
-                    case_counts[folded][CaseClass.INIT_CAP] += weight
-                    case_counts[folded][CaseClass.LOWER] += 1 - weight
-                else:
-                    case_counts[folded][cls] += 1
+            if pos == 0 and cls is CaseClass.INIT_CAP:
+                lowered = token.lower()
+                if lowered.upper().casefold() != folded:
+                    lowered = folded
+                tallies[folded][CaseClass.INIT_CAP, token] += weight
+                tallies[folded][CaseClass.LOWER, lowered] += 1 - weight
             else:
-                case_counts[folded][cls] += 1
-            spellings[folded][cls][token] += 1
+                tallies[folded][cls, token] += 1
     order = list(CaseClass)
     surfaces = {}
-    for word, counts in case_counts.items():
-        cls = min(counts, key=lambda c: (-counts[c], order.index(c)))
-        if not spellings[word][cls]:
-            continue
-        surface = min(spellings[word][cls].items(),
-                      key=lambda kv: (-kv[1], kv[0]))[0]
+    for word, tally in tallies.items():
+        totals: dict = defaultdict(Fraction)
+        for (cls, _), votes in tally.items():
+            totals[cls] += votes
+        cls = min(totals, key=lambda c: (-totals[c], order.index(c)))
+        surface = min((-votes, spelling)
+                      for (c, spelling), votes in tally.items() if c is cls)[1]
         if surface != word:
             surfaces[word] = surface
     return Truecaser(surfaces)

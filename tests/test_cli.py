@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gzip
 import io
 import itertools
@@ -23,7 +24,7 @@ from casener.corpus import (
 )
 from casener.crf import TrainConfig, load_file
 from casener.evaluation import tag_corpus
-from casener.synth import default_config, generate
+from casener.synth import SynthConfig, default_config, generate
 from casener.transforms import CaseVariant, make_variant
 from casener.truecase import train_truecaser
 from conftest import conll_texts, old_version_blob
@@ -996,3 +997,44 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     corpus.write_text("a O\n\n")
     assert main(["train", "--train", str(corpus),
                  "--model", str(tmp_path / "m.crf")]) == EXIT_NUMERICAL
+
+
+def test_memory_error_is_a_data_error(data_files, capsys, monkeypatch):
+    """Input too large to hold ends in exit 2, not a traceback, with or
+    without a message."""
+    _, train, test = data_files
+    for error in (MemoryError(), MemoryError("cannot allocate 5 GiB")):
+        def reader(path, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "read_conll_file", reader)
+        assert main(["eval", "--gold", test, "--pred", train]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {str(error) or 'MemoryError'}\n"
+
+
+def test_config_dataclass_fields_are_the_setting_flags():
+    """Each field of a settings dataclass is a flag: `--` and the name with
+    `-` for `_`, cast to the type of its default."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Settings:
+        rare_rate: float = 0.0
+        max_count: int = 3
+
+    assert cli._config_flags(Settings) == (
+        ("--rare-rate", {"type": float}), ("--max-count", {"type": int}),
+    )
+    parser = cli._build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    for command, config, prefix in [
+        ("train", TrainConfig, ""), ("synth", SynthConfig, ""),
+        ("experiment", TrainConfig, ""), ("experiment", SynthConfig, "synth-"),
+        ("grid", TrainConfig, ""), ("grid", SynthConfig, "synth-"),
+    ]:
+        types = {action.option_strings[0]: action.type
+                 for action in commands.choices[command]._actions}
+        for field in dataclasses.fields(config):
+            flag = f"--{prefix}{field.name.replace('_', '-')}"
+            assert types[flag] is type(field.default)

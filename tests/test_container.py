@@ -7,6 +7,8 @@ commands that read the file must exit 2 on it.
 
 import gzip
 import json
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -138,3 +140,34 @@ def test_dump_is_stable_and_loads_back():
     assert container.load(data, "x", 4, ValueError) == {
         "format": "casener-x", "version": 4, **fields,
     }
+
+
+def _spaces_gzip(size: int) -> bytes:
+    """A gzip of `size` spaces, compressed 1 MiB at a time so the full
+    expansion is never held."""
+    deflate = zlib.compressobj(9, wbits=31)
+    chunk = b" " * (1 << 20)
+    return b"".join([*(deflate.compress(chunk) for _ in range(size >> 20)),
+                     deflate.flush()])
+
+
+@pytest.mark.parametrize("command", ["tag", "truecase"])
+def test_decompression_stops_at_the_cap(tmp_path, capsys, monkeypatch,
+                                        command):
+    """A small file that expands past the cap exits 2 from `tag --model`
+    and `truecase --input`, having decompressed little of it."""
+    expansion, cap = 32 << 20, 64 << 10
+    monkeypatch.setattr(container, "MAX_DECOMPRESSED", cap)
+    blob = tmp_path / "blob.gz"
+    blob.write_bytes(_spaces_gzip(expansion))
+    assert blob.stat().st_size < expansion // 500
+    tracemalloc.start()
+    try:
+        code = main([command, "--model", str(blob),
+                     "--input", str(tmp_path / "input.conll")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_DATA
+    assert f"gzip stream of at most {cap} bytes" in capsys.readouterr().err
+    assert peak < expansion // 16

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +160,29 @@ def test_each_distinct_sentence_is_built_once(monkeypatch):
     # training sentence.
     assert built == {"Sentence": 2 * 456, "spans_to_tags": 0}
     assert len({id(ann) for ann in view}) == 3 * 456
+
+
+def _random_references(tree: ast.AST) -> list[int]:
+    """Lines that import `random` or `numpy.random`, or name `np.random`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.alias)
+            and node.name.split(".")[-1] == "random"
+            or isinstance(node, ast.ImportFrom)
+            and node.module in ("random", "numpy.random")
+            or isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")]
+
+
+def test_only_synth_draws_random_numbers():
+    """`synth` is the one module that draws random numbers: everything
+    else the package computes is a function of its inputs alone."""
+    package = Path(synth.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        lines = _random_references(ast.parse(path.read_text("utf-8")))
+        if path.name == "synth.py":
+            assert lines, "synth.py no longer imports random"
+        else:
+            found += [f"{path.name}:{line}" for line in lines]
+    assert found == []

@@ -3,7 +3,7 @@ import importlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casener.corpus import (
     AnnotatedSentence,
@@ -112,6 +112,18 @@ class TestTraining:
         # not lowercase: "ϒ" keys to itself, an uppercase letter.
         assert truecase(caser, Sentence(("aϒ",))).tokens == ("Aϒ",)
 
+    def test_initial_only_word_keeps_its_lowercase_spelling(self):
+        # Three sentence-initial "Straße" cast 3 votes for INIT_CAP and 27
+        # for LOWER, all for the spelling "straße", whose key is "strasse".
+        caser = train_truecaser(Corpus(tuple(
+            ann("Straße ist lang") for _ in range(3)
+        )))
+        assert restored(caser, "STRASSE") == "straße"
+        assert truecase(caser, Sentence(("STRASSE",))).tokens == ("Straße",)
+        assert truecase(caser, Sentence(("das", "STRASSE"))).tokens == (
+            "Das", "straße"
+        )
+
     def test_exact_tie_goes_to_lower(self):
         # INIT_CAP 25 * 0.1 + 20 = 22.5 against LOWER 25 * 0.9 = 22.5, a tie;
         # float sums give LOWER 22.499999999999993.
@@ -148,9 +160,13 @@ def _mixed_case_corpora(draw) -> Corpus:
 
 class TestPerTokenTraining:
     @given(_mixed_case_corpora())
+    @example(Corpus(tuple(ann("Straße ist lang") for _ in range(3))))
+    @example(Corpus((ann("Éte x"), ann("x ÉTE"), ann("İx y"))))
     def test_matches_per_occurrence_reference(self, corpus):
-        assert (train_truecaser(corpus).to_bytes()
-                == train_truecaser_reference(corpus).to_bytes())
+        caser = train_truecaser(corpus)
+        data = caser.to_bytes()
+        assert data == train_truecaser_reference(corpus).to_bytes()
+        assert Truecaser.from_bytes(data).surfaces == caser.surfaces
 
     def test_classifies_each_distinct_token_once(self, monkeypatch, rng):
         classified = []
