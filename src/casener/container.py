@@ -1,13 +1,15 @@
 """Saved files: `write_file`, which writes every file the package writes,
-and the versioned gzip + JSON container of models and truecasers.
+and the versioned container of models and truecasers, the package's only
+framing of bytes.
 
-A container is one JSON object (sorted keys, no spaces, UTF-8): "format"
-is "casener-<kind>", "version" the kind's integer format version, and the
-other keys are the kind's own fields.  gzip's mtime is 0, so equal fields
-save to equal bytes.
+A container is one gzip member at level 6, zlib's default, and mtime 0,
+so equal contents save to equal bytes.  It holds one line of JSON (sorted
+keys, no spaces, UTF-8): "format" is "casener-<kind>", "version" the
+kind's integer format version, and the other keys are the kind's own
+fields.  A newline and a raw block that the kind lays out may follow; JSON
+text holds no raw newline.
 """
 
-import gzip
 import json
 import os
 import tempfile
@@ -35,25 +37,29 @@ def write_file(path: str, data: bytes) -> None:
         raise
 
 
-def dump(kind: str, version: int, fields: dict) -> bytes:
-    """`fields` in a container of `kind` and `version`."""
+def dump(kind: str, version: int, fields: dict, block: bytes = b"") -> bytes:
+    """`fields`, and `block` unless it is empty, in a container of `kind`
+    and `version`."""
     doc = {"format": f"casener-{kind}", "version": version, **fields}
-    return gzip.compress(json.dumps(
+    text = json.dumps(
         doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8"), mtime=0)
+    ).encode("utf-8")
+    return zlib.compress(b"\n".join((text, block)) if block else text, 6, wbits=31)
 
 
 #: The most bytes a container may decompress to.  Saved models expand
-#: 1.6-1.9 times (seed-42 synth: 227 KB; a 480,000-weight long-tail model:
-#: 5.6 MB), but an all-zero one 45 times, so a bound on the ratio would
-#: reject valid files.  256 MiB holds some 23 million weights.
+#: 2.4-2.5 times (seed-42 synth: 174 KB) or 1.5 times (a 474,000-weight
+#: long-tail model: 4.3 MB), but an all-zero one 35 times, so a bound on the
+#: ratio would reject valid files.  A weight takes 8 bytes and its share of
+#: the feature names about 1, so 256 MiB holds some 30 million weights.
 MAX_DECOMPRESSED = 256 << 20
 
 
-def load(data: bytes, kind: str, version: int, error: type) -> dict:
-    """The document of a container of `kind` and `version`; any other
-    data, or data that decompresses past `MAX_DECOMPRESSED` bytes, raises
-    `error` with a message that names `kind`, having held at most that."""
+def load(data: bytes, kind: str, version: int, error: type) -> tuple[dict, bytes]:
+    """The document and the block (empty if none) of a container of `kind`
+    and `version`; any other data, or data that decompresses past
+    `MAX_DECOMPRESSED` bytes, raises `error` with a message that names
+    `kind`, having held at most that."""
     if not data:
         raise error(f"empty {kind} data")
     inflate = zlib.decompressobj(wbits=31)  # one gzip member
@@ -61,7 +67,8 @@ def load(data: bytes, kind: str, version: int, error: type) -> dict:
         raw = inflate.decompress(data, MAX_DECOMPRESSED + 1)
         if len(raw) > MAX_DECOMPRESSED or not inflate.eof or inflate.unused_data:
             raise zlib.error(f"not one gzip stream of at most {MAX_DECOMPRESSED} bytes")
-        doc = json.loads(raw)
+        text, _, block = raw.partition(b"\n")
+        doc = json.loads(text)
     except (zlib.error, ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and over-long integers;
         # RecursionError, arrays nested too deep.
@@ -70,4 +77,4 @@ def load(data: bytes, kind: str, version: int, error: type) -> dict:
         raise error(f"not a {kind} file")
     if type(doc.get("version")) is not int or doc["version"] != version:
         raise error(f"unsupported {kind} version {doc.get('version')!r}")
-    return doc
+    return doc, block

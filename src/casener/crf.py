@@ -5,8 +5,8 @@ maximum-likelihood training with L-BFGS-B (`lbfgs.minimize`), and Viterbi
 decoding constrained to legal IOBES transitions.  One batched
 forward-backward recursion (`_forward_backward`) serves the training
 objective, `posteriors` and `log_partition`.  It runs in scaled probability
-space and falls back to a log-space recursion when the weights spread too
-widely for that; scores and Viterbi decoding are in log space.  All
+space, and a sentence whose weights spread too widely for that runs through
+a log-space recursion; scores and Viterbi decoding are in log space.  All
 computation is double precision.
 
 Training's design is argued where it is built: `_EncodedCorpus` (each
@@ -20,7 +20,6 @@ scheme-valid output.
 
 from __future__ import annotations
 
-import base64
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, NamedTuple
@@ -42,7 +41,7 @@ from .features import (
 )
 
 _KIND = "crf"
-_VERSION = 2
+_VERSION = 3
 
 
 class TrainingError(RuntimeError):
@@ -274,17 +273,17 @@ def _forward_backward(
     of those scales sum to logZ; the backward pass reuses the forward
     scales and starts each sentence at its own last step (`_Packed`).
 
-    Every exponentiated factor lies in [exp(-d), 1], where d is the spread
-    (max - min) of the transition weights plus that of the begin weights,
-    the end weights and the widest emission row of the batch.  Every
-    intermediate product is then at least about exp(-3d) / K^2, so the
-    scaled path runs only when d <= `_MAX_SCALED_SPREAD` (200 nats), which
-    keeps it above the smallest normal double (exp(-708)).  A wider or
-    non-finite spread sends the whole batch to the log-space recursion
-    (`_forward_backward_log`).
+    Every exponentiated factor of a sentence lies in [exp(-d), 1], where d
+    is the spread (max - min) of the transition weights plus that of the
+    begin weights, the end weights and the sentence's widest emission row.
+    Every intermediate product is then at least about exp(-3d) / K^2, so a
+    sentence runs scaled only when d <= `_MAX_SCALED_SPREAD` (200 nats),
+    which keeps it above the smallest normal double (exp(-708)).  The
+    sentences of wider or non-finite spread run as their own packed batch
+    through the log-space recursion (`_forward_backward_log`), the others
+    as another, and their results merge.
 
-    The scaled path overwrites `emit` with its working values; the
-    fallback leaves it as it was.
+    `emit` may be overwritten with working values.
     """
     # Maxima and minima are exact, and over the contiguous rows of the
     # transpose numpy reduces several times faster than along the short tag
@@ -293,12 +292,26 @@ def _forward_backward(
     emax, emin = by_tag.max(axis=0), by_tag.min(axis=0)
     del by_tag  # freed before the recursion allocates its own rows
     bmax, fmax, tmax = begin.max(), end.max(), trans.max()
-    spread = (
-        (tmax - trans.min()) + (bmax - begin.min()) + (fmax - end.min())
-        - (emin - emax).min()
-    )
-    if not spread <= _MAX_SCALED_SPREAD:
-        return _forward_backward_log(emit, packed, weights, begin, end, trans)
+    chain = (tmax - trans.min()) + (bmax - begin.min()) + (fmax - end.min())
+    row_spread = emax - emin
+    if not chain + row_spread.max() <= _MAX_SCALED_SPREAD:
+        lengths, steps, rank, _ = packed
+        widest = np.zeros(len(lengths))
+        np.maximum.at(widest, rank, row_spread)
+        wide = ~(chain + widest <= _MAX_SCALED_SPREAD)
+        logz, node = np.empty(len(lengths)), np.empty_like(emit)
+        edge = np.zeros((len(steps), *trans.shape))
+        for kernel, part in ((_forward_backward, ~wide),
+                             (_forward_backward_log, wide)):
+            if not part.any():
+                continue
+            rows = np.flatnonzero(part[rank])
+            logz[part], node[rows], part_edge = kernel(
+                emit[rows], _packed(lengths[part]), weights[part],
+                begin, end, trans,
+            )
+            edge[: len(part_edge)] += part_edge
+        return logz, node, edge
 
     lengths, steps, rank, last = packed
     s = len(lengths)
@@ -735,40 +748,18 @@ def decode(model: CrfModel, sentence: Sentence) -> TagSequence:
 # Persistence
 
 
-def _encode_array(arr: np.ndarray) -> str:
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return base64.b64encode(data).decode("ascii")
-
-
-def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except (ValueError, AttributeError) as exc:
-        raise ModelFormatError(f"bad weight encoding: {exc}") from exc
-    expected = int(np.prod(shape)) * 8
-    if len(raw) != expected:
-        raise ModelFormatError(
-            f"weight block holds {len(raw)} bytes, expected {expected}"
-        )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
-
 def save(model: CrfModel) -> bytes:
-    """Serialize to a versioned, self-describing container (gzip + JSON).
-
-    Weights are stored as raw little-endian float64, so save/load round
-    trips are bit-lossless and repeated saves are byte-identical.
-    """
+    """Serialize to a versioned, self-describing `container`: the template
+    set, tags, feature names and metadata, then the block of `_pack`'s
+    weights in raw little-endian float64, so save/load round trips are
+    bit-lossless and repeated saves byte-identical."""
+    weights = _pack(model.emission, model.begin, model.end, model.transition)
     return container.dump(_KIND, _VERSION, {
         "template_set": model.template_set.value,
         "tags": list(model.feature_map.tags),
         "features": list(model.feature_map.features),
-        "emission": _encode_array(model.emission),
-        "begin": _encode_array(model.begin),
-        "end": _encode_array(model.end),
-        "transition": _encode_array(model.transition),
         "metadata": model.metadata,
-    })
+    }, weights.astype("<f8", copy=False).tobytes())
 
 
 def _strings(doc: dict, key: str) -> tuple[str, ...]:
@@ -780,23 +771,21 @@ def _strings(doc: dict, key: str) -> tuple[str, ...]:
 
 def load(data: bytes) -> CrfModel:
     """Inverse of :func:`save`; raises ModelFormatError on any defect."""
-    doc = container.load(data, _KIND, _VERSION, ModelFormatError)
+    doc, block = container.load(data, _KIND, _VERSION, ModelFormatError)
     try:
         fmap = FeatureMap(_strings(doc, "features"), _strings(doc, "tags"))
         template_set = TemplateSet(doc["template_set"])
-        metadata = doc.get("metadata", {})
+        metadata = doc["metadata"]
         if not isinstance(metadata, dict):
             raise ModelFormatError("model metadata is not a JSON object")
         f, k = fmap.num_features, fmap.num_tags
-        return CrfModel(
-            fmap,
-            template_set,
-            _decode_array(doc["emission"], (f, k)),
-            _decode_array(doc["begin"], (k,)),
-            _decode_array(doc["end"], (k,)),
-            _decode_array(doc["transition"], (k, k)),
-            metadata,
-        )
+        expected = 8 * (f * k + 2 * k + k * k)
+        if len(block) != expected:
+            raise ModelFormatError(
+                f"weight block holds {len(block)} bytes, expected {expected}"
+            )
+        weights = np.frombuffer(block, dtype="<f8").astype(np.float64)
+        return CrfModel(fmap, template_set, *_unpack(weights, f, k), metadata)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -78,7 +78,9 @@ class Truecaser:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Truecaser":
-        doc = container.load(data, _KIND, _VERSION, TruecaserFormatError)
+        doc, block = container.load(data, _KIND, _VERSION, TruecaserFormatError)
+        if block:
+            raise TruecaserFormatError("unexpected block in truecaser data")
         surfaces = doc.get("surfaces")
         # A surface spells its word (its key), as `train_truecaser` builds
         # it; so restoring one always gives a valid token.

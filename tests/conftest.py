@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import contextlib
 import copy
 import functools
@@ -139,11 +140,25 @@ json_values = st.recursive(
 )
 
 
+def container_parts(blob: bytes) -> tuple[dict, bytes]:
+    """The JSON document and the block (empty if none) of container
+    `blob`, read without `container.load`'s checks."""
+    text, _, block = gzip.decompress(blob).partition(b"\n")
+    return json.loads(text), block
+
+
+def container_blob(doc: dict, block: bytes = b"") -> bytes:
+    """A container of `doc` and `block` (if any), as `container.dump`
+    frames them but with `json.dumps`' default spacing and key order."""
+    text = json.dumps(doc).encode("utf-8")
+    return gzip.compress(text + b"\n" + block if block else text, mtime=0)
+
+
 @st.composite
-def mutated_container(draw, doc: dict) -> bytes:
-    """A gzip+JSON container like `doc` with one field, top-level or one
-    level down, deleted, replaced by an arbitrary JSON value, shortened or
-    extended."""
+def mutated_container(draw, doc: dict, block: bytes = b"") -> bytes:
+    """A container like `doc` and `block` with one field of `doc`,
+    top-level or one level down, deleted, replaced by an arbitrary JSON
+    value, shortened or extended."""
     doc = copy.deepcopy(doc)
     parent, key = doc, draw(st.sampled_from(sorted(doc)))
     inner = parent[key]
@@ -163,7 +178,7 @@ def mutated_container(draw, doc: dict) -> bytes:
         parent[key] = value + draw(st.text(min_size=1, max_size=4))
     else:
         parent[key] = draw(json_values)
-    return gzip.compress(json.dumps(doc).encode("utf-8"), mtime=0)
+    return container_blob(doc, block)
 
 
 def old_version_blob(caser, version: int) -> bytes:
@@ -184,6 +199,22 @@ def old_version_blob(caser, version: int) -> bytes:
     if version == 1:
         doc.update(initial_class_counts={"init_cap": 1.0}, fallback="lower")
     return gzip.compress(json.dumps(doc).encode(), mtime=0)
+
+
+def old_crf_blob(model: CrfModel) -> bytes:
+    """`model` in CRF format version 2, which held each weight array as
+    base64 text of its raw little-endian float64 bytes."""
+    def encode(weights: np.ndarray) -> str:
+        return base64.b64encode(weights.astype("<f8").tobytes()).decode()
+
+    return container.dump("crf", 2, {
+        "template_set": model.template_set.value,
+        "tags": list(model.feature_map.tags),
+        "features": list(model.feature_map.features),
+        "emission": encode(model.emission), "begin": encode(model.begin),
+        "end": encode(model.end), "transition": encode(model.transition),
+        "metadata": model.metadata,
+    })
 
 
 #: Random bytes, gzip around random bytes, and gzip around random JSON.

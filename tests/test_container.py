@@ -5,18 +5,22 @@ its own module's error with a message that names its kind, and the CLI
 commands that read the file must exit 2 on it.
 """
 
+import ast
 import gzip
 import json
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casener
 from casener import container, crf
 from casener.cli import EXIT_DATA, main
 from casener.features import FeatureMap, TemplateSet
 from casener.truecase import Truecaser, TruecaserFormatError
+from conftest import container_blob, container_parts, old_crf_blob
 
 #: kind -> (loader, its error, the CLI arguments that load a file of it)
 LOADERS = {
@@ -52,15 +56,14 @@ MALFORMED = {
 
 
 def _crf_container(tags: list[str], weight: float = 0.0) -> bytes:
-    """A two-tag CRF container whose emission weights all equal `weight`."""
-    encode = crf._encode_array
+    """A one-feature, two-tag CRF container whose emission weights both
+    equal `weight` and whose other weights are 0."""
+    weights = np.zeros(1 * 2 + 2 + 2 + 2 * 2)
+    weights[:2] = weight
     return container.dump("crf", crf._VERSION, {
         "template_set": TemplateSet.CASE_AWARE.value,
-        "tags": tags, "features": ["w0=a"],
-        "emission": encode(np.full((1, 2), weight)),
-        "begin": encode(np.zeros(2)), "end": encode(np.zeros(2)),
-        "transition": encode(np.zeros((2, 2))), "metadata": {},
-    })
+        "tags": tags, "features": ["w0=a"], "metadata": {},
+    }, weights.astype("<f8").tobytes())
 
 
 def _without_o() -> bytes:
@@ -137,9 +140,12 @@ def test_dump_is_stable_and_loads_back():
     assert gzip.decompress(data) == (
         '{"a":{"y":2.5},"b":[1,"é"],"format":"casener-x","version":4}'
     ).encode("utf-8")
-    assert container.load(data, "x", 4, ValueError) == {
-        "format": "casener-x", "version": 4, **fields,
-    }
+    doc = {"format": "casener-x", "version": 4, **fields}
+    assert container.load(data, "x", 4, ValueError) == (doc, b"")
+    block = b"\n\0raw"  # a block may hold any byte
+    framed = container.dump("x", 4, fields, block)
+    assert gzip.decompress(framed) == gzip.decompress(data) + b"\n" + block
+    assert container.load(framed, "x", 4, ValueError) == (doc, block)
 
 
 def _spaces_gzip(size: int) -> bytes:
@@ -171,3 +177,84 @@ def test_decompression_stops_at_the_cap(tmp_path, capsys, monkeypatch,
     assert code == EXIT_DATA
     assert f"gzip stream of at most {cap} bytes" in capsys.readouterr().err
     assert peak < expansion // 16
+
+
+#: A valid one-feature, two-tag model, and its JSON document and block.
+_MODEL = _crf_container(["O", "S-A"], 0.5)
+_DOC, _BLOCK = container_parts(_MODEL)
+
+
+def _without(field: str) -> bytes:
+    return container_blob({k: v for k, v in _DOC.items() if k != field},
+                          _BLOCK)
+
+
+#: case -> (a model file with that defect, the error message it gives)
+CORRUPT_MODELS = {
+    "block-one-byte-short": (container_blob(_DOC, _BLOCK[:-1]),
+                             "weight block holds 79 bytes, expected 80"),
+    "block-one-byte-long": (container_blob(_DOC, _BLOCK + b"\0"),
+                            "weight block holds 81 bytes, expected 80"),
+    "no-block": (container_blob(_DOC),
+                 "weight block holds 0 bytes, expected 80"),
+    **{f"no-{field}": (_without(field), f"malformed model fields: '{field}'")
+       for field in ("template_set", "tags", "features", "metadata")},
+    "version-2": (old_crf_blob(crf.load(_MODEL)), "unsupported crf version 2"),
+}
+
+
+@pytest.fixture
+def tag_inputs(tmp_path):
+    """Paths of a valid model, truecaser and input for `casener tag`."""
+    model, caser = tmp_path / "ok.crf", tmp_path / "ok.bin"
+    model.write_bytes(_MODEL)
+    caser.write_bytes(Truecaser({"oslo": "Oslo"}).to_bytes())
+    (tmp_path / "input.conll").write_text("oslo\n\n", "utf-8")
+    return str(model), str(caser), str(tmp_path / "input.conll")
+
+
+@pytest.mark.parametrize("case", CORRUPT_MODELS)
+def test_corrupt_model_rejected(tmp_path, capsys, tag_inputs, case):
+    data, message = CORRUPT_MODELS[case]
+    with pytest.raises(crf.ModelFormatError, match=message):
+        crf.load(data)
+    path = tmp_path / "bad.crf"
+    path.write_bytes(data)
+    assert main(["tag", "--model", str(path), "--input",
+                 tag_inputs[2]]) == EXIT_DATA
+    assert f"data error: {message}" in capsys.readouterr().err
+
+
+def test_truecaser_with_a_block_rejected(tmp_path, capsys, tag_inputs):
+    doc, _ = container_parts(Truecaser({"oslo": "Oslo"}).to_bytes())
+    data = container_blob(doc, b"\0" * 8)
+    message = "unexpected block in truecaser data"
+    with pytest.raises(TruecaserFormatError, match=message):
+        Truecaser.from_bytes(data)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    model, caser, source = tag_inputs
+    assert main(["tag", "--model", model, "--truecaser", caser,
+                 "--input", source]) == 0
+    assert capsys.readouterr().out == "oslo O\n\n"
+    assert main(["tag", "--model", model, "--truecaser", str(path),
+                 "--input", source]) == EXIT_DATA
+    assert f"data error: {message}" in capsys.readouterr().err
+
+
+def test_container_is_the_only_owner_of_the_file_framing():
+    """No module but `container` imports gzip, zlib or base64."""
+    found = []
+    for path in sorted(Path(casener.__file__).parent.glob("*.py")):
+        if path.name == "container.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            names = (
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in {"gzip", "zlib", "base64"}]
+    assert found == []

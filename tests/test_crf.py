@@ -45,6 +45,8 @@ from casener.features import (
 )
 from casener.synth import default_config, generate
 from conftest import (
+    container_blob,
+    container_parts,
     encode,
     garbage_containers,
     iobes_taggings,
@@ -320,8 +322,9 @@ class TestForwardBackward:
         assert len(calls) == 10
 
     def test_wide_emission_spread_falls_back(self, monkeypatch):
-        """A batch whose only wide spread is one emission row goes to the
-        log-space recursion with `emit` untouched, and gives its results."""
+        """A batch whose only wide spread is one emission row sends that
+        row's sentence alone to the log-space recursion, leaves `emit`
+        untouched, and gives the batch's log-space results."""
         rng = np.random.default_rng(23)
         k = 5
         lengths = _mixed_lengths(rng, 4, 6)
@@ -334,13 +337,52 @@ class TestForwardBackward:
         calls = []
         original = crf._forward_backward_log
         monkeypatch.setattr(crf, "_forward_backward_log",
-                            lambda *args: calls.append(1) or original(*args))
+                            lambda *args: calls.append(args[1].lengths)
+                            or original(*args))
         got = crf._forward_backward(emit, packed, weights, *chain)
-        assert calls == [1]
+        assert [c.tolist() for c in calls] == [[lengths[0]]]
         assert emit.tobytes() == untouched.tobytes()
         want = original(untouched, packed, weights, *chain)
         for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    def test_only_wide_sentences_go_to_log_space(self, monkeypatch):
+        """One wide sentence among narrow ones runs alone through the
+        log-space kernel, and every result matches one-sentence calls."""
+        rng = np.random.default_rng(31)
+        k = 5
+        lengths = [3, 6, 4, 1, 4]
+        emits = [rng.normal(0.0, 1.0, (n, k)) for n in lengths]
+        emits[2][1, 3] = 250.0  # the only spread over 200 nats
+        weights = np.array([1.0, 2.0, 3.0, 1.0, 2.0])
+        chain = (*rng.normal(0.0, 1.0, (2, k)),
+                 rng.normal(0.0, 1.0, (k, k)))
+        rows, batch_lengths, order = _pack_batch(emits)
+        seen = []
+        original = crf._forward_backward_log
+        monkeypatch.setattr(crf, "_forward_backward_log",
+                            lambda emit, *args: seen.append(emit.copy())
+                            or original(emit, *args))
+        logz, node, edge = crf._forward_backward(
+            rows, crf._packed(batch_lengths), weights[order], *chain
+        )
+        assert [e.tobytes() for e in seen] == [emits[2].tobytes()]
+
+        edge_sum = np.zeros_like(edge)
+        for got_logz, got_node, i in zip(
+            logz, _unpack_rows(node, batch_lengths), order
+        ):
+            want_logz, want_node, want_edge = crf._forward_backward(
+                emits[i].copy(), crf._packed(np.array([lengths[i]])),
+                np.ones(1), *chain,
+            )
+            np.testing.assert_allclose(got_logz, want_logz[0], rtol=1e-12,
+                                       atol=0)
+            np.testing.assert_allclose(got_node, want_node, rtol=1e-12,
+                                       atol=0)
+            edge_sum[: len(want_edge)] += weights[i] * want_edge
+        np.testing.assert_allclose(edge, edge_sum, rtol=1e-12, atol=0)
+        assert len(seen) == 2  # the one-sentence calls sent only sentence 2
 
     @pytest.mark.parametrize("fallback", [False, True],
                              ids=["scaled", "log-space"])
@@ -930,6 +972,51 @@ class TestMergedColumns:
                                    atol=1e-6 * np.abs(result.x).max())
 
 
+def _model_with_rows(rows, tags) -> CrfModel:
+    """A CRF whose emission rows are `rows`, with begin, end and transition
+    weights counted up from -1.5; each feature name holds a newline."""
+    k = len(tags)
+    names = [f"w0=f{i}\n" for i in range(len(rows))]
+    chain = np.arange(2 * k + k * k) - 1.5
+    return CrfModel(
+        FeatureMap(tuple(names), tags), TemplateSet.CASE_AWARE,
+        np.array(rows, dtype=np.float64).reshape(len(rows), k),
+        chain[:k], chain[k : 2 * k], chain[2 * k :].reshape(k, k),
+        {"iterations": 3, "converged": True},
+    )
+
+
+@st.composite
+def models(draw) -> CrfModel:
+    """A CRF of 1-6 features with arbitrary finite weights: its rows come
+    from a pool of at most three, some with their zeros' signs flipped."""
+    tags = draw(st.sampled_from(
+        [("O",), ("O", "S-A"), ("O", "B-A", "I-A", "E-A", "S-A")]
+    ))
+    k = len(tags)
+    weights = st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(weights | st.sampled_from([0.0, -0.0]),
+                                  min_size=k, max_size=k),
+                         min_size=1, max_size=3))
+    f = draw(st.integers(1, 6))
+    rows = [[-x if x == 0 and draw(st.booleans()) else x
+             for x in draw(st.sampled_from(pool))] for _ in range(f)]
+    names = draw(st.lists(st.text(max_size=6), min_size=f, max_size=f,
+                          unique=True))
+    chain = draw(st.lists(weights, min_size=2 * k + k * k,
+                          max_size=2 * k + k * k))
+    metadata = draw(st.dictionaries(
+        st.text(max_size=5), st.integers() | st.text(max_size=5) | st.booleans(),
+        max_size=3,
+    ))
+    return CrfModel(
+        FeatureMap(tuple(names), tags), draw(st.sampled_from(TemplateSet)),
+        np.array(rows, dtype=np.float64).reshape(f, k),
+        np.array(chain[:k]), np.array(chain[k : 2 * k]),
+        np.array(chain[2 * k :]).reshape(k, k), metadata,
+    )
+
+
 class TestPersistence:
     def test_roundtrip_decoding_identical(self, rng):
         corpus = random_corpus(rng, sentences=8)
@@ -952,23 +1039,42 @@ class TestPersistence:
                 load(blob[:cut])
 
     def test_version_mismatch_rejected(self, rng):
-        import gzip, json
-
         model = random_model(rng)
-        doc = json.loads(gzip.decompress(save(model)))
+        doc, block = container_parts(save(model))
         doc["version"] = 999
-        blob = gzip.compress(json.dumps(doc).encode("utf-8"), mtime=0)
         with pytest.raises(ModelFormatError, match="version"):
-            load(blob)
+            load(container_blob(doc, block))
 
     def test_version_1_rejected(self, rng):
         # Version 1 keyed word and affix features on `str.lower`, so on
         # non-ASCII text its feature names are not today's.
-        doc = json.loads(gzip.decompress(save(random_model(rng))))
+        doc, block = container_parts(save(random_model(rng)))
         doc["version"] = 1
-        blob = gzip.compress(json.dumps(doc).encode("utf-8"), mtime=0)
         with pytest.raises(ModelFormatError, match="unsupported crf version 1"):
-            load(blob)
+            load(container_blob(doc, block))
+
+    @settings(max_examples=100)
+    @given(model=models())
+    @example(model=_model_with_rows(
+        [[0.5, -1.0], [0.5, -1.0], [0.0, 2.0], [-0.0, 2.0]], ("O", "S-A")))
+    @example(model=_model_with_rows([[-0.0]], ("O",)))
+    def test_roundtrip_is_bitwise(self, model):
+        """`load(save(m))` equals m bit for bit in every array, with
+        native writable float64 arrays, and saves back to the same bytes.
+        The examples hold repeated rows, rows that differ only in a zero's
+        sign, and one feature."""
+        blob = save(model)
+        clone = load(blob)
+        for name in ("emission", "begin", "end", "transition"):
+            got, want = getattr(clone, name), getattr(model, name)
+            assert got.dtype == np.float64 and got.dtype.isnative
+            assert got.flags.writeable
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert clone.feature_map == model.feature_map
+        assert clone.template_set == model.template_set
+        assert clone.metadata == model.metadata
+        assert save(clone) == blob
 
     def test_wrong_format_rejected(self, rng):
         import gzip, json
@@ -984,7 +1090,7 @@ _TINY_MODEL = CrfModel(
     np.arange(10.0).reshape(2, 5), np.zeros(5), np.ones(5), np.eye(5),
     {"iterations": 3, "converged": True},
 )
-_TINY_DOC = json.loads(gzip.decompress(save(_TINY_MODEL)))
+_TINY_DOC, _TINY_BLOCK = container_parts(save(_TINY_MODEL))
 
 
 class TestLoadFuzz:
@@ -1003,7 +1109,7 @@ class TestLoadFuzz:
         self._load_or_reject(blob)
 
     @settings(max_examples=500)
-    @given(mutated_container(_TINY_DOC))
+    @given(mutated_container(_TINY_DOC, _TINY_BLOCK))
     def test_mutated_fields(self, blob):
         self._load_or_reject(blob)
 
@@ -1015,4 +1121,4 @@ class TestLoadFuzz:
     def test_wrongly_typed_fields_rejected(self, field, value):
         doc = dict(_TINY_DOC, **{field: value})
         with pytest.raises(ModelFormatError):
-            load(gzip.compress(json.dumps(doc).encode(), mtime=0))
+            load(container_blob(doc, _TINY_BLOCK))
