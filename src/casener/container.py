@@ -6,8 +6,9 @@ A container is one gzip member at level 6, zlib's default, and mtime 0,
 so equal contents save to equal bytes.  It holds one line of JSON (sorted
 keys, no spaces, UTF-8): "format" is "casener-<kind>", "version" the
 kind's integer format version, and the other keys are the kind's own
-fields.  A newline and a raw block that the kind lays out may follow; JSON
-text holds no raw newline.
+fields.  A newline and a raw block that the kind lays out may follow.
+`load` ends the JSON at the first raw newline, for every kind, so the JSON
+line must hold none: a pretty-printed container is corrupt data.
 """
 
 import json

@@ -5,8 +5,8 @@ maximum-likelihood training with L-BFGS-B (`lbfgs.minimize`), and Viterbi
 decoding constrained to legal IOBES transitions.  One batched
 forward-backward recursion (`_forward_backward`) serves the training
 objective, `posteriors` and `log_partition`.  It runs in scaled probability
-space, and a sentence whose weights spread too widely for that runs through
-a log-space recursion; scores and Viterbi decoding are in log space.  All
+space and falls back to a log-space recursion when the weights spread too
+widely for that; scores and Viterbi decoding are in log space.  All
 computation is double precision.
 
 Training's design is argued where it is built: `_EncodedCorpus` (each
@@ -273,17 +273,17 @@ def _forward_backward(
     of those scales sum to logZ; the backward pass reuses the forward
     scales and starts each sentence at its own last step (`_Packed`).
 
-    Every exponentiated factor of a sentence lies in [exp(-d), 1], where d
-    is the spread (max - min) of the transition weights plus that of the
-    begin weights, the end weights and the sentence's widest emission row.
-    Every intermediate product is then at least about exp(-3d) / K^2, so a
-    sentence runs scaled only when d <= `_MAX_SCALED_SPREAD` (200 nats),
-    which keeps it above the smallest normal double (exp(-708)).  The
-    sentences of wider or non-finite spread run as their own packed batch
-    through the log-space recursion (`_forward_backward_log`), the others
-    as another, and their results merge.
+    Every exponentiated factor lies in [exp(-d), 1], where d is the spread
+    (max - min) of the transition weights plus that of the begin weights,
+    the end weights and the widest emission row of the batch.  Every
+    intermediate product is then at least about exp(-3d) / K^2, so the
+    scaled path runs only when d <= `_MAX_SCALED_SPREAD` (200 nats), which
+    keeps it above the smallest normal double (exp(-708)).  A wider or
+    non-finite spread sends the whole batch to the log-space recursion
+    (`_forward_backward_log`).
 
-    `emit` may be overwritten with working values.
+    The scaled path overwrites `emit` with its working values; the
+    fallback leaves it as it was.
     """
     # Maxima and minima are exact, and over the contiguous rows of the
     # transpose numpy reduces several times faster than along the short tag
@@ -292,26 +292,12 @@ def _forward_backward(
     emax, emin = by_tag.max(axis=0), by_tag.min(axis=0)
     del by_tag  # freed before the recursion allocates its own rows
     bmax, fmax, tmax = begin.max(), end.max(), trans.max()
-    chain = (tmax - trans.min()) + (bmax - begin.min()) + (fmax - end.min())
-    row_spread = emax - emin
-    if not chain + row_spread.max() <= _MAX_SCALED_SPREAD:
-        lengths, steps, rank, _ = packed
-        widest = np.zeros(len(lengths))
-        np.maximum.at(widest, rank, row_spread)
-        wide = ~(chain + widest <= _MAX_SCALED_SPREAD)
-        logz, node = np.empty(len(lengths)), np.empty_like(emit)
-        edge = np.zeros((len(steps), *trans.shape))
-        for kernel, part in ((_forward_backward, ~wide),
-                             (_forward_backward_log, wide)):
-            if not part.any():
-                continue
-            rows = np.flatnonzero(part[rank])
-            logz[part], node[rows], part_edge = kernel(
-                emit[rows], _packed(lengths[part]), weights[part],
-                begin, end, trans,
-            )
-            edge[: len(part_edge)] += part_edge
-        return logz, node, edge
+    spread = (
+        (tmax - trans.min()) + (bmax - begin.min()) + (fmax - end.min())
+        - (emin - emax).min()
+    )
+    if not spread <= _MAX_SCALED_SPREAD:
+        return _forward_backward_log(emit, packed, weights, begin, end, trans)
 
     lengths, steps, rank, last = packed
     s = len(lengths)

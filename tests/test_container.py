@@ -52,6 +52,12 @@ MALFORMED = {
     "other-version": lambda kind: _doc(kind, version=999),
     "long-integer": lambda kind: _gz(b"1" * 5000),
     "deep-nesting": lambda kind: _gz(b"[" * 100_000),
+    # The JSON ends at the first raw newline, so an indented document is
+    # cut short even at the kind's own version.
+    "pretty-printed": lambda kind: _gz(json.dumps({
+        "format": f"casener-{kind}",
+        "version": {"crf": crf._VERSION, "truecaser": 4}[kind],
+    }, indent=1).encode()),
 }
 
 
