@@ -1,6 +1,7 @@
 """Time `crf.save` and `crf.load` per call on three models and print one
-JSON object: each model's file bytes, decompressed bytes and the per-call
-save and load times of the calls it makes.
+JSON object: each model's file bytes, decompressed bytes, the per-call
+save and load times of the calls it makes, and the tracemalloc peak of one
+save and one load call.
 
     PYTHONPATH=src python3 scripts/bench_model_file.py [--calls N]
 
@@ -20,6 +21,7 @@ import random
 import statistics
 import string
 import time
+import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -55,6 +57,16 @@ def per_call(fn, calls: int) -> list[float]:
     return times
 
 
+def traced_peak(fn) -> int:
+    """The most bytes Python's allocators held at once during `fn()`."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def summary(times: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median_ms": round(1e3 * median, 3), "q1_ms": round(1e3 * q1, 3),
@@ -85,6 +97,8 @@ def main() -> None:
             "decompressed_bytes": len(gzip.decompress(data)),
             "save": summary(per_call(lambda: crf.save(model), calls)),
             "load": summary(per_call(lambda: crf.load(data), calls)),
+            "save_peak_bytes": traced_peak(lambda: crf.save(model)),
+            "load_peak_bytes": traced_peak(lambda: crf.load(data)),
         }
     print(json.dumps(result))
 

@@ -8,7 +8,8 @@ keys, no spaces, UTF-8): "format" is "casener-<kind>", "version" the
 kind's integer format version, and the other keys are the kind's own
 fields.  A newline and a raw block that the kind lays out may follow.
 `load` ends the JSON at the first raw newline, for every kind, so the JSON
-line must hold none: a pretty-printed container is corrupt data.
+line must hold none: a pretty-printed container is corrupt data.  `dump`
+compresses the parts in sequence, into the bytes of compressing them joined.
 """
 
 import json
@@ -38,14 +39,17 @@ def write_file(path: str, data: bytes) -> None:
         raise
 
 
-def dump(kind: str, version: int, fields: dict, block: bytes = b"") -> bytes:
-    """`fields`, and `block` unless it is empty, in a container of `kind`
-    and `version`."""
+def dump(kind: str, version: int, fields: dict, *blocks) -> bytes:
+    """`fields` in a container of `kind` and `version`, then a newline and
+    the C-contiguous buffers `blocks` if they hold a byte, each compressed
+    in turn through one compressor: no joined copy of them is made."""
     doc = {"format": f"casener-{kind}", "version": version, **fields}
     text = json.dumps(
         doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
-    return zlib.compress(b"\n".join((text, block)) if block else text, 6, wbits=31)
+    rest = (b"\n", *blocks) if any(memoryview(b).nbytes for b in blocks) else ()
+    deflate = zlib.compressobj(6, wbits=31)
+    return b"".join([*map(deflate.compress, (text, *rest)), deflate.flush()])
 
 
 #: The most bytes a container may decompress to.  Saved models expand

@@ -417,8 +417,7 @@ class _EncodedCorpus:
     the weights (`_pack` order): the log-likelihood is `observed @ w` minus
     the summed logZ, and its gradient is `observed` minus the expected
     counts (Lafferty et al., 2001).  Those are sums of whole counts, so the
-    gold score is bitwise that of encoding every sentence.  `row_scale` is
-    set only on `_merged` copies.
+    gold score is bitwise that of encoding every sentence.
     """
 
     offset_types: scipy.sparse.csr_matrix
@@ -430,7 +429,6 @@ class _EncodedCorpus:
     row_counts: np.ndarray
     observed: np.ndarray
     num_tags: int
-    row_scale: np.ndarray | None = None
 
 
 def _distinct(corpus: Corpus) -> tuple[Corpus, np.ndarray]:
@@ -603,17 +601,16 @@ def log_likelihood_and_gradient(
 
 
 def _column_groups(x: scipy.sparse.csc_matrix) -> np.ndarray:
-    """The group of every column of `x`, a CSC matrix with sorted row
-    indices: equal columns share a group, and groups are numbered in the
-    order of their first columns.
+    """The group of every column of `x`, a 0/1 CSC matrix whose row indices
+    it sorts in place: equal columns share a group, and groups are numbered
+    in the order of their first columns.
 
-    A column is keyed by the bytes of its (row index, value) pairs, so
-    columns share a key exactly when they are bitwise equal.
+    Every stored entry is 1 (`_merged`), so a column is keyed by the bytes
+    of its row indices alone: keys are equal exactly when columns are.
     """
-    pairs = np.empty(x.nnz, [("row", x.indices.dtype), ("value", x.data.dtype)])
-    pairs["row"], pairs["value"] = x.indices, x.data
-    data = memoryview(pairs).cast("B")
-    bounds = (x.indptr * pairs.itemsize).tolist()
+    x.sort_indices()
+    data = memoryview(x.indices).cast("B")
+    bounds = (x.indptr * x.indices.itemsize).tolist()
     groups: dict[bytes, int] = {}
     return np.array([
         groups.setdefault(bytes(data[start:stop]), len(groups))
@@ -623,24 +620,25 @@ def _column_groups(x: scipy.sparse.csc_matrix) -> np.ndarray:
 
 def _merged(enc: _EncodedCorpus) -> tuple[_EncodedCorpus, np.ndarray]:
     """`enc` with one emission row per group of features with exactly equal
-    columns of `offset_types @ type_features`, and the group of every
-    feature (`_column_groups`).
+    columns of X = `offset_types @ type_features`, and the group of every
+    feature (`_column_groups`).  X is built once, in CSC, and is 0/1, so
+    row indices decide its columns: a position has one token type per window
+    offset, and a feature belongs to one template slot at one offset.
 
     A group of c features keeps its first feature's column of
-    `type_features` and row of `observed`, both times sqrt(c), which
-    `row_scale` holds.  Its weight row u is sqrt(c) times the row v each
-    member gets, so the emission scores (c * v summed per position), the
-    gold score, the L2 norm and every inner product of weights or gradients
+    `type_features` and row of `observed`, both times sqrt(c).  Its weight
+    row u is sqrt(c) times the row v each member gets (`train` divides it
+    back), so the emission scores (c * v summed per position), the gold
+    score, the L2 norm and every inner product of weights or gradients
     equal those of the full problem: L-BFGS-B takes the same steps in exact
     arithmetic.  Only its infinity-norm `gtol` test sees the change: the
     gradient of u is sqrt(c) times that of each member, so that test can
     pass later, never earlier.
     """
-    k = enc.num_tags
-    group = _column_groups((enc.offset_types @ enc.type_features).tocsc())
+    group = _column_groups(enc.offset_types.tocsc() @ enc.type_features.tocsc())
     first = np.unique(group, return_index=True)[1]
     scale = np.sqrt(np.bincount(group))
-    gold_rows = enc.observed[: len(group) * k].reshape(-1, k)
+    gold, *chain = _unpack(enc.observed, len(group), enc.num_tags)
     type_features = (
         enc.type_features[:, first] @ scipy.sparse.diags(scale)
     ).tocsr()
@@ -648,11 +646,7 @@ def _merged(enc: _EncodedCorpus) -> tuple[_EncodedCorpus, np.ndarray]:
         enc,
         type_features=type_features,
         type_features_t=type_features.T,
-        observed=np.concatenate([
-            (gold_rows[first] * scale[:, None]).ravel(),
-            enc.observed[len(group) * k :],
-        ]),
-        row_scale=scale,
+        observed=_pack(gold[first] * scale[:, None], *chain),
     ), group
 
 
@@ -683,7 +677,7 @@ def train(
     rows, begin, end, trans = _unpack(
         result.x, enc.type_features.shape[1], fmap.num_tags
     )
-    emission = (rows / enc.row_scale[:, None])[group]
+    emission = (rows / np.sqrt(np.bincount(group))[:, None])[group]
     metadata = {
         **asdict(cfg),
         "training_sentences": len(corpus),
@@ -739,13 +733,13 @@ def save(model: CrfModel) -> bytes:
     set, tags, feature names and metadata, then the block of `_pack`'s
     weights in raw little-endian float64, so save/load round trips are
     bit-lossless and repeated saves byte-identical."""
-    weights = _pack(model.emission, model.begin, model.end, model.transition)
+    weights = (model.emission, model.begin, model.end, model.transition)
     return container.dump(_KIND, _VERSION, {
         "template_set": model.template_set.value,
         "tags": list(model.feature_map.tags),
         "features": list(model.feature_map.features),
         "metadata": model.metadata,
-    }, weights.astype("<f8", copy=False).tobytes())
+    }, *(np.ascontiguousarray(a, dtype="<f8") for a in weights))
 
 
 def _strings(doc: dict, key: str) -> tuple[str, ...]:

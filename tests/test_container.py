@@ -154,6 +154,31 @@ def test_dump_is_stable_and_loads_back():
     assert container.load(framed, "x", 4, ValueError) == (doc, block)
 
 
+#: 300,000 float64 weights of four values, so deflate finds matches
+#: across the boundaries of the blocks they are cut into.
+_WEIGHTS = np.random.default_rng(0).integers(0, 4, 300_000).astype("<f8")
+
+
+@pytest.mark.parametrize("blocks", [
+    (),
+    (b"",),
+    (b"\n\0raw",),
+    (b"", b""),
+    (b"ab", b"", np.arange(6.0).reshape(2, 3)),
+    (_WEIGHTS[:100_001], _WEIGHTS[100_001:100_003], np.empty(0),
+     _WEIGHTS[100_003:].reshape(-1, 7)),
+], ids=["none", "one-empty", "one", "all-empty", "several", "large"])
+def test_dump_compresses_the_parts_as_one_string(blocks):
+    """`dump` makes the bytes of compressing the JSON line, and a newline
+    and the blocks joined when they hold a byte, in one call."""
+    text = '{"format":"casener-x","version":4}'.encode()
+    joined = b"".join(memoryview(block).cast("B") for block in blocks)
+    whole = text + b"\n" + joined if joined else text
+    assert container.dump("x", 4, {}, *blocks) == zlib.compress(
+        whole, 6, wbits=31
+    )
+
+
 def _spaces_gzip(size: int) -> bytes:
     """A gzip of `size` spaces, compressed 1 MiB at a time so the full
     expansion is never held."""

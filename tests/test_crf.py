@@ -949,7 +949,8 @@ def _model_with_rows(rows, tags) -> CrfModel:
 @st.composite
 def models(draw) -> CrfModel:
     """A CRF of 1-6 features with arbitrary finite weights: its rows come
-    from a pool of at most three, some with their zeros' signs flipped."""
+    from a pool of at most three, some with their zeros' signs flipped, and
+    its emission array is in C or Fortran order."""
     tags = draw(st.sampled_from(
         [("O",), ("O", "S-A"), ("O", "B-A", "I-A", "E-A", "S-A")]
     ))
@@ -971,7 +972,7 @@ def models(draw) -> CrfModel:
     ))
     return CrfModel(
         FeatureMap(tuple(names), tags), draw(st.sampled_from(TemplateSet)),
-        np.array(rows, dtype=np.float64).reshape(f, k),
+        np.array(rows, dtype=np.float64, order=draw(st.sampled_from("CF"))),
         np.array(chain[:k]), np.array(chain[k : 2 * k]),
         np.array(chain[2 * k :]).reshape(k, k), metadata,
     )

@@ -190,6 +190,7 @@ def _corpus(*sentences):
     lambda a: Corpus(tuple(a))
 ))
 @example(_corpus(("<s>",), ("İ", "ẞ", "ﬁ"), ("a", "</s>", "<s>")))
+@example(_corpus(("=", "w0=a", "x=", "bos", "</s>")))
 def test_feature_table_matches_extract(template_set, corpus):
     """`extract`, fit_feature_map and the product of _encode's two feature
     factors equal spelling out and looking up the templates position by
