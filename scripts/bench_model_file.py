@@ -1,7 +1,7 @@
 """Time `crf.save` and `crf.load` per call on three models and print one
-JSON object: each model's file bytes, decompressed bytes, the per-call
-save and load times of the calls it makes, and the tracemalloc peak of one
-save and one load call.
+JSON object: each model's file bytes and their sha256, decompressed bytes,
+the per-call save and load times of the calls it makes, and the
+tracemalloc peak of one save and one load call.
 
     PYTHONPATH=src python3 scripts/bench_model_file.py [--calls N]
 
@@ -15,6 +15,7 @@ each checkout to compare two versions; it imports only names both keep.
 
 import argparse
 import gzip
+import hashlib
 import json
 import os
 import random
@@ -94,6 +95,7 @@ def main() -> None:
             "features": model.feature_map.num_features,
             "iterations": model.metadata["iterations"],
             "bytes": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
             "decompressed_bytes": len(gzip.decompress(data)),
             "save": summary(per_call(lambda: crf.save(model), calls)),
             "load": summary(per_call(lambda: crf.load(data), calls)),

@@ -416,8 +416,9 @@ class _EncodedCorpus:
     `observed` holds the count-weighted gold feature counts, laid out like
     the weights (`_pack` order): the log-likelihood is `observed @ w` minus
     the summed logZ, and its gradient is `observed` minus the expected
-    counts (Lafferty et al., 2001).  Those are sums of whole counts, so the
-    gold score is bitwise that of encoding every sentence.
+    counts (Lafferty et al., 2001), both through `feature_counts`.  Those
+    are sums of whole counts, so the gold score is bitwise that of encoding
+    every sentence.  `row_scale` is set only on `_merged` copies.
     """
 
     offset_types: scipy.sparse.csr_matrix
@@ -429,6 +430,18 @@ class _EncodedCorpus:
     row_counts: np.ndarray
     observed: np.ndarray
     num_tags: int
+    row_scale: np.ndarray | None = None
+
+    def feature_counts(self, node: np.ndarray, edge: np.ndarray) -> np.ndarray:
+        """The `_pack`-order feature counts of tag weights `node`, a row per
+        packed position, and per-step edge weights `edge` (`_forward_backward`)."""
+        lengths, _, _, last = self.packed
+        return _pack(
+            self.type_features_t @ (self.offset_types_t @ node),
+            node[: len(lengths)].sum(axis=0),
+            node[last].sum(axis=0),
+            edge.sum(axis=0),
+        )
 
 
 def _distinct(corpus: Corpus) -> tuple[Corpus, np.ndarray]:
@@ -464,7 +477,7 @@ def _encode(
     order = np.argsort(-lengths, kind="stable")
     lengths, counts, starts = lengths[order], counts[order], starts[order]
     packed = _packed(lengths)
-    _, steps, rank, last = packed
+    _, steps, rank, _ = packed
     # The corpus position each packed row holds: step t of sentence i is
     # position t of the corpus' sentence order[i].
     source = np.concatenate([starts] + [
@@ -492,23 +505,11 @@ def _encode(
     )
     tags = [t for ann in corpus for t in ann.gold.tags]
     tag_ids = {t: fmap.tag_index(t) for t in dict.fromkeys(tags)}
-    gold = np.fromiter(
+    gold = np.eye(k)[np.fromiter(
         (tag_ids[t] for t in tags), dtype=np.int64, count=total
-    )[source]
+    )[source]]  # one-hot rows
 
-    # The observed statistics are sums of whole counts, so they are exact.
-    observed = np.zeros(fmap.num_features * k + 2 * k + k * k)
-    emission, begin, end, trans = _unpack(observed, fmap.num_features, k)
-    weighted_gold = np.zeros((total, k))
-    weighted_gold[np.arange(total), gold] = counts[rank]
-    emission[:] = type_features.T @ (offset_types.T @ weighted_gold)
-    begin[:] = np.bincount(gold[: len(lengths)], weights=counts, minlength=k)
-    end[:] = np.bincount(gold[last], weights=counts, minlength=k)
-    for prev, cur in steps:
-        np.add.at(trans, (gold[prev], gold[cur]),
-                  counts[: cur.stop - cur.start])
-
-    return _EncodedCorpus(
+    enc = _EncodedCorpus(
         offset_types=offset_types,
         offset_types_t=offset_types.T,
         type_features=type_features,
@@ -516,9 +517,14 @@ def _encode(
         packed=packed,
         counts=counts,
         row_counts=counts[rank, None],
-        observed=observed,
+        observed=None,  # set below, from the gold path
         num_tags=k,
     )
+    node = gold * enc.row_counts
+    edge = np.reshape([node[prev].T @ gold[cur] for prev, cur in steps],
+                      (-1, k, k))
+    enc.observed = enc.feature_counts(node, edge)
+    return enc
 
 
 def _unpack(w: np.ndarray, num_features: int, k: int):
@@ -546,14 +552,8 @@ def _neg_ll_and_grad(
         enc.offset_types @ (enc.type_features @ emission), enc.packed,
         enc.counts, begin, end, trans,
     )
-    lengths, _, _, last = enc.packed
     node *= enc.row_counts
-    expected = _pack(
-        enc.type_features_t @ (enc.offset_types_t @ node),
-        node[: len(lengths)].sum(axis=0),
-        node[last].sum(axis=0),
-        edge.sum(axis=0),
-    )
+    expected = enc.feature_counts(node, edge)
 
     inv_var = 1.0 / (sigma * sigma)
     with np.errstate(over="ignore"):  # non-finite results are caught below
@@ -626,14 +626,14 @@ def _merged(enc: _EncodedCorpus) -> tuple[_EncodedCorpus, np.ndarray]:
     offset, and a feature belongs to one template slot at one offset.
 
     A group of c features keeps its first feature's column of
-    `type_features` and row of `observed`, both times sqrt(c).  Its weight
-    row u is sqrt(c) times the row v each member gets (`train` divides it
-    back), so the emission scores (c * v summed per position), the gold
-    score, the L2 norm and every inner product of weights or gradients
-    equal those of the full problem: L-BFGS-B takes the same steps in exact
-    arithmetic.  Only its infinity-norm `gtol` test sees the change: the
-    gradient of u is sqrt(c) times that of each member, so that test can
-    pass later, never earlier.
+    `type_features` and row of `observed`, both times sqrt(c), which
+    `row_scale` holds.  Its weight row u is sqrt(c) times the row v each
+    member gets (`train` divides it back), so the emission scores (c * v
+    summed per position), the gold score, the L2 norm and every inner
+    product of weights or gradients equal those of the full problem:
+    L-BFGS-B takes the same steps in exact arithmetic.  Only its
+    infinity-norm `gtol` test sees the change: the gradient of u is sqrt(c)
+    times that of each member, so that test can pass later, never earlier.
     """
     group = _column_groups(enc.offset_types.tocsc() @ enc.type_features.tocsc())
     first = np.unique(group, return_index=True)[1]
@@ -647,6 +647,7 @@ def _merged(enc: _EncodedCorpus) -> tuple[_EncodedCorpus, np.ndarray]:
         type_features=type_features,
         type_features_t=type_features.T,
         observed=_pack(gold[first] * scale[:, None], *chain),
+        row_scale=scale,
     ), group
 
 
@@ -677,7 +678,7 @@ def train(
     rows, begin, end, trans = _unpack(
         result.x, enc.type_features.shape[1], fmap.num_tags
     )
-    emission = (rows / np.sqrt(np.bincount(group))[:, None])[group]
+    emission = (rows / enc.row_scale[:, None])[group]
     metadata = {
         **asdict(cfg),
         "training_sentences": len(corpus),

@@ -29,7 +29,7 @@ from .corpus import Corpus, read_conll_file
 from .crf import CrfModel, TrainConfig, save_file, train
 from .evaluation import Metrics, metrics_lines, variant_grid
 from .features import TemplateSet
-from .synth import SynthConfig, generate, vocabulary_overlap_lines
+from .synth import SynthConfig, describe, generate, vocabulary_overlap_lines
 from .transforms import CaseVariant, augment, make_variant
 from .truecase import train_truecaser
 
@@ -105,14 +105,12 @@ def _load_corpora(cfg: ExperimentConfig) -> _Data:
     synth = cfg.synth
     if synth is not None:
         train_corpus, test_corpus = generate(synth)
-        line = (f"data: synthetic (seed={synth.seed}, train="
-                f"{synth.train_sentences}, test={synth.test_sentences}, "
-                f"noise_rate={synth.noise_rate})")
+        settings = describe(synth)
+        line = " ".join(["data: synthetic", *settings])
         return _Data(
             train_corpus, test_corpus,
             [line, *vocabulary_overlap_lines(train_corpus, test_corpus)],
-            [f"data.synth.seed={synth.seed}",
-             f"data.synth.noise_rate={synth.noise_rate!r}"],
+            [f"data.synth.{setting}" for setting in settings],
             line,
         )
     return _Data(

@@ -8,17 +8,17 @@ slice of test entities never occurs in training.  Gold tags are derived
 from the slot positions, so annotations are scheme-valid by construction.
 
 The vocabulary (gazetteers, templates and decoy nouns) is fixed in this
-module; a `SynthConfig` chooses only the seed, the split sizes and the
-noise rate.  Slot syntax inside templates: ``{PER}``/``{LOC}``/``{ORG}``
-draw an entity of that type, ``{ANY}`` draws a random type, and
-``{AMB:TYPE}`` flips a coin between an ambiguous entity of TYPE and its
-common-noun decoy.
+module; a `SynthConfig` chooses how much is drawn from it and how, and
+`describe` names each of its fields.  Slot syntax inside templates:
+``{PER}``/``{LOC}``/``{ORG}`` draw an entity of that type, ``{ANY}`` draws
+a random type, and ``{AMB:TYPE}`` flips a coin between an ambiguous entity
+of TYPE and its common-noun decoy.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .corpus import (
@@ -57,6 +57,13 @@ class SynthConfig:
             raise ValueError("sentence counts must be at least 1")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError("noise_rate must lie in [0, 1]")
+
+
+def describe(cfg: SynthConfig) -> list[str]:
+    """Every field of `cfg` as `name=value!r`, in field order: how the
+    corpora's provenance, the reports and their kv files name a synthetic
+    source."""
+    return [f"{name}={value!r}" for name, value in asdict(cfg).items()]
 
 
 def _parse_slot(token: str) -> tuple[str, str | None] | None:
@@ -170,10 +177,7 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
 
     train = sentences(train_pools, cfg.train_sentences)
     test = sentences(test_pools, cfg.test_sentences)
-    label = (
-        f"synthetic seed={cfg.seed} noise_rate={cfg.noise_rate} "
-        f"train={cfg.train_sentences} test={cfg.test_sentences}"
-    )
+    label = " ".join(["synthetic", *describe(cfg)])
     return (
         Corpus(train, f"{label} (training split)"),
         Corpus(test, f"{label} (test split)"),
@@ -195,24 +199,12 @@ def vocabulary_overlap(train: Corpus, test: Corpus) -> dict[str, float]:
             for ann in corpus for span in extract_spans(ann.gold)
         }
 
-    train_tokens = token_vocab(train)
-    test_tokens = token_vocab(test)
-    train_entities = entity_vocab(train)
-    test_entities = entity_vocab(test)
-    return {
-        "test_token_types": float(len(test_tokens)),
-        "test_token_types_seen": (
-            len(test_tokens & train_tokens) / len(test_tokens)
-            if test_tokens
-            else 0.0
-        ),
-        "test_entity_types": float(len(test_entities)),
-        "test_entity_types_seen": (
-            len(test_entities & train_entities) / len(test_entities)
-            if test_entities
-            else 0.0
-        ),
-    }
+    def seen(vocab) -> float:
+        test_types = vocab(test)
+        return len(test_types & vocab(train)) / len(test_types) if test_types else 0.0
+
+    return {"test_token_types_seen": seen(token_vocab),
+            "test_entity_types_seen": seen(entity_vocab)}
 
 
 def vocabulary_overlap_lines(train: Corpus, test: Corpus) -> list[str]:

@@ -167,7 +167,9 @@ _WEIGHTS = np.random.default_rng(0).integers(0, 4, 300_000).astype("<f8")
     (b"ab", b"", np.arange(6.0).reshape(2, 3)),
     (_WEIGHTS[:100_001], _WEIGHTS[100_001:100_003], np.empty(0),
      _WEIGHTS[100_003:].reshape(-1, 7)),
-], ids=["none", "one-empty", "one", "all-empty", "several", "large"])
+    (_WEIGHTS[: (1 << 17) + 1], np.tile(_WEIGHTS, 2).reshape(-1, 5)),
+], ids=["none", "one-empty", "one", "all-empty", "several", "large",
+        "over-1-mib"])
 def test_dump_compresses_the_parts_as_one_string(blocks):
     """`dump` makes the bytes of compressing the JSON line, and a newline
     and the blocks joined when they hold a byte, in one call."""
@@ -177,6 +179,20 @@ def test_dump_compresses_the_parts_as_one_string(blocks):
     assert container.dump("x", 4, {}, *blocks) == zlib.compress(
         whole, 6, wbits=31
     )
+
+
+def test_dump_holds_the_output_about_once():
+    """Dumping 8 MiB of incompressible weights holds well under two copies
+    of its output at once."""
+    block = np.random.default_rng(0).random(1 << 20)
+    tracemalloc.start()
+    try:
+        data = container.dump("x", 4, {}, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) > block.nbytes * 0.9
+    assert peak < 1.5 * block.nbytes
 
 
 def _spaces_gzip(size: int) -> bytes:

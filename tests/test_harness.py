@@ -1,8 +1,10 @@
 import os
+from dataclasses import asdict, dataclass, fields
 
 import pytest
 
 from casener import harness
+from casener.cli import EXIT_OK, main
 from casener.corpus import write_conll_file
 from casener.crf import TrainConfig, load_file
 from casener.harness import (
@@ -16,7 +18,7 @@ from casener.harness import (
 from casener.corpus import Scheme, TagSequence
 from casener.evaluation import map_prediction_types
 from casener.features import TemplateSet
-from casener.synth import default_config, generate
+from casener.synth import SynthConfig, default_config, generate
 from casener.transforms import CaseVariant
 from conftest import WRITERS, random_corpus
 
@@ -148,6 +150,45 @@ class TestRunExperiment:
         ))
         direct = run_experiment(small_config(Strategy.BASELINE))
         assert result.grid == direct.grid
+
+
+@dataclass(frozen=True)
+class _WiderSynth(SynthConfig):
+    """A `SynthConfig` with one field more, as a later setting would add."""
+
+    extra_rate: float = 0.25
+
+
+class TestSynthDescription:
+    """A synthetic source is described by `SynthConfig`'s fields alone."""
+
+    def test_grid_kv_names_the_split_sizes(self, tmp_path):
+        report = tmp_path / "grid"
+        assert main(["grid", "--data", "synth", "--synth-test-sentences",
+                     "50", "--report", str(report)]) == EXIT_OK
+        kv = (tmp_path / "grid.kv").read_text().splitlines()
+        for strategy in Strategy:
+            assert f"{strategy.value}.data.synth.test_sentences=50" in kv
+            assert f"{strategy.value}.data.synth.train_sentences=2000" in kv
+
+    @pytest.mark.parametrize("synth", [
+        SMALL_SYNTH, _WiderSynth(seed=7, train_sentences=150, test_sentences=40),
+    ], ids=["synth-config", "one-field-more"])
+    def test_every_field_is_named(self, synth):
+        result = run_experiment(small_config(synth=synth))
+        [data_line] = [line for line in result.report_text.splitlines()
+                       if line.startswith("data: ")]
+        kv = result.report_kv.splitlines()
+        assert [line.partition("=")[0] for line in kv
+                if line.startswith("data.")] == [
+            f"data.synth.{field.name}" for field in fields(synth)]
+        train, test = generate(synth)
+        for name, value in asdict(synth).items():
+            setting = f"{name}={value!r}"
+            assert f"data.synth.{setting}" in kv
+            assert setting in data_line.split()
+            assert setting in train.provenance.split()
+            assert setting in test.provenance.split()
 
 
 def _dropped_spans(result) -> int:
