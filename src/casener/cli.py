@@ -345,24 +345,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    settings = _settings(args, _EXPERIMENT_FLAGS)
-    if settings["strategy"] is None:
-        raise UsageError("a strategy is required (flag or config file)")
-    cfg = _experiment_config(settings, Strategy(settings["strategy"]),
-                             args.config)
-    result = harness.run_experiment(cfg)
-    sys.stdout.write(result.report_text)
-    return EXIT_OK
-
-
-def _cmd_grid(args: argparse.Namespace) -> int:
-    settings = _settings(args, _GRID_FLAGS)
-    strategies = settings["strategies"] or list(Strategy)
+def _cmd_run(args: argparse.Namespace) -> int:
+    """`experiment` (one strategy) and `grid` (several): one run, whose
+    report goes to stdout and to --report."""
+    if args.command == "grid":
+        settings = _settings(args, _GRID_FLAGS)
+        strategies = settings["strategies"] or list(Strategy)
+    else:
+        settings = _settings(args, _EXPERIMENT_FLAGS)
+        if settings["strategy"] is None:
+            raise UsageError("a strategy is required (flag or config file)")
+        strategies = [Strategy(settings["strategy"])]
     cfg = _experiment_config(settings, strategies[0], args.config)
     configs = [replace(cfg, strategy=s, report_path=None) for s in strategies]
-    _, combined = harness.run_grid(configs, report_path=cfg.report_path)
-    sys.stdout.write(combined)
+    _, text = harness.run_grid(configs, report_path=cfg.report_path)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -373,8 +370,8 @@ _COMMANDS = {
     "augment": _cmd_augment,
     "truecase": _cmd_truecase,
     "synth": _cmd_synth,
-    "experiment": _cmd_experiment,
-    "grid": _cmd_grid,
+    "experiment": _cmd_run,
+    "grid": _cmd_run,
 }
 
 

@@ -12,9 +12,9 @@ prepared:
                 copies (3x size), case-aware templates.
 
 `run_grid` is the one runner, and `run_experiment` its one-strategy case.
-
-Reports are a fixed-layout text table plus a machine-readable key-value
-file, deterministic for a fixed config (no timestamps).
+`_report` is the one report builder: a fixed-layout text file plus a
+machine-readable key-value file, deterministic for a fixed config (no
+timestamps).
 """
 
 from __future__ import annotations
@@ -82,43 +82,41 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """One strategy's scores; its report is `_report` of it alone."""
+
     config: ExperimentConfig
     grid: dict[CaseVariant, Metrics]
     model: CrfModel
-    report_text: str
-    report_kv: str
+    dropped_spans: int  # predicted spans the type map dropped to O
+    report_text: str = ""
+    report_kv: str = ""
 
 
 class _Data(NamedTuple):
-    """An experiment's corpora and how its reports describe their source."""
+    """An experiment's corpora, how the reports name their source (its
+    `kind` and its settings as `describe` writes them), and how much of
+    the test data was seen in training."""
 
     train: Corpus
     test: Corpus
-    header_lines: list[str]  # the experiment report's header
-    kv_lines: list[str]  # its kv file's `data.*` lines
-    grid_line: str  # the grid report's data line
+    kind: str
+    settings: list[str]
+    overlap_lines: list[str]
 
 
 def _load_corpora(cfg: ExperimentConfig) -> _Data:
     """Generate or read the config's data source: the only code that tells
     a synthetic source from a pair of files."""
-    synth = cfg.synth
-    if synth is not None:
-        train_corpus, test_corpus = generate(synth)
-        settings = describe(synth)
-        line = " ".join(["data: synthetic", *settings])
-        return _Data(
-            train_corpus, test_corpus,
-            [line, *vocabulary_overlap_lines(train_corpus, test_corpus)],
-            [f"data.synth.{setting}" for setting in settings],
-            line,
-        )
-    return _Data(
-        read_conll_file(cfg.train_path), read_conll_file(cfg.test_path),
-        [f"data: train={cfg.train_path} test={cfg.test_path}"],
-        [f"data.train={cfg.train_path}", f"data.test={cfg.test_path}"],
-        f"data: test={cfg.test_path}",
-    )
+    if cfg.synth is not None:
+        train_corpus, test_corpus = generate(cfg.synth)
+        kind, settings = "synth", describe(cfg.synth)
+    else:
+        train_corpus = read_conll_file(cfg.train_path)
+        test_corpus = read_conll_file(cfg.test_path)
+        kind = "files"
+        settings = describe({"train": cfg.train_path, "test": cfg.test_path})
+    return _Data(train_corpus, test_corpus, kind, settings,
+                 vocabulary_overlap_lines(train_corpus, test_corpus))
 
 
 def training_view(corpus: Corpus, strategy: Strategy) -> tuple[Corpus, TemplateSet]:
@@ -127,19 +125,6 @@ def training_view(corpus: Corpus, strategy: Strategy) -> tuple[Corpus, TemplateS
     if strategy is Strategy.AUGMENT:
         return augment(corpus), TemplateSet.CASE_AWARE
     return corpus, TemplateSet.CASE_AWARE
-
-
-def _format_f1_table(rows: Sequence[tuple[str, dict[CaseVariant, Metrics]]]) -> str:
-    header = f"{'Method':<12}" + "".join(
-        f"{v.value.capitalize():>10}" for v in CaseVariant
-    )
-    lines = [header]
-    for name, grid in rows:
-        lines.append(
-            f"{name:<12}"
-            + "".join(f"{100 * grid[v].f1:>10.1f}" for v in CaseVariant)
-        )
-    return "\n".join(lines)
 
 
 #: What a report path gets appended for its two files.
@@ -189,110 +174,95 @@ def _write_report(path: str | None, text: str, kv: str) -> None:
             write_file(path + suffix, content.encode("utf-8"))
 
 
+def _report(data: _Data,
+            results: Sequence[ExperimentResult]) -> tuple[str, str]:
+    """The text and kv files reporting `results`, all scored on `data`: the
+    only code that writes a report.  Every setting and count is written
+    `name=value!r` (`describe`): the source's once, on the `data:` line and
+    as `data.<kind>.<name>` keys, and each strategy's on its own line and as
+    `<strategy>.<name>` keys, before its scores."""
+    text = [
+        "casener report",
+        "==============",
+        " ".join(["data:", data.kind, *data.settings]),
+        *data.overlap_lines,
+        "",
+        "F1 (%) by test variant",
+        f"{'Method':<12}"
+        + "".join(f"{v.value.capitalize():>10}" for v in CaseVariant),
+    ]
+    for result in results:
+        text.append(f"{result.config.strategy.value:<12}" + "".join(
+            f"{100 * result.grid[v].f1:>10.1f}" for v in CaseVariant))
+    kv = [f"data.{data.kind}.{setting}" for setting in data.settings]
+    for result in results:
+        cfg, model = result.config, result.model
+        name = cfg.strategy.value
+        facts = describe({
+            "seed": cfg.seed,
+            **asdict(cfg.train_config),
+            "template_set": model.template_set.value,
+            "train.sentences": len(data.train),
+            "train.effective_sentences": model.metadata["training_sentences"],
+            "model.features": model.feature_map.num_features,
+            "model.tags": model.feature_map.num_tags,
+            "predictions.dropped_spans": result.dropped_spans,
+        })
+        text += ["", " ".join([f"{name}:", *facts])]
+        kv += [f"{name}.{fact}" for fact in facts]
+        if cfg.strategy is Strategy.TRUECASING:
+            text.append(
+                "truecaser: unigram majority model fitted on the training "
+                "corpus (internal; not an external truecasing system)"
+            )
+        if cfg.type_map is not None:
+            text.append("type map applied to predictions; spans with "
+                        "unmapped types dropped to O")
+        for variant in CaseVariant:
+            m = result.grid[variant]
+            text.append(
+                f"{variant.value}: P={m.precision:.4f} R={m.recall:.4f} "
+                f"F1={m.f1:.4f} (tp={m.true_positives} "
+                f"pred={m.predicted_count} gold={m.gold_count})"
+            )
+            kv += metrics_lines(m, prefix=f"{name}.variant.{variant.value}.")
+    return "\n".join(text) + "\n", "\n".join(kv) + "\n"
+
+
 def _run_strategy(cfg: ExperimentConfig, data: _Data,
                   models: dict[tuple, CrfModel]) -> ExperimentResult:
     """Score one strategy on `data` (from `_load_corpora`) and write the
     files its config names.  The model comes from `models`, keyed by what
     determines its weights, and is trained and added there if missing."""
-    train_cfg = cfg.train_config
     # TRUECASING trains as BASELINE: only its test input differs.
     recipe = Strategy.BASELINE if cfg.strategy is Strategy.TRUECASING else cfg.strategy
-    key = (recipe, train_cfg)
+    key = (recipe, cfg.train_config)
     if key not in models:
-        models[key] = train(*training_view(data.train, recipe), train_cfg)
+        models[key] = train(*training_view(data.train, recipe), cfg.train_config)
     model = models[key]
-    template_set = model.template_set
-    effective_sentences = model.metadata["training_sentences"]
-    settings = asdict(train_cfg)
-
     truecaser = None
     if cfg.strategy is Strategy.TRUECASING:
         truecaser = train_truecaser(data.train)
     grid, dropped = variant_grid(
         model, data.test, truecaser=truecaser, type_map=cfg.type_map
     )
-
-    header = [
-        "casener experiment report",
-        "=========================",
-        f"strategy: {cfg.strategy.value}",
-        *data.header_lines,
-        f"seed: {cfg.seed}",
-        "  ".join(f"{name}: {value}" for name, value in settings.items()),
-        f"feature templates: {template_set.value}",
-        f"training sentences: {len(data.train)}"
-        f" (effective {effective_sentences})",
-        f"features: {model.feature_map.num_features}"
-        f"  tags: {model.feature_map.num_tags}",
-    ]
-    if truecaser is not None:
-        header.append(
-            "truecaser: unigram majority model fitted on the training corpus "
-            "(internal; not an external truecasing system)"
-        )
-    if cfg.type_map is not None:
-        header.append(
-            f"type map applied to predictions; {dropped} span(s) with "
-            f"unmapped types dropped to O"
-        )
-
-    table = _format_f1_table([(cfg.strategy.value, grid)])
-    detail_lines = []
-    for variant in CaseVariant:
-        m = grid[variant]
-        detail_lines.append(
-            f"{variant.value}: P={m.precision:.4f} R={m.recall:.4f} "
-            f"F1={m.f1:.4f} (tp={m.true_positives} pred={m.predicted_count} "
-            f"gold={m.gold_count})"
-        )
-    report_text = (
-        "\n".join(header)
-        + "\n\nF1 (%) by test variant\n"
-        + table
-        + "\n\n"
-        + "\n".join(detail_lines)
-        + "\n"
-    )
-
-    kv_lines = [
-        f"strategy={cfg.strategy.value}",
-        f"seed={cfg.seed}",
-        *(f"{name}={value!r}" for name, value in settings.items()),
-        f"template_set={template_set.value}",
-        f"train.sentences={len(data.train)}",
-        f"train.effective_sentences={effective_sentences}",
-        f"model.features={model.feature_map.num_features}",
-        f"model.tags={model.feature_map.num_tags}",
-        f"predictions.dropped_spans={dropped}",
-        *data.kv_lines,
-    ]
-    for variant in CaseVariant:
-        kv_lines.extend(
-            metrics_lines(grid[variant], prefix=f"variant.{variant.value}.")
-        )
-    report_kv = "\n".join(kv_lines) + "\n"
-
+    result = ExperimentResult(cfg, grid, model, dropped)
+    result.report_text, result.report_kv = _report(data, [result])
     if cfg.model_path is not None:
         save_file(model, cfg.model_path)
-    _write_report(cfg.report_path, report_text, report_kv)
-
-    return ExperimentResult(
-        config=cfg,
-        grid=grid,
-        model=model,
-        report_text=report_text,
-        report_kv=report_kv,
-    )
+    _write_report(cfg.report_path, result.report_text, result.report_kv)
+    return result
 
 
 def run_grid(
     configs: Sequence[ExperimentConfig], report_path: str | None = None
 ) -> tuple[list[ExperimentResult], str]:
-    """Run several strategies on one shared data source; combined table.
+    """Run several strategies on one shared data source; one report.
 
     The data is generated or read once, and each distinct model is trained
     once, so TRUECASING scores the model BASELINE trained.  Returns the
-    individual results plus the combined report text.
+    individual results plus the text of the report of them all, which is
+    also written to `report_path`.
     """
     if not configs:
         raise ValueError("at least one experiment config is required")
@@ -311,19 +281,9 @@ def run_grid(
 
     models: dict[tuple, CrfModel] = {}
     results = [_run_strategy(cfg, data, models) for cfg in configs]
-    table = _format_f1_table(
-        [(r.config.strategy.value, r.grid) for r in results]
-    )
-    combined = ("casener strategy grid\n=====================\n"
-                f"{data.grid_line}\n\nF1 (%) by test variant\n{table}\n")
-
-    combined_kv = "".join(
-        f"{result.config.strategy.value}.{line}\n"
-        for result in results
-        for line in result.report_kv.strip().split("\n")
-    )
-    _write_report(report_path, combined, combined_kv)
-    return results, combined
+    text, kv = _report(data, results)
+    _write_report(report_path, text, kv)
+    return results, text
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

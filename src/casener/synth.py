@@ -18,7 +18,7 @@ of TYPE and its common-noun decoy.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Mapping
 
 from .corpus import (
@@ -59,11 +59,12 @@ class SynthConfig:
             raise ValueError("noise_rate must lie in [0, 1]")
 
 
-def describe(cfg: SynthConfig) -> list[str]:
-    """Every field of `cfg` as `name=value!r`, in field order: how the
-    corpora's provenance, the reports and their kv files name a synthetic
-    source."""
-    return [f"{name}={value!r}" for name, value in asdict(cfg).items()]
+def describe(settings: object) -> list[str]:
+    """Each of `settings`, a dataclass's fields or a mapping's items, as
+    `name=value!r` in order: how the corpora's provenance and the reports
+    write each setting and count."""
+    items = asdict(settings) if is_dataclass(settings) else settings
+    return [f"{name}={value!r}" for name, value in items.items()]
 
 
 def _parse_slot(token: str) -> tuple[str, str | None] | None:

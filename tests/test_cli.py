@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import gzip
@@ -429,15 +430,20 @@ def test_experiment_command_with_config_file(tmp_path, capsys):
     )
     assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
     report = (tmp_path / "rep.txt").read_text()
-    assert "strategy: caseless" in report
-    assert "seed: 5" in report
+    assert "seed=5" in _strategy_line(report, "caseless").split()
     kv = (tmp_path / "rep.kv").read_text()
     f1s = {
         line.split("=")[0]: line.split("=")[1]
         for line in kv.splitlines()
         if line.endswith(tuple("0123456789")) and ".f1" in line
     }
-    assert f1s["variant.original.f1"] == f1s["variant.lower.f1"]
+    assert f1s["caseless.variant.original.f1"] == f1s["caseless.variant.lower.f1"]
+
+
+def _strategy_line(report: str, strategy: str) -> str:
+    """The report's one line of `strategy`'s settings and counts."""
+    [line] = [l for l in report.splitlines() if l.startswith(f"{strategy}: ")]
+    return line
 
 
 def test_experiment_flag_overrides_config(tmp_path):
@@ -450,8 +456,7 @@ def test_experiment_flag_overrides_config(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--strategy", "baseline",
                  "--seed", "9", "--report", report]) == EXIT_OK
     text = (tmp_path / "rep.txt").read_text()
-    assert "strategy: baseline" in text
-    assert "seed: 9" in text
+    assert "seed=9" in _strategy_line(text, "baseline").split()
 
 
 @pytest.mark.parametrize("command", ["experiment", "grid"])
@@ -831,7 +836,8 @@ def test_experiment_and_grid_read_conll_files(data_files, capsys):
 
 def test_file_source_report_lines(data_files, tmp_path, capsys):
     """The data lines of file-source reports, byte for byte.  The paths hold
-    characters `str.splitlines` splits at, so a line break is only "\\n"."""
+    characters `str.splitlines` splits at, which `repr` escapes, so each
+    path stays on its own line."""
     root, train, test = data_files
     directory = tmp_path / "data \x1c\u2028 dir"
     directory.mkdir()
@@ -848,18 +854,55 @@ def test_file_source_report_lines(data_files, tmp_path, capsys):
         assert capsys.readouterr().out.encode("utf-8") == text
         return text.split(b"\n"), Path(base + ".kv").read_bytes().split(b"\n")
 
-    text, kv = report(["experiment", "--strategy", "baseline"],
-                      str(tmp_path / "experiment"))
-    assert text[3] == f"data: train={train_path} test={test_path}".encode()
-    assert kv[11:13] == [f"data.train={train_path}".encode(),
-                         f"data.test={test_path}".encode()]
+    for argv, base in ((["experiment", "--strategy", "baseline"], "experiment"),
+                       (["grid", "--strategies", "baseline,caseless"], "grid")):
+        text, kv = report(argv, str(tmp_path / base))
+        assert text[2] == (
+            f"data: files train={train_path!r} test={test_path!r}".encode())
+        assert kv[:2] == [f"data.files.train={train_path!r}".encode(),
+                          f"data.files.test={test_path!r}".encode()]
+        assert not any(b".data." in line.partition(b"=")[0] for line in kv)
 
-    text, kv = report(["grid", "--strategies", "baseline,caseless"],
-                      str(tmp_path / "grid"))
-    assert text[2] == f"data: test={test_path}".encode()
-    for strategy in ("baseline", "caseless"):
-        assert kv.count(f"{strategy}.data.train={train_path}".encode()) == 1
-        assert kv.count(f"{strategy}.data.test={test_path}".encode()) == 1
+
+@pytest.mark.parametrize("strategy", [s.value for s in harness.Strategy])
+def test_experiment_is_the_one_strategy_grid(tmp_path, capsys, strategy):
+    """`experiment --strategy S` and `grid --strategies S` write one report:
+    the same stdout, .txt and .kv, byte for byte."""
+    flags = ["--data", "synth", "--synth-train-sentences", "60",
+             "--synth-test-sentences", "15", "--max-epochs", "5"]
+    outputs = []
+    for argv in (["experiment", "--strategy", strategy],
+                 ["grid", "--strategies", strategy]):
+        base = tmp_path / argv[0]
+        assert main([*argv, *flags, "--report", str(base)]) == EXIT_OK
+        outputs.append((capsys.readouterr().out.encode("utf-8"),
+                        Path(f"{base}.txt").read_bytes(),
+                        Path(f"{base}.kv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_kv_file_parses_for_any_path(data_files, tmp_path, capsys):
+    """Paths holding a newline and a `=` keep the kv file one `key=value`
+    per line, with each path's value its `repr`."""
+    root, train, test = data_files
+    paths = {"train": str(tmp_path / "tr=ain\nfile.conll"),
+             "test": str(tmp_path / "te=st\nfile.conll")}
+    shutil.copy(train, paths["train"])
+    shutil.copy(test, paths["test"])
+    base = str(tmp_path / "rep")
+    assert main(["experiment", "--strategy", "baseline", "--train",
+                 paths["train"], "--test", paths["test"], "--max-epochs", "5",
+                 "--report", base]) == EXIT_OK
+    capsys.readouterr()
+    text = Path(base + ".kv").read_bytes().decode("utf-8")
+    lines = text.split("\n")
+    assert lines.pop() == "" and lines == text.splitlines()
+    assert all("=" in line for line in lines)
+    keys = [line.partition("=")[0] for line in lines]
+    assert len(set(keys)) == len(keys)
+    kv = dict(line.split("=", 1) for line in lines)
+    for name, path in paths.items():
+        assert ast.literal_eval(kv[f"data.files.{name}"]) == path
 
 
 @pytest.mark.parametrize("command, selector", [

@@ -78,12 +78,12 @@ class TestRunExperiment:
 
     def test_report_contents(self, caseless_result):
         text = caseless_result.report_text
-        assert "strategy: caseless" in text
-        assert "seed: 7" in text
+        [line] = [l for l in text.splitlines() if l.startswith("caseless: ")]
+        assert "seed=7" in line.split()
         assert "Original" in text and "Lower" in text and "Upper" in text
         kv = caseless_result.report_kv
-        assert "variant.original.f1=" in kv
-        assert "train.sentences=150" in kv
+        assert "caseless.variant.original.f1=" in kv
+        assert "caseless.train.sentences=150" in kv.splitlines()
 
     def test_augment_triples_training_size(self):
         result = run_experiment(small_config(Strategy.AUGMENT))
@@ -167,9 +167,10 @@ class TestSynthDescription:
         assert main(["grid", "--data", "synth", "--synth-test-sentences",
                      "50", "--report", str(report)]) == EXIT_OK
         kv = (tmp_path / "grid.kv").read_text().splitlines()
-        for strategy in Strategy:
-            assert f"{strategy.value}.data.synth.test_sentences=50" in kv
-            assert f"{strategy.value}.data.synth.train_sentences=2000" in kv
+        # The source is written once, not once per strategy.
+        assert kv.count("data.synth.test_sentences=50") == 1
+        assert kv.count("data.synth.train_sentences=2000") == 1
+        assert not any(".data." in line for line in kv)
 
     @pytest.mark.parametrize("synth", [
         SMALL_SYNTH, _WiderSynth(seed=7, train_sentences=150, test_sentences=40),
@@ -193,7 +194,7 @@ class TestSynthDescription:
 
 def _dropped_spans(result) -> int:
     kv = dict(line.split("=", 1) for line in result.report_kv.splitlines())
-    return int(kv["predictions.dropped_spans"])
+    return int(kv[f"{result.config.strategy.value}.predictions.dropped_spans"])
 
 
 class TestTypeMapping:
