@@ -20,6 +20,7 @@ scheme-valid output.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, NamedTuple
@@ -696,6 +697,19 @@ def train(
 # Decoding
 
 
+#: How many distinct decoded paths `decode` shares at once.  Decoding
+#: yields few distinct paths: 42 in the 45,000 decodes of a `tag_bulk`
+#: benchmark round, 27 for the 725 distinct sentences of a long-tail test
+#: split.  An entry holds about 240 bytes plus 8 per token, so the full
+#: table holds 0.31 MB of 8-token paths and 0.37 MB of 15-token ones
+#: (tracemalloc).
+_SHARED_PATHS = 1024
+
+#: The one shared, validated `TagSequence` per recent distinct tags tuple;
+#: the least recently used one goes first when the table is full.
+_shared_path = functools.lru_cache(maxsize=_SHARED_PATHS)(TagSequence)
+
+
 def decode(model: CrfModel, sentence: Sentence) -> TagSequence:
     """Highest-scoring IOBES-legal tagging of `sentence` (Viterbi).
 
@@ -703,6 +717,14 @@ def decode(model: CrfModel, sentence: Sentence) -> TagSequence:
     tag index at each backtrace step.  The all-"O" path is always legal, so
     the best path is, unless a score overflows: then inf plus the -inf mask
     would be NaN, and FloatingPointError is raised instead.
+
+    Equal predictions are one object: the result is the shared, immutable
+    `TagSequence` of its tags, validated when first made, from a table of
+    the `_SHARED_PATHS` most recently decoded paths (0.31 MB when full of
+    8-token paths).  So a repeated path allocates nothing that outlives
+    the call; decoding yields few distinct paths (42 in the 45,000 decodes
+    of a `tag_bulk` benchmark round, 27 for the 725 distinct sentences of a
+    long-tail test split).
     """
     with _overflow_raises():
         emit = _emissions(model, sentence)
@@ -721,8 +743,7 @@ def decode(model: CrfModel, sentence: Sentence) -> TagSequence:
         best = int(back[t, best])
         path.append(best)
     path.reverse()
-    tags = tuple(model.feature_map.tags[i] for i in path)
-    return TagSequence(tags)
+    return _shared_path(tuple(model.feature_map.tags[i] for i in path))
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,21 @@ class TestDecode:
         sentence = corpus.sentences[0].sentence
         assert decode(model, sentence).tags == ("O",) * len(sentence)
 
+    def test_equal_paths_are_one_object(self, rng):
+        """Decodes whose best paths are equal return one shared, validated
+        `TagSequence`, from a table bounded by `_SHARED_PATHS`."""
+        fmap = fit_feature_map(random_corpus(rng, sentences=3),
+                               TemplateSet.CASE_AWARE)
+        model = zero_model(fmap)
+        first = decode(model, Sentence(("talks", "in", "Oslo")))
+        second = decode(crf.load(crf.save(model)),
+                        Sentence(("acme", "met", "BAKER")))
+        assert first is second
+        assert first == TagSequence(("O", "O", "O"))
+        info = crf._shared_path.cache_info()
+        assert info.maxsize == crf._SHARED_PATHS
+        assert info.currsize <= crf._SHARED_PATHS
+
     def test_matches_enumeration_with_constraints(self, rng):
         tag_spaces = [
             ("O", "S-A"),

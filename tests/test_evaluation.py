@@ -174,6 +174,24 @@ class TestTagCorpus:
             decode(model, truecase(caser, s)) for s in sentences
         ]
 
+    def test_equal_predictions_are_one_object(self, setup):
+        """Distinct sentences with one best path get one prediction object,
+        and scoring unshared copies of the predictions gives the grid
+        `robustness_grid` gives."""
+        model, _, test_corpus = setup
+        grid = robustness_grid(model, test_corpus)
+        for variant in CaseVariant:
+            corpus = make_variant(test_corpus, variant)
+            predicted = tag_corpus(model, corpus)
+            shared = {}
+            for tags in predicted:
+                assert shared.setdefault(tags.tags, tags) is tags
+            assert len(shared) < len({ann.sentence for ann in corpus})
+            copies = [TagSequence(tags.tags) for tags in predicted]
+            assert grid[variant] == evaluate(
+                copies, [ann.gold for ann in corpus]
+            )
+
     def test_identity_type_map_keeps_the_grid(self, setup):
         model, _, test_corpus = setup
         types = {tag[2:] for tag in model.feature_map.tags if tag != "O"}
