@@ -56,10 +56,12 @@ class ModelFormatError(ValueError):
 def _check_l2_sigma(l2_sigma: float) -> None:
     """Reject a prior sigma the penalty 1 / sigma^2 cannot use."""
     # Written so that NaN fails too: every comparison with it is False.  A
-    # sigma below about 1.5e-154 squares to 0, and the penalty divides by it.
-    if not (0 < l2_sigma < np.inf and l2_sigma * l2_sigma > 0):
+    # sigma below about 1.5e-154 squares to a subnormal, whose inverse
+    # overflows below about 7.5e-155; below about 1.6e-162 the square is 0.
+    if not (0 < l2_sigma < np.inf and l2_sigma * l2_sigma > 0
+            and 1 / (l2_sigma * l2_sigma) < np.inf):
         raise ValueError(
-            "l2_sigma must be positive and finite, and its square nonzero"
+            "l2_sigma must be positive and finite, and 1 / l2_sigma^2 finite"
         )
 
 
@@ -720,11 +722,9 @@ def decode(model: CrfModel, sentence: Sentence) -> TagSequence:
 
     Equal predictions are one object: the result is the shared, immutable
     `TagSequence` of its tags, validated when first made, from a table of
-    the `_SHARED_PATHS` most recently decoded paths (0.31 MB when full of
-    8-token paths).  So a repeated path allocates nothing that outlives
-    the call; decoding yields few distinct paths (42 in the 45,000 decodes
-    of a `tag_bulk` benchmark round, 27 for the 725 distinct sentences of a
-    long-tail test split).
+    the `_SHARED_PATHS` most recently decoded paths (whose comment gives
+    the measured path counts and the table's bytes).  So a repeated path
+    allocates nothing that outlives the call.
     """
     with _overflow_raises():
         emit = _emissions(model, sentence)

@@ -80,7 +80,7 @@ class ExperimentConfig:
                     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
     """One strategy's scores; its report is `_report` of it alone."""
 
@@ -88,8 +88,6 @@ class ExperimentResult:
     grid: dict[CaseVariant, Metrics]
     model: CrfModel
     dropped_spans: int  # predicted spans the type map dropped to O
-    report_text: str = ""
-    report_kv: str = ""
 
 
 class _Data(NamedTuple):
@@ -140,7 +138,8 @@ def check_output_paths(outputs: Sequence[tuple[str, str, str | None]],
     """Fail, before any work, unless each output (name, what, path) can be
     written, and no two outputs, nor an output and a read (name, path),
     resolve to one file (PathCollisionError).  None paths are skipped, and
-    a "report" path stands for its `.txt` and `.kv` files."""
+    a "report" path stands for its `.txt` and `.kv` files; neither it nor
+    they may name a directory."""
     files = []
     for name, what, path in outputs:
         if path is None:
@@ -152,11 +151,13 @@ def check_output_paths(outputs: Sequence[tuple[str, str, str | None]],
             raise FileNotFoundError(
                 f"{what} path {path!r}: directory {directory!r} does not exist"
             )
-        for suffix in _REPORT_SUFFIXES if what == "report" else ("",):
-            if os.path.isdir(path + suffix):
+        targets = ([path + suffix for suffix in _REPORT_SUFFIXES]
+                   if what == "report" else [path])
+        for target in dict.fromkeys([path, *targets]):
+            if os.path.isdir(target):
                 raise IsADirectoryError(
-                    f"{what} path {path + suffix!r} is a directory")
-            files.append((name, path + suffix))
+                    f"{what} path {target!r} is a directory")
+        files += [(name, target) for target in targets]
     written: dict[str, str] = {}  # resolved file -> name of its output
     for i, (name, path) in enumerate(files + [(n, p) for n, p in reads if p]):
         key = os.path.realpath(path)
@@ -229,40 +230,16 @@ def _report(data: _Data,
     return "\n".join(text) + "\n", "\n".join(kv) + "\n"
 
 
-def _run_strategy(cfg: ExperimentConfig, data: _Data,
-                  models: dict[tuple, CrfModel]) -> ExperimentResult:
-    """Score one strategy on `data` (from `_load_corpora`) and write the
-    files its config names.  The model comes from `models`, keyed by what
-    determines its weights, and is trained and added there if missing."""
-    # TRUECASING trains as BASELINE: only its test input differs.
-    recipe = Strategy.BASELINE if cfg.strategy is Strategy.TRUECASING else cfg.strategy
-    key = (recipe, cfg.train_config)
-    if key not in models:
-        models[key] = train(*training_view(data.train, recipe), cfg.train_config)
-    model = models[key]
-    truecaser = None
-    if cfg.strategy is Strategy.TRUECASING:
-        truecaser = train_truecaser(data.train)
-    grid, dropped = variant_grid(
-        model, data.test, truecaser=truecaser, type_map=cfg.type_map
-    )
-    result = ExperimentResult(cfg, grid, model, dropped)
-    result.report_text, result.report_kv = _report(data, [result])
-    if cfg.model_path is not None:
-        save_file(model, cfg.model_path)
-    _write_report(cfg.report_path, result.report_text, result.report_kv)
-    return result
-
-
 def run_grid(
     configs: Sequence[ExperimentConfig], report_path: str | None = None
 ) -> tuple[list[ExperimentResult], str]:
     """Run several strategies on one shared data source; one report.
 
     The data is generated or read once, and each distinct model is trained
-    once, so TRUECASING scores the model BASELINE trained.  Returns the
-    individual results plus the text of the report of them all, which is
-    also written to `report_path`.
+    once, so TRUECASING scores the model BASELINE trained.  Every config is
+    scored before any file is written, so a failed run writes none.
+    Returns the individual results plus the text of the report of them
+    all, which is also written to `report_path`.
     """
     if not configs:
         raise ValueError("at least one experiment config is required")
@@ -279,8 +256,27 @@ def run_grid(
     if len(data.train) == 0:
         raise ValueError("training corpus is empty")
 
-    models: dict[tuple, CrfModel] = {}
-    results = [_run_strategy(cfg, data, models) for cfg in configs]
+    models: dict[tuple, CrfModel] = {}  # keyed by what sets the weights
+    results = []
+    for cfg in configs:
+        # TRUECASING trains as BASELINE: only its test input differs.
+        truecasing = cfg.strategy is Strategy.TRUECASING
+        recipe = Strategy.BASELINE if truecasing else cfg.strategy
+        key = (recipe, cfg.train_config)
+        if key not in models:
+            models[key] = train(*training_view(data.train, recipe),
+                                cfg.train_config)
+        truecaser = train_truecaser(data.train) if truecasing else None
+        grid, dropped = variant_grid(models[key], data.test,
+                                     truecaser=truecaser, type_map=cfg.type_map)
+        results.append(ExperimentResult(cfg, grid, models[key], dropped))
+
+    for result in results:
+        cfg = result.config
+        if cfg.model_path is not None:
+            save_file(result.model, cfg.model_path)
+        if cfg.report_path is not None:
+            _write_report(cfg.report_path, *_report(data, [result]))
     text, kv = _report(data, results)
     _write_report(report_path, text, kv)
     return results, text

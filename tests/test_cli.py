@@ -62,6 +62,8 @@ def test_missing_file_exits_2(tmp_path):
 @pytest.mark.parametrize(("flag", "value"), [
     *itertools.product(["--l2-sigma", "--tolerance"], ["nan", "inf"]),
     ("--l2-sigma", "1e-200"),  # its square underflows to 0
+    # Its square is subnormal, and 1 / square overflows.
+    ("--l2-sigma", "1e-155"), ("--l2-sigma", "1e-160"),
 ])
 def test_non_finite_training_setting_exits_2(data_files, tmp_path, capsys,
                                              flag, value):
@@ -693,7 +695,8 @@ _OUTPUT_COMMANDS = [
     for case in ("missing-directory", "directory", "empty")
     for name, what, argv in _OUTPUT_COMMANDS
 ] + [
-    pytest.param(what, argv, "empty", id=f"empty-{name}")
+    pytest.param(what, argv, case, id=f"{case}-{name}")
+    for case in ("directory", "empty")
     for name, what, argv in _TRAINING_OUTPUT_COMMANDS
 ])
 def test_bad_output_path_exits_2_before_any_work(
@@ -725,6 +728,24 @@ def test_bad_output_path_exits_2_before_any_work(
     }[case])
     assert not other.exists()
     assert os.listdir(cwd) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "--strategy", "baseline"], ["grid"],
+], ids=["experiment", "grid"])
+@pytest.mark.parametrize("report", [".", "out/"])
+def test_report_path_naming_a_directory_writes_nothing(
+        tmp_path, capsys, monkeypatch, command, report):
+    """A report path is refused when it, not only its `.txt` or `.kv`
+    file, names a directory: `--report .` would write `..txt`, and
+    `--report out/` `out/.txt`."""
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    assert main([*command, "--data", "synth", "--report", report]) == EXIT_DATA
+    assert capsys.readouterr() == (
+        "", f"data error: report path {report!r} is a directory\n")
+    assert os.listdir() == ["out"] and os.listdir("out") == []
 
 
 @pytest.mark.parametrize("out_train, out_test", [
@@ -822,10 +843,10 @@ def test_experiment_and_grid_read_conll_files(data_files, capsys):
     files = dict(train_path=train, test_path=test,
                  train_config=TrainConfig(max_epochs=5))
     assert main(["experiment", "--strategy", "caseless", *flags]) == EXIT_OK
-    single = harness.run_experiment(
-        harness.ExperimentConfig(harness.Strategy.CASELESS, **files)
+    _, single = harness.run_grid(
+        [harness.ExperimentConfig(harness.Strategy.CASELESS, **files)]
     )
-    assert capsys.readouterr().out == single.report_text
+    assert capsys.readouterr().out == single
     assert main(["grid", "--strategies", "baseline,caseless", *flags]) == EXIT_OK
     _, combined = harness.run_grid([
         harness.ExperimentConfig(strategy, **files)

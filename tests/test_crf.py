@@ -706,6 +706,8 @@ class TestTrain:
     @pytest.mark.parametrize(("field", "value"), [
         *itertools.product(["l2_sigma", "tolerance"], [math.nan, math.inf]),
         ("l2_sigma", 1e-200),  # its square underflows to 0
+        # Its square is subnormal, and 1 / square overflows.
+        ("l2_sigma", 1e-155), ("l2_sigma", 1e-160),
     ])
     def test_non_finite_setting_rejected(self, rng, field, value):
         with pytest.raises(ValueError, match=field):

@@ -1,5 +1,5 @@
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import pytest
 
@@ -64,43 +64,54 @@ class TestConfigValidation:
         assert view is corpus and tset is TemplateSet.CASE_AWARE
 
 
+def run_reported(cfg: ExperimentConfig, directory) -> tuple:
+    """`run_experiment(cfg)` with its report written in `directory`: the
+    result, then the report's text and kv files as read back."""
+    base = str(directory / "report")
+    result = run_experiment(replace(cfg, report_path=base))
+    return result, open(base + ".txt").read(), open(base + ".kv").read()
+
+
 @pytest.fixture(scope="module")
-def caseless_result():
-    return run_experiment(small_config(Strategy.CASELESS))
+def caseless_run(tmp_path_factory):
+    return run_reported(small_config(Strategy.CASELESS),
+                        tmp_path_factory.mktemp("caseless"))
 
 
 class TestRunExperiment:
 
-    def test_caseless_cells_equal(self, caseless_result):
-        grid = caseless_result.grid
+    def test_caseless_cells_equal(self, caseless_run):
+        grid = caseless_run[0].grid
         assert grid[CaseVariant.ORIGINAL].f1 == grid[CaseVariant.LOWER].f1
         assert grid[CaseVariant.ORIGINAL].f1 == grid[CaseVariant.UPPER].f1
 
-    def test_report_contents(self, caseless_result):
-        text = caseless_result.report_text
+    def test_report_contents(self, caseless_run):
+        _, text, kv = caseless_run
         [line] = [l for l in text.splitlines() if l.startswith("caseless: ")]
         assert "seed=7" in line.split()
         assert "Original" in text and "Lower" in text and "Upper" in text
-        kv = caseless_result.report_kv
         assert "caseless.variant.original.f1=" in kv
         assert "caseless.train.sentences=150" in kv.splitlines()
 
-    def test_augment_triples_training_size(self):
-        result = run_experiment(small_config(Strategy.AUGMENT))
-        assert "train.sentences=150" in result.report_kv
-        assert "train.effective_sentences=450" in result.report_kv
+    def test_augment_triples_training_size(self, tmp_path):
+        _, _, kv = run_reported(small_config(Strategy.AUGMENT), tmp_path)
+        assert "train.sentences=150" in kv
+        assert "train.effective_sentences=450" in kv
 
     def test_report_files_written_atomically(self, tmp_path):
         base = str(tmp_path / "rep")
         model_path = str(tmp_path / "model.crf")
-        result = run_experiment(
-            small_config(report_path=base, model_path=model_path)
+        [result], text = run_grid(
+            [small_config(report_path=base, model_path=model_path)],
+            report_path=str(tmp_path / "grid"),
         )
-        assert open(base + ".txt").read() == result.report_text
-        assert open(base + ".kv").read() == result.report_kv
+        # A one-config grid's report is that config's report.
+        assert open(base + ".txt").read() == text
+        assert open(base + ".kv").read() == open(str(tmp_path / "grid.kv")).read()
         assert load_file(model_path).feature_map == result.model.feature_map
         # No temporary file (".casener-*") is left beside the outputs.
-        assert sorted(os.listdir(tmp_path)) == ["model.crf", "rep.kv", "rep.txt"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "grid.kv", "grid.txt", "model.crf", "rep.kv", "rep.txt"]
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
     def test_output_files_honour_the_umask(self, tmp_path, umask, mode):
@@ -175,11 +186,11 @@ class TestSynthDescription:
     @pytest.mark.parametrize("synth", [
         SMALL_SYNTH, _WiderSynth(seed=7, train_sentences=150, test_sentences=40),
     ], ids=["synth-config", "one-field-more"])
-    def test_every_field_is_named(self, synth):
-        result = run_experiment(small_config(synth=synth))
-        [data_line] = [line for line in result.report_text.splitlines()
+    def test_every_field_is_named(self, tmp_path, synth):
+        _, text, kv = run_reported(small_config(synth=synth), tmp_path)
+        [data_line] = [line for line in text.splitlines()
                        if line.startswith("data: ")]
-        kv = result.report_kv.splitlines()
+        kv = kv.splitlines()
         assert [line.partition("=")[0] for line in kv
                 if line.startswith("data.")] == [
             f"data.synth.{field.name}" for field in fields(synth)]
@@ -192,9 +203,12 @@ class TestSynthDescription:
             assert setting in test.provenance.split()
 
 
-def _dropped_spans(result) -> int:
-    kv = dict(line.split("=", 1) for line in result.report_kv.splitlines())
-    return int(kv[f"{result.config.strategy.value}.predictions.dropped_spans"])
+def _dropped_spans(result, kv: str) -> int:
+    """The dropped-span count report `kv` states, which must be `result`'s."""
+    kv = dict(line.split("=", 1) for line in kv.splitlines())
+    dropped = int(kv[f"{result.config.strategy.value}.predictions.dropped_spans"])
+    assert dropped == result.dropped_spans
+    return dropped
 
 
 class TestTypeMapping:
@@ -206,24 +220,24 @@ class TestTypeMapping:
         assert mapped.tags == ("S-PERSON", "O", "O", "O")
         assert dropped == 1
 
-    def test_experiment_with_type_map(self):
-        result = run_experiment(small_config(
+    def test_experiment_with_type_map(self, tmp_path):
+        result, text, kv = run_reported(small_config(
             Strategy.BASELINE, type_map={"PER": "PER"}
-        ))
+        ), tmp_path)
         # only PER predictions survive, so LOC/ORG gold spans are all missed
         metrics = result.grid[CaseVariant.ORIGINAL]
         assert metrics.predicted_count > 0
         assert set(metrics.per_type) >= {"PER"}
-        assert _dropped_spans(result) > 0
-        assert "dropped to O" in result.report_text
+        assert _dropped_spans(result, kv) > 0
+        assert "dropped to O" in text
 
-    def test_caseless_type_map_row_is_case_invariant(self):
-        result = run_experiment(small_config(
+    def test_caseless_type_map_row_is_case_invariant(self, tmp_path):
+        result, _, kv = run_reported(small_config(
             Strategy.CASELESS, type_map={"PER": "PER", "LOC": "LOC"}
-        ))
+        ), tmp_path)
         f1 = {result.grid[v].f1 for v in CaseVariant}
         assert len(f1) == 1 and f1 != {0.0}
-        assert _dropped_spans(result) > 0
+        assert _dropped_spans(result, kv) > 0
 
 
 class TestRunGrid:
@@ -297,6 +311,36 @@ class TestRunGrid:
             run_grid([cfg], report_path=None if field else "")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("field", [None, "report_path"])
+    def test_report_path_naming_a_directory_fails_before_data_loads(
+            self, tmp_path, monkeypatch, field):
+        monkeypatch.setattr(harness, "_load_corpora", lambda cfg: pytest.fail(
+            "a report path naming a directory must stop the grid first"))
+        path = str(tmp_path)
+        cfg = small_config(**({field: path} if field else {}))
+        with pytest.raises(IsADirectoryError,
+                           match=f"^report path {path!r} is a directory$"):
+            run_grid([cfg], report_path=None if field else path)
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_later_strategy_writes_no_file(self, tmp_path,
+                                                   monkeypatch):
+        def train(corpus, template_set, cfg):
+            if template_set is TemplateSet.CASE_AGNOSTIC:
+                raise FloatingPointError("caseless training failed")
+            return real(corpus, template_set, cfg)
+
+        real = harness.train
+        monkeypatch.setattr(harness, "train", train)
+        configs = [
+            small_config(Strategy.BASELINE, report_path=str(tmp_path / "base"),
+                         model_path=str(tmp_path / "base.crf")),
+            small_config(Strategy.CASELESS),
+        ]
+        with pytest.raises(FloatingPointError):
+            run_grid(configs, report_path=str(tmp_path / "grid"))
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("first, second", [
         (("report_path", "out"), ("report_path", "out")),
         (("model_path", "out.crf"), ("model_path", "out.crf")),
@@ -349,11 +393,20 @@ class TestRunGrid:
         ])
         assert calls == {"train": 6, "generate": 3}
 
-    def test_grid_shape_and_consistency(self, tmp_path):
+    def test_grid_shape_and_consistency(self, tmp_path, monkeypatch):
+        built = []  # the strategies of each report built
+
+        def spy(data, results):
+            built.append([r.config.strategy for r in results])
+            return real(data, results)
+
+        real = harness._report
+        monkeypatch.setattr(harness, "_report", spy)
         configs = [small_config(s) for s in Strategy]
         results, combined = run_grid(
             configs, report_path=str(tmp_path / "grid")
         )
+        assert built == [list(Strategy)]  # one report, of all four
         assert len(results) == 4
         lines = [l for l in combined.splitlines() if l]
         table_rows = [
@@ -361,12 +414,19 @@ class TestRunGrid:
             if l.split() and l.split()[0] in {s.value for s in Strategy}
         ]
         assert len(table_rows) == 4
-        for result in results:
-            single = run_experiment(result.config)
-            assert single.grid == result.grid
-            assert single.report_text == result.report_text
-            assert single.report_kv == result.report_kv
         assert open(str(tmp_path / "grid.txt")).read() == combined
+        # Each config's report file is the report of its one-config run.
+        run_grid([replace(cfg, report_path=str(tmp_path / cfg.strategy.value))
+                  for cfg in configs])
+        for result in results:
+            base = str(tmp_path / result.config.strategy.value)
+            [single], text = run_grid([result.config],
+                                      report_path=base + "-single")
+            assert single.grid == result.grid
+            for suffix in (".txt", ".kv"):
+                assert (open(base + suffix).read()
+                        == open(base + "-single" + suffix).read())
+            assert open(base + ".txt").read() == text
 
 
 class TestConfigFile:
