@@ -46,7 +46,7 @@ _VERSION = 3
 
 
 class TrainingError(RuntimeError):
-    """Numerical failure during training (non-finite objective or gradient)."""
+    """Numerical failure in training (non-finite objective, gradient or g'd)."""
 
 
 class ModelFormatError(ValueError):
@@ -258,7 +258,7 @@ def _packed(lengths: np.ndarray) -> _Packed:
 def _forward_backward(
     emit: np.ndarray,
     packed: _Packed,
-    weights: np.ndarray,
+    counts: np.ndarray,
     begin: np.ndarray,
     end: np.ndarray,
     trans: np.ndarray,
@@ -268,13 +268,13 @@ def _forward_backward(
     `emit` has one emission row (K,) per position, laid out as `packed`
     describes.  Returns logZ per sentence (S,), node marginals in `emit`'s
     row order, and per step the edge marginals into it summed over the
-    batch with per-sentence `weights`, shape (max(lengths) - 1, K, K).
+    batch, shape (max(lengths) - 1, K, K); the marginals are count-weighted.
 
     The recursion runs in probability space (Rabiner, 1989; Sutton &
     McCallum, 2012, section 4): every factor is exponentiated relative to
     its maximum, the forward rows are normalized at each step, and the logs
-    of those scales sum to logZ; the backward pass reuses the forward
-    scales and starts each sentence at its own last step (`_Packed`).
+    of those scales sum to logZ; the backward pass reuses them and starts
+    each sentence at its own last step (`_Packed`), times its count.
 
     Every exponentiated factor lies in [exp(-d), 1], where d is the spread
     (max - min) of the transition weights plus that of the begin weights,
@@ -300,7 +300,7 @@ def _forward_backward(
         - (emin - emax).min()
     )
     if not spread <= _MAX_SCALED_SPREAD:
-        return _forward_backward_log(emit, packed, weights, begin, end, trans)
+        return _forward_backward_log(emit, packed, counts, begin, end, trans)
 
     lengths, steps, rank, last = packed
     s = len(lengths)
@@ -323,17 +323,17 @@ def _forward_backward(
         + (lengths - 1) * tmax + bmax + fmax + np.log(z)
     )
 
-    # b[i] is sentence i's scaled backward vector at the current step.  a
-    # is overwritten with the node marginals a * b, and ex with ex * b / c,
-    # the right-hand factor of the edge marginals into a step.
+    # b[i] is sentence i's scaled backward vector at the current step times
+    # its count (multiplied first: a count of 1 changes no bit).  a becomes
+    # the node marginals a * b, and ex the edge marginals' factor ex * b / c.
     edge = np.empty((len(steps), *trans.shape))
-    b = np.exp(end - fmax)[None, :] / z[:, None]
+    b = counts[:, None] * np.exp(end - fmax)[None, :] / z[:, None]
     for t, (prev, cur) in reversed(list(enumerate(steps))):
         n = cur.stop - cur.start
         b_t = b[:n]
         v = ex[cur]
         v *= b_t / c[cur, None]
-        edge[t] = tm * ((a[prev] * weights[:n, None]).T @ v)
+        edge[t] = tm * (a[prev].T @ v)
         a[cur] *= b_t
         b_t[:] = v @ tm.T
     a[:s] *= b
@@ -351,7 +351,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 def _forward_backward_log(
     emit: np.ndarray,
     packed: _Packed,
-    weights: np.ndarray,
+    counts: np.ndarray,
     begin: np.ndarray,
     end: np.ndarray,
     trans: np.ndarray,
@@ -370,21 +370,18 @@ def _forward_backward_log(
         )
     logz = _logsumexp(alpha[last] + end[None, :], axis=1)
 
-    # A sentence's beta starts at its last row; the rows of step t - 1 that
-    # continue into step t take theirs from it.
+    # A sentence's beta starts at its last row, shifted by its log count;
+    # the rows of step t - 1 that continue into step t take theirs from it.
     beta = np.empty_like(emit)
-    beta[last] = end[None, :]
+    beta[last] = end[None, :] + np.log(counts)[:, None]
     edge = np.empty((len(steps), *trans.shape))
     for t, (prev, cur) in reversed(list(enumerate(steps))):
         n = cur.stop - cur.start
         right = (emit[cur] + beta[cur])[:, None, :]
         beta[prev] = _logsumexp(trans[None] + right, axis=2)
-        edge[t] = (
-            np.exp(
-                alpha[prev][:, :, None] + trans[None] + right
-                - logz[:n, None, None]
-            )
-            * weights[:n, None, None]
+        edge[t] = np.exp(
+            alpha[prev][:, :, None] + trans[None] + right
+            - logz[:n, None, None]
         ).sum(axis=0)
     node = np.exp(alpha + beta - logz[rank, None])
     return logz, node, edge
@@ -400,12 +397,12 @@ class _EncodedCorpus:
 
     The sentences are the distinct (tokens, tags) pairs of the corpus
     (`_distinct`), ordered longest first (a stable sort); `packed` is their
-    layout and `counts` how often each counts, in that order; `row_counts`
-    is each packed row's sentence count, shape (rows, 1).  One
-    forward-backward pass covers them all, so the expected counts and logZ
-    sum in another order than sentence by sentence: the trained weights
-    agree with per-sentence training only to the last bits (the iteration
-    counts and decoded tags were the same on the synthetic data).
+    layout and `counts` how often each counts, in that order, which scale
+    each sentence's backward start.  One forward-backward pass covers them
+    all, so the expected counts and logZ sum in another order than sentence
+    by sentence: the trained weights agree with per-sentence training only
+    to the last bits (the iteration counts and decoded tags were the same
+    on the synthetic data).
 
     The positions' features are kept as the featurizer's two factors, whose
     product is the (positions, num_features) 0/1 feature matrix.
@@ -430,7 +427,6 @@ class _EncodedCorpus:
     type_features_t: scipy.sparse.csc_matrix
     packed: _Packed
     counts: np.ndarray
-    row_counts: np.ndarray
     observed: np.ndarray
     num_tags: int
     row_scale: np.ndarray | None = None
@@ -469,7 +465,7 @@ def _encode(
 ) -> _EncodedCorpus:
     """Encode every sentence of `corpus`, whose `feature_factors` are
     `factors`; sentence `i` counts `counts[i]` times in the objective, both
-    in the forward-backward weights and in the gold statistics
+    in forward-backward's backward start and in the gold statistics
     `observed`."""
     k = fmap.num_tags
     _, by_type, slot_offsets, window = factors
@@ -519,11 +515,10 @@ def _encode(
         type_features_t=type_features.T,
         packed=packed,
         counts=counts,
-        row_counts=counts[rank, None],
         observed=None,  # set below, from the gold path
         num_tags=k,
     )
-    node = gold * enc.row_counts
+    node = gold * counts[rank, None]
     edge = np.reshape([node[prev].T @ gold[cur] for prev, cur in steps],
                       (-1, k, k))
     enc.observed = enc.feature_counts(node, edge)
@@ -547,7 +542,8 @@ def _pack(emission, begin, end, trans) -> np.ndarray:
 def _neg_ll_and_grad(
     w: np.ndarray, enc: _EncodedCorpus, sigma: float
 ) -> tuple[float, np.ndarray]:
-    """Negative penalized log-likelihood and its gradient (for minimizers)."""
+    """Negative penalized log-likelihood and its gradient (for minimizers);
+    the kernel's marginals are count-weighted, so counts weight only logZ."""
     emission, begin, end, trans = _unpack(
         w, enc.type_features.shape[1], enc.num_tags
     )
@@ -555,8 +551,7 @@ def _neg_ll_and_grad(
         enc.offset_types @ (enc.type_features @ emission), enc.packed,
         enc.counts, begin, end, trans,
     )
-    node *= enc.row_counts
-    expected = enc.feature_counts(node, edge)
+    grad = enc.feature_counts(node, edge)  # the expected counts
 
     inv_var = 1.0 / (sigma * sigma)
     with np.errstate(over="ignore"):  # non-finite results are caught below
@@ -564,12 +559,12 @@ def _neg_ll_and_grad(
             enc.observed @ w - logz @ enc.counts
             - 0.5 * inv_var * float(w @ w)
         )
-        grad = enc.observed - expected
-        grad -= inv_var * w
+        grad -= enc.observed
+        grad += inv_var * w
 
     if not (np.isfinite(ll) and np.isfinite(grad).all()):
         raise TrainingError("objective or gradient became non-finite")
-    return -float(ll), -grad
+    return -float(ll), grad
 
 
 def _encoded(
@@ -671,12 +666,13 @@ def train(
         raise ValueError("cannot train on an empty corpus")
     fmap, enc = _encoded(corpus, template_set)
     enc, group = _merged(enc)
-    result = lbfgs.minimize(
-        lambda w: _neg_ll_and_grad(w, enc, cfg.l2_sigma),
-        np.zeros_like(enc.observed),
-        cfg.max_epochs,
-        cfg.tolerance,
-    )
+    try:
+        result = lbfgs.minimize(
+            lambda w: _neg_ll_and_grad(w, enc, cfg.l2_sigma),
+            np.zeros_like(enc.observed), cfg.max_epochs, cfg.tolerance,
+        )
+    except FloatingPointError as exc:
+        raise TrainingError(f"gradient-direction product: {exc}") from exc
 
     rows, begin, end, trans = _unpack(
         result.x, enc.type_features.shape[1], fmap.num_tags

@@ -139,7 +139,7 @@ def check_output_paths(outputs: Sequence[tuple[str, str, str | None]],
     written, and no two outputs, nor an output and a read (name, path),
     resolve to one file (PathCollisionError).  None paths are skipped, and
     a "report" path stands for its `.txt` and `.kv` files; neither it nor
-    they may name a directory."""
+    they may name a directory, as a path that ends in a separator does."""
     files = []
     for name, what, path in outputs:
         if path is None:
@@ -157,6 +157,8 @@ def check_output_paths(outputs: Sequence[tuple[str, str, str | None]],
             if os.path.isdir(target):
                 raise IsADirectoryError(
                     f"{what} path {target!r} is a directory")
+        if os.path.basename(path) in ("", os.curdir, os.pardir):
+            raise IsADirectoryError(f"{what} path {path!r} names a directory")
         files += [(name, target) for target in targets]
     written: dict[str, str] = {}  # resolved file -> name of its output
     for i, (name, path) in enumerate(files + [(n, p) for n, p in reads if p]):

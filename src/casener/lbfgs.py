@@ -55,7 +55,8 @@ def minimize(
     Converges when the gradient's infinity norm is at most 1e-5, or when an
     iteration lowers f by at most `ftol` relative to max(|f|, 1); stops
     unconverged after `max_iterations` iterations, or when a line search
-    fails from the steepest-descent direction.
+    fails from the steepest-descent direction.  A g'd that overflows raises
+    FloatingPointError, not a warning.
     """
     x = np.array(x0, dtype=np.float64)
     f, g = fg(x)
@@ -72,7 +73,8 @@ def minimize(
         else:
             nfev += 1
             seen = (trial, *fg(trial))
-        return seen[1], float(seen[2] @ d)
+        with np.errstate(over="raise", invalid="raise"):
+            return seen[1], float(seen[2] @ d)
 
     if np.abs(g).max() <= _PGTOL:
         return Result(x, 0, nfev, True)
@@ -87,7 +89,8 @@ def minimize(
         if nit == 0:
             dnorm = float(np.sqrt(d @ d))
             stp = min(1.0 / dnorm, _STPMAX) if dnorm else _STPMAX
-        gd_old = float(g @ d)
+        with np.errstate(over="raise", invalid="raise"):
+            gd_old = float(g @ d)
         found = None if gd_old >= 0 else _line_search(phi, f, gd_old, stp)
         if found is None:
             # x, f and g are still the last accepted point's.

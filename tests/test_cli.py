@@ -654,6 +654,31 @@ def test_missing_output_directory_exits_2_before_training(
     )
 
 
+@pytest.mark.parametrize("path", [
+    os.path.join("missing", ""), os.path.join("missing", os.pardir),
+], ids=["separator", "parent"])
+@pytest.mark.parametrize("what, argv", [
+    pytest.param(what, argv, id=name)
+    for name, what, argv in _TRAINING_OUTPUT_COMMANDS
+])
+def test_output_path_ending_in_a_separator_exits_2_before_training(
+        data_files, tmp_path, capsys, monkeypatch, what, argv, path):
+    """A path whose last part is empty or a dot names a directory, even
+    one that does not exist: `--model missing/` must not write a file
+    named `missing`, and `--report missing/` must not train first."""
+    for name in ("train", "read_conll_file"):
+        monkeypatch.setattr(cli, name, _no_run)
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"data = synth\nreport = {path}\n")
+    fill = dict(file=data_files[1], path=path, config=config)
+    assert main([arg.format(**fill) for arg in argv]) == EXIT_DATA
+    assert capsys.readouterr() == (
+        "", f"data error: {what} path {path!r} names a directory\n")
+    assert os.listdir() == ["grid.cfg"]
+
+
 @pytest.mark.parametrize("what, suffix, argv", [
     pytest.param(what, suffix, argv, id=name)
     for (name, what, argv), suffix in zip(_TRAINING_OUTPUT_COMMANDS,
@@ -1061,6 +1086,22 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     corpus.write_text("a O\n\n")
     assert main(["train", "--train", str(corpus),
                  "--model", str(tmp_path / "m.crf")]) == EXIT_NUMERICAL
+
+
+def test_diverging_training_exits_3_without_a_warning(tmp_path, capsys):
+    """On the seed-42 train split a sigma this small makes the L2
+    gradient overflow its product with the first search direction.  That
+    ends in one numerical-failure line, not a RuntimeWarning (which the
+    suite turns into an error) and not a model file."""
+    train = tmp_path / "train.conll"
+    write_conll_file(generate(default_config(seed=42))[0], str(train))
+    model = tmp_path / "m.crf"
+    assert main(["train", "--train", str(train), "--model", str(model),
+                 "--l2-sigma", "7.5e-155"]) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", (
+        "numerical failure: gradient-direction product: overflow "
+        "encountered in matmul\n"))
+    assert not model.exists()
 
 
 def test_memory_error_is_a_data_error(data_files, capsys, monkeypatch):

@@ -349,7 +349,8 @@ class TestForwardBackward:
     def test_weighted_edge_sum_matches_repeated_batch(self, monkeypatch,
                                                       fallback):
         """Integer weights give the results of the batch with each sentence
-        repeated that many times."""
+        repeated that many times: each copy's logZ, and node rows and edge
+        sums summed over the copies."""
         calls = []
         if fallback:
             original = crf._forward_backward_log
@@ -377,11 +378,9 @@ class TestForwardBackward:
             )
             np.testing.assert_allclose(np.repeat(logz, weights), rep_logz,
                                        rtol=1e-12, atol=0)
-            nodes = _unpack_rows(node, lengths)
-            for got, want in zip(
-                (n for n, w in zip(nodes, weights) for _ in range(w)),
-                _unpack_rows(rep_node, rep_lengths),
-            ):
+            copies = iter(_unpack_rows(rep_node, rep_lengths))
+            for got, w in zip(_unpack_rows(node, lengths), weights):
+                want = sum(next(copies) for _ in range(w))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(edge, rep_edge, rtol=1e-12, atol=1e-10)
         assert len(calls) == (40 if fallback else 0)
