@@ -78,6 +78,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--calls", type=int, default=40)
     args = parser.parse_args()
+    if args.calls < 2:
+        parser.error("--calls must be at least 2: quartiles need two times")
     train, _ = generate(default_config(42))
     corpora = {
         "seed42_baseline": training_view(train, Strategy.BASELINE),

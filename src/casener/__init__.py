@@ -36,7 +36,7 @@ from .crf import (
     score_sequence,
     train,
 )
-from .evaluation import Metrics, evaluate, robustness_grid, tag_corpus
+from .evaluation import Metrics, evaluate, tag_corpus, variant_grid
 from .features import FeatureMap, TemplateSet, extract, fit_feature_map
 from .harness import ExperimentConfig, Strategy, run_experiment, run_grid
 from .synth import SynthConfig, default_config, generate, vocabulary_overlap

@@ -17,6 +17,7 @@ from . import container, harness
 from .corpus import (
     AnnotatedSentence,
     Corpus,
+    case_key,
     parse_conll,
     read_conll_file,
     write_conll,
@@ -287,11 +288,19 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    """Score `--pred` against `--gold`.  The two must hold the same text up
+    to case (`case_key`), so predictions for a lowercased, uppercased or
+    truecased copy score; any other token is a data error."""
     gold = read_conll_file(args.gold)
     pred = read_conll_file(args.pred)
     metrics = evaluate(
         [ann.gold for ann in pred], [ann.gold for ann in gold]
     )
+    for i, (p, g) in enumerate(zip(pred, gold)):
+        for j, (p_tok, g_tok) in enumerate(zip(p.sentence, g.sentence)):
+            if case_key(p_tok) != case_key(g_tok):
+                raise ValueError(f"sentence {i}, token {j}: predicted text "
+                                 f"{p_tok!r} is not gold text {g_tok!r}")
     for line in metrics_lines(metrics):
         print(line)
     return EXIT_OK

@@ -109,8 +109,9 @@ def validate_tags(tags: Sequence[str], scheme: Scheme = Scheme.IOBES) -> None:
     """Raise :class:`TagValidationError` unless `tags` is legal IOBES.
 
     Any other `scheme` is an error: `parse_conll` checks other schemes'
-    tags while it rewrites them.  Each distinct tag (`_parsed_tags`) and
-    transition is checked once, in first-occurrence order.
+    tags while it rewrites them.  Each distinct tag is parsed once
+    (`_parsed_tags`), then the transitions are checked left to right, so
+    an error names the first illegal position.
     """
     if scheme is not Scheme.IOBES:
         raise TagValidationError(f"tags are IOBES, not {scheme}")
@@ -122,12 +123,11 @@ def validate_tags(tags: Sequence[str], scheme: Scheme = Scheme.IOBES) -> None:
             f"position 0: tag {tags[0]!r} cannot open a sentence "
             "in scheme IOBES"
         )
-    pairs = list(zip(tags, tags[1:]))
-    for prev, cur in dict.fromkeys(pairs):
+    for i, (prev, cur) in enumerate(zip(tags, tags[1:]), 1):
         if not _legal_transition(parsed[prev], parsed[cur]):
             raise TagValidationError(
-                f"position {pairs.index((prev, cur)) + 1}: "
-                f"transition {prev!r} -> {cur!r} is illegal in scheme IOBES"
+                f"position {i}: transition {prev!r} -> {cur!r} is illegal "
+                "in scheme IOBES"
             )
     if not _legal_end(parsed[tags[-1]][0]):
         raise TagValidationError(

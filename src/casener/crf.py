@@ -418,7 +418,7 @@ class _EncodedCorpus:
     the summed logZ, and its gradient is `observed` minus the expected
     counts (Lafferty et al., 2001), both through `feature_counts`.  Those
     are sums of whole counts, so the gold score is bitwise that of encoding
-    every sentence.  `row_scale` is set only on `_merged` copies.
+    every sentence.
     """
 
     offset_types: scipy.sparse.csr_matrix
@@ -429,7 +429,6 @@ class _EncodedCorpus:
     counts: np.ndarray
     observed: np.ndarray
     num_tags: int
-    row_scale: np.ndarray | None = None
 
     def feature_counts(self, node: np.ndarray, edge: np.ndarray) -> np.ndarray:
         """The `_pack`-order feature counts of tag weights `node`, a row per
@@ -624,11 +623,11 @@ def _merged(enc: _EncodedCorpus) -> tuple[_EncodedCorpus, np.ndarray]:
     offset, and a feature belongs to one template slot at one offset.
 
     A group of c features keeps its first feature's column of
-    `type_features` and row of `observed`, both times sqrt(c), which
-    `row_scale` holds.  Its weight row u is sqrt(c) times the row v each
-    member gets (`train` divides it back), so the emission scores (c * v
-    summed per position), the gold score, the L2 norm and every inner
-    product of weights or gradients equal those of the full problem:
+    `type_features` and row of `observed`, both times sqrt(c).  Its weight
+    row u is sqrt(c) times the row v each member gets (`train` divides it
+    back, taking c from `group`), so the emission scores (c * v summed per
+    position), the gold score, the L2 norm and every inner product of
+    weights or gradients equal those of the full problem:
     L-BFGS-B takes the same steps in exact arithmetic.  Only its
     infinity-norm `gtol` test sees the change: the gradient of u is sqrt(c)
     times that of each member, so that test can pass later, never earlier.
@@ -645,7 +644,6 @@ def _merged(enc: _EncodedCorpus) -> tuple[_EncodedCorpus, np.ndarray]:
         type_features=type_features,
         type_features_t=type_features.T,
         observed=_pack(gold[first] * scale[:, None], *chain),
-        row_scale=scale,
     ), group
 
 
@@ -677,7 +675,7 @@ def train(
     rows, begin, end, trans = _unpack(
         result.x, enc.type_features.shape[1], fmap.num_tags
     )
-    emission = (rows / enc.row_scale[:, None])[group]
+    emission = (rows / np.sqrt(np.bincount(group))[:, None])[group]
     metadata = {
         **asdict(cfg),
         "training_sentences": len(corpus),

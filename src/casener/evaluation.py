@@ -169,16 +169,6 @@ def variant_grid(
     return grid, dropped_total
 
 
-def robustness_grid(
-    model: CrfModel,
-    test: Corpus,
-    *,
-    truecaser: Truecaser | None = None,
-) -> dict[CaseVariant, Metrics]:
-    """The F1 grid of `variant_grid` with no type map."""
-    return variant_grid(model, test, truecaser=truecaser)[0]
-
-
 def metrics_lines(metrics: Metrics, prefix: str = "") -> list[str]:
     """Key-value lines for the machine-readable report."""
     lines = [

@@ -293,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a plain key=value config file ('#' starts a comment line).
 
-    A key given twice is an error."""
+    A line with no '=' or no key, or a key given twice, is an error."""
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8-sig") as handle:
@@ -302,11 +302,11 @@ def read_config_file(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
-            if not sep:
+            key = key.strip()
+            if not sep or not key:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}"
                 )
-            key = key.strip()
             if key in first_line:
                 raise ValueError(
                     f"{path}:{lineno}: repeated key {key!r} "

@@ -21,13 +21,14 @@ from hypothesis import given, settings, strategies as st
 from casener import cli, crf, harness
 from casener.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from casener.corpus import (
-    parse_conll, read_conll_file, write_conll, write_conll_file,
+    AnnotatedSentence, Corpus, Sentence, parse_conll, read_conll_file,
+    write_conll, write_conll_file,
 )
 from casener.crf import TrainConfig, load_file
 from casener.evaluation import tag_corpus
 from casener.synth import SynthConfig, default_config, generate
-from casener.transforms import CaseVariant, make_variant
-from casener.truecase import train_truecaser
+from casener.transforms import CaseVariant, make_variant, to_lower, to_upper
+from casener.truecase import train_truecaser, truecase
 from conftest import conll_texts, old_version_blob
 
 
@@ -119,6 +120,65 @@ def test_train_tag_eval_roundtrip(data_files, tmp_path, capsys):
     assert main(["eval", "--gold", test, "--pred", tagged]) == EXIT_OK
     out = capsys.readouterr().out
     assert "f1=" in out and "tp=" in out
+
+
+def _tagged_test_split(data_files, fuzz_inputs, tmp_path) -> str:
+    """The path of the test split as `casener tag` writes it."""
+    _, _, test = data_files
+    model, pred = tmp_path / "m.crf", str(tmp_path / "pred.conll")
+    model.write_bytes(fuzz_inputs["model"])
+    assert main(["tag", "--model", str(model), "--input", test,
+                 "--output", pred]) == EXIT_OK
+    return pred
+
+
+def _write_retokenized(pred: str, tokens, path) -> str:
+    """`pred`'s tags on the tokens `tokens(i, sentence)` gives, at `path`."""
+    write_conll_file(Corpus(tuple(
+        AnnotatedSentence(Sentence(tokens(i, ann.sentence)), ann.gold)
+        for i, ann in enumerate(read_conll_file(pred))
+    )), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("recase", ["lower", "upper", "truecase"])
+def test_eval_scores_predictions_for_a_recased_copy(data_files, fuzz_inputs,
+                                                    tmp_path, capsys, recase):
+    """Predictions whose text is the gold text in other case score as the
+    predictions for the gold text do."""
+    _, train, test = data_files
+    pred = _tagged_test_split(data_files, fuzz_inputs, tmp_path)
+    caser = train_truecaser(read_conll_file(train))
+    recased = {"lower": to_lower, "upper": to_upper,
+               "truecase": lambda s: truecase(caser, s)}[recase]
+    copy = _write_retokenized(pred, lambda i, s: recased(s).tokens,
+                              tmp_path / "copy.conll")
+    capsys.readouterr()
+    assert main(["eval", "--gold", test, "--pred", pred]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert "f1=" in expected
+    assert main(["eval", "--gold", test, "--pred", copy]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("first", [(0, 0), (2, 1)],
+                         ids=["every-token", "from-sentence-2-token-1"])
+def test_eval_refuses_predictions_for_other_text(data_files, fuzz_inputs,
+                                                 tmp_path, capsys, first):
+    """Each token from sentence i, position j on (in reading order) becomes
+    "zzz": exit 2, naming the first mismatch and both its tokens."""
+    _, _, test = data_files
+    pred = _tagged_test_split(data_files, fuzz_inputs, tmp_path)
+    other = _write_retokenized(pred, lambda i, s: tuple(
+        "zzz" if (i, j) >= first else tok for j, tok in enumerate(s)
+    ), tmp_path / "other.conll")
+    capsys.readouterr()
+    assert main(["eval", "--gold", test, "--pred", other]) == EXIT_DATA
+    i, j = first
+    gold = read_conll_file(test).sentences[i].sentence.tokens[j]
+    assert capsys.readouterr() == ("", (
+        f"data error: sentence {i}, token {j}: predicted text 'zzz' is not "
+        f"gold text {gold!r}\n"))
 
 
 def test_train_warns_on_stderr_when_lbfgs_does_not_converge(
@@ -603,6 +663,25 @@ def test_type_map_file_rejects_repeated_key(tmp_path, capsys, monkeypatch):
                  "--type-map", str(type_map)]) == EXIT_DATA
     assert (f"data error: {type_map}:3: repeated key 'PER' (first set on "
             "line 1)" in capsys.readouterr().err)
+
+
+def test_config_file_rejects_empty_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.harness, "run_grid", _no_run)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("data = synth\n= 5\n")
+    assert main(["grid", "--config", str(cfg)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {cfg}:2: expected 'key = value', got '= 5'\n")
+
+
+def test_type_map_file_rejects_empty_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
+    type_map = tmp_path / "types.cfg"
+    type_map.write_text("PER = PERSON\n=ORG\n")
+    assert main(["experiment", "--strategy", "baseline", "--data", "synth",
+                 "--type-map", str(type_map)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {type_map}:2: expected 'key = value', got '=ORG'\n")
 
 
 @pytest.mark.parametrize("line, target", [

@@ -13,7 +13,6 @@ from casener.evaluation import (
     Metrics,
     evaluate,
     metrics_lines,
-    robustness_grid,
     tag_corpus,
     variant_grid,
 )
@@ -142,7 +141,7 @@ class TestRobustnessGrid:
         from casener.crf import decode
 
         model, _, test_corpus = setup
-        grid = robustness_grid(model, test_corpus)
+        grid = variant_grid(model, test_corpus)[0]
         direct = evaluate(
             [decode(model, ann.sentence) for ann in test_corpus],
             [ann.gold for ann in test_corpus],
@@ -150,14 +149,14 @@ class TestRobustnessGrid:
         assert grid[CaseVariant.ORIGINAL] == direct
 
     def test_caseless_rows_equal(self, setup, caseless_model):
-        grid = robustness_grid(caseless_model, setup[2])
+        grid = variant_grid(caseless_model, setup[2])[0]
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.LOWER]
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.UPPER]
 
     def test_truecasing_rows_equal(self, setup):
         model, train_corpus, test_corpus = setup
         caser = train_truecaser(train_corpus)
-        grid = robustness_grid(model, test_corpus, truecaser=caser)
+        grid = variant_grid(model, test_corpus, truecaser=caser)[0]
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.LOWER]
         assert grid[CaseVariant.ORIGINAL] == grid[CaseVariant.UPPER]
 
@@ -177,9 +176,9 @@ class TestTagCorpus:
     def test_equal_predictions_are_one_object(self, setup):
         """Distinct sentences with one best path get one prediction object,
         and scoring unshared copies of the predictions gives the grid
-        `robustness_grid` gives."""
+        `variant_grid` gives."""
         model, _, test_corpus = setup
-        grid = robustness_grid(model, test_corpus)
+        grid = variant_grid(model, test_corpus)[0]
         for variant in CaseVariant:
             corpus = make_variant(test_corpus, variant)
             predicted = tag_corpus(model, corpus)
@@ -198,7 +197,7 @@ class TestTagCorpus:
         grid, dropped = variant_grid(
             model, test_corpus, type_map={t: t for t in types}
         )
-        assert grid == robustness_grid(model, test_corpus)
+        assert grid == variant_grid(model, test_corpus)[0]
         assert dropped == 0
 
     def test_decodes_each_distinct_sentence_once(self, setup, monkeypatch):
@@ -239,7 +238,7 @@ class TestTagCorpus:
         assert len(decoded) == distinct < len(set(variants.sentences))
         # variant_grid tags the three variants in one tag_corpus call.
         decoded.clear()
-        robustness_grid(caseless_model, test_corpus)
+        variant_grid(caseless_model, test_corpus)
         assert len(decoded) == distinct
 
     def test_truecases_each_lowercased_sentence_once(self, setup, monkeypatch):

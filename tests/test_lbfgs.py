@@ -115,6 +115,49 @@ def test_start_at_a_stationary_point():
     assert (got.nit, got.nfev, got.converged) == (0, 1, True)
 
 
+def _dcstep_branch(fx, dx, fp, dp, brackt):
+    """Which of MINPACK-2 `dcstep`'s five step rules these inputs take."""
+    if fp > fx:
+        return "higher"
+    if np.sign(dp) * np.sign(dx) < 0:
+        return "opposite"
+    if abs(dp) < abs(dx):
+        return "smaller"
+    return "bracketed" if brackt else "bound"
+
+
+def test_dcstep_is_scipys_bit_for_bit():
+    """`_dcstep` on seeded random inputs that meet `dcstep`'s contract
+    (dx points downhill towards stp; a bracketing sty lies past stp)
+    returns scipy's outputs bit for bit, NaN included, in all five
+    branches."""
+    dcsrch = pytest.importorskip("scipy.optimize._dcsrch")
+    rng = np.random.default_rng(0)
+    def bits(values):
+        return [np.float64(v).tobytes() for v in values]
+
+    branches = []
+    for _ in range(20_000):
+        stx, stp = rng.uniform(0.0, 2.0, 2)
+        direction = np.sign(stp - stx)
+        brackt = bool(rng.integers(2))
+        sty = (stp + direction * rng.uniform(1e-3, 2.0) if brackt
+               else rng.uniform(0.0, 2.0))
+        fx, fy, fp = rng.normal(0.0, 1.0, 3)
+        dx = -direction * rng.exponential(1.0)
+        dy, dp = rng.normal(0.0, 1.0, 2)
+        stpmin, stpmax = 0.0, rng.uniform(2.0, 5.0)
+        args = tuple(map(np.float64, (stx, fx, dx, sty, fy, dy, stp, fp, dp)))
+        args += (brackt, np.float64(stpmin), np.float64(stpmax))
+        got = lbfgs._dcstep(*args)
+        with np.errstate(all="ignore"):
+            want = dcsrch.dcstep(*args)
+        assert bits(got[:7]) == bits(want[:7]) and got[7] == want[7], args
+        branches.append(_dcstep_branch(fx, dx, fp, dp, brackt))
+    assert set(branches) == {"higher", "opposite", "smaller", "bracketed",
+                             "bound"}
+
+
 def test_training_and_tagging_never_import_scipy_optimize(tmp_path):
     # `casener train` and `casener tag` run in a fresh interpreter; loading
     # scipy's optimizers there would cost every command about 27 MiB.

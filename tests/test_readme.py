@@ -19,3 +19,18 @@ def test_saved_files_names_the_format_versions():
     assert found, "README's Saved files section no longer names the versions"
     assert (int(found[1]), int(found[2])) == (MODEL_VERSION,
                                             TRUECASER_VERSION)
+
+
+def test_python_api_block_prints_the_quick_start_baseline_row(capsys):
+    """The Python API example trains the quick-start baseline, so the grid
+    it prints is that row of the quick-start report."""
+    text = _README.read_text("utf-8")
+    row = re.search(r"\n# baseline\s+([\d.]+)\s+([\d.]+)\s+([\d.]+)\n", text)
+    assert row, "README's quick start no longer shows the baseline row"
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block, "README's Python API section has no python block"
+    exec(compile(block[1], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:3] == [f"{variant} {f1}" for variant, f1 in
+                           zip(("original", "lower", "upper"), row.groups())]
