@@ -221,7 +221,8 @@ class AnnotatedSentence:
 @dataclass(frozen=True, slots=True)
 class Corpus:
     """An ordered collection of annotated sentences.  `provenance` is a
-    free-text note about where the data came from; equality ignores it.
+    free-text note kept for callers that set it; equality ignores it, and
+    every corpus the package builds leaves it empty.
 
     The value types are frozen and slotted: they carry no instance
     `__dict__`, which keeps the many per-sentence objects of a corpus, its
@@ -366,7 +367,6 @@ def parse_conll(text: str) -> Corpus:
     tokens: list[str] = []
     tags: list[str] = []
     first_line = 0
-    docstart_count = 0
 
     def flush() -> None:
         nonlocal tokens, tags
@@ -381,7 +381,6 @@ def parse_conll(text: str) -> Corpus:
             continue
         cols = line.split()
         if cols[0] == DOCSTART:
-            docstart_count += 1
             flush()
             continue
         if len(cols) < 2:
@@ -418,13 +417,7 @@ def parse_conll(text: str) -> Corpus:
                 f"{exc}{hint}"
             ) from exc
         annotated.append(AnnotatedSentence(Sentence(tuple(sent_tokens)), gold))
-
-    provenance = (
-        f"parsed {len(annotated)} sentence(s) from CoNLL text; "
-        f"scheme {detected.value} converted to IOBES; "
-        f"{docstart_count} {DOCSTART} line(s) dropped"
-    )
-    return Corpus(tuple(annotated), provenance)
+    return Corpus(tuple(annotated))
 
 
 def write_conll(corpus: Corpus) -> str:
@@ -441,9 +434,7 @@ def write_conll(corpus: Corpus) -> str:
 
 def read_conll_file(path: str) -> Corpus:
     with open(path, "r", encoding="utf-8-sig") as handle:
-        text = handle.read()
-    corpus = parse_conll(text)
-    return Corpus(corpus.sentences, f"{path}: {corpus.provenance}")
+        return parse_conll(handle.read())
 
 
 def write_conll_file(corpus: Corpus, path: str) -> None:

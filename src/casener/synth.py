@@ -61,8 +61,7 @@ class SynthConfig:
 
 def describe(settings: object) -> list[str]:
     """Each of `settings`, a dataclass's fields or a mapping's items, as
-    `name=value!r` in order: how the corpora's provenance and the reports
-    write each setting and count."""
+    `name=value!r` in order: how the reports write each setting and count."""
     items = asdict(settings) if is_dataclass(settings) else settings
     return [f"{name}={value!r}" for name, value in items.items()]
 
@@ -83,7 +82,7 @@ def _split_pools(
 ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     train: dict[str, list[str]] = {}
     test: dict[str, list[str]] = {}
-    for etype in sorted(_GAZETTEERS):
+    for etype in _TYPES:
         entries = list(_GAZETTEERS[etype])
         rng.shuffle(entries)
         n = len(entries)
@@ -110,15 +109,13 @@ _SentenceKey = tuple[tuple[str, ...], tuple[tuple[int, int, str], ...]]
 def _make_sentence(
     rng: random.Random,
     cfg: SynthConfig,
-    templates: list[_ParsedTemplate],
-    types: list[str],
     pools: Mapping[str, list[str]],
     ambiguous: Mapping[str, list[str]],
     built: dict[_SentenceKey, AnnotatedSentence],
 ) -> AnnotatedSentence:
     """Draw one sentence; a repeat of a sentence in `built` returns that
     object, and only a new one is annotated, checked and added."""
-    template = rng.choice(templates)
+    template = rng.choice(_TEMPLATES)
     tokens: list[str] = []
     spans: list[tuple[int, int, str]] = []
     entity_positions: set[int] = set()
@@ -129,7 +126,7 @@ def _make_sentence(
             continue
         kind, etype = slot
         if kind == "any":
-            etype = rng.choice(types)
+            etype = rng.choice(_TYPES)
         assert etype is not None
         if kind == "amb" and rng.random() >= AMB_ENTITY_PROBABILITY:
             tokens.append(rng.choice(_DECOYS[etype]))
@@ -158,12 +155,6 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
     """Produce (train, test) corpora; fully deterministic given cfg.seed."""
     rng = random.Random(cfg.seed)
     train_pools, test_pools = _split_pools(rng)
-    # Everything that draws no random number is prepared once per call.
-    templates = [
-        tuple((element, _parse_slot(element)) for element in template)
-        for template in _TEMPLATES
-    ]
-    types = sorted(_GAZETTEERS)
 
     def sentences(pools: dict[str, list[str]], n: int):
         ambiguous = {
@@ -172,17 +163,13 @@ def generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
         }
         built: dict[_SentenceKey, AnnotatedSentence] = {}
         return tuple(
-            _make_sentence(rng, cfg, templates, types, pools, ambiguous, built)
+            _make_sentence(rng, cfg, pools, ambiguous, built)
             for _ in range(n)
         )
 
     train = sentences(train_pools, cfg.train_sentences)
     test = sentences(test_pools, cfg.test_sentences)
-    label = " ".join(["synthetic", *describe(cfg)])
-    return (
-        Corpus(train, f"{label} (training split)"),
-        Corpus(test, f"{label} (test split)"),
-    )
+    return Corpus(train), Corpus(test)
 
 
 def vocabulary_overlap(train: Corpus, test: Corpus) -> dict[str, float]:
@@ -288,7 +275,12 @@ _GAZETTEERS: Mapping[str, tuple[str, ...]] = {
     "LOC": _LOC_PLAIN + _LOC_AMBIGUOUS,
     "ORG": _ORG_ACRONYM + _ORG_NAMED,
 }
-_TEMPLATES = tuple(tuple(template.split()) for template in _DEFAULT_TEMPLATES)
+_TEMPLATES: tuple[_ParsedTemplate, ...] = tuple(
+    tuple((element, _parse_slot(element)) for element in template.split())
+    for template in _DEFAULT_TEMPLATES
+)
+#: The entity types, in the order `_split_pools` and {ANY} slots draw them.
+_TYPES = tuple(sorted(_GAZETTEERS))
 #: The common nouns an {AMB:TYPE} slot can resolve to instead of an entity.
 _DECOYS: Mapping[str, tuple[str, ...]] = {
     "PER": tuple(w.lower() for w in _PER_AMBIGUOUS),

@@ -66,9 +66,7 @@ def make_variant(corpus: Corpus, variant: CaseVariant) -> Corpus:
                 Sentence(tuple(map(cased.__getitem__, key[0]))), ann.gold
             )
         sentences.append(out)
-    return Corpus(
-        tuple(sentences), f"{variant.value} variant of: {corpus.provenance}"
-    )
+    return Corpus(tuple(sentences))
 
 
 def augment(corpus: Corpus) -> Corpus:
@@ -77,15 +75,8 @@ def augment(corpus: Corpus) -> Corpus:
     Duplicates are kept: a sentence that is already all-lowercase still
     contributes an identical lower copy.
     """
-    n = len(corpus)
-    sentences = (
+    return Corpus(
         corpus.sentences
         + make_variant(corpus, CaseVariant.LOWER).sentences
         + make_variant(corpus, CaseVariant.UPPER).sentences
     )
-    provenance = (
-        f"augmented from {n} sentence(s): originals at [0,{n}), lower copies "
-        f"at [{n},{2 * n}) with source i-{n}, upper copies at [{2 * n},{3 * n}) "
-        f"with source i-{2 * n}; base: {corpus.provenance}"
-    )
-    return Corpus(sentences, provenance)

@@ -15,6 +15,7 @@ from casener.corpus import (
     AnnotatedSentence,
     Corpus,
     CorpusError,
+    DOCSTART,
     EntitySpan,
     ParseError,
     Scheme,
@@ -31,6 +32,8 @@ from casener.corpus import (
     validate_tags,
     write_conll,
 )
+from casener.synth import default_config, generate
+from casener.transforms import CaseVariant, augment, make_variant
 from conftest import conll_texts, random_corpus, random_tagging
 from oracles import (
     _legal_end_reference,
@@ -120,6 +123,19 @@ class TestTypes:
         assert Corpus(sentences, "one") == Corpus(sentences, "two")
         assert hash(Corpus(sentences, "one")) == hash(Corpus(sentences, "two"))
 
+    def test_package_built_corpora_leave_provenance_empty(self, tmp_path):
+        # Reports name the data source; no corpus the package builds
+        # carries a note of its own.
+        text = "-DOCSTART- O\n\nA B-LOC\nB I-LOC\n\nC O\n\n"
+        path = tmp_path / "data.conll"
+        path.write_text(text, encoding="utf-8")
+        parsed = parse_conll(text)
+        built = [parsed, read_conll_file(str(path)), augment(parsed),
+                 *(make_variant(parsed, variant) for variant in CaseVariant),
+                 *generate(default_config(seed=3, train_sentences=20,
+                                          test_sentences=5))]
+        assert [corpus.provenance for corpus in built] == [""] * len(built)
+
     def test_entity_spans_order_by_start_end_then_type(self):
         spans = [EntitySpan(2, 3, "LOC"), EntitySpan(0, 4, "PER"),
                  EntitySpan(0, 1, "PER"), EntitySpan(0, 1, "LOC")]
@@ -145,14 +161,15 @@ class TestParse:
         assert len(corpus) == 0
 
     def test_docstart_dropped(self):
+        # A marker also ends a sentence that no blank line ended.
         text = (
-            "-DOCSTART- O\n\nA O\n\nB S-LOC\n\n-DOCSTART- O\n\nC O\nD O\n\n"
+            "-DOCSTART- O\n\nA O\n\nB S-LOC\n-DOCSTART- -X- O\nC O\nD O\n\n"
         )
         corpus = parse_conll(text)
-        assert len(corpus) == 3
         tokens = [ann.sentence.tokens for ann in corpus]
         assert tokens == [("A",), ("B",), ("C", "D")]
-        assert "2 -DOCSTART- line(s) dropped" in corpus.provenance
+        assert [ann.gold.tags for ann in corpus] == [("O",), ("S-LOC",), ("O", "O")]
+        assert not any(DOCSTART in t for ann in corpus for t in ann.sentence.tokens)
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -272,7 +289,6 @@ class TestSchemeConversion:
     def test_iob2_to_iobes(self):
         corpus = parse_conll("a B-ORG\nb I-ORG\nc I-ORG\n\n")
         assert corpus.sentences[0].gold.tags == ("B-ORG", "I-ORG", "E-ORG")
-        assert "scheme IOB2 converted to IOBES" in corpus.provenance
 
     def test_single_token_becomes_s(self):
         corpus = parse_conll("a B-LOC\n\n")
@@ -281,7 +297,6 @@ class TestSchemeConversion:
     def test_iob1_adjacent_chunks(self):
         corpus = parse_conll("a I-LOC\nb B-LOC\nc O\n\n")
         assert corpus.sentences[0].gold.tags == ("S-LOC", "S-LOC", "O")
-        assert "scheme IOB1 converted to IOBES" in corpus.provenance
 
     @pytest.mark.parametrize("scheme", [Scheme.IOB1, Scheme.IOB2])
     def test_every_short_sequence_keeps_its_conlleval_spans(self, scheme):
@@ -300,7 +315,6 @@ class TestSchemeConversion:
             "".join(f"t {tag}\n" for tag in tags) + "\n" for tags in valid
         )
         corpus = parse_conll(text)
-        assert f"scheme {scheme.value} converted" in corpus.provenance
         assert len(corpus) == len(valid)
         for raw, ann in zip(valid, corpus):
             assert ann.gold.scheme is Scheme.IOBES

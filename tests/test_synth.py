@@ -90,8 +90,10 @@ class TestGenerate:
         monkeypatch.setattr(synth, "_GAZETTEERS", {
             "PER": ("Ada Lovelace", "Grace Hopper"), "LOC": ("Oslo",),
         })
-        monkeypatch.setattr(synth, "_TEMPLATES",
-                            (("met", "{PER}", "in", "{LOC}"),))
+        monkeypatch.setattr(synth, "_TYPES", ("LOC", "PER"))
+        monkeypatch.setattr(synth, "_TEMPLATES", (tuple(
+            (element, synth._parse_slot(element))
+            for element in ("met", "{PER}", "in", "{LOC}")),))
         cfg = SynthConfig(seed=3, train_sentences=200, test_sentences=1,
                           noise_rate=0.0)
         train, _ = generate(cfg)

@@ -144,19 +144,15 @@ def corpora_with_repeats(draw) -> Corpus:
     return Corpus(
         tuple(AnnotatedSentence(Sentence(ann.sentence.tokens),
                                 TagSequence(ann.gold.tags)) if copy else ann
-              for ann, copy in picks),
-        "drawn",
+              for ann, copy in picks)
     )
 
 
 def _per_sentence_variant(corpus: Corpus, variant: CaseVariant) -> Corpus:
     """`make_variant` as one transform per occurrence, sharing nothing."""
     transform = to_lower if variant is CaseVariant.LOWER else to_upper
-    return Corpus(
-        tuple(AnnotatedSentence(transform(ann.sentence), ann.gold)
-              for ann in corpus),
-        f"{variant.value} variant of: {corpus.provenance}",
-    )
+    return Corpus(tuple(AnnotatedSentence(transform(ann.sentence), ann.gold)
+                        for ann in corpus))
 
 
 def _key(ann: AnnotatedSentence) -> tuple:
@@ -176,7 +172,7 @@ _SAME_TOKENS_OTHER_TAGS = Corpus((
     AnnotatedSentence(Sentence(("New", "YORK")), TagSequence(("B-LOC", "E-LOC"))),
     AnnotatedSentence(Sentence(("New", "YORK")), TagSequence(("O", "S-ORG"))),
     AnnotatedSentence(Sentence(("New", "YORK")), TagSequence(("B-LOC", "E-LOC"))),
-), "drawn")
+))
 
 
 @given(corpora_with_repeats())
@@ -186,7 +182,6 @@ def test_make_variant_shares_one_object_per_distinct_sentence(corpus):
         out = make_variant(corpus, variant)
         expected = _per_sentence_variant(corpus, variant)
         assert out.sentences == expected.sentences
-        assert out.provenance == expected.provenance
         assert _shared_exactly_among_equal(out, corpus)
         again = make_variant(corpus, variant)
         assert again.sentences == out.sentences
@@ -200,7 +195,7 @@ _CASE_COLLISIONS = Corpus((
     AnnotatedSentence(Sentence(("New", "york", "new")),
                       TagSequence(("B-LOC", "E-LOC", "O"))),
     AnnotatedSentence(Sentence(("NEW", "York")), TagSequence(("B-LOC", "E-LOC"))),
-), "drawn")
+))
 
 
 @given(corpora_with_repeats())
@@ -221,11 +216,6 @@ def test_augment_shares_one_object_per_distinct_sentence(corpus):
     lower = _per_sentence_variant(corpus, CaseVariant.LOWER)
     upper = _per_sentence_variant(corpus, CaseVariant.UPPER)
     assert out.sentences == corpus.sentences + lower.sentences + upper.sentences
-    assert out.provenance == (
-        f"augmented from {n} sentence(s): originals at [0,{n}), lower copies "
-        f"at [{n},{2 * n}) with source i-{n}, upper copies at [{2 * n},{3 * n}) "
-        f"with source i-{2 * n}; base: drawn"
-    )
     assert all(a is b for a, b in zip(out, corpus))
     for copies in (out.sentences[n : 2 * n], out.sentences[2 * n :]):
         assert _shared_exactly_among_equal(copies, corpus)
