@@ -141,8 +141,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("truecase", help="fit or apply a truecasing model")
     p.add_argument("--model", required=True)
-    p.add_argument("--fit", help="fit the model on this corpus")
-    p.add_argument("--input", help="apply the model to this corpus")
+    job = p.add_mutually_exclusive_group(required=True)
+    job.add_argument("--fit", help="fit a truecaser on this corpus, saved as --model")
+    job.add_argument("--input", help="truecase this corpus with the --model truecaser")
     p.add_argument("--output", help="output file for --input (default: stdout)")
 
     p = sub.add_parser("synth", help="generate the synthetic corpora")
@@ -231,7 +232,6 @@ def _experiment_config(settings: dict[str, object], strategy: Strategy,
         synth=synth_cfg,
         train_config=TrainConfig(**_given(TrainConfig, settings)),
         seed=settings["seed"] or 0,
-        report_path=settings["report"],
         model_path=settings.get("model"),
         type_map=read_config_file(type_map_path) if type_map_path else None,
     )
@@ -264,8 +264,9 @@ def _load_truecaser(path: str) -> Truecaser:
         return Truecaser.from_bytes(handle.read())
 
 
-def _write_tagged(corpus: Corpus, path: str | None) -> None:
-    """Write `corpus` as CoNLL to `path` (None: stdout)."""
+def _write_tagged(sentences, tags, path: str | None) -> None:
+    """Write each sentence with its tags as CoNLL to `path` (None: stdout)."""
+    corpus = Corpus(tuple(map(AnnotatedSentence, sentences, tags)))
     if path is not None:
         write_conll_file(corpus, path)
     else:
@@ -282,8 +283,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     corpus = _read_tokens_file(args.input)
     truecaser = _load_truecaser(args.truecaser) if args.truecaser else None
     predictions = tag_corpus(model, corpus, truecaser=truecaser)
-    _write_tagged(Corpus(tuple(map(AnnotatedSentence, (
-        ann.sentence for ann in corpus), predictions))), args.output)
+    _write_tagged((ann.sentence for ann in corpus), predictions, args.output)
     return EXIT_OK
 
 
@@ -317,26 +317,19 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _cmd_truecase(args: argparse.Namespace) -> int:
-    if args.fit is None and args.input is None:
-        raise UsageError("truecase needs --fit and/or --input")
-    fit = args.fit is not None
-    harness.check_output_paths(
-        [("--model", "model", args.model if fit else None),
-         ("--output", "output", None if args.input is None else args.output)],
-        [("--fit", args.fit), ("--input", args.input),
-         ("--model", None if fit else args.model)],
-    )
-    if fit:
+    if args.fit is not None:
+        harness.check_output_paths([("--model", "model", args.model)],
+                                   [("--fit", args.fit)])
         corpus = read_conll_file(args.fit)
-        truecaser = train_truecaser(corpus)
-        container.write_file(args.model, truecaser.to_bytes())
+        container.write_file(args.model, train_truecaser(corpus).to_bytes())
         print(f"fitted truecaser on {len(corpus)} sentence(s) -> {args.model}")
-    if args.input is not None:
-        truecaser = _load_truecaser(args.model)
-        corpus = read_conll_file(args.input)
-        _write_tagged(Corpus(tuple(
-            AnnotatedSentence(truecase(truecaser, ann.sentence), ann.gold)
-            for ann in corpus)), args.output)
+        return EXIT_OK
+    harness.check_output_paths([("--output", "output", args.output)],
+                               [("--input", args.input), ("--model", args.model)])
+    truecaser = _load_truecaser(args.model)
+    corpus = read_conll_file(args.input)
+    _write_tagged((truecase(truecaser, ann.sentence) for ann in corpus),
+                  (ann.gold for ann in corpus), args.output)
     return EXIT_OK
 
 
@@ -366,8 +359,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise UsageError("a strategy is required (flag or config file)")
         strategies = [Strategy(settings["strategy"])]
     cfg = _experiment_config(settings, strategies[0], args.config)
-    configs = [replace(cfg, strategy=s, report_path=None) for s in strategies]
-    _, text = harness.run_grid(configs, report_path=cfg.report_path)
+    configs = [replace(cfg, strategy=s) for s in strategies]
+    _, text = harness.run_grid(configs, report_path=settings["report"])
     sys.stdout.write(text)
     return EXIT_OK
 

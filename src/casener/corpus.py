@@ -147,11 +147,13 @@ def label_space_rules(
     tags: Sequence[str],
 ) -> tuple[list[bool], list[list[bool]], list[bool]]:
     """Which of the distinct `tags` may open a sentence, follow each tag
-    (row: previous, column: next) and close one; `TagValidationError`
-    unless every tag is IOBES and "O", which keeps a path legal, is one."""
+    (row: previous, column: next) and close one; `TagValidationError` unless
+    every tag is IOBES without whitespace and "O", which keeps paths legal, is one."""
     parsed = list(_parsed_tags(tags, Scheme.IOBES).values())
     if "O" not in tags:
         raise TagValidationError('the tag set lacks "O"')
+    if spaced := [tag for tag in tags if _WHITESPACE.search(tag)]:
+        raise TagValidationError(f"tag {spaced[0]!r} holds whitespace")
     return (
         [_legal_start(prefix) for prefix, _ in parsed],
         [[_legal_transition(prev, cur) for cur in parsed] for prev in parsed],

@@ -91,7 +91,7 @@ class CrfModel:
 
     `emission` has shape (num_features, num_tags); `begin`, `end` have shape
     (num_tags,); `transition` has shape (num_tags, num_tags).  All weights
-    must be finite.  The tags must be IOBES and hold "O"; they are checked,
+    must be finite.  The tags, IOBES with "O" and no whitespace, are checked,
     and decoding's constraints derived, by `corpus.label_space_rules`.
     """
 

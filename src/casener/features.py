@@ -200,6 +200,8 @@ class FeatureMap:
             raise ValueError("duplicate tags")
         if not self.tags:
             raise ValueError("a feature map needs at least one tag")
+        if not self.features:
+            raise ValueError("a feature map needs at least one feature")
         object.__setattr__(
             self, "_feature_index", {f: i for i, f in enumerate(self.features)}
         )

@@ -235,7 +235,7 @@ def _report(data: _Data,
 def run_grid(
     configs: Sequence[ExperimentConfig], report_path: str | None = None
 ) -> tuple[list[ExperimentResult], str]:
-    """Run several strategies on one shared data source; one report.
+    """Run several strategies, one a config, on one data source; one report.
 
     The data is generated or read once, and each distinct model is trained
     once, so TRUECASING scores the model BASELINE trained.  Every config is
@@ -245,6 +245,8 @@ def run_grid(
     """
     if not configs:
         raise ValueError("at least one experiment config is required")
+    if len({cfg.strategy for cfg in configs}) < len(configs):
+        raise ValueError("each config of a grid needs its own strategy")
     sources = {(cfg.synth, cfg.train_path, cfg.test_path) for cfg in configs}
     if len(sources) > 1:
         raise ValueError(

@@ -338,6 +338,19 @@ def test_truecase_fit_and_apply(data_files, tmp_path, capsys):
     assert main(["truecase", "--model", model]) == EXIT_USAGE
 
 
+def test_truecase_fits_or_applies_not_both(data_files, tmp_path, capsys,
+                                           monkeypatch):
+    """`--fit` and `--input` are two jobs, one a call: given both, the
+    command is a usage error that reads and writes nothing."""
+    root, train, test = data_files
+    monkeypatch.chdir(tmp_path)
+    assert main(["truecase", "--model", "tc.bin", "--fit", train,
+                 "--input", test, "--output", "out.conll"]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "usage error: argument --input: not allowed with argument --fit\n")
+    assert os.listdir() == []
+
+
 @pytest.mark.parametrize("command", ["truecase", "tag"])
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_truecaser_version_exits_2(data_files, fuzz_inputs, tmp_path,
@@ -890,8 +903,6 @@ _COLLIDING_COMMANDS = {
     + ["--model", "{other}", "--type-map", "{file}"],
     "experiment-files": ["experiment", "--strategy", "baseline", "--train",
                          "{file}", "--test", "{file}", "--model", "{path}"],
-    "truecase-both": _TABLE_ROWS["truecase-fit"]
-    + ["--input", "{file}", "--output", "{other}"],
     "tag-truecaser": _TABLE_ROWS["tag"] + ["--truecaser", "{file}"],
 }
 _COLLISIONS = {

@@ -247,6 +247,12 @@ CORRUPT_MODELS = {
     **{f"no-{field}": (_without(field), f"malformed model fields: '{field}'")
        for field in ("template_set", "tags", "features", "metadata")},
     "version-2": (old_crf_blob(crf.load(_MODEL)), "unsupported crf version 2"),
+    "empty-features": (container_blob({**_DOC, "tags": ["O"], "features": []},
+                                      bytes(24)),
+                       "malformed model fields: a feature map needs at least "
+                       "one feature"),
+    "whitespace-tag": (container_blob({**_DOC, "tags": ["O", "S-A B"]}, _BLOCK),
+                       "malformed model fields: tag 'S-A B' holds whitespace"),
 }
 
 

@@ -242,6 +242,17 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid([])
 
+    def test_repeated_strategy_rejected_before_data_loads(self, monkeypatch):
+        """Two configs of one strategy would write one strategy's report
+        keys twice; the grid refuses them before any work."""
+        monkeypatch.setattr(harness, "_load_corpora", lambda cfg: pytest.fail(
+            "a repeated strategy must stop the grid first"))
+        configs = [small_config(Strategy.BASELINE, train_config=TrainConfig(
+            max_epochs=epochs)) for epochs in (3, 5)]
+        with pytest.raises(ValueError, match=(
+                "^each config of a grid needs its own strategy$")):
+            run_grid([small_config(Strategy.CASELESS), *configs])
+
     def test_heterogeneous_test_sets_rejected(self):
         a = small_config(Strategy.BASELINE)
         b = small_config(
