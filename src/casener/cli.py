@@ -318,6 +318,8 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 def _cmd_truecase(args: argparse.Namespace) -> int:
     if args.fit is not None:
+        if args.output is not None:
+            raise UsageError("argument --output: not allowed with argument --fit")
         harness.check_output_paths([("--model", "model", args.model)],
                                    [("--fit", args.fit)])
         corpus = read_conll_file(args.fit)

@@ -15,24 +15,22 @@ compresses the parts in sequence, into the bytes of compressing them joined.
 import io
 import json
 import os
-import tempfile
 import zlib
 
 
 def write_file(path: str, data: bytes) -> None:
     """Replace the regular file `path` resolves to with `data` through a
-    temporary file in its directory, so a failed write changes nothing and
-    a symlink keeps its link; the mode is that of a new file (0o666 & ~umask)."""
+    new file in its directory, so a failed write changes nothing and a
+    symlink keeps its link.  The kernel gives that file its mode, 0o666
+    less the umask, as it does any new file."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise ValueError(f"{path!r} is not a regular file")
-    umask = os.umask(0)  # the only way to read it; restored at once
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".casener-")
+    tmp = os.path.join(os.path.dirname(target), f".casener-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):

@@ -57,7 +57,7 @@ def evaluate(
         raise ValueError(
             f"{len(predicted)} predicted sentences vs {len(gold)} gold"
         )
-    tp = pred_n = gold_n = 0
+    # Per type: true positives, predicted spans, gold spans.
     type_counts: dict[str, list[int]] = {}
     for idx, (pred_seq, gold_seq) in enumerate(zip(predicted, gold)):
         if len(pred_seq) != len(gold_seq):
@@ -67,22 +67,16 @@ def evaluate(
             )
         pred_spans = set(extract_spans(pred_seq))
         gold_spans = set(extract_spans(gold_seq))
-        tp += len(pred_spans & gold_spans)
-        pred_n += len(pred_spans)
-        gold_n += len(gold_spans)
-        for span in pred_spans | gold_spans:
-            counts = type_counts.setdefault(span.entity_type, [0, 0, 0])
-            if span in pred_spans and span in gold_spans:
-                counts[0] += 1
-            if span in pred_spans:
-                counts[1] += 1
-            if span in gold_spans:
-                counts[2] += 1
+        for column, spans in enumerate(
+                (pred_spans & gold_spans, pred_spans, gold_spans)):
+            for span in spans:
+                type_counts.setdefault(span.entity_type, [0, 0, 0])[column] += 1
     per_type = {
         etype: Metrics(*counts)
         for etype, counts in sorted(type_counts.items())
     }
-    return Metrics(tp, pred_n, gold_n, per_type)
+    totals = [sum(column) for column in zip((0, 0, 0), *type_counts.values())]
+    return Metrics(*totals, per_type)
 
 
 def tag_corpus(

@@ -118,7 +118,6 @@ def _make_sentence(
     template = rng.choice(_TEMPLATES)
     tokens: list[str] = []
     spans: list[tuple[int, int, str]] = []
-    entity_positions: set[int] = set()
 
     for element, slot in template:
         if slot is None:
@@ -137,10 +136,9 @@ def _make_sentence(
             parts = [p.lower() for p in parts]
         start = len(tokens)
         tokens.extend(parts)
-        entity_positions.update(range(start, start + len(parts)))
         spans.append((start, start + len(parts) - 1, etype))
 
-    if 0 not in entity_positions:
+    if not spans or spans[0][0] != 0:
         tokens[0] = init_cap_form(tokens[0])
 
     key = (tuple(tokens), tuple(spans))

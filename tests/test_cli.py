@@ -351,6 +351,19 @@ def test_truecase_fits_or_applies_not_both(data_files, tmp_path, capsys,
     assert os.listdir() == []
 
 
+def test_truecase_fit_takes_no_output(data_files, tmp_path, capsys,
+                                     monkeypatch):
+    """`--output` names the file of the `--input` job: with `--fit`, the
+    command is a usage error that reads and writes nothing."""
+    root, train, test = data_files
+    monkeypatch.chdir(tmp_path)
+    assert main(["truecase", "--model", "tc.bin", "--fit", train,
+                 "--output", "out.conll"]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "usage error: argument --output: not allowed with argument --fit\n")
+    assert os.listdir() == []
+
+
 @pytest.mark.parametrize("command", ["truecase", "tag"])
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_truecaser_version_exits_2(data_files, fuzz_inputs, tmp_path,

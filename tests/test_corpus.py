@@ -350,6 +350,8 @@ class TestSpans:
             spans_to_tags([EntitySpan(0, 1, "A"), EntitySpan(1, 2, "A")], 4)
         with pytest.raises(CorpusError):
             spans_to_tags([EntitySpan(2, 5, "A")], 4)
+        with pytest.raises(CorpusError, match="at least one token"):
+            spans_to_tags([], 0)
 
     def test_span_roundtrip_random(self, rng):
         for _ in range(100):

@@ -98,6 +98,10 @@ class TestScore:
         bad = TagSequence(("O",) * 5 + ("S-GPE",), Scheme.IOBES)
         with pytest.raises(ValueError):
             score_sequence(model, TABLE.sentence, bad)
+        short = TagSequence(("O",) * 5, Scheme.IOBES)
+        with pytest.raises(ValueError, match="tag sequence length 5 != "
+                                             "sentence length 6"):
+            score_sequence(model, TABLE.sentence, short)
 
     def test_matches_explicit_resummation(self, rng):
         for _ in range(20):

@@ -153,6 +153,8 @@ class TestFeatureMap:
             fmap.tag_index("B-LOC")
         with pytest.raises(ValueError):
             FeatureMap(("dup", "dup"), ("O",))
+        with pytest.raises(ValueError, match="duplicate tags"):
+            FeatureMap(("f1",), ("O", "S-LOC", "O"))
 
 
 # Tokens equal to the boundary sentinels, and tokens whose lowercase form

@@ -13,6 +13,7 @@ and 174/204.  In both the iterates first differed by more than 1e-12 after
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -156,6 +157,70 @@ def test_dcstep_is_scipys_bit_for_bit():
         branches.append(_dcstep_branch(fx, dx, fp, dp, brackt))
     assert set(branches) == {"higher", "opposite", "smaller", "bracketed",
                              "bound"}
+
+
+def _recorded(phi, trials):
+    """`phi`, appending each step it is called at to `trials`."""
+    def call(step):
+        trials.append(step)
+        return phi(step)
+    return call
+
+
+@pytest.mark.parametrize("phi, dphi, stp, warns", [
+    # The first trial raises phi without sufficient decrease, so stage 1
+    # takes its step from the modified function phi(s) - s * gtest.
+    (lambda s: -s + math.exp(20.0 * (s - 1.0)),
+     lambda s: -1.0 + 20.0 * math.exp(20.0 * (s - 1.0)), 1.0, False),
+    # The safeguarded step leaves the interval, is reset to its best end,
+    # and the interval's width then falls below xtol: a warning exit.
+    (lambda s: math.cos(3.0 * s) - 0.01 * s,
+     lambda s: -3.0 * math.sin(3.0 * s) - 0.01, 3.0, True),
+], ids=["modified-function", "reset-to-best-step"])
+def test_line_search_is_scipys_trial_for_trial(phi, dphi, stp, warns):
+    """`_line_search` and scipy's `DCSRCH`, both at L-BFGS-B's tolerances,
+    try the same steps bit for bit on two 1-D functions.  A warning exit
+    accepts the last trial here, as L-BFGS-B does, where `DCSRCH` returns
+    None and its warning."""
+    dcsrch = pytest.importorskip("scipy.optimize._dcsrch")
+    got, want = [], []
+    record = _recorded(phi, got)
+    found = lbfgs._line_search(lambda s: (record(s), dphi(s)), phi(0.0),
+                               dphi(0.0), stp)
+    search = dcsrch.DCSRCH(_recorded(phi, want), dphi, ftol=1e-3, gtol=0.9,
+                           xtol=0.1, stpmin=0.0, stpmax=1e10)
+    step, _, _, task = search(stp, phi0=phi(0.0), derphi0=dphi(0.0),
+                              maxiter=20)
+    assert [np.float64(s).tobytes() for s in got] == [
+        np.float64(s).tobytes() for s in want]
+    assert task.startswith(b"WARN" if warns else b"CONV")
+    assert found[0] == got[-1] and (step is None) == warns
+
+
+def test_failed_search_restarts_from_steepest_descent():
+    """A line search that fails once the memory holds a pair clears the
+    memory and tries x - g; when that search fails too, the run stops at
+    the last accepted point, unconverged."""
+    a = np.array([1.0, 2.0])
+    calls = []
+
+    def fg(x):
+        # 0.5 x'Ax for the start and the first iteration's one trial;
+        # after that f rises away from that trial while its gradient
+        # points downhill, so no search can succeed.
+        calls.append(x)
+        if len(calls) <= 2:
+            return float(0.5 * x @ (a * x)), a * x
+        r = x - calls[1]
+        return float(0.5 * calls[1] @ (a * calls[1]) + r @ r), -2.0 * r
+
+    got = lbfgs.minimize(fg, np.array([0.6, 0.8]), 100, _SCIPY_FTOL)
+    x1 = calls[1]
+    assert (got.nit, got.nfev, got.converged) == (1, 42, False)
+    assert len(calls) == 42  # 2, then two failed searches of 20
+    np.testing.assert_array_equal(got.x, x1)
+    assert not np.array_equal(calls[2], x1 - a * x1)  # the quasi-Newton step
+    np.testing.assert_array_equal(calls[22], x1 - a * x1)
 
 
 def test_training_and_tagging_never_import_scipy_optimize(tmp_path):

@@ -138,6 +138,21 @@ def test_symlinked_output_keeps_its_link(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
 
 
+def test_write_file_never_sets_the_umask(tmp_path, monkeypatch):
+    """The umask is shared by every thread of the process, so the writer
+    leaves it alone: the kernel applies it to the new file."""
+    umask = os.umask(0o027)
+    os.umask(umask)
+
+    def set_umask(mask):
+        raise AssertionError("write_file set the umask")
+
+    monkeypatch.setattr(os, "umask", set_umask)
+    write_file(str(tmp_path / "out.txt"), b"data")
+    monkeypatch.undo()
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 @pytest.mark.parametrize("target", ["/dev/null", "."])
 def test_only_a_regular_file_is_replaced(tmp_path, monkeypatch, target):
     monkeypatch.chdir(tmp_path)
