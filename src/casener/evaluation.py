@@ -120,15 +120,9 @@ def map_prediction_types(
     of dropped spans is returned for reporting.
     """
     spans = extract_spans(tags)
-    kept = []
-    dropped = 0
-    for span in spans:
-        target = type_map.get(span.entity_type)
-        if target is None:
-            dropped += 1
-        else:
-            kept.append(replace(span, entity_type=target))
-    return spans_to_tags(kept, len(tags)), dropped
+    kept = [replace(span, entity_type=target) for span in spans
+            if (target := type_map.get(span.entity_type)) is not None]
+    return spans_to_tags(kept, len(tags)), len(spans) - len(kept)
 
 
 def variant_grid(

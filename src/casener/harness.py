@@ -5,7 +5,7 @@ prepared:
 
 * BASELINE    - train on the data as-is, case-aware templates.
 * CASELESS    - lowercase all training data, case-agnostic templates;
-                test input is decoded as-is (the templates lowercase it).
+                test input is decoded as-is (the templates read `case_key`).
 * TRUECASING  - train as BASELINE; truecase test input with a truecaser
                 fitted on the training corpus.
 * AUGMENT     - train on the corpus plus its all-lower and all-upper

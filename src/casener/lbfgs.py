@@ -220,9 +220,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     with np.errstate(all="ignore"):
         if fp > fx:
             # Higher function value: the minimum is bracketed.
-            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-            s = max(abs(theta), abs(dx), abs(dp))
-            gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            theta, gamma = _cubic(stx, fx, dx, stp, fp, dp)
             if stp < stx:
                 gamma = -gamma
             p = (gamma - dx) + theta
@@ -236,9 +234,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
             brackt = True
         elif opposite:
             # Derivatives of opposite sign: the minimum is bracketed.
-            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-            s = max(abs(theta), abs(dx), abs(dp))
-            gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            theta, gamma = _cubic(stx, fx, dx, stp, fp, dp)
             if stp > stx:
                 gamma = -gamma
             p = (gamma - dp) + theta
@@ -251,9 +247,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
             # Same sign, smaller derivative: the cubic may have no minimizer
             # in the direction of the step, and its step then goes to the
             # bound.
-            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-            s = max(abs(theta), abs(dx), abs(dp))
-            gamma = s * np.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+            theta, gamma = _cubic(stx, fx, dx, stp, fp, dp, clip=True)
             if stp > stx:
                 gamma = -gamma
             p = (gamma - dp) + theta
@@ -278,9 +272,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         elif brackt:
             # Same sign, no smaller derivative, bracketed: the cubic
             # through stp and sty.
-            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-            s = max(abs(theta), abs(dy), abs(dp))
-            gamma = s * np.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            theta, gamma = _cubic(sty, fy, dy, stp, fp, dp)
             if stp > sty:
                 gamma = -gamma
             p = (gamma - dp) + theta
@@ -296,3 +288,11 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
             sty, fy, dy = stx, fx, dx
         stx, fx, dx = stp, fp, dp
     return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _cubic(sta, fa, da, stb, fb, db, clip=False):
+    """The cubic interpolant's theta and gamma, as `dcstep` writes them."""
+    theta = 3.0 * (fa - fb) / (stb - sta) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    disc = (theta / s) ** 2 - (da / s) * (db / s)
+    return theta, s * np.sqrt(max(0.0, disc) if clip else disc)

@@ -66,15 +66,15 @@ def describe(settings: object) -> list[str]:
     return [f"{name}={value!r}" for name, value in items.items()]
 
 
-def _parse_slot(token: str) -> tuple[str, str | None] | None:
+def _parse_slot(token: str) -> tuple[str | None, bool] | None:
+    """A template element's slot as (its entity type, None for ``{ANY}``;
+    whether it is ``{AMB:TYPE}``), or None for a plain word."""
     if not (token.startswith("{") and token.endswith("}")):
         return None
     inner = token[1:-1]
     if inner == "ANY":
-        return "any", None
-    if inner.startswith("AMB:"):
-        return "amb", inner[4:]
-    return "type", inner
+        return None, False
+    return inner.removeprefix("AMB:"), inner.startswith("AMB:")
 
 
 def _split_pools(
@@ -100,7 +100,7 @@ def _ambiguous_subset(pool: list[str], etype: str) -> list[str]:
 
 
 #: A template with each element parsed once: (element, slot or None).
-_ParsedTemplate = tuple[tuple[str, tuple[str, str | None] | None], ...]
+_ParsedTemplate = tuple[tuple[str, tuple[str | None, bool] | None], ...]
 #: A drawn sentence before annotation: its tokens and (start, end, type)
 #: entity spans.
 _SentenceKey = tuple[tuple[str, ...], tuple[tuple[int, int, str], ...]]
@@ -123,14 +123,13 @@ def _make_sentence(
         if slot is None:
             tokens.append(element)
             continue
-        kind, etype = slot
-        if kind == "any":
+        etype, is_amb = slot
+        if etype is None:
             etype = rng.choice(_TYPES)
-        assert etype is not None
-        if kind == "amb" and rng.random() >= AMB_ENTITY_PROBABILITY:
+        if is_amb and rng.random() >= AMB_ENTITY_PROBABILITY:
             tokens.append(rng.choice(_DECOYS[etype]))
             continue
-        phrase = rng.choice(ambiguous[etype] if kind == "amb" else pools[etype])
+        phrase = rng.choice(ambiguous[etype] if is_amb else pools[etype])
         parts = phrase.split()
         if rng.random() < cfg.noise_rate:
             parts = [p.lower() for p in parts]

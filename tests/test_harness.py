@@ -1,5 +1,6 @@
 import os
 from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -69,7 +70,8 @@ def run_reported(cfg: ExperimentConfig, directory) -> tuple:
     result, then the report's text and kv files as read back."""
     base = str(directory / "report")
     result = run_experiment(replace(cfg, report_path=base))
-    return result, open(base + ".txt").read(), open(base + ".kv").read()
+    return (result, Path(base + ".txt").read_text(encoding="utf-8"),
+            Path(base + ".kv").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +108,9 @@ class TestRunExperiment:
             report_path=str(tmp_path / "grid"),
         )
         # A one-config grid's report is that config's report.
-        assert open(base + ".txt").read() == text
-        assert open(base + ".kv").read() == open(str(tmp_path / "grid.kv")).read()
+        assert Path(base + ".txt").read_text(encoding="utf-8") == text
+        assert (Path(base + ".kv").read_text(encoding="utf-8")
+                == (tmp_path / "grid.kv").read_text(encoding="utf-8"))
         assert load_file(model_path).feature_map == result.model.feature_map
         # No temporary file (".casener-*") is left beside the outputs.
         assert sorted(os.listdir(tmp_path)) == [
@@ -140,9 +143,9 @@ class TestRunExperiment:
                 report_path=base, model_path=model_path,
             ))
             outputs.append((
-                open(base + ".txt", "rb").read(),
-                open(base + ".kv", "rb").read(),
-                open(model_path, "rb").read(),
+                Path(base + ".txt").read_bytes(),
+                Path(base + ".kv").read_bytes(),
+                Path(model_path).read_bytes(),
             ))
         assert outputs[0] == outputs[1]
 
@@ -422,7 +425,7 @@ class TestRunGrid:
             if l.split() and l.split()[0] in {s.value for s in Strategy}
         ]
         assert len(table_rows) == 4
-        assert open(str(tmp_path / "grid.txt")).read() == combined
+        assert (tmp_path / "grid.txt").read_text(encoding="utf-8") == combined
         # Each config's report file is the report of its one-config run.
         run_grid([replace(cfg, report_path=str(tmp_path / cfg.strategy.value))
                   for cfg in configs])
@@ -432,9 +435,10 @@ class TestRunGrid:
                                       report_path=base + "-single")
             assert single.grid == result.grid
             for suffix in (".txt", ".kv"):
-                assert (open(base + suffix).read()
-                        == open(base + "-single" + suffix).read())
-            assert open(base + ".txt").read() == text
+                assert (Path(base + suffix).read_text(encoding="utf-8")
+                        == Path(base + "-single" + suffix).read_text(
+                            encoding="utf-8"))
+            assert Path(base + ".txt").read_text(encoding="utf-8") == text
 
 
 class TestConfigFile:
