@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: train, tag, eval, augment, truecase, synth, experiment, grid.
+Subcommands: train, tag, eval, augment, truecase, synth, grid.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Experiment settings come from an optional key=value config file; flags
+Run settings come from an optional key=value config file; flags
 override file values, and a key the command does not read, or a value that
 fails its flag's cast or lies outside its choices, is a data error.
 """
@@ -56,25 +56,6 @@ def _given(config: type, settings: dict, prefix: str = "") -> dict:
 
 _TRAIN_FLAGS = _config_flags(TrainConfig)
 _SYNTH_FLAGS = _config_flags(SynthConfig)
-#: Settings `experiment` and `grid` share.  Every flag of those two commands
-#: but --config is also a config-file key: the flag without its dashes.
-_SHARED_FLAGS = (
-    ("--train", {"help": "training CoNLL file"}),
-    ("--test", {"help": "test CoNLL file"}),
-    ("--data", {"choices": ["files", "synth"]}),
-    *((f"--synth-{flag[2:]}", kwargs) for flag, kwargs in _SYNTH_FLAGS),
-    ("--report", {"help": "report base path (.txt/.kv appended)"}),
-    ("--type-map", {"help": "key=value file mapping predicted entity types "
-                            "onto the gold inventory"}),
-    *_TRAIN_FLAGS,
-    ("--seed", {"type": int, "help": "run label printed in the reports; "
-                                     "training does not read it"}),
-)
-_EXPERIMENT_FLAGS = (
-    ("--strategy", {"choices": [s.value for s in Strategy]}),
-    ("--model", {"help": "save the trained model here"}),
-    *_SHARED_FLAGS,
-)
 
 
 def _strategy_list(text: str) -> list[Strategy]:
@@ -94,11 +75,23 @@ def _strategy_list(text: str) -> list[Strategy]:
     return [Strategy(name) for name in listed]
 
 
+#: `grid`'s settings.  Every flag but --config is also a config-file key:
+#: the flag without its dashes.
 _GRID_FLAGS = (
     ("--strategies", {"type": _strategy_list,
                       "help": "comma-separated list, each strategy at most "
                               "once (default: all four)"}),
-    *_SHARED_FLAGS,
+    ("--model", {"help": "save the trained model here (one strategy only)"}),
+    ("--train", {"help": "training CoNLL file"}),
+    ("--test", {"help": "test CoNLL file"}),
+    ("--data", {"choices": ["files", "synth"]}),
+    *((f"--synth-{flag[2:]}", kwargs) for flag, kwargs in _SYNTH_FLAGS),
+    ("--report", {"help": "report base path (.txt/.kv appended)"}),
+    ("--type-map", {"help": "key=value file mapping predicted entity types "
+                            "onto the gold inventory"}),
+    *_TRAIN_FLAGS,
+    ("--seed", {"type": int, "help": "run label printed in the reports; "
+                                     "training does not read it"}),
 )
 
 
@@ -151,13 +144,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
 
-    for name, help_text, flags in (
-        ("experiment", "run one strategy on one dataset", _EXPERIMENT_FLAGS),
-        ("grid", "run several strategies on shared data", _GRID_FLAGS),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value config file")
-        add_flags(p, flags)
+    p = sub.add_parser("grid", help="run strategies on one data source")
+    p.add_argument("--config", help="key=value config file")
+    add_flags(p, _GRID_FLAGS)
 
     return parser
 
@@ -202,8 +191,8 @@ def _settings(args: argparse.Namespace, flags) -> dict[str, object]:
     return settings
 
 
-def _experiment_config(settings: dict[str, object], strategy: Strategy,
-                       config_path: str | None) -> ExperimentConfig:
+def _run_config(settings: dict[str, object], strategy: Strategy,
+                config_path: str | None) -> ExperimentConfig:
     """The run `settings` describe, its paths checked.  A synthetic source
     with files, or files with a synth setting, is a usage error."""
     train_path, test_path = settings["train"], settings["test"]
@@ -221,7 +210,7 @@ def _experiment_config(settings: dict[str, object], strategy: Strategy,
     type_map_path = settings["type_map"]
     harness.check_output_paths(
         [("--report", "report", settings["report"]),
-         ("--model", "model", settings.get("model"))],
+         ("--model", "model", settings["model"])],
         [("--train", train_path), ("--test", test_path),
          ("--type-map", type_map_path), ("--config", config_path)],
     )
@@ -232,9 +221,17 @@ def _experiment_config(settings: dict[str, object], strategy: Strategy,
         synth=synth_cfg,
         train_config=TrainConfig(**_given(TrainConfig, settings)),
         seed=settings["seed"] or 0,
-        model_path=settings.get("model"),
+        model_path=settings["model"],
         type_map=read_config_file(type_map_path) if type_map_path else None,
     )
+
+
+def _warn_unconverged(model, label: str = "") -> None:
+    """Say on stderr, after `label`, when L-BFGS stopped before meeting its
+    tolerance; the model is still written."""
+    if not model.metadata["converged"]:
+        print(f"warning: {label}L-BFGS did not converge (stopped after "
+              f"{model.metadata['iterations']} iterations)", file=sys.stderr)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -246,12 +243,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = train(train_view, template_set,
                   TrainConfig(**_given(TrainConfig, vars(args))))
     save_file(model, args.model)
-    if not model.metadata["converged"]:
-        print(
-            f"warning: L-BFGS did not converge (stopped after "
-            f"{model.metadata['iterations']} iterations)",
-            file=sys.stderr,
-        )
+    _warn_unconverged(model)
     print(
         f"trained {strategy.value} model on {len(train_view)} sentence(s); "
         f"{model.feature_map.num_features} features -> {args.model}"
@@ -349,20 +341,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    """`experiment` (one strategy) and `grid` (several): one run, whose
-    report goes to stdout and to --report."""
-    if args.command == "grid":
-        settings = _settings(args, _GRID_FLAGS)
-        strategies = settings["strategies"] or list(Strategy)
-    else:
-        settings = _settings(args, _EXPERIMENT_FLAGS)
-        if settings["strategy"] is None:
-            raise UsageError("a strategy is required (flag or config file)")
-        strategies = [Strategy(settings["strategy"])]
-    cfg = _experiment_config(settings, strategies[0], args.config)
+def _cmd_grid(args: argparse.Namespace) -> int:
+    """Run the selected strategies (default: all four) on one data source;
+    the report goes to stdout and to --report."""
+    settings = _settings(args, _GRID_FLAGS)
+    strategies = settings["strategies"] or list(Strategy)
+    if settings["model"] is not None and len(strategies) > 1:
+        raise UsageError("--model saves one strategy's model; "
+                         f"{len(strategies)} strategies are selected")
+    cfg = _run_config(settings, strategies[0], args.config)
     configs = [replace(cfg, strategy=s) for s in strategies]
-    _, text = harness.run_grid(configs, report_path=settings["report"])
+    results, text = harness.run_grid(configs, report_path=settings["report"])
+    for result in results:
+        _warn_unconverged(result.model, f"{result.config.strategy.value}: ")
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -374,8 +365,7 @@ _COMMANDS = {
     "augment": _cmd_augment,
     "truecase": _cmd_truecase,
     "synth": _cmd_synth,
-    "experiment": _cmd_run,
-    "grid": _cmd_run,
+    "grid": _cmd_grid,
 }
 
 

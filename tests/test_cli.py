@@ -48,7 +48,7 @@ def data_files(tmp_path_factory):
 def test_usage_errors_exit_1():
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["train", "--train", "x"]) == EXIT_USAGE  # --model missing
-    # --seed labels experiment and grid runs; training has no seed
+    # --seed labels grid runs; training has no seed
     assert main(["train", "--train", "x", "--model", "m",
                  "--seed", "1"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -403,7 +403,7 @@ def fuzz_inputs(data_files):
     return {
         "train": train_bytes, "test": test_bytes, "pred": test_bytes,
         "model": model.read_bytes(), "truecaser": caser.read_bytes(),
-        "config": b"strategy = baseline\ndata = synth\nsynth-seed = 3\n"
+        "config": b"strategies = baseline\ndata = synth\nsynth-seed = 3\n"
                   b"synth-train-sentences = 30\nsynth-test-sentences = 10\n"
                   b"max-epochs = 3\n",
     }
@@ -416,7 +416,7 @@ _FUZZ_COMMANDS = [
     ["eval", "--gold", "test", "--pred", "pred"],
     ["truecase", "--model", "new", "--fit", "train"],
     ["truecase", "--model", "truecaser", "--input", "test"],
-    ["experiment", "--config", "config"],
+    ["grid", "--config", "config"],
 ]
 _EDGE_VALUES = [b"", b"0", b"-1", b"nan", b"inf", b"x", b"O-X", b"B-",
                 b"S-PER", b"I-LOC", "ǅ".encode(), b"-DOCSTART-", b"files",
@@ -505,9 +505,10 @@ def test_synth_command_defaults_to_default_config(tmp_path):
 
 
 def test_experiment_command_with_config_file(tmp_path, capsys):
+    """A one-strategy run (an experiment) set up by a config file alone."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "strategy = caseless\n"
+        "strategies = caseless\n"
         "data = synth\n"
         "synth-seed = 7\n"
         "synth-train-sentences = 120\n"
@@ -516,7 +517,7 @@ def test_experiment_command_with_config_file(tmp_path, capsys):
         "seed = 5\n"
         f"report = {tmp_path / 'rep'}\n"
     )
-    assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
+    assert main(["grid", "--config", str(cfg)]) == EXIT_OK
     report = (tmp_path / "rep.txt").read_text()
     assert "seed=5" in _strategy_line(report, "caseless").split()
     kv = (tmp_path / "rep.kv").read_text()
@@ -537,53 +538,57 @@ def _strategy_line(report: str, strategy: str) -> str:
 def test_experiment_flag_overrides_config(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "strategy = caseless\ndata = synth\nsynth-train-sentences = 120\n"
+        "strategies = caseless\ndata = synth\nsynth-train-sentences = 120\n"
         "synth-test-sentences = 30\nmax-epochs = 40\n"
     )
     report = str(tmp_path / "rep")
-    assert main(["experiment", "--config", str(cfg), "--strategy", "baseline",
+    assert main(["grid", "--config", str(cfg), "--strategies", "baseline",
                  "--seed", "9", "--report", report]) == EXIT_OK
     text = (tmp_path / "rep.txt").read_text()
     assert "seed=9" in _strategy_line(text, "baseline").split()
 
 
-@pytest.mark.parametrize("command", ["experiment", "grid"])
+#: The two shapes of a `grid` run: one strategy (an experiment, as
+#: `harness.run_experiment` runs it) and the default, all four.
+_RUN_COMMANDS = [pytest.param(["grid", "--strategies", "baseline"],
+                              id="experiment"),
+                 pytest.param(["grid"], id="grid")]
+
+
+@pytest.mark.parametrize("command", _RUN_COMMANDS)
 @pytest.mark.parametrize("line", ["max-epoch = 5", "optimizer = adagrad",
                                   "learning-rate = 0.5"])
 def test_config_file_rejects_unknown_key(tmp_path, capsys, command, line):
-    selector = "strategies" if command == "grid" else "strategy"
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        f"{selector} = baseline\ndata = synth\nsynth-train-sentences = 40\n"
+        "data = synth\nsynth-train-sentences = 40\n"
         f"synth-test-sentences = 10\nmax-epochs = 3\n{line}\n"
     )
-    assert main([command, "--config", str(cfg)]) == EXIT_DATA
+    assert main([*command, "--config", str(cfg)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "data error" in err and line.split(" =")[0] in err
 
 
-@pytest.mark.parametrize("command", ["experiment", "grid"])
+@pytest.mark.parametrize("command", _RUN_COMMANDS)
 def test_config_file_value_outside_choices_exits_2(data_files, tmp_path,
                                                    capsys, command):
     # As a flag, `--data bogus` is a usage error; in a config file it must
     # not fall through to the file data source.
     root, train, test = data_files
-    selector = "strategies" if command == "grid" else "strategy"
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"{selector} = baseline\ndata = bogus\nmax-epochs = 3\n")
-    assert main([command, "--config", str(cfg), "--train", train,
+    cfg.write_text("data = bogus\nmax-epochs = 3\n")
+    assert main([*command, "--config", str(cfg), "--train", train,
                  "--test", test]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "data error" in err and "data = 'bogus'" in err
-    assert main([command, "--data", "bogus"]) == EXIT_USAGE
+    assert main([*command, "--data", "bogus"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("command", ["experiment", "grid"])
+@pytest.mark.parametrize("command", _RUN_COMMANDS)
 def test_config_file_value_failing_cast_exits_2(tmp_path, capsys, command):
-    selector = "strategies" if command == "grid" else "strategy"
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"{selector} = baseline\ndata = synth\nmax-epochs = abc\n")
-    assert main([command, "--config", str(cfg)]) == EXIT_DATA
+    cfg.write_text("data = synth\nmax-epochs = abc\n")
+    assert main([*command, "--config", str(cfg)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"data error: {cfg}: max-epochs = 'abc': invalid literal" in err
 
@@ -685,7 +690,7 @@ def test_type_map_file_rejects_repeated_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.harness, "run_grid", _no_run)
     type_map = tmp_path / "types.cfg"
     type_map.write_text("PER = PERSON\nLOC = PLACE\nPER = PEOPLE\n")
-    assert main(["experiment", "--strategy", "baseline", "--data", "synth",
+    assert main(["grid", "--strategies", "baseline", "--data", "synth",
                  "--type-map", str(type_map)]) == EXIT_DATA
     assert (f"data error: {type_map}:3: repeated key 'PER' (first set on "
             "line 1)" in capsys.readouterr().err)
@@ -704,7 +709,7 @@ def test_type_map_file_rejects_empty_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
     type_map = tmp_path / "types.cfg"
     type_map.write_text("PER = PERSON\n=ORG\n")
-    assert main(["experiment", "--strategy", "baseline", "--data", "synth",
+    assert main(["grid", "--strategies", "baseline", "--data", "synth",
                  "--type-map", str(type_map)]) == EXIT_DATA
     assert capsys.readouterr().err == (
         f"data error: {type_map}:2: expected 'key = value', got '=ORG'\n")
@@ -718,19 +723,19 @@ def test_type_map_target_checked_before_data_loads(tmp_path, capsys,
     monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
     type_map = tmp_path / "types.cfg"
     type_map.write_text(f"LOC = PLACE\n{line}\n")
-    assert main(["experiment", "--strategy", "baseline", "--data", "synth",
+    assert main(["grid", "--strategies", "baseline", "--data", "synth",
                  "--type-map", str(type_map)]) == EXIT_DATA
     assert (f"data error: type map: PER = {target!r}: the target type must "
             "be non-empty, with no whitespace" in capsys.readouterr().err)
 
 
 #: Each command that trains before it writes: (test ID, what the path is,
-#: argv).
+#: argv).  An `experiment` row runs one strategy.
 _TRAINING_OUTPUT_COMMANDS = [
     ("train", "model", ["train", "--train", "{file}", "--model", "{path}"]),
-    ("experiment-model", "model", ["experiment", "--strategy", "baseline",
+    ("experiment-model", "model", ["grid", "--strategies", "baseline",
                                    "--data", "synth", "--model", "{path}"]),
-    ("experiment-report", "report", ["experiment", "--strategy", "baseline",
+    ("experiment-report", "report", ["grid", "--strategies", "baseline",
                                      "--data", "synth", "--report", "{path}"]),
     ("grid-report", "report", ["grid", "--data", "synth", "--report",
                                "{path}"]),
@@ -860,9 +865,7 @@ def test_bad_output_path_exits_2_before_any_work(
     assert os.listdir(cwd) == []
 
 
-@pytest.mark.parametrize("command", [
-    ["experiment", "--strategy", "baseline"], ["grid"],
-], ids=["experiment", "grid"])
+@pytest.mark.parametrize("command", _RUN_COMMANDS)
 @pytest.mark.parametrize("report", [".", "out/"])
 def test_report_path_naming_a_directory_writes_nothing(
         tmp_path, capsys, monkeypatch, command, report):
@@ -914,7 +917,7 @@ _COLLIDING_COMMANDS = {
     **_TABLE_ROWS,
     "experiment-both": _TABLE_ROWS["experiment-report"]
     + ["--model", "{other}", "--type-map", "{file}"],
-    "experiment-files": ["experiment", "--strategy", "baseline", "--train",
+    "experiment-files": ["grid", "--strategies", "baseline", "--train",
                          "{file}", "--test", "{file}", "--model", "{path}"],
     "tag-truecaser": _TABLE_ROWS["tag"] + ["--truecaser", "{file}"],
 }
@@ -970,7 +973,7 @@ def test_experiment_and_grid_read_conll_files(data_files, capsys):
     flags = ["--train", train, "--test", test, "--max-epochs", "5"]
     files = dict(train_path=train, test_path=test,
                  train_config=TrainConfig(max_epochs=5))
-    assert main(["experiment", "--strategy", "caseless", *flags]) == EXIT_OK
+    assert main(["grid", "--strategies", "caseless", *flags]) == EXIT_OK
     _, single = harness.run_grid(
         [harness.ExperimentConfig(harness.Strategy.CASELESS, **files)]
     )
@@ -1003,7 +1006,7 @@ def test_file_source_report_lines(data_files, tmp_path, capsys):
         assert capsys.readouterr().out.encode("utf-8") == text
         return text.split(b"\n"), Path(base + ".kv").read_bytes().split(b"\n")
 
-    for argv, base in ((["experiment", "--strategy", "baseline"], "experiment"),
+    for argv, base in ((["grid", "--strategies", "baseline"], "experiment"),
                        (["grid", "--strategies", "baseline,caseless"], "grid")):
         text, kv = report(argv, str(tmp_path / base))
         assert text[2] == (
@@ -1014,20 +1017,87 @@ def test_file_source_report_lines(data_files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in harness.Strategy])
-def test_experiment_is_the_one_strategy_grid(tmp_path, capsys, strategy):
-    """`experiment --strategy S` and `grid --strategies S` write one report:
-    the same stdout, .txt and .kv, byte for byte."""
-    flags = ["--data", "synth", "--synth-train-sentences", "60",
-             "--synth-test-sentences", "15", "--max-epochs", "5"]
-    outputs = []
-    for argv in (["experiment", "--strategy", strategy],
-                 ["grid", "--strategies", strategy]):
-        base = tmp_path / argv[0]
-        assert main([*argv, *flags, "--report", str(base)]) == EXIT_OK
-        outputs.append((capsys.readouterr().out.encode("utf-8"),
-                        Path(f"{base}.txt").read_bytes(),
-                        Path(f"{base}.kv").read_bytes()))
-    assert outputs[0] == outputs[1]
+def test_experiment_is_the_one_strategy_grid(data_files, tmp_path, capsys,
+                                             strategy):
+    """`grid --strategies S` is one experiment: its stdout, .txt and .kv are
+    those `run_experiment` writes, and its `--model` holds the bytes
+    `train --strategy S` writes, which for truecasing are baseline's."""
+    _, train, test = data_files
+    model, base = tmp_path / "grid.crf", str(tmp_path / "grid")
+    assert main(["grid", "--strategies", strategy, "--train", train,
+                 "--test", test, "--max-epochs", "30", "--model", str(model),
+                 "--report", base]) == EXIT_OK
+    out = capsys.readouterr().out
+    expected = str(tmp_path / "experiment")
+    harness.run_experiment(harness.ExperimentConfig(
+        harness.Strategy(strategy), train_path=train, test_path=test,
+        train_config=TrainConfig(max_epochs=30), report_path=expected))
+    assert out.encode("utf-8") == Path(f"{expected}.txt").read_bytes()
+    for suffix in (".txt", ".kv"):
+        assert (Path(base + suffix).read_bytes()
+                == Path(expected + suffix).read_bytes())
+    recipes = {strategy, "baseline"} if strategy == "truecasing" else {strategy}
+    for recipe in recipes:
+        trained = tmp_path / f"{recipe}.crf"
+        assert main(["train", "--strategy", recipe, "--train", train,
+                     "--max-epochs", "30", "--model", str(trained)]) == EXIT_OK
+        assert trained.read_bytes() == model.read_bytes()
+
+
+@pytest.mark.parametrize("selection, config", [
+    (["--strategies", "baseline,caseless", "--model", "m.crf"], ""),
+    ([], "model = m.crf\n"),
+], ids=["two-flag", "four-config"])
+def test_grid_model_with_several_strategies_exits_1(tmp_path, capsys,
+                                                    monkeypatch, selection,
+                                                    config):
+    """`--model` saves one strategy's model: with more selected (four when
+    none is), the run is a usage error that loads and writes nothing."""
+    monkeypatch.setattr(cli.harness, "_load_corpora", _no_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["grid", "--config", str(cfg), *selection, "--data", "synth",
+                 "--report", "rep"]) == EXIT_USAGE
+    count = 2 if selection else 4
+    assert capsys.readouterr() == ("", (
+        f"usage error: --model saves one strategy's model; {count} "
+        "strategies are selected\n"))
+    assert os.listdir() == []
+
+
+def test_grid_warns_on_stderr_when_lbfgs_does_not_converge(
+    data_files, tmp_path, capsys
+):
+    """Each strategy whose model stopped at --max-epochs gets `train`'s
+    warning after its name; stdout and the report files are the run's."""
+    _, train, test = data_files
+    flags = ["--train", train, "--test", test, "--max-epochs", "1"]
+    base = str(tmp_path / "capped")
+    assert main(["grid", "--strategies", "caseless,truecasing", *flags,
+                 "--report", base]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "".join(
+        f"warning: {name}: L-BFGS did not converge (stopped after 1 "
+        "iterations)\n" for name in ("caseless", "truecasing"))
+    expected = str(tmp_path / "expected")
+    _, text = harness.run_grid([
+        harness.ExperimentConfig(strategy, train_path=train, test_path=test,
+                                 train_config=TrainConfig(max_epochs=1))
+        for strategy in (harness.Strategy.CASELESS,
+                         harness.Strategy.TRUECASING)
+    ], report_path=expected)
+    assert out == text
+    for suffix in (".txt", ".kv"):
+        assert (Path(base + suffix).read_bytes()
+                == Path(expected + suffix).read_bytes())
+
+    assert main(["grid", "--strategies", "baseline", "--train", train,
+                 "--test", test]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("casener report\n")
 
 
 def test_kv_file_parses_for_any_path(data_files, tmp_path, capsys):
@@ -1039,7 +1109,7 @@ def test_kv_file_parses_for_any_path(data_files, tmp_path, capsys):
     shutil.copy(train, paths["train"])
     shutil.copy(test, paths["test"])
     base = str(tmp_path / "rep")
-    assert main(["experiment", "--strategy", "baseline", "--train",
+    assert main(["grid", "--strategies", "baseline", "--train",
                  paths["train"], "--test", paths["test"], "--max-epochs", "5",
                  "--report", base]) == EXIT_OK
     capsys.readouterr()
@@ -1055,7 +1125,7 @@ def test_kv_file_parses_for_any_path(data_files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, selector", [
-    ("experiment", ["--strategy", "baseline"]), ("grid", []),
+    ("grid", ["--strategies", "baseline"]), ("grid", []),
 ])
 def test_train_without_test_is_a_usage_error(data_files, capsys, command,
                                              selector):
@@ -1065,8 +1135,7 @@ def test_train_without_test_is_a_usage_error(data_files, capsys, command,
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", [["experiment", "--strategy", "baseline"],
-                                     ["grid"]], ids=["experiment", "grid"])
+@pytest.mark.parametrize("command", _RUN_COMMANDS)
 @pytest.mark.parametrize("config, flags, problem", [
     pytest.param("data = synth\n", ["--train", "{train}", "--test", "{test}"],
                  "synthetic data source takes no --train or --test",
@@ -1112,7 +1181,7 @@ def test_experiment_on_empty_training_file_exits_2(data_files, tmp_path,
     root, train, test = data_files
     empty = tmp_path / "empty.conll"
     empty.write_text("")
-    assert main(["experiment", "--strategy", "baseline", "--train",
+    assert main(["grid", "--strategies", "baseline", "--train",
                  str(empty), "--test", test]) == EXIT_DATA
     assert "data error: training corpus is empty" in capsys.readouterr().err
 
@@ -1122,20 +1191,22 @@ def test_type_map_file_keys_are_free_form(tmp_path):
     type_map.write_text("PER = PERSON\nLOC = PLACE\nNOT-A-SETTING = X\n")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "strategy = baseline\ndata = synth\nsynth-train-sentences = 40\n"
+        "strategies = baseline\ndata = synth\nsynth-train-sentences = 40\n"
         f"synth-test-sentences = 10\nmax-epochs = 3\ntype-map = {type_map}\n"
         f"report = {tmp_path / 'rep'}\n"
     )
-    assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
+    assert main(["grid", "--config", str(cfg)]) == EXIT_OK
     assert "type map applied" in (tmp_path / "rep.txt").read_text()
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("experiment", cli._EXPERIMENT_FLAGS), ("grid", cli._GRID_FLAGS),
+    ("experiment", {"--strategies": "baseline"}),
+    ("grid", {"--strategies": "baseline,caseless,truecasing,augment"}),
 ])
 def test_run_flags_and_config_keys_match(tmp_path, command, flags):
     """Every flag but --config is a config-file key, and every key a flag.
-    Each key gets its flag's first choice, a strategy list, or 1."""
+    Each key gets its value in `flags` (one strategy, as an experiment
+    selects, or all four), its flag's first choice, or 1."""
     parser = cli._build_parser()
     [commands] = [
         action for action in parser._actions
@@ -1143,24 +1214,29 @@ def test_run_flags_and_config_keys_match(tmp_path, command, flags):
     ]
     options = {
         action.option_strings[0]: action
-        for action in commands.choices[command]._actions
+        for action in commands.choices["grid"]._actions
         if action.option_strings[0] not in ("-h", "--config")
     }
     cfg = tmp_path / "all.cfg"
-    valid = {"--strategies": "baseline"}
     cfg.write_text("".join(
-        f"{flag[2:]} = {valid.get(flag, (action.choices or [1])[0])}\n"
+        f"{flag[2:]} = {flags.get(flag, (action.choices or [1])[0])}\n"
         for flag, action in options.items()
     ))
     settings = cli._settings(
-        parser.parse_args([command, "--config", str(cfg)]), flags
+        parser.parse_args(["grid", "--config", str(cfg)]), cli._GRID_FLAGS
     )
     assert settings.keys() == {action.dest for action in options.values()}
     assert None not in settings.values()
+    assert len(settings["strategies"]) == (1 if command == "experiment" else 4)
 
 
-def test_experiment_requires_strategy(tmp_path):
-    assert main(["experiment", "--data", "synth"]) == EXIT_USAGE
+def test_experiment_is_not_a_command(capsys):
+    """`experiment` is no subcommand: `grid --strategies S` runs one
+    strategy."""
+    assert main(["experiment", "--strategy", "baseline",
+                 "--data", "synth"]) == EXIT_USAGE
+    assert ("usage error: argument command: invalid choice: 'experiment'"
+            in capsys.readouterr().err)
 
 
 def test_grid_command(tmp_path, capsys):
@@ -1238,7 +1314,6 @@ def test_config_dataclass_fields_are_the_setting_flags():
                   if isinstance(action, argparse._SubParsersAction)]
     for command, config, prefix in [
         ("train", TrainConfig, ""), ("synth", SynthConfig, ""),
-        ("experiment", TrainConfig, ""), ("experiment", SynthConfig, "synth-"),
         ("grid", TrainConfig, ""), ("grid", SynthConfig, "synth-"),
     ]:
         types = {action.option_strings[0]: action.type

@@ -4,7 +4,7 @@ The small-run files under `tests/data` were written by
 
     casener grid --data synth --synth-seed 7 --synth-train-sentences 150 \
         --synth-test-sentences 40 --max-epochs 40 --report golden_grid
-    casener experiment --strategy truecasing <the same data and training
+    casener grid --strategies truecasing <the same data and training
         flags> --report golden_truecasing
 
 and the standard seed-42 grid's by
@@ -50,7 +50,7 @@ def _assert_report_matches(report: Path, name: str) -> None:
 
 @pytest.mark.parametrize("name, command", [
     ("golden_grid", ["grid"]),
-    ("golden_truecasing", ["experiment", "--strategy", "truecasing"]),
+    ("golden_truecasing", ["grid", "--strategies", "truecasing"]),
 ])
 def test_reports_match_golden(tmp_path, capsys, name, command):
     report = tmp_path / name
